@@ -38,7 +38,17 @@ class BinOutOfRange(RoleModelError):
 
 
 class DegenerateRow(RoleModelError):
-    """A constraint-node output row normalized to zero (all configurations excluded)."""
+    """A constraint-node output row normalized to zero (all configurations excluded).
+
+    Carries ``row`` and, for a batched node call, ``index`` (the matrix's
+    position in the batch: the constraint in BP, the trial in EXIT).
+    """
+
+    def __init__(self, row: int, index: int | None = None):
+        self.row = row
+        self.index = index
+        where = f"row {row}" if index is None else f"matrix {index}, row {row}"
+        super().__init__(f"{where} excluded every configuration")
 
 
 class BisectionFailure(RoleModelError):

@@ -345,12 +345,6 @@ def surrogate_chain(sigmas, levels_per_branch: int = 8,
                           levels_per_branch=levels_per_branch)
 
 
-def naive_table(quantizer: ZQuantizer) -> np.ndarray:
-    """The untrained baseline as a conditional table: bin-center LLR posteriors."""
-    centers = np.array([quantizer.bin_center_llr(b) for b in range(quantizer.total_bins)])
-    return llrs_to_dists(centers)
-
-
 def fallback_distribution(kind: str, batch: MinsumBatch | None = None) -> Distribution:
     """Empty-bin fallback: 'uniform' (default) or the batch's empirical prior."""
     if kind == "uniform":

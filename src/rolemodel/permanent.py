@@ -1,13 +1,32 @@
-"""Matrix permanents: exact kernels and the head/tail split.
+"""Matrix permanents: reference kernels, the batched minor kernel and the head/tail split.
 
-Exact kernels are capped at n <= 16 (Ryser enumerates 2^n column subsets).
+The reference kernels compute one permanent each: brute force over all n!
+permutations (n <= 10), Ryser inclusion-exclusion (n <= 16), sparse row
+expansion, and the closed form for rows of constant value.
+
+Constraint nodes need every minor permanent perm(A without row i and
+column j). :func:`minor_permanents` computes all n^2 of them for a batch of
+matrices at once by forward/backward subset dynamic programming:
+
+    f_k[S] = permanent of rows 0..k-1 on column set S, |S| = k
+    b_r[T] = permanent of rows r..n-1 on column set T, |T| = n - r
+    minor(i, j) = sum over |S| = i, j not in S of f_i[S] * b_{i+1}[full - S - {j}]
+
+That is O(n^2 2^n) work per matrix (n = 20 at most) in about 5n numpy calls
+per batch. The gather indices depend only on n and are built once per n.
+For non-negative input every step adds non-negative products, so (unlike
+inclusion-exclusion) tiny minors of near-decided probability matrices keep
+full relative accuracy, and a minor without a perfect matching comes out as
+exactly 0. Each matrix's result is bitwise the same whatever batch it is in.
+
 All values are computed in the linear domain; entries here are
-probabilities, so products of up to 16 of them cannot overflow and
+probabilities, so products of up to 20 of them cannot overflow and
 underflow is acceptable (results are compared relatively).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import permutations
@@ -18,12 +37,14 @@ from .errors import DimensionTooLarge
 
 BRUTEFORCE_MAX_N = 10
 RYSER_MAX_N = 16
+MINORS_MAX_N = 20
 
 
-def _as_square(m) -> np.ndarray:
+def _as_square(m, batched: bool = False) -> np.ndarray:
     a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"square matrix required, got shape {a.shape}")
+    if a.ndim not in ((2, 3) if batched else (2,)) or a.shape[-1] != a.shape[-2]:
+        kind = "(n, n) or (B, n, n)" if batched else "square"
+        raise ValueError(f"{kind} matrix required, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     return a
@@ -88,11 +109,7 @@ def permanent_uniform_rows(tail_values, n: int | None = None) -> float:
     return float(math.factorial(n) * t.prod())
 
 
-def _sparse_rows(a: np.ndarray) -> list[list[tuple[int, float]]]:
-    return [[(j, v) for j, v in enumerate(row) if v != 0.0] for row in a]
-
-
-def _permanent_sparse_rows(rows: list[list[tuple[int, float]]], used0: int = 0) -> float:
+def _permanent_sparse_rows(rows: list[list[tuple[int, float]]]) -> float:
     """Row expansion with used-column masking, zero pruning, and state memoization."""
     order = sorted(rows, key=len)  # fewest options first
     m = len(order)
@@ -112,109 +129,92 @@ def _permanent_sparse_rows(rows: list[list[tuple[int, float]]], used0: int = 0) 
         memo[key] = total
         return total
 
-    return rec(0, used0)
+    return rec(0, 0)
 
 
 def permanent_sparse(m) -> float:
     """Exact permanent exploiting row sparsity; cheap when rows have few nonzeros."""
     a = _as_square(m)
-    return float(_permanent_sparse_rows(_sparse_rows(a)))
+    return float(_permanent_sparse_rows([[(j, v) for j, v in enumerate(row) if v != 0.0]
+                                         for row in a]))
 
 
 # -- batched minors ----------------------------------------------------
 
-_SUBSET_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
+@dataclass(frozen=True)
+class _MinorPlan:
+    """Gather indices of the subset DP for one n.
 
-def _subsets(nm: int) -> tuple[np.ndarray, np.ndarray]:
-    """Incidence matrix of the non-empty subsets of nm columns and Ryser signs."""
-    cached = _SUBSET_CACHE.get(nm)
-    if cached is not None:
-        return cached
-    count = (1 << nm) - 1
-    ks = np.arange(1, count + 1, dtype=np.uint32)
-    incidence = ((ks[:, None] >> np.arange(nm, dtype=np.uint32)) & 1).astype(float)
-    sizes = incidence.sum(axis=1)
-    signs = np.where((nm - sizes) % 2 == 0, 1.0, -1.0)
-    _SUBSET_CACHE[nm] = (incidence, signs)
-    return incidence, signs
-
-
-def minor_permanents_ryser(m) -> np.ndarray:
-    """Permanents of every (i,j) minor via batched Ryser, shape (n,n).
-
-    One column-subset sweep per removed column j covers all removed rows i
-    at once through prefix/suffix products over rows. Inclusion-exclusion
-    cancels heavily when the true minors are many orders below the entry
-    scale; prefer :func:`minor_permanents` for probability matrices.
+    Subsets of the n columns are numbered by (size, bitmask); the table of a
+    matrix holds every subset but the full set, in that order. Channel 0 of
+    the table holds the forward values f, channel 1 the backward values b.
     """
-    a = _as_square(m)
-    n = a.shape[0]
-    if n < 2:
-        raise ValueError("minors need n >= 2")
-    if n - 1 > RYSER_MAX_N:
-        raise DimensionTooLarge(f"Ryser kernel capped at n={RYSER_MAX_N}")
-    incidence, signs = _subsets(n - 1)
-    out = np.empty((n, n))
-    cols = np.arange(n)
-    for j in range(n):
-        kept = cols[cols != j]
-        row_sums = a[:, kept] @ incidence.T  # (n, subsets)
-        pref = np.ones((n + 1, row_sums.shape[1]))
-        np.cumprod(row_sums, axis=0, out=pref[1:])
-        suf = np.ones_like(pref)
-        suf[:-1] = np.cumprod(row_sums[::-1], axis=0)[::-1]
-        out[:, j] = (pref[:-1] * suf[1:]) @ signs
-    return out
+
+    size: int  # 2^n - 1 table entries
+    # per level k = 1..n-1: (lo, hi, parents (C, k), rows (2, 1, 1), columns (C, k))
+    levels: tuple
+    head: np.ndarray  # table index of S, ordered by (i, j, S)
+    tail: np.ndarray  # table index of full - S - {j}, same order
+    starts: np.ndarray  # first term of each (i, j) group, row-major
 
 
-_MASK_CACHE: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-
-
-def _column_masks(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    cached = _MASK_CACHE.get(n)
-    if cached is not None:
-        return cached
-    all_masks = np.arange(1 << n)
-    pairs = []
+@functools.lru_cache(maxsize=None)
+def _minor_plan(n: int) -> _MinorPlan:
+    masks = np.arange(1 << n)
+    sizes = np.zeros_like(masks)
     for c in range(n):
-        without = all_masks[(all_masks >> c) & 1 == 0]
-        pairs.append((without, without | (1 << c)))
-    _MASK_CACHE[n] = pairs
-    return pairs
+        sizes += (masks >> c) & 1
+    order = np.argsort(sizes, kind="stable")  # masks by (size, mask)
+    pos = np.empty_like(order)
+    pos[order] = masks
+    offsets = np.concatenate([[0], np.cumsum([math.comb(n, k) for k in range(n + 1)])])
+    columns = np.arange(n)
+
+    def level(k: int) -> np.ndarray:
+        return order[offsets[k] : offsets[k + 1]]
+
+    levels = []
+    for k in range(1, n):
+        subsets = level(k)
+        members = np.nonzero((subsets[:, None] >> columns) & 1)[1].reshape(-1, k)
+        parents = pos[subsets[:, None] ^ (1 << members)]
+        rows = np.array([k - 1, n - k])[:, None, None]  # f_k adds row k-1, b_{n-k} row n-k
+        levels.append((offsets[k], offsets[k + 1], parents, rows, members))
+
+    full = (1 << n) - 1
+    head, tail = [], []
+    for i in range(n):
+        subsets = level(i)
+        j, s = np.nonzero(((subsets[None, :] >> columns[:, None]) & 1) == 0)
+        head.append(pos[subsets[s]])
+        tail.append(pos[full ^ subsets[s] ^ (1 << j)])
+    group = np.repeat([math.comb(n - 1, i) for i in range(n)], n)
+    starts = np.concatenate([[0], np.cumsum(group)[:-1]])
+    return _MinorPlan(size=full, levels=tuple(levels), head=np.concatenate(head),
+                      tail=np.concatenate(tail), starts=starts)
 
 
 def minor_permanents(m) -> np.ndarray:
-    """Permanents of every (i,j) minor by subset-sum dynamic programming.
+    """Permanents of every (i, j) minor of one (n, n) matrix or a (B, n, n) batch.
 
-    For each removed row i, a forward pass over the remaining rows builds
-    g[S] = permanent of those rows restricted to column set S; dropping
-    column j then reads off g at the complement mask. Only non-negative
-    products are added, so (unlike inclusion-exclusion) tiny permanents of
-    near-degenerate probability matrices keep full relative accuracy.
+    Returns the input's shape. Forward/backward subset DP (module
+    docstring); tables take 2 * B * 2^n floats.
     """
-    a = _as_square(m)
-    n = a.shape[0]
+    a = _as_square(m, batched=True)
+    n = a.shape[-1]
     if n < 2:
         raise ValueError("minors need n >= 2")
-    if n > 20:
-        raise DimensionTooLarge("subset DP capped at n=20")
-    masks = _column_masks(n)
-    full = (1 << n) - 1
-    out = np.empty((n, n))
-    rows = list(range(n))
-    for i in range(n):
-        g = np.zeros(1 << n)
-        g[0] = 1.0
-        for r in rows[:i] + rows[i + 1 :]:
-            g2 = np.zeros_like(g)
-            for c in range(n):
-                without, with_c = masks[c]
-                g2[with_c] += g[without] * a[r, c]
-            g = g2
-        for j in range(n):
-            out[i, j] = g[full ^ (1 << j)]
-    return out
+    if n > MINORS_MAX_N:
+        raise DimensionTooLarge(f"subset DP capped at n={MINORS_MAX_N}")
+    plan = _minor_plan(n)
+    batch = a.reshape(-1, n, n)
+    table = np.empty((batch.shape[0], 2, plan.size))
+    table[:, :, 0] = 1.0  # f_0 and b_n: the empty set
+    for lo, hi, parents, rows, members in plan.levels:
+        table[:, :, lo:hi] = (table[:, :, parents] * batch[:, rows, members]).sum(axis=-1)
+    terms = table[:, 0, plan.head] * table[:, 1, plan.tail]
+    return np.add.reduceat(terms, plan.starts, axis=-1).reshape(a.shape)
 
 
 # -- head/tail split ---------------------------------------------------
@@ -222,105 +222,58 @@ def minor_permanents(m) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HeadTailSplit:
-    """Decomposition M' = H + T of a row-stochastic matrix.
+    """Decomposition M' = H + T of row-stochastic matrices, one or a batch.
 
     ``head`` keeps the h largest entries per row, reduced by that row's
     uniform tail constant; ``tail_values`` holds the per-row constants.
     Row sums of the reconstruction match the original matrix.
     """
 
-    head: np.ndarray  # (n, n), at most h nonzeros per row
-    tail_values: np.ndarray  # (n,)
+    head: np.ndarray  # (..., n, n), at most h nonzeros per row
+    tail_values: np.ndarray  # (..., n)
     h: int
 
     @property
     def n(self) -> int:
-        return self.tail_values.size
+        return self.tail_values.shape[-1]
 
     def reconstruct(self) -> np.ndarray:
-        return self.head + self.tail_values[:, None]
+        return self.head + self.tail_values[..., None]
 
 
 def head_tail_split(m, h: int = 3) -> HeadTailSplit:
-    """Split each row into its h largest entries plus a uniform remainder.
+    """Split each row of an (n, n) or (B, n, n) input into its h largest entries plus a uniform remainder.
 
     Ties in the selection break by (value desc, column asc). Head entries
     are clamped at 0; the h largest entries can never fall strictly below
     the mean of the remaining ones, so the clamp only absorbs rounding.
     """
-    a = _as_square(m)
-    n = a.shape[0]
+    a = _as_square(m, batched=True)
+    n = a.shape[-1]
     if not 0 < h < n:
         raise ValueError(f"head size must be in (0, {n})")
+    order = np.argsort(-a, axis=-1, kind="stable")
+    kept, rest = order[..., :h], order[..., h:]
+    tails = np.take_along_axis(a, rest, axis=-1).sum(axis=-1) / (n - h)
     head = np.zeros_like(a)
-    tails = np.empty(n)
-    cols = np.arange(n)
-    for i in range(n):
-        order = np.lexsort((cols, -a[i]))
-        kept, rest = order[:h], order[h:]
-        t = a[i, rest].sum() / (n - h)
-        tails[i] = t
-        head[i, kept] = np.maximum(a[i, kept] - t, 0.0)
+    top = np.take_along_axis(a, kept, axis=-1)
+    np.put_along_axis(head, kept, np.maximum(top - tails[..., None], 0.0), axis=-1)
     return HeadTailSplit(head=head, tail_values=tails, h=h)
 
 
-def approx_permanent_minor(split: HeadTailSplit, i: int, j: int, alpha: float) -> float:
-    """alpha * perm(H minor) + (1-alpha) * perm(T minor) for the (i,j) minor.
-
-    T's minors stay uniform-row, so their permanent is the closed form over
-    the remaining row constants; alpha = 0.5 is the plain (scaled) sum of
-    the two permanents, which row normalization makes equivalent to the
-    unweighted approximation.
-    """
-    n = split.n
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError("minor indices out of range")
-    ph = 0.0
-    if alpha != 0.0:
-        rows = _sparse_rows(split.head)
-        del rows[i]
-        ph = _permanent_sparse_rows(rows, used0=1 << j)
-    pt = 0.0
-    if alpha != 1.0:
-        others = np.delete(split.tail_values, i)
-        pt = permanent_uniform_rows(others, n - 1)
-    return float(alpha * ph + (1.0 - alpha) * pt)
-
-
 def minor_permanents_split(split: HeadTailSplit) -> tuple[np.ndarray, np.ndarray]:
-    """All head-minor and tail-minor permanents at once: (PH, PT), each (n,n).
+    """All head-minor and tail-minor permanents at once: (PH, PT), each of the head's shape.
 
-    PT rows are constant in j (a uniform-row minor does not depend on which
-    column is dropped). Memoized row expansion is shared across j for each
-    removed row i.
+    PH runs through :func:`minor_permanents` (the head is a matrix with at
+    most h nonzeros per row). A tail minor has uniform rows, so its
+    permanent is (n-1)! times the other rows' constants, constant in j. That
+    product comes from exclusive prefix and suffix products, never from
+    dividing by a tail value, which may be 0.
     """
-    n = split.n
-    sparse = _sparse_rows(split.head)
-    ph = np.empty((n, n))
-    for i in range(n):
-        rows = sparse[:i] + sparse[i + 1 :]
-        order = sorted(rows, key=len)
-        m = len(order)
-        memo: dict[tuple[int, int], float] = {}
-
-        def rec(r: int, used: int) -> float:
-            if r == m:
-                return 1.0
-            key = (r, used)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
-            total = 0.0
-            for c, v in order[r]:
-                if not used >> c & 1:
-                    total += v * rec(r + 1, used | 1 << c)
-            memo[key] = total
-            return total
-
-        for j in range(n):
-            ph[i, j] = rec(0, 1 << j)
-
-    fact = float(math.factorial(n - 1))
-    prods = np.array([np.delete(split.tail_values, i).prod() for i in range(n)])
-    pt = np.repeat((fact * prods)[:, None], n, axis=1)
-    return ph, pt
+    t = split.tail_values
+    before = np.ones_like(t)
+    after = np.ones_like(t)
+    np.cumprod(t[..., :-1], axis=-1, out=before[..., 1:])
+    after[..., :-1] = np.cumprod(t[..., :0:-1], axis=-1)[..., ::-1]
+    pt = math.factorial(split.n - 1) * before * after
+    return minor_permanents(split.head), np.repeat(pt[..., None], split.n, axis=-1)

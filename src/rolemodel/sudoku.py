@@ -12,6 +12,7 @@ trainable weights.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -192,40 +193,49 @@ class ChannelModel:
 
 
 def constraint_exact(m: np.ndarray) -> np.ndarray:
-    """Outgoing messages from the exact node: normalized minor permanents."""
+    """Outgoing messages from the exact node: normalized minor permanents.
+
+    ``m`` is one (n, n) message matrix or a (B, n, n) batch. A row that
+    excludes every configuration raises :class:`DegenerateRow` naming the
+    row and, for a batch, the matrix (the constraint in BP, the trial in
+    EXIT).
+    """
     perms = minor_permanents(m)
-    sums = perms.sum(axis=1)
-    if np.any(sums <= 0):
-        raise DegenerateRow(f"row {int(np.argmin(sums))} excluded every configuration")
-    return perms / sums[:, None]
+    sums = perms.sum(axis=-1)
+    dead = np.argwhere(sums <= 0)
+    if dead.size:
+        *index, row = (int(v) for v in dead[0])
+        raise DegenerateRow(row, *index)
+    return perms / sums[..., None]
 
 
 def constraint_approx(m: np.ndarray, alphas=0.5, h: int = 3,
                       diag: dict | None = None) -> np.ndarray:
     """Head/tail approximate node with per-row correction weights.
 
-    alpha_i weights the head-minor permanent against the tail-minor
-    permanent in row i; a scalar alpha applies to every row. Rows whose
-    weighted sum vanishes fall back to uniform (counted in ``diag``).
+    ``m`` is one (n, n) message matrix or a (B, n, n) batch. alpha_i
+    weights the head-minor permanent against the tail-minor permanent in
+    row i; a scalar alpha applies to every row. Rows whose weighted sum
+    vanishes fall back to uniform (counted in ``diag``).
     """
-    n = m.shape[0]
+    n = m.shape[-1]
     a = np.full(n, float(alphas)) if np.isscalar(alphas) else np.asarray(alphas, dtype=float)
     ph, pt = minor_permanents_split(head_tail_split(m, h))
     combined = a[:, None] * ph + (1.0 - a)[:, None] * pt
-    sums = combined.sum(axis=1)
+    sums = combined.sum(axis=-1)
     dead = sums <= 0
     if np.any(dead):
         if diag is not None:
             diag["degenerate_rows"] = diag.get("degenerate_rows", 0) + int(dead.sum())
         combined[dead] = 1.0
-        sums = combined.sum(axis=1)
-    return combined / sums[:, None]
+        sums = combined.sum(axis=-1)
+    return combined / sums[..., None]
 
 
 def node_function(kind: str, alphas=None, h: int = 3):
-    """Bind a constraint-node variant to a callable matrix -> matrix."""
+    """Bind a constraint-node variant to a callable (matrix or batch, diag=None) -> same shape."""
     if kind == "exact":
-        return constraint_exact
+        return lambda m, diag=None: constraint_exact(m)
     if kind == "approx":
         return lambda m, diag=None: constraint_approx(m, 0.5, h, diag)
     if kind == "corrected":
@@ -309,10 +319,7 @@ def bp_solve(puzzle: Puzzle, channel: ChannelModel | None, node: str = "exact", 
         if it in collect_iters:
             for c in range(nc):
                 collected.append((it, c, v2c[c].copy()))
-        fresh = np.empty_like(c2v)
-        for c in range(nc):
-            fresh[c] = apply_node(v2c[c], diag=diag) if node != "exact" else apply_node(v2c[c])
-        fresh = _floor_messages(fresh)
+        fresh = _floor_messages(apply_node(v2c, diag=diag))  # one call over all 3n constraints
         if it == 1 or damping == 1.0:
             c2v = fresh
         else:
@@ -378,13 +385,16 @@ def _apriori_messages(truths: np.ndarray, sigma: float | None, q: int,
     return ch.posterior(ch.observe(truths, rng))
 
 
+@functools.lru_cache(maxsize=256)
 def calibrate_sigma(ia_target: float, q: int, seed: int, *,
                     samples: int = 16384, tol: float = 0.005,
                     max_iters: int = 200) -> float:
     """Noise level whose observation posteriors carry ``ia_target`` bits.
 
     Bisects log-sigma against a fixed calibration draw (common random
-    numbers make the MI curve smooth and monotone in sigma).
+    numbers make the MI curve smooth and monotone in sigma). The result
+    depends only on the arguments, so it is cached per process: the curves
+    of several node kinds at the same grid and seed calibrate once.
     """
     max_mi = math.log2(q)
     if not 0.0 < ia_target < max_mi:
@@ -445,21 +455,25 @@ def exit_point_trials(node: str, ia_bits: float, trials: int, seed: int, *,
             return np.eye(n)[truths]
         return _apriori_messages(truths, sigma_a, n, rng)
 
-    values = np.empty(trials)
+    # each trial draws from its own stream; constraint nodes then see all
+    # trials in one batched call
+    truths = np.empty((trials, n), dtype=int)
+    out = np.empty((trials, n, n))
     for t in range(trials):
         rng = make_rng(seed, 7, point, t)
         if node == "variable":
-            truths = rng.integers(0, n, size=n)
-            obs = channel.posterior(channel.observe(truths, rng))
-            out = obs * synth_apriori(truths, rng) * synth_apriori(truths, rng)
-            out = np.maximum(out, MESSAGE_FLOOR)
-            out /= out.sum(axis=1, keepdims=True)
+            truths[t] = rng.integers(0, n, size=n)
+            obs = channel.posterior(channel.observe(truths[t], rng))
+            msg = obs * synth_apriori(truths[t], rng) * synth_apriori(truths[t], rng)
+            msg = np.maximum(msg, MESSAGE_FLOOR)
+            out[t] = msg / msg.sum(axis=1, keepdims=True)
         else:
-            truths = rng.permutation(n)
-            out = apply_node(synth_apriori(truths, rng))
-        at_truth = floor_rows(out, DEFAULT_FLOOR)[np.arange(n), truths]
-        values[t] = max_mi - float(np.mean(-np.log2(at_truth)))
-    return values
+            truths[t] = rng.permutation(n)
+            out[t] = synth_apriori(truths[t], rng)
+    if apply_node is not None:
+        out = apply_node(out)
+    at_truth = np.take_along_axis(floor_rows(out, DEFAULT_FLOOR), truths[..., None], axis=-1)
+    return max_mi - np.mean(-np.log2(at_truth[..., 0]), axis=-1)
 
 
 def exit_curve(node: str, ia_grid, trials: int, seed: int, *,
@@ -529,36 +543,33 @@ class AlphaTrainResult:
     search: TrainResult
 
 
-def _row_divergences(p_rows: np.ndarray, q_rows: np.ndarray) -> float:
+def _row_divergences(p_rows: np.ndarray, q_rows: np.ndarray) -> np.ndarray:
+    """Mean over rows of D(p_row || q_row), per (n, n) matrix of a (..., n, n) stack."""
     q = floor_rows(q_rows, DEFAULT_FLOOR)
     terms = np.where(p_rows > 0,
                      p_rows * (np.log2(np.where(p_rows > 0, p_rows, 1.0)) - np.log2(q)),
                      0.0)
-    return float(terms.sum(axis=1).mean())
+    return terms.sum(axis=-1).mean(axis=-1)
 
 
 def alpha_objective(matrices: list[np.ndarray], h: int = 3):
     """Frozen-batch objective: mean divergence of exact rows from corrected rows.
 
-    Minor permanents of both split parts are precomputed once per matrix,
-    so each evaluation is only the alpha-weighted combination.
+    Minor permanents of both split parts are precomputed once for the
+    stacked batch, so each evaluation is one alpha-weighted broadcast: the
+    mean over rows per matrix, then the mean over matrices.
     """
-    prepared = []
-    for m in matrices:
-        exact = constraint_exact(m)
-        ph, pt = minor_permanents_split(head_tail_split(m, h))
-        prepared.append((exact, ph, pt))
+    stack = np.asarray(matrices, dtype=float)
+    exact = constraint_exact(stack)
+    ph, pt = minor_permanents_split(head_tail_split(stack, h))
 
     def objective(corrector: ParametricCorrector) -> float:
         a = corrector.alphas[:, None]
-        total = 0.0
-        for exact, ph, pt in prepared:
-            combined = a * ph + (1.0 - a) * pt
-            sums = combined.sum(axis=1, keepdims=True)
-            combined = np.where(sums > 0, combined / np.where(sums > 0, sums, 1.0),
-                                1.0 / exact.shape[0])
-            total += _row_divergences(exact, combined)
-        return total / len(prepared)
+        combined = a * ph + (1.0 - a) * pt
+        sums = combined.sum(axis=-1, keepdims=True)
+        combined = np.where(sums > 0, combined / np.where(sums > 0, sums, 1.0),
+                            1.0 / exact.shape[-1])
+        return float(_row_divergences(exact, combined).mean())
 
     return objective
 

@@ -3,9 +3,8 @@ import pytest
 
 from rolemodel.errors import DimensionTooLarge
 from rolemodel.permanent import (
-    approx_permanent_minor,
     head_tail_split,
-    minor_permanents_ryser,
+    minor_permanents,
     minor_permanents_split,
     permanent_bruteforce,
     permanent_ryser,
@@ -120,12 +119,24 @@ class TestBatchedMinors:
     def test_vs_scalar_ryser(self):
         rng = make_rng(307)
         for n in (2, 4, 6, 9):
-            a = rng.random((n, n))
-            batch = minor_permanents_ryser(a)
-            for i in range(n):
-                for j in range(n):
-                    ref = permanent_ryser(np.delete(np.delete(a, i, 0), j, 1))
-                    assert close(batch[i, j], ref)
+            a = rng.random((2, n, n))
+            batch = minor_permanents(a)
+            assert batch.shape == (2, n, n)
+            for b in range(2):
+                for i in range(n):
+                    for j in range(n):
+                        ref = permanent_ryser(np.delete(np.delete(a[b], i, 0), j, 1))
+                        assert close(batch[b, i, j], ref)
+
+    def test_shape_and_size_checks(self):
+        with pytest.raises(ValueError):
+            minor_permanents(np.ones((1, 1)))
+        with pytest.raises(ValueError):
+            minor_permanents(np.ones((2, 3)))
+        with pytest.raises(ValueError):
+            minor_permanents(np.ones((1, 2, 3, 3)))
+        with pytest.raises(DimensionTooLarge):
+            minor_permanents(np.ones((21, 21)))
 
     def test_split_minors_vs_scalar_kernels(self):
         rng = make_rng(308)
@@ -185,6 +196,12 @@ class TestHeadTailSplit:
             head_tail_split(np.full((4, 4), 0.25), 4)
 
 
+def approx_minor(split, i, j, alpha):
+    """alpha * perm(H minor) + (1 - alpha) * perm(T minor) for the (i, j) minor."""
+    ph, pt = minor_permanents_split(split)
+    return float(alpha * ph[i, j] + (1.0 - alpha) * pt[i, j])
+
+
 class TestApproxMinor:
     def test_alpha_endpoints(self):
         rng = make_rng(310)
@@ -193,9 +210,9 @@ class TestApproxMinor:
         for i, j in ((0, 0), (2, 4), (5, 5)):
             ph = permanent_sparse(np.delete(np.delete(split.head, i, 0), j, 1))
             pt = permanent_uniform_rows(np.delete(split.tail_values, i))
-            assert approx_permanent_minor(split, i, j, 1.0) == pytest.approx(ph, rel=1e-12, abs=1e-15)
-            assert approx_permanent_minor(split, i, j, 0.0) == pytest.approx(pt, rel=1e-12, abs=1e-15)
-            mid = approx_permanent_minor(split, i, j, 0.5)
+            assert approx_minor(split, i, j, 1.0) == pytest.approx(ph, rel=1e-12, abs=1e-15)
+            assert approx_minor(split, i, j, 0.0) == pytest.approx(pt, rel=1e-12, abs=1e-15)
+            mid = approx_minor(split, i, j, 0.5)
             assert mid == pytest.approx(0.5 * ph + 0.5 * pt, rel=1e-12, abs=1e-15)
 
     def test_sum_of_permanents_is_a_poor_approximation(self):
@@ -207,7 +224,7 @@ class TestApproxMinor:
             m = rng.dirichlet(np.ones(9), size=9)
             split = head_tail_split(m, 3)
             i, j = int(rng.integers(9)), int(rng.integers(9))
-            approx = 2.0 * approx_permanent_minor(split, i, j, 0.5)
+            approx = 2.0 * approx_minor(split, i, j, 0.5)
             exact = permanent_ryser(np.delete(np.delete(split.reconstruct(), i, 0), j, 1))
             errs.append(abs(approx - exact) / exact)
         assert float(np.median(errs)) > 0.10

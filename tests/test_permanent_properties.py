@@ -1,0 +1,104 @@
+"""Property tests of the batched minor-permanent kernel and the nodes built on it.
+
+Runs are derandomized, so every run checks the same examples.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from rolemodel import sudoku
+from rolemodel.permanent import (
+    head_tail_split,
+    minor_permanents,
+    minor_permanents_split,
+    permanent_bruteforce,
+)
+from rolemodel.rng import make_rng
+
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+# entries bounded away from 0, so no product of up to 7 of them underflows
+ENTRIES = st.floats(min_value=1e-3, max_value=1.0)
+
+
+def brute_minors(a: np.ndarray) -> np.ndarray:
+    n = a.shape[0]
+    return np.array([[permanent_bruteforce(np.delete(np.delete(a, i, 0), j, 1))
+                      for j in range(n)] for i in range(n)])
+
+
+def assert_relative(got: np.ndarray, ref: np.ndarray, rel: float) -> None:
+    assert np.all(np.abs(got - ref) <= rel * np.maximum(np.abs(got), np.abs(ref)))
+
+
+@st.composite
+def batches(draw, elements=ENTRIES):
+    n = draw(st.integers(2, 7))
+    b = draw(st.integers(1, 3))
+    return draw(arrays(float, (b, n, n), elements=elements))
+
+
+@st.composite
+def no_perfect_matching(draw):
+    """Non-negative matrices whose first k rows only reach k-1 columns (then shuffled)."""
+    n = draw(st.integers(3, 7))
+    k = draw(st.integers(2, n))
+    a = draw(arrays(float, (n, n), elements=st.one_of(st.just(0.0), ENTRIES)))
+    a[:k, k - 1:] = 0.0
+    rows = draw(st.permutations(range(n)))
+    cols = draw(st.permutations(range(n)))
+    return a[np.ix_(rows, cols)]
+
+
+@st.composite
+def near_permutations(draw):
+    n = draw(st.integers(2, 7))
+    eps = draw(st.floats(min_value=1e-12, max_value=1e-3))
+    noise = draw(arrays(float, (n, n), elements=st.floats(0.0, 1.0)))
+    perm = np.eye(n)[draw(st.permutations(range(n)))]
+    return eps * noise + (1.0 - eps) * perm
+
+
+@PROPERTY
+@given(batches())
+def test_batched_minors_match_bruteforce(stack):
+    got = minor_permanents(stack)
+    assert got.shape == stack.shape
+    for a, minors in zip(stack, got):
+        assert_relative(minors, brute_minors(a), 1e-12)
+
+
+@PROPERTY
+@given(no_perfect_matching())
+def test_minors_without_a_matching_are_exactly_zero(a):
+    got = minor_permanents(a)
+    ref = brute_minors(a)
+    assert np.array_equal(got == 0.0, ref == 0.0)
+    assert_relative(got, ref, 1e-12)
+    # the whole matrix has no perfect matching: its row expansion is exactly 0
+    assert float(a[0] @ got[0]) == 0.0
+
+
+@PROPERTY
+@given(near_permutations())
+def test_near_permutation_minors_keep_relative_accuracy(a):
+    assert_relative(minor_permanents(a), brute_minors(a), 1e-12)
+
+
+@PROPERTY
+@given(st.integers(2, 9), st.integers(1, 30), st.integers(0, 2**32 - 1))
+def test_each_matrix_gives_the_same_bits_in_any_batch(n, b, seed):
+    stack = make_rng(seed).dirichlet(np.ones(n), size=(b, n))
+    h = min(3, n - 1)
+    minors = minor_permanents(stack)
+    exact = sudoku.constraint_exact(stack)
+    approx = sudoku.constraint_approx(stack, 0.5, h)
+    ph, pt = minor_permanents_split(head_tail_split(stack, h))
+    for k in range(b):
+        assert np.array_equal(minors[k], minor_permanents(stack[k]))
+        assert np.array_equal(exact[k], sudoku.constraint_exact(stack[k]))
+        assert np.array_equal(approx[k], sudoku.constraint_approx(stack[k], 0.5, h))
+        single = minor_permanents_split(head_tail_split(stack[k], h))
+        assert np.array_equal(ph[k], single[0]) and np.array_equal(pt[k], single[1])

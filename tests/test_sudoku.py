@@ -5,7 +5,8 @@ import pytest
 
 from rolemodel import sudoku
 from rolemodel.errors import BisectionFailure, DegenerateRow
-from rolemodel.probs import soft_mi
+from rolemodel.permanent import head_tail_split, minor_permanents_split
+from rolemodel.probs import DEFAULT_FLOOR, floor_rows, soft_mi
 from rolemodel.rng import make_rng
 from rolemodel.train import ParametricCorrector
 
@@ -111,6 +112,13 @@ class TestConstraintExact:
         conflicting[:, 0] = 1.0  # four certain variables claiming one symbol
         with pytest.raises(DegenerateRow):
             sudoku.constraint_exact(conflicting)
+
+    def test_degenerate_row_in_a_batch_names_matrix_and_row(self):
+        batch = np.full((3, 4, 4), 0.25)
+        batch[1, :2] = np.eye(4)[0]  # two certain variables claim symbol 0
+        with pytest.raises(DegenerateRow, match="matrix 1, row 2") as info:
+            sudoku.constraint_exact(batch)
+        assert (info.value.index, info.value.row) == (1, 2)
 
 
 class TestConstraintApprox:
@@ -235,6 +243,30 @@ class TestExit:
         mi = soft_mi(truths, np.maximum(ch.posterior(ch.observe(truths, rng)), 1e-300))
         assert abs(mi - target) <= 0.03  # fresh-draw check, looser than the bisection tol
 
+    def test_second_node_curve_reuses_calibration(self):
+        sudoku.calibrate_sigma.cache_clear()
+        grid = [0.5, 1.0]
+        sudoku.exit_curve("exact", grid, trials=2, seed=626, n=4)
+        first = sudoku.calibrate_sigma.cache_info()
+        sudoku.exit_curve("approx", grid, trials=2, seed=626, n=4)
+        second = sudoku.calibrate_sigma.cache_info()
+        assert first.misses == len(grid)
+        assert (second.misses, second.hits) == (first.misses, first.hits + len(grid))
+        assert sudoku.calibrate_sigma(1.0, 4, 626) == sudoku.calibrate_sigma.__wrapped__(1.0, 4, 626)
+
+    def test_batched_trials_match_one_node_call_per_trial(self):
+        n, seed, point = 4, 627, 3
+        sigma = sudoku.calibrate_sigma(1.0, n, seed)
+        for node in ("exact", "approx"):
+            values = sudoku.exit_point_trials(node, 1.0, 6, seed, n=n, point=point)
+            apply_node = sudoku.node_function(node)
+            for t, value in enumerate(values):
+                rng = make_rng(seed, 7, point, t)
+                truths = rng.permutation(n)
+                ch = sudoku.ChannelModel(sigma=sigma, q=n)
+                out = floor_rows(apply_node(ch.posterior(ch.observe(truths, rng))), DEFAULT_FLOOR)
+                assert value == math.log2(n) - float(np.mean(-np.log2(out[np.arange(n), truths])))
+
     def test_unreachable_target_fails(self):
         with pytest.raises(BisectionFailure):
             sudoku.calibrate_sigma(5.0, 9, seed=621)
@@ -260,6 +292,26 @@ class TestAlphaTraining:
                 bumped = a.copy()
                 bumped[i] += 1e-6
                 assert abs(objective(ParametricCorrector(bumped)) - base) <= 1e-3
+
+    def test_stacked_objective_matches_looped_reference(self):
+        mats = sudoku.harvest_constraint_inputs(9, [6.0, 8.0], 12, seed=29)
+        mats.append(np.full((9, 9), 1 / 9))  # head-only rows vanish: uniform fallback
+        objective = sudoku.alpha_objective(mats)
+        rng = make_rng(30)
+        for a in [np.zeros(9), np.ones(9)] + [rng.uniform(0.0, 1.0, 9) for _ in range(4)]:
+            total = 0.0
+            for m in mats:
+                exact = sudoku.constraint_exact(m)
+                ph, pt = minor_permanents_split(head_tail_split(m, 3))
+                combined = a[:, None] * ph + (1.0 - a)[:, None] * pt
+                sums = combined.sum(axis=1, keepdims=True)
+                combined = np.where(sums > 0, combined / np.where(sums > 0, sums, 1.0), 1 / 9)
+                q = floor_rows(combined, DEFAULT_FLOOR)
+                terms = np.where(exact > 0, exact * (np.log2(np.where(exact > 0, exact, 1.0))
+                                                     - np.log2(q)), 0.0)
+                total += terms.sum(axis=1).mean()
+            reference = total / len(mats)
+            assert objective(ParametricCorrector(a)) == pytest.approx(reference, rel=1e-14)
 
     def test_trained_dominates_fixed_baselines(self):
         res = sudoku.train_alpha(n=9, batch=24, seed=624, budget=1500)
