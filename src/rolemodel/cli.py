@@ -258,8 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int, default=0, help="64-bit run seed")
         p.add_argument("--out", type=str, default=None, help="machine-readable output path")
-        p.add_argument("--threads", type=int, default=1,
-                       help="reserved; execution is currently serial")
         p.add_argument("--quiet", action="store_true", help="suppress the stdout summary")
 
     p = sub.add_parser("verify-theorem", help="randomized check of the divergence identities")
@@ -329,8 +327,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.threads < 1:
-            parser.error("--threads must be >= 1")
         if isinstance(getattr(args, "mi_grid", None), str):
             args.mi_grid = _grid(args.mi_grid)
         return args.run(args)

@@ -19,7 +19,7 @@ from . import chains
 from .errors import BinOutOfRange
 from .probs import DEFAULT_FLOOR, Distribution, floor_rows, llrs_to_dists, soft_mi
 from .rng import make_rng
-from .train import PostTable, SampleBatch, empirical_ed
+from .train import BLOCK, PostTable, SampleBatch, empirical_ed, plogp_sum
 
 #: Finite LLRs saturate here before entering tanh; tanh(38/2) is still
 #: strictly below 1 in double precision, keeping atanh finite.
@@ -95,10 +95,23 @@ _TANH_CEIL = math.nextafter(1.0, 0.0)
 
 
 def tanh_rule_rows(llrs: np.ndarray) -> np.ndarray:
-    """Vectorized tanh rule over finite LLR rows, shape (N, d) -> (N,)."""
-    l = np.clip(np.asarray(llrs, dtype=float), -LLR_SATURATION, LLR_SATURATION)
-    prod = np.clip(np.prod(np.tanh(l / 2.0), axis=1), -_TANH_CEIL, _TANH_CEIL)
-    return 2.0 * np.arctanh(prod)
+    """Vectorized tanh rule over finite LLR rows, shape (N, d) -> (N,).
+
+    Runs over the d columns, so its temporaries are (N,) vectors; the
+    product accumulates left to right, column 0 first.
+    """
+    l = np.asarray(llrs, dtype=float)
+    prod = np.ones(l.shape[0])
+    t = np.empty(l.shape[0])
+    for j in range(l.shape[1]):
+        np.clip(l[:, j], -LLR_SATURATION, LLR_SATURATION, out=t)
+        t /= 2.0
+        np.tanh(t, out=t)
+        prod *= t
+    np.clip(prod, -_TANH_CEIL, _TANH_CEIL, out=prod)
+    np.arctanh(prod, out=prod)
+    prod *= 2.0
+    return prod
 
 
 def min_sum(node_input) -> MinSumStatistic:
@@ -140,7 +153,7 @@ class ZQuantizer:
             raise BinOutOfRange("negative magnitude")
         width = self.max_magnitude / self.num_bins
         idx = np.minimum((mag / width).astype(int), self.num_bins - 1)
-        return np.where(np.asarray(signs) < 0, idx + self.num_bins, idx)
+        return idx + self.num_bins * (np.asarray(signs) < 0)
 
     def bin_center_llr(self, b: int) -> float:
         """Representative LLR of a bin (sign applied to the magnitude midpoint)."""
@@ -173,30 +186,57 @@ def simulate_batch(d: int, sigmas, n: int, seed: int,
     Each trial draws d independent branch bits, observes them over BPSK/AWGN
     with the given per-branch sigmas (exact branch LLR 2y/sigma^2), and
     emits the tanh-rule posterior for the XOR bit alongside the quantized
-    min-sum statistic. Deterministic for a given (seed, stream).
+    min-sum statistic. Deterministic for a given (seed, stream): the draws
+    come first, all n*d bits and then all n*d normals from
+    ``make_rng(seed, 1, stream)``. Everything after them runs ``BLOCK`` rows
+    at a time, column by column, and writes into the returned arrays.
     """
     if n < 1:
         raise ValueError("need at least one trial")
     sig = np.asarray(sigmas, dtype=float)
-    if sig.shape != (d,) or np.any(sig <= 0):
+    if d < 1 or sig.shape != (d,) or np.any(sig <= 0):
         raise ValueError("need one positive sigma per branch")
     quantizer = quantizer or ZQuantizer()
     rng = make_rng(seed, 1, stream)
     bits = rng.integers(0, 2, size=(n, d))
-    symbols = 1.0 - 2.0 * bits
-    y = symbols + sig * rng.standard_normal((n, d))
-    llrs = 2.0 * y / sig**2
-    ref_llr = tanh_rule_rows(llrs)
-    truths = np.bitwise_xor.reduce(bits, axis=1)
-    mags = np.min(np.abs(llrs), axis=1)
-    signs = np.where(np.sum(llrs < 0, axis=1) % 2 == 1, -1, 1)
-    bins = quantizer.bin_indices(mags, signs)
-    return MinsumBatch(
-        posteriors=llrs_to_dists(ref_llr),
-        bins=bins,
-        truths=truths,
-        minsum_llrs=signs * mags,
-    )
+    noise = rng.standard_normal((n, d))
+    sig2 = sig**2
+    posteriors = np.empty((n, 2))
+    bins = np.empty(n, dtype=int)
+    truths = np.empty(n, dtype=bits.dtype)
+    minsum_llrs = np.empty(n)
+    rows = min(n, BLOCK)
+    llrs = np.empty((d, rows))  # one block of LLRs, branch j contiguous in llrs[j]
+    tmp_rows = np.empty(rows)
+    odd_rows = np.empty(rows, dtype=bool)
+    for start in range(0, n, BLOCK):
+        stop = min(start + BLOCK, n)
+        m = stop - start
+        mins, parity = minsum_llrs[start:stop], truths[start:stop]
+        tmp, odd = tmp_rows[:m], odd_rows[:m]
+        mins.fill(np.inf)
+        parity.fill(0)
+        odd.fill(False)
+        for j in range(d):
+            # llr = 2 * ((1 - 2 * bit) + sigma * noise) / sigma^2, one operation
+            # at a time in the order of the whole-array formula, so the bits agree
+            col = llrs[j, :m]
+            np.multiply(bits[start:stop, j], 2.0, out=col)
+            np.subtract(1.0, col, out=col)
+            np.multiply(noise[start:stop, j], sig[j], out=tmp)
+            col += tmp
+            col *= 2.0
+            col /= sig2[j]
+            np.abs(col, out=tmp)
+            np.minimum(mins, tmp, out=mins)
+            odd ^= col < 0.0
+            parity ^= bits[start:stop, j]
+        llrs_to_dists(tanh_rule_rows(llrs[:, :m].T), out=posteriors[start:stop])
+        signs = 1.0 - 2.0 * odd
+        bins[start:stop] = quantizer.bin_indices(mins, signs)
+        mins *= signs
+    return MinsumBatch(posteriors=posteriors, bins=bins, truths=truths,
+                       minsum_llrs=minsum_llrs)
 
 
 def new_table(quantizer: ZQuantizer, fallback=None) -> PostTable:
@@ -236,14 +276,22 @@ def evaluate_table(table: PostTable, batch: MinsumBatch) -> EvalReport:
 
     The baseline treats the raw min-sum LLR as if it were the true LLR; its
     output rows are floored before the divergence since extreme LLRs
-    produce exact zeros that the reference posteriors never have.
+    produce exact zeros that the reference posteriors never have. Both
+    divergences share one ``sum p log2 p`` over the batch; the baseline's
+    rows are built one block at a time.
     """
     q = table.finalize()
-    ed = empirical_ed(batch, q)
-    baseline_rows = floor_rows(llrs_to_dists(batch.minsum_llrs), DEFAULT_FLOOR)
     post = batch.posteriors
-    terms = np.where(post > 0, post * (np.log2(np.where(post > 0, post, 1.0)) - np.log2(baseline_rows)), 0.0)
-    baseline = float(terms.sum() / post.shape[0])
+    plogp = plogp_sum(post)
+    ed = empirical_ed(batch, q, plogp)
+    cross = 0.0
+    for start in range(0, post.shape[0], BLOCK):
+        stop = start + BLOCK
+        rows = floor_rows(llrs_to_dists(batch.minsum_llrs[start:stop]), DEFAULT_FLOOR)
+        np.log2(rows, out=rows)
+        rows *= post[start:stop]
+        cross += float(rows.sum())
+    baseline = (plogp - cross) / post.shape[0]
     mi = soft_mi(batch.truths, q[batch.bins]) if batch.truths is not None else math.nan
     return EvalReport(empirical_ed=ed, soft_mi=mi, baseline_ed=baseline, count=len(batch))
 

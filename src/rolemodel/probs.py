@@ -136,14 +136,25 @@ def dist_to_llr(p) -> float:
     return math.log(pa[0]) - math.log(pa[1])
 
 
-def llrs_to_dists(llrs) -> np.ndarray:
-    """Vectorized :func:`llr_to_dist`: (N,) finite LLRs -> (N, 2) rows."""
+def llrs_to_dists(llrs, out: np.ndarray | None = None) -> np.ndarray:
+    """Vectorized :func:`llr_to_dist`: (N,) finite LLRs -> (N, 2) rows.
+
+    Writes the rows into ``out`` (shape (N, 2)) when it is given.
+    """
     l = np.asarray(llrs, dtype=float)
-    z = np.exp(-np.abs(l))
-    big, small = 1.0 / (1.0 + z), z / (1.0 + z)
-    p0 = np.where(l >= 0, big, small)
-    p1 = np.where(l >= 0, small, big)
-    return np.stack([p0, p1], axis=-1)
+    if out is None:
+        out = np.empty(l.shape + (2,))
+    small = np.exp(-np.abs(l))
+    big = 1.0 + small
+    small /= big
+    np.divide(1.0, big, out=big)
+    pos = l >= 0
+    p0, p1 = out[..., 0], out[..., 1]
+    np.copyto(p0, small)
+    np.copyto(p0, big, where=pos)
+    np.copyto(p1, big)
+    np.copyto(p1, small, where=pos)
+    return out
 
 
 def soft_mi(truths, messages) -> float:

@@ -21,22 +21,15 @@ from .probs import Distribution
 TABLE_FORMAT_VERSION = 1
 
 
-@dataclass(frozen=True)
-class TrainingSample:
-    """One paired (reference posterior, degraded statistic) observation."""
-
-    posterior: Distribution
-    statistic: int
-    k: int | None = None  # time index, diagnostic only
-    truth: int | None = None  # true symbol, kept for information measures
+#: Rows per block where a batch is processed piecewise: 2^14 rows of a few
+#: float64 columns stay in cache between the element-wise passes.
+BLOCK = 1 << 14
 
 
 class SampleBatch:
     """Column-wise batch of training samples.
 
-    Stores posteriors as an (N, q) array plus parallel bin/truth vectors;
-    behaves as a sequence of :class:`TrainingSample` so scalar and
-    vectorized consumers share one type.
+    Stores posteriors as an (N, q) array plus parallel bin/truth vectors.
     """
 
     def __init__(self, posteriors, bins, truths=None):
@@ -48,28 +41,26 @@ class SampleBatch:
         if self.truths is not None and self.truths.size != self.bins.size:
             raise DimensionMismatch("need one truth per sample")
 
-    @classmethod
-    def from_samples(cls, samples) -> "SampleBatch":
-        samples = list(samples)
-        post = np.stack([np.asarray(s.posterior) for s in samples])
-        bins = [s.statistic for s in samples]
-        truths = [s.truth for s in samples]
-        return cls(post, bins, None if any(t is None for t in truths) else truths)
-
     def __len__(self) -> int:
         return self.bins.size
 
-    def __getitem__(self, k: int) -> TrainingSample:
-        return TrainingSample(
-            posterior=Distribution(self.posteriors[k]),
-            statistic=int(self.bins[k]),
-            k=k,
-            truth=None if self.truths is None else int(self.truths[k]),
-        )
 
-    def __iter__(self):
-        for k in range(len(self)):
-            yield self[k]
+def _bin_sums(bins: np.ndarray, posteriors: np.ndarray, num_bins: int) -> np.ndarray:
+    """(num_bins, q) sums of the posterior rows that fall in each bin."""
+    return np.stack([np.bincount(bins, weights=posteriors[:, x], minlength=num_bins)
+                     for x in range(posteriors.shape[1])], axis=1)
+
+
+def plogp_sum(posteriors: np.ndarray) -> float:
+    """sum_k sum_x p log2 p over posterior rows (0 log 0 = 0), one block at a time."""
+    total = 0.0
+    for start in range(0, posteriors.shape[0], BLOCK):
+        p = posteriors[start:start + BLOCK]
+        logs = np.where(p > 0, p, 1.0)
+        np.log2(logs, out=logs)
+        logs *= p
+        total += float(logs.sum())
+    return total
 
 
 class PostTable:
@@ -101,20 +92,6 @@ class PostTable:
     def count_total(self) -> int:
         return int(self.counts.sum())
 
-    def _check_bin(self, b: int) -> int:
-        b = int(b)
-        if not 0 <= b < self.num_bins:
-            raise BinOutOfRange(f"bin {b} outside [0, {self.num_bins})")
-        return b
-
-    def ingest(self, sample: TrainingSample) -> None:
-        b = self._check_bin(sample.statistic)
-        p = np.asarray(sample.posterior, dtype=float)
-        if p.size != self.alphabet_size:
-            raise DimensionMismatch("sample alphabet differs from table alphabet")
-        self.sums[b] += p
-        self.counts[b] += 1
-
     def ingest_batch(self, batch: SampleBatch) -> None:
         """Order-independent bulk accumulation of a whole batch."""
         if batch.posteriors.shape[1] != self.alphabet_size:
@@ -122,10 +99,7 @@ class PostTable:
         if batch.bins.size and (batch.bins.min() < 0 or batch.bins.max() >= self.num_bins):
             bad = batch.bins[(batch.bins < 0) | (batch.bins >= self.num_bins)][0]
             raise BinOutOfRange(f"bin {bad} outside [0, {self.num_bins})")
-        for x in range(self.alphabet_size):
-            self.sums[:, x] += np.bincount(
-                batch.bins, weights=batch.posteriors[:, x], minlength=self.num_bins
-            )
+        self.sums += _bin_sums(batch.bins, batch.posteriors, self.num_bins)
         self.counts += np.bincount(batch.bins, minlength=self.num_bins)
 
     def merge(self, other: "PostTable") -> None:
@@ -183,29 +157,33 @@ class PostTable:
             writer.writerow([b] + [repr(float(v)) for v in final[b]])
 
 
-def empirical_ed(samples, q: np.ndarray) -> float:
+def empirical_ed(batch: SampleBatch, q: np.ndarray, plogp: float | None = None) -> float:
     """Time-averaged divergence (bits) of sample posteriors from table rows q.
 
     (1/N) sum_k D(posterior_k || q[statistic_k]); the finite-N approximation
-    of the expected divergence being minimized.
+    of the expected divergence being minimized. Evaluated as
+    (1/N) [sum_k sum_x p log2 p - sum_b sum_x S[b,x] log2 q[b,x]], where S
+    holds the per-bin posterior sums, so the table term takes one log per
+    table entry. ``plogp`` is the first sum (:func:`plogp_sum`) when the
+    caller already has it.
     """
     q = np.asarray(q, dtype=float)
-    if isinstance(samples, SampleBatch):
-        post, bins = samples.posteriors, samples.bins
-    else:
-        batch = SampleBatch.from_samples(samples)
-        post, bins = batch.posteriors, batch.bins
+    post, bins = batch.posteriors, batch.bins
     if post.shape[0] == 0:
         raise ValueError("empty sample sequence")
+    if q.ndim != 2 or q.shape[1] != post.shape[1]:
+        raise DimensionMismatch("table alphabet differs from sample alphabet")
     if bins.min() < 0 or bins.max() >= q.shape[0]:
         raise BinOutOfRange("sample statistic not covered by the table")
-    rows = q[bins]
-    bad = (post > 0) & (rows == 0)
+    sums = _bin_sums(bins, post, q.shape[0])
+    mass = sums > 0
+    bad = mass & (q == 0)
     if np.any(bad):
-        k = int(np.nonzero(bad.any(axis=1))[0][0])
+        k = int(np.nonzero(((post > 0) & bad[bins]).any(axis=1))[0][0])
         raise AbsoluteContinuityViolation(f"sample {k}: table row is zero where posterior has mass")
-    terms = np.where(post > 0, post * (np.log2(np.where(post > 0, post, 1.0)) - np.log2(np.where(rows > 0, rows, 1.0))), 0.0)
-    return float(terms.sum() / post.shape[0])
+    if plogp is None:
+        plogp = plogp_sum(post)
+    return (plogp - float(np.sum(sums[mass] * np.log2(q[mass])))) / post.shape[0]
 
 
 @dataclass(frozen=True)

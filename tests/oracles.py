@@ -1,10 +1,13 @@
 """Independent reference implementations used only to check the package.
 
 Nothing here may share code with the paths under test: the convex solver
-re-derives the per-bin optimum by projected gradient descent, and the
-constraint-node oracle enumerates permutations explicitly.
+re-derives the per-bin optimum by projected gradient descent, the
+constraint-node oracle enumerates permutations explicitly, the min-sum
+batch oracle evaluates the whole-array formula in one shot, and the
+divergence oracles sum per-sample terms exactly with ``math.fsum``.
 """
 
+import math
 from itertools import permutations
 
 import numpy as np
@@ -48,12 +51,60 @@ def projected_gradient_table(posteriors: np.ndarray, bins: np.ndarray,
 
 def empirical_objective(posteriors: np.ndarray, bins: np.ndarray,
                         table: np.ndarray) -> float:
-    """The objective above, evaluated directly (bits)."""
-    total = 0.0
-    for p, b in zip(posteriors, bins):
-        sup = p > 0
-        total += float(np.sum(p[sup] * np.log2(p[sup] / table[b][sup])))
-    return total / posteriors.shape[0]
+    """The objective above, evaluated sample by sample and summed exactly (bits)."""
+    terms = [p[x] * (math.log2(p[x]) - math.log2(table[b][x]))
+             for p, b in zip(posteriors.tolist(), bins.tolist())
+             for x in range(len(p)) if p[x] > 0]
+    return math.fsum(terms) / posteriors.shape[0]
+
+
+def minsum_baseline_objective(posteriors: np.ndarray, minsum_llrs: np.ndarray,
+                              floor: float) -> float:
+    """(1/N) sum_k D(p_k || r_k) in bits, with r_k the min-sum LLR's pmf
+    floored at ``floor`` and renormalized; summed exactly."""
+    terms = []
+    for p, l in zip(posteriors.tolist(), minsum_llrs.tolist()):
+        z = math.exp(-abs(l))
+        r = [1.0 / (1.0 + z), z / (1.0 + z)]
+        r = [max(v, floor) for v in (r if l >= 0 else r[::-1])]
+        r = [v / (r[0] + r[1]) for v in r]
+        terms += [p[x] * (math.log2(p[x]) - math.log2(r[x])) for x in range(2) if p[x] > 0]
+    return math.fsum(terms) / posteriors.shape[0]
+
+
+def tanh_rule_rows(llrs: np.ndarray, saturation: float = 38.0) -> np.ndarray:
+    """Row-wise tanh rule as one reduction over axis 1, shape (N, d) -> (N,)."""
+    ceil = np.nextafter(1.0, 0.0)
+    l = np.clip(np.asarray(llrs, dtype=float), -saturation, saturation)
+    prod = np.clip(np.prod(np.tanh(l / 2.0), axis=1), -ceil, ceil)
+    return 2.0 * np.arctanh(prod)
+
+
+def minsum_batch(d: int, sigmas, n: int, seed: int, num_bins: int = 64,
+                 max_magnitude: float = 25.0, stream: int = 0):
+    """Check-node training batch from whole (n, d) arrays in one shot.
+
+    Draws every branch bit, then every noise sample, from the Philox stream
+    keyed by ``seed`` with counter labels (1, stream); returns
+    (posteriors, bins, truths, minsum_llrs).
+    """
+    sig = np.asarray(sigmas, dtype=float)
+    rng = np.random.Generator(np.random.Philox(counter=[1, stream, 0, 0], key=seed))
+    bits = rng.integers(0, 2, size=(n, d))
+    symbols = 1.0 - 2.0 * bits
+    y = symbols + sig * rng.standard_normal((n, d))
+    llrs = 2.0 * y / sig**2
+    ref_llr = tanh_rule_rows(llrs)
+    truths = np.bitwise_xor.reduce(bits, axis=1)
+    mags = np.min(np.abs(llrs), axis=1)
+    signs = np.where(np.sum(llrs < 0, axis=1) % 2 == 1, -1, 1)
+    idx = np.minimum((mags / (max_magnitude / num_bins)).astype(int), num_bins - 1)
+    bins = np.where(signs < 0, idx + num_bins, idx)
+    z = np.exp(-np.abs(ref_llr))
+    big, small = 1.0 / (1.0 + z), z / (1.0 + z)
+    posteriors = np.stack([np.where(ref_llr >= 0, big, small),
+                           np.where(ref_llr >= 0, small, big)], axis=-1)
+    return posteriors, bins, truths, signs * mags
 
 
 def constraint_marginals(m: np.ndarray) -> np.ndarray:

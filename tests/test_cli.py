@@ -20,7 +20,8 @@ class TestDispatch:
         assert "error" in capsys.readouterr().err
 
     def test_bad_threads(self):
-        assert run(["verify-theorem", "--trials", "2", "--threads", "0"]) == 1
+        # no --threads flag: execution is serial
+        assert run(["verify-theorem", "--trials", "2", "--threads", "2"]) == 1
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # a-priori MI target above log2(4) is unreachable at size 4

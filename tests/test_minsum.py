@@ -1,13 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rolemodel import minsum
 from rolemodel.errors import BinOutOfRange
-from rolemodel.probs import llr_to_dist
+from rolemodel.probs import DEFAULT_FLOOR, llr_to_dist
 from rolemodel.rng import make_rng
 from rolemodel.train import empirical_ed
+
+from oracles import empirical_objective, minsum_baseline_objective
 
 INF = math.inf
 
@@ -127,6 +130,21 @@ class TestSimulateBatch:
         decided = (batch.posteriors[:, 1] > 0.5).astype(int)
         assert np.array_equal(decided, batch.truths)
 
+    def test_memory_is_the_draws_and_the_batch(self):
+        # blocked work adds at most 4 MiB to the (n, d) draws and the
+        # 40 bytes per sample of the returned arrays
+        d, n = 6, 200_000
+        sigmas = [0.6, 0.8, 1.0, 1.2, 1.4, 1.6]
+        minsum.simulate_batch(d, sigmas, 100, seed=3)
+        tracemalloc.start()
+        try:
+            batch = minsum.simulate_batch(d, sigmas, n, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(batch) == n
+        assert peak <= 2 * n * d * 8 + 40 * n + 4 * 2**20
+
     def test_seed_stability_of_training(self):
         # same-batch empirical ED agrees across seeds within 3 standard errors
         def ed_and_se(seed):
@@ -158,6 +176,21 @@ class TestEvaluateTable:
         held = minsum.simulate_batch(3, sigmas, 50_000, seed=12)
         report = minsum.evaluate_table(table, held)
         assert report.empirical_ed < report.baseline_ed
+
+    def test_divergences_match_exact_per_sample_sums(self):
+        # 1e-12 bits absolute, on the training batch and a held-out one,
+        # each longer than two blocks
+        sigmas = [0.6, 1.0, 1.6]
+        n = 2 * minsum.BLOCK + 7
+        table = minsum.train_table(3, sigmas, n, seed=18)
+        for seed in (18, 19):
+            batch = minsum.simulate_batch(3, sigmas, n, seed=seed)
+            report = minsum.evaluate_table(table, batch)
+            ed = empirical_objective(batch.posteriors, batch.bins, table.finalize())
+            baseline = minsum_baseline_objective(batch.posteriors, batch.minsum_llrs, DEFAULT_FLOOR)
+            assert abs(report.empirical_ed - ed) <= 1e-12
+            assert abs(report.baseline_ed - baseline) <= 1e-12
+            assert report.count == n
 
     def test_untrained_fallback_is_worse_on_held_out(self):
         quant = minsum.ZQuantizer()

@@ -1,0 +1,58 @@
+"""Property tests of the blocked min-sum pipeline against its one-shot formula.
+
+``simulate_batch`` runs ``BLOCK`` rows at a time; these tests hold every
+returned array bitwise equal to the whole-array formula in ``oracles``, for
+batch sizes on both sides of the block boundaries. That equality is what
+keeps ``train-minsum --out`` byte-identical. Runs are derandomized, so
+every run checks the same examples.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from rolemodel import minsum
+
+import oracles
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+BLOCK = minsum.BLOCK
+SIZES = st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7])
+# sigmas from 1e-3 (one-hot posteriors, clamped bins) to 30 (pure noise)
+SIGMA = st.floats(min_value=-3.0, max_value=np.log10(30.0)).map(lambda e: float(10.0**e))
+
+
+@st.composite
+def shapes(draw):
+    d = draw(st.integers(2, 6))
+    sigmas = draw(st.one_of(SIGMA.map(lambda s: [s] * d), st.lists(SIGMA, min_size=d, max_size=d)))
+    return d, sigmas, draw(SIZES), draw(st.integers(0, 2**32 - 1))
+
+
+def assert_bitwise(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@PROPERTY
+@given(shapes(), st.sampled_from([(64, 25.0), (16, 8.0)]))
+def test_blocked_batch_is_bitwise_the_one_shot_formula(shape, quantizer):
+    d, sigmas, n, seed = shape
+    num_bins, max_magnitude = quantizer
+    batch = minsum.simulate_batch(d, sigmas, n, seed, minsum.ZQuantizer(num_bins, max_magnitude))
+    posteriors, bins, truths, minsum_llrs = oracles.minsum_batch(
+        d, sigmas, n, seed, num_bins, max_magnitude)
+    assert_bitwise(batch.posteriors, posteriors)
+    assert_bitwise(batch.bins, bins)
+    assert_bitwise(batch.truths, truths)
+    assert_bitwise(batch.minsum_llrs, minsum_llrs)
+
+
+@PROPERTY
+@given(st.integers(1, 6).flatmap(lambda d: arrays(
+    float, st.tuples(st.integers(1, 40), st.just(d)),
+    elements=st.floats(min_value=-100.0, max_value=100.0))))
+def test_column_loop_tanh_rule_is_bitwise_the_row_reduction(llrs):
+    assert_bitwise(minsum.tanh_rule_rows(llrs), oracles.tanh_rule_rows(llrs))

@@ -5,23 +5,23 @@ import numpy as np
 import pytest
 
 from rolemodel import chains
-from rolemodel.errors import BinOutOfRange, DimensionMismatch
-from rolemodel.probs import Distribution
+from rolemodel.errors import AbsoluteContinuityViolation, BinOutOfRange, DimensionMismatch
 from rolemodel.rng import make_rng
 from rolemodel.train import (
+    BLOCK,
     ParametricCorrector,
     PostTable,
     SampleBatch,
-    TrainingSample,
     empirical_ed,
     train_parametric,
 )
 
-from oracles import projected_gradient_table
+from oracles import empirical_objective, projected_gradient_table
 
 
-def sample(p, b, truth=None):
-    return TrainingSample(posterior=Distribution(np.asarray(p, dtype=float)), statistic=b, truth=truth)
+def sample(p, b):
+    """One-row batch: posterior p in bin b."""
+    return SampleBatch([p], [b])
 
 
 def chain_training_batch(model, n, seed):
@@ -35,19 +35,19 @@ def chain_training_batch(model, n, seed):
 class TestIngestFinalize:
     def test_two_sample_average(self):
         t = PostTable(num_bins=1, alphabet_size=2)
-        t.ingest(sample([0.9, 0.1], 0))
-        t.ingest(sample([0.5, 0.5], 0))
+        t.ingest_batch(sample([0.9, 0.1], 0))
+        t.ingest_batch(sample([0.5, 0.5], 0))
         assert np.allclose(t.finalize()[0], [0.7, 0.3], atol=1e-15)
 
     def test_single_sample_is_exact(self):
         t = PostTable(num_bins=2, alphabet_size=3)
-        t.ingest(sample([0.2, 0.3, 0.5], 1))
+        t.ingest_batch(sample([0.2, 0.3, 0.5], 1))
         assert np.allclose(t.finalize()[1], [0.2, 0.3, 0.5], atol=1e-15)
 
     def test_identical_samples_recover_p(self):
         t = PostTable(num_bins=1, alphabet_size=2)
         for _ in range(17):
-            t.ingest(sample([0.25, 0.75], 0))
+            t.ingest_batch(sample([0.25, 0.75], 0))
         assert np.allclose(t.finalize()[0], [0.25, 0.75], atol=1e-14)
 
     def test_empty_table_returns_fallback(self):
@@ -62,14 +62,16 @@ class TestIngestFinalize:
     def test_bin_out_of_range(self):
         t = PostTable(num_bins=2, alphabet_size=2)
         with pytest.raises(BinOutOfRange):
-            t.ingest(sample([0.5, 0.5], 2))
+            t.ingest_batch(sample([0.5, 0.5], 2))
         with pytest.raises(BinOutOfRange):
             t.ingest_batch(SampleBatch(np.full((1, 2), 0.5), [-1]))
 
     def test_alphabet_mismatch(self):
         t = PostTable(num_bins=2, alphabet_size=2)
         with pytest.raises(DimensionMismatch):
-            t.ingest(sample([0.2, 0.3, 0.5], 0))
+            t.ingest_batch(sample([0.2, 0.3, 0.5], 0))
+        with pytest.raises(DimensionMismatch):
+            empirical_ed(sample([0.2, 0.3, 0.5], 0), t.finalize())
 
     def test_trained_bins_approach_exact_posteriors(self):
         rng = make_rng(201)
@@ -119,7 +121,7 @@ class TestMerge:
 class TestEmpiricalEd:
     def test_own_posterior_gives_zero(self):
         s = sample([0.3, 0.7], 0)
-        assert empirical_ed([s], np.array([[0.3, 0.7]])) == 0.0
+        assert empirical_ed(s, np.array([[0.3, 0.7]])) == 0.0
 
     def test_uniform_q_identity(self):
         # D(p || uniform) = log2 q - H(p), averaged
@@ -153,6 +155,34 @@ class TestEmpiricalEd:
         for _ in range(50):
             probe = rng.dirichlet(np.ones(3), size=4)
             assert best <= empirical_ed(batch, probe) + 1e-12
+
+    def test_matches_exact_per_sample_sum(self):
+        # per-bin sums across block boundaries, posterior zeros, and a table
+        # zero that no posterior in its bin needs; 1e-12 bits absolute
+        rng = make_rng(211)
+        n = 2 * BLOCK + 5
+        post = rng.dirichlet(np.full(3, 0.3), size=n)
+        post[::7, 0] = 0.0
+        bins = rng.integers(0, 5, size=n)
+        post[bins == 0, 2] = 0.0
+        post /= post.sum(axis=1, keepdims=True)
+        batch = SampleBatch(post, bins)
+        q = rng.dirichlet(np.ones(3), size=5)
+        q[0] = [0.25, 0.75, 0.0]
+        t = PostTable(num_bins=5, alphabet_size=3)
+        t.ingest_batch(batch)
+        for table in (q, t.finalize()):
+            assert abs(empirical_ed(batch, table) - empirical_objective(post, bins, table)) <= 1e-12
+
+    def test_absolute_continuity_names_first_offending_sample(self):
+        # sample 2 puts 5e-324 on symbol 1 of bin 1, whose table row is (1, 0);
+        # sample 1 shares the bin without mass there, so the bin's sum is that
+        # one subnormal, and sample 4's violation in bin 2 comes later
+        post = np.array([[0.5, 0.5], [1.0, 0.0], [1.0, 5e-324], [0.5, 0.5], [0.0, 1.0]])
+        batch = SampleBatch(post, [0, 1, 1, 0, 2])
+        q = np.array([[0.5, 0.5], [1.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(AbsoluteContinuityViolation, match="sample 2:"):
+            empirical_ed(batch, q)
 
     def test_consistency_toward_floor(self):
         # exact divergence of the trained table decreases toward the floor
@@ -192,7 +222,7 @@ class TestSerialization:
 
     def test_csv_export(self):
         t = PostTable(num_bins=2, alphabet_size=2)
-        t.ingest(sample([0.9, 0.1], 0))
+        t.ingest_batch(sample([0.9, 0.1], 0))
         buf = io.StringIO()
         t.write_csv(buf)
         lines = buf.getvalue().strip().splitlines()
@@ -238,21 +268,22 @@ class TestTrainParametric:
 
 
 class TestSampleBatch:
-    def test_sequence_protocol(self):
+    def test_column_protocol(self):
         batch = SampleBatch(np.array([[0.6, 0.4], [0.1, 0.9]]), [1, 0], truths=[0, 1])
         assert len(batch) == 2
-        items = list(batch)
-        assert items[0].statistic == 1
-        assert items[1].truth == 1
-        rebuilt = SampleBatch.from_samples(items)
-        assert np.allclose(rebuilt.posteriors, batch.posteriors)
-        assert np.array_equal(rebuilt.bins, batch.bins)
+        assert batch.bins[0] == 1
+        assert batch.truths[1] == 1
+        assert batch.bins.dtype == np.int_ and batch.posteriors.dtype == np.float64
+        with pytest.raises(DimensionMismatch):
+            SampleBatch(batch.posteriors, [1, 0, 1])
+        with pytest.raises(DimensionMismatch):
+            SampleBatch(batch.posteriors, batch.bins, truths=[0])
 
-    def test_empirical_ed_accepts_iterables(self):
-        samples = [sample([0.5, 0.5], 0), sample([0.8, 0.2], 1)]
+    def test_empirical_ed_on_one_row_batches(self):
         q = np.array([[0.5, 0.5], [0.8, 0.2]])
-        assert empirical_ed(samples, q) == pytest.approx(0.0, abs=1e-12)
+        for s in (sample([0.5, 0.5], 0), sample([0.8, 0.2], 1)):
+            assert empirical_ed(s, q) == pytest.approx(0.0, abs=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            empirical_ed([], np.array([[0.5, 0.5]]))
+            empirical_ed(SampleBatch(np.empty((0, 2)), []), np.array([[0.5, 0.5]]))
