@@ -18,7 +18,7 @@ from .errors import (
     DimensionTooLarge,
     ZeroProbabilityConditioning,
 )
-from .probs import Distribution
+from .probs import Distribution, entropy_rows, log2_masked
 
 _MAX_CELLS = 10**6
 
@@ -126,38 +126,35 @@ def posterior_xz(model: ChainModel, z: int) -> Distribution:
     return Distribution(w / total)
 
 
+def _conditional_rows(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(nc, nx) table of P(x | c) from joint weights w (nx, nc), and the totals P(c).
+
+    A column c with no mass gets a uniform placeholder row.
+    """
+    totals = w.sum(axis=0)
+    table = (w / np.where(totals > 0, totals, 1.0)).T
+    table[totals == 0] = 1.0 / w.shape[0]
+    return table, totals
+
+
 def posterior_table_xy(model: ChainModel) -> np.ndarray:
     """All P(X | Y=y) rows, shape (ny, nx); rows with P(y)=0 are uniform placeholders."""
-    w = model.px[:, None] * model.ch1  # (nx, ny)
-    totals = w.sum(axis=0)
-    safe = np.where(totals > 0, totals, 1.0)
-    table = (w / safe).T
-    table[totals == 0] = 1.0 / model.nx
-    return table
+    return _conditional_rows(model.px[:, None] * model.ch1)[0]
+
 
 def posterior_table_xz(model: ChainModel) -> np.ndarray:
     """All P(X | Z=z) rows, shape (nz, nx); rows with P(z)=0 are uniform placeholders."""
-    w = model.px[:, None] * (model.ch1 @ model.ch2)  # (nx, nz)
-    totals = w.sum(axis=0)
-    safe = np.where(totals > 0, totals, 1.0)
-    table = (w / safe).T
-    table[totals == 0] = 1.0 / model.nx
-    return table
-
-
-def _entropy_rows(rows: np.ndarray) -> np.ndarray:
-    terms = np.where(rows > 0, rows * np.log2(np.where(rows > 0, rows, 1.0)), 0.0)
-    return -terms.sum(axis=1)
+    return _conditional_rows(model.px[:, None] * (model.ch1 @ model.ch2))[0]
 
 
 def conditional_entropy_xy(model: ChainModel) -> float:
     """H(X|Y) in bits."""
-    return float(model.py() @ _entropy_rows(posterior_table_xy(model)))
+    return float(model.py() @ entropy_rows(posterior_table_xy(model)))
 
 
 def conditional_entropy_xz(model: ChainModel) -> float:
     """H(X|Z) in bits."""
-    return float(model.pz() @ _entropy_rows(posterior_table_xz(model)))
+    return float(model.pz() @ entropy_rows(posterior_table_xz(model)))
 
 
 def _expected_divergence(pyz: np.ndarray, pxgy: np.ndarray, q: np.ndarray) -> float:
@@ -169,9 +166,7 @@ def _expected_divergence(pyz: np.ndarray, pxgy: np.ndarray, q: np.ndarray) -> fl
     ys, zs = np.nonzero(pyz)
     if np.any((pxgy[ys] > 0) & (q[zs] == 0)):
         raise AbsoluteContinuityViolation("q has a zero where a supported posterior has mass")
-    logq = np.where(q > 0, np.log2(np.where(q > 0, q, 1.0)), 0.0)
-    self_terms = np.where(pxgy > 0, pxgy * np.log2(np.where(pxgy > 0, pxgy, 1.0)), 0.0)
-    div = self_terms.sum(axis=1)[:, None] - pxgy @ logq.T  # (ny, nz)
+    div = -entropy_rows(pxgy)[:, None] - pxgy @ log2_masked(q).T  # (ny, nz)
     return float(np.sum(pyz * div))
 
 
@@ -208,29 +203,21 @@ def nonmarkov_lhs(joint: GeneralJoint, q: np.ndarray) -> float:
     q = np.asarray(q, dtype=float)
     if q.shape != (nz, nx):
         raise ValueError(f"conditional table must have shape ({nz}, {nx})")
-    pxy = p.sum(axis=2)  # (nx, ny)
-    py = pxy.sum(axis=0)
-    pxgy = np.divide(pxy, np.where(py > 0, py, 1.0)[None, :])
+    pxgy = _conditional_rows(p.sum(axis=2))[0]  # (ny, nx)
     sup_x, sup_y, sup_z = np.nonzero(p)
     if np.any(q[sup_z, sup_x] == 0):
         raise AbsoluteContinuityViolation("q has a zero on the joint support")
-    ratio = np.log2(pxgy[sup_x, sup_y]) - np.log2(q[sup_z, sup_x])
+    ratio = np.log2(pxgy[sup_y, sup_x]) - np.log2(q[sup_z, sup_x])
     return float(np.sum(p[sup_x, sup_y, sup_z] * ratio))
 
 
 def nonmarkov_identity_residual(joint: GeneralJoint, q: np.ndarray) -> float:
     """LHS minus ED(P_XZ||q) + H(X|Z) - H(X|Y), valid for any joint."""
     p = joint.pxyz
-    pxz = p.sum(axis=1)  # (nx, nz)
-    pz = pxz.sum(axis=0)
-    pxgz = np.divide(pxz, np.where(pz > 0, pz, 1.0)[None, :]).T  # (nz, nx)
-    pxgz[pz == 0] = 1.0 / p.shape[0]
-    pxy = p.sum(axis=2)
-    py = pxy.sum(axis=0)
-    pxgy = np.divide(pxy, np.where(py > 0, py, 1.0)[None, :]).T  # (ny, nx)
-    pxgy[py == 0] = 1.0 / p.shape[0]
-    h_xz = float(pz @ _entropy_rows(pxgz))
-    h_xy = float(py @ _entropy_rows(pxgy))
+    pxgz, pz = _conditional_rows(p.sum(axis=1))  # (nz, nx)
+    pxgy, py = _conditional_rows(p.sum(axis=2))  # (ny, nx)
+    h_xz = float(pz @ entropy_rows(pxgz))
+    h_xy = float(py @ entropy_rows(pxgy))
     ed_xz = _expected_divergence(np.diag(pz), pxgz, np.asarray(q, dtype=float))
     return nonmarkov_lhs(joint, q) - (ed_xz + h_xz - h_xy)
 

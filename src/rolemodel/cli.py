@@ -327,8 +327,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if isinstance(getattr(args, "mi_grid", None), str):
-            args.mi_grid = _grid(args.mi_grid)
         return args.run(args)
     except SystemExit as exc:  # argparse/flag validation (also --help/--version)
         return exc.code if isinstance(exc.code, int) else 1

@@ -152,7 +152,7 @@ class ZQuantizer:
         if np.any(mag < 0):
             raise BinOutOfRange("negative magnitude")
         width = self.max_magnitude / self.num_bins
-        idx = np.minimum((mag / width).astype(int), self.num_bins - 1)
+        idx = np.minimum(mag / width, self.num_bins - 1).astype(int)  # clamp before the cast
         return idx + self.num_bins * (np.asarray(signs) < 0)
 
     def bin_center_llr(self, b: int) -> float:

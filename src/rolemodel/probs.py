@@ -16,9 +16,14 @@ import numpy as np
 
 from .errors import AbsoluteContinuityViolation, DimensionMismatch, ZeroMassAtTruth
 
-#: Default floor applied by callers that must guard divergences against
-#: empirical zeros from finite sampling (floored then renormalized).
+#: Floors, each applied by floor_rows (raise to the floor, renormalize):
+#: DEFAULT_FLOOR on rows that a divergence or soft MI scores (min-sum
+#: baseline, calibrate_sigma, EXIT mass at the truth, alpha objective);
+#: MESSAGE_FLOOR on sudoku BP and EXIT variable-node messages, so products
+#: of messages keep every symbol; GIVEN_FLOOR on classic-mode givens.
 DEFAULT_FLOOR = 1e-12
+MESSAGE_FLOOR = 1e-30
+GIVEN_FLOOR = 1e-9
 
 
 def normalize(weights) -> np.ndarray:
@@ -71,7 +76,7 @@ class Distribution:
 
     def floor(self, eps: float = DEFAULT_FLOOR) -> "Distribution":
         """Raise every entry to at least ``eps`` and renormalize."""
-        return Distribution(normalize(np.maximum(self.probs, eps)))
+        return Distribution(floor_rows(self.probs, eps))
 
     def __array__(self, dtype=None):
         return np.asarray(self.probs, dtype=dtype)
@@ -89,24 +94,40 @@ def floor_rows(rows: np.ndarray, eps: float = DEFAULT_FLOOR) -> np.ndarray:
     return r / r.sum(axis=-1, keepdims=True)
 
 
+def log2_masked(a) -> np.ndarray:
+    """log2 a where a > 0 and 0 elsewhere, so ``p * log2_masked(p)`` has 0 log 0 = 0."""
+    a = np.asarray(a, dtype=float)
+    out = np.where(a > 0, a, 1.0)
+    return np.log2(out, out=out)
+
+
+def entropy_rows(rows) -> np.ndarray:
+    """Shannon entropy in bits of each pmf along the last axis."""
+    p = np.asarray(rows, dtype=float)
+    return -(p * log2_masked(p)).sum(axis=-1)
+
+
+def divergence_rows(p, q) -> np.ndarray:
+    """Row-wise D(p || q) in bits; log2 q is taken only where p > 0, so a zero there gives inf."""
+    p = np.asarray(p, dtype=float)
+    logq = np.log2(q, out=np.zeros(np.broadcast_shapes(p.shape, np.shape(q))), where=p > 0)
+    return (p * (log2_masked(p) - logq)).sum(axis=-1)
+
+
 def divergence(p, q) -> float:
     """K-L divergence D(p||q) in bits; terms with p(x)=0 contribute 0."""
     pa = np.asarray(p, dtype=float)
     qa = np.asarray(q, dtype=float)
     if pa.shape != qa.shape:
         raise DimensionMismatch(f"alphabet sizes differ: {pa.shape} vs {qa.shape}")
-    support = pa > 0
-    if np.any(qa[support] == 0):
+    if np.any((pa > 0) & (qa == 0)):
         raise AbsoluteContinuityViolation("p has mass where q is zero")
-    ps = pa[support]
-    return float(np.sum(ps * np.log2(ps / qa[support])))
+    return float(divergence_rows(pa, qa))
 
 
 def entropy(p) -> float:
     """Shannon entropy in bits, with 0 log 0 = 0."""
-    pa = np.asarray(p, dtype=float)
-    ps = pa[pa > 0]
-    return float(-np.sum(ps * np.log2(ps)))
+    return float(entropy_rows(p))
 
 
 def llr_to_dist(llr: float) -> Distribution:

@@ -20,15 +20,17 @@ import numpy as np
 
 from .errors import BisectionFailure, DegenerateRow
 from .permanent import head_tail_split, minor_permanents, minor_permanents_split
-from .probs import DEFAULT_FLOOR, floor_rows, soft_mi
+from .probs import (DEFAULT_FLOOR, GIVEN_FLOOR, MESSAGE_FLOOR, divergence_rows, floor_rows,
+                    soft_mi)
 from .rng import make_rng
 from .train import ParametricCorrector, TrainResult, train_parametric
 
 BOX_SIDE = {4: 2, 9: 3}
 NODE_KINDS = ("exact", "approx", "corrected")
 
-#: Strict-positivity guard applied to variable-to-constraint messages.
-MESSAGE_FLOOR = 1e-30
+#: Head size h of the approximate nodes: the h largest entries of each
+#: message row form the sparse head, the rest a uniform tail.
+HEAD_SIZE = 3
 
 
 # -- puzzle and graph ----------------------------------------------------
@@ -209,19 +211,11 @@ def constraint_exact(m: np.ndarray) -> np.ndarray:
     return perms / sums[..., None]
 
 
-def constraint_approx(m: np.ndarray, alphas=0.5, h: int = 3,
-                      diag: dict | None = None) -> np.ndarray:
-    """Head/tail approximate node with per-row correction weights.
-
-    ``m`` is one (n, n) message matrix or a (B, n, n) batch. alpha_i
-    weights the head-minor permanent against the tail-minor permanent in
-    row i; a scalar alpha applies to every row. Rows whose weighted sum
-    vanishes fall back to uniform (counted in ``diag``).
-    """
-    n = m.shape[-1]
-    a = np.full(n, float(alphas)) if np.isscalar(alphas) else np.asarray(alphas, dtype=float)
-    ph, pt = minor_permanents_split(head_tail_split(m, h))
-    combined = a[:, None] * ph + (1.0 - a)[:, None] * pt
+def _alpha_mix(alphas: np.ndarray, ph: np.ndarray, pt: np.ndarray,
+               diag: dict | None = None) -> np.ndarray:
+    """Row-normalized alpha_i PH + (1 - alpha_i) PT; zero-sum rows go uniform (counted in diag)."""
+    a = alphas[:, None]
+    combined = a * ph + (1.0 - a) * pt
     sums = combined.sum(axis=-1)
     dead = sums <= 0
     if np.any(dead):
@@ -232,17 +226,31 @@ def constraint_approx(m: np.ndarray, alphas=0.5, h: int = 3,
     return combined / sums[..., None]
 
 
-def node_function(kind: str, alphas=None, h: int = 3):
+def constraint_approx(m: np.ndarray, alphas=0.5, h: int = HEAD_SIZE,
+                      diag: dict | None = None) -> np.ndarray:
+    """Head/tail approximate node with per-row correction weights.
+
+    ``m`` is one (n, n) message matrix or a (B, n, n) batch. alpha_i
+    weights the head-minor permanent against the tail-minor permanent in
+    row i; a scalar alpha applies to every row. Rows whose weighted sum
+    vanishes fall back to uniform (counted in ``diag``).
+    """
+    n = m.shape[-1]
+    a = np.full(n, float(alphas)) if np.isscalar(alphas) else np.asarray(alphas, dtype=float)
+    return _alpha_mix(a, *minor_permanents_split(head_tail_split(m, h)), diag)
+
+
+def node_function(kind: str, alphas=None):
     """Bind a constraint-node variant to a callable (matrix or batch, diag=None) -> same shape."""
     if kind == "exact":
         return lambda m, diag=None: constraint_exact(m)
     if kind == "approx":
-        return lambda m, diag=None: constraint_approx(m, 0.5, h, diag)
+        return lambda m, diag=None: constraint_approx(m, 0.5, diag=diag)
     if kind == "corrected":
         if alphas is None:
             raise ValueError("corrected node needs trained alphas")
         a = np.asarray(alphas, dtype=float)
-        return lambda m, diag=None: constraint_approx(m, a, h, diag)
+        return lambda m, diag=None: constraint_approx(m, a, diag=diag)
     raise ValueError(f"unknown node kind {kind!r}; expected one of {NODE_KINDS}")
 
 
@@ -271,15 +279,14 @@ def observation_messages(puzzle: Puzzle, channel: ChannelModel | None,
     if puzzle.givens is None:
         raise ValueError("classic mode needs a givens mask")
     post = np.full((n * n, n), 1.0 / n)
-    hot = floor_rows(np.eye(n), 1e-9)
+    hot = floor_rows(np.eye(n), GIVEN_FLOOR)
     post[puzzle.givens] = hot[puzzle.solution[puzzle.givens]]
     return post
 
 
 def bp_solve(puzzle: Puzzle, channel: ChannelModel | None, node: str = "exact", *,
              alphas=None, max_iters: int = 30, damping: float = 0.9,
-             seed: int = 0, stream: int = 0, h: int = 3,
-             collect_iters: tuple = ()) -> BpResult:
+             seed: int = 0, stream: int = 0, collect_iters: tuple = ()) -> BpResult:
     """Flooding-schedule BP over the sudoku factor graph.
 
     ``damping`` is the weight of the new constraint-to-variable message
@@ -295,13 +302,13 @@ def bp_solve(puzzle: Puzzle, channel: ChannelModel | None, node: str = "exact", 
     graph = FactorGraph.build(n)
     rng = make_rng(seed, 5, stream)
     channel_post = observation_messages(puzzle, channel, rng)
-    apply_node = node_function(node, alphas=alphas, h=h)
+    apply_node = node_function(node, alphas=alphas)
     diag: dict = {}
 
     nc = 3 * n
     # strict positivity throughout; extreme snr and undamped oscillation
     # otherwise produce zero-support products
-    v2c = _floor_messages(channel_post[graph.constraints])  # (3n, n, q)
+    v2c = floor_rows(channel_post[graph.constraints], MESSAGE_FLOOR)  # (3n, n, q)
     c2v = np.full_like(v2c, 1.0 / n)
     collected: list[tuple[int, int, np.ndarray]] = []
 
@@ -319,7 +326,7 @@ def bp_solve(puzzle: Puzzle, channel: ChannelModel | None, node: str = "exact", 
         if it in collect_iters:
             for c in range(nc):
                 collected.append((it, c, v2c[c].copy()))
-        fresh = _floor_messages(apply_node(v2c, diag=diag))  # one call over all 3n constraints
+        fresh = floor_rows(apply_node(v2c, diag=diag), MESSAGE_FLOOR)  # all 3n constraints at once
         if it == 1 or damping == 1.0:
             c2v = fresh
         else:
@@ -335,9 +342,7 @@ def bp_solve(puzzle: Puzzle, channel: ChannelModel | None, node: str = "exact", 
         # extrinsic variable update: product of the other two constraint messages
         for k in range(3):
             others = [j for j in range(3) if j != k]
-            out = channel_post * incoming[:, others].prod(axis=1)
-            out = np.maximum(out, MESSAGE_FLOOR)
-            out /= out.sum(axis=1, keepdims=True)
+            out = floor_rows(channel_post * incoming[:, others].prod(axis=1), MESSAGE_FLOOR)
             v2c[cC[cell_idx, k], cS[cell_idx, k]] = out
 
     ser = math.nan
@@ -352,11 +357,6 @@ def bp_solve(puzzle: Puzzle, channel: ChannelModel | None, node: str = "exact", 
         degenerate_rows=diag.get("degenerate_rows", 0),
         collected=collected,
     )
-
-
-def _floor_messages(msgs: np.ndarray) -> np.ndarray:
-    out = np.maximum(msgs, MESSAGE_FLOOR)
-    return out / out.sum(axis=-1, keepdims=True)
 
 
 def _satisfies(graph: FactorGraph, decisions: np.ndarray) -> bool:
@@ -386,19 +386,19 @@ def _apriori_messages(truths: np.ndarray, sigma: float | None, q: int,
 
 
 @functools.lru_cache(maxsize=256)
-def calibrate_sigma(ia_target: float, q: int, seed: int, *,
-                    samples: int = 16384, tol: float = 0.005,
-                    max_iters: int = 200) -> float:
+def calibrate_sigma(ia_target: float, q: int, seed: int) -> float:
     """Noise level whose observation posteriors carry ``ia_target`` bits.
 
-    Bisects log-sigma against a fixed calibration draw (common random
-    numbers make the MI curve smooth and monotone in sigma). The result
-    depends only on the arguments, so it is cached per process: the curves
-    of several node kinds at the same grid and seed calibrate once.
+    Bisects log-sigma (at most 200 steps, to 0.005 bits) against a fixed
+    16384-sample calibration draw (common random numbers make the MI curve
+    smooth and monotone in sigma). The result depends only on the
+    arguments, so it is cached per process: the curves of several node
+    kinds at the same grid and seed calibrate once.
     """
     max_mi = math.log2(q)
     if not 0.0 < ia_target < max_mi:
         raise BisectionFailure(f"target {ia_target} outside (0, {max_mi})")
+    samples, tol = 16384, 0.005
     rng = make_rng(seed, 6)
     truths = rng.integers(0, q, size=samples)
     noise = rng.standard_normal((samples, q))
@@ -413,7 +413,7 @@ def calibrate_sigma(ia_target: float, q: int, seed: int, *,
     lo, hi = -3.0, 3.0
     if not (mi_at(hi) <= ia_target <= mi_at(lo)):
         raise BisectionFailure(f"target {ia_target} not bracketed by sigma range")
-    for _ in range(max_iters):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         mi = mi_at(mid)
         if abs(mi - ia_target) <= tol:
@@ -426,7 +426,7 @@ def calibrate_sigma(ia_target: float, q: int, seed: int, *,
 
 
 def exit_point_trials(node: str, ia_bits: float, trials: int, seed: int, *,
-                      n: int = 9, point: int = 0, alphas=None, h: int = 3,
+                      n: int = 9, point: int = 0, alphas=None,
                       snr_db: float | None = None) -> np.ndarray:
     """Per-trial extrinsic information values (unclamped), one per trial.
 
@@ -448,7 +448,7 @@ def exit_point_trials(node: str, ia_bits: float, trials: int, seed: int, *,
     if node == "variable" and snr_db is None:
         raise ValueError("variable-node transfer needs a channel snr")
     channel = ChannelModel.from_snr_db(snr_db, q=n) if node == "variable" else None
-    apply_node = None if node == "variable" else node_function(node, alphas=alphas, h=h)
+    apply_node = None if node == "variable" else node_function(node, alphas=alphas)
 
     def synth_apriori(truths, rng):
         if sigma_a == 0.0:
@@ -465,8 +465,7 @@ def exit_point_trials(node: str, ia_bits: float, trials: int, seed: int, *,
             truths[t] = rng.integers(0, n, size=n)
             obs = channel.posterior(channel.observe(truths[t], rng))
             msg = obs * synth_apriori(truths[t], rng) * synth_apriori(truths[t], rng)
-            msg = np.maximum(msg, MESSAGE_FLOOR)
-            out[t] = msg / msg.sum(axis=1, keepdims=True)
+            out[t] = floor_rows(msg, MESSAGE_FLOOR)
         else:
             truths[t] = rng.permutation(n)
             out[t] = synth_apriori(truths[t], rng)
@@ -477,7 +476,7 @@ def exit_point_trials(node: str, ia_bits: float, trials: int, seed: int, *,
 
 
 def exit_curve(node: str, ia_grid, trials: int, seed: int, *,
-               n: int = 9, snr_db_list=None, alphas=None, h: int = 3) -> list[ExitPoint]:
+               n: int = 9, snr_db_list=None, alphas=None) -> list[ExitPoint]:
     """Extrinsic-vs-a-priori information transfer of one node variant.
 
     Constraint-node curves do not depend on the observation channel, so
@@ -498,7 +497,7 @@ def exit_curve(node: str, ia_grid, trials: int, seed: int, *,
     for snr in snrs:
         for p, ia in enumerate(grid):
             vals = exit_point_trials(node, ia, trials, seed, n=n, point=p,
-                                     alphas=alphas, h=h, snr_db=snr)
+                                     alphas=alphas, snr_db=snr)
             stderr = float(vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
             points.append(ExitPoint(node=node, snr_db=snr, ia_bits=float(ia),
                                     ie_bits=max(float(vals.mean()), 0.0),
@@ -509,14 +508,12 @@ def exit_curve(node: str, ia_grid, trials: int, seed: int, *,
 # -- alpha training ------------------------------------------------------
 
 
-def harvest_constraint_inputs(n: int, snr_db_list, count: int, seed: int, *,
-                              iters: tuple = (1, 2, 3, 4, 5),
-                              max_iters: int = 5) -> list[np.ndarray]:
+def harvest_constraint_inputs(n: int, snr_db_list, count: int, seed: int) -> list[np.ndarray]:
     """Constraint-node input matrices from live exact-node BP runs.
 
     Runs cycle through the snr mix; matrices are the incoming messages at
-    the requested iterations, subsampled to ``count`` with a fixed stream
-    so the batch is reproducible.
+    BP iterations 1-5, subsampled to ``count`` with a fixed stream so the
+    batch is reproducible.
     """
     pool: list[np.ndarray] = []
     run = 0
@@ -525,7 +522,7 @@ def harvest_constraint_inputs(n: int, snr_db_list, count: int, seed: int, *,
         puzzle = random_puzzle(n, make_rng(seed, 8, run))
         channel = ChannelModel.from_snr_db(snr, q=n)
         result = bp_solve(puzzle, channel, node="exact", seed=seed, stream=run,
-                          max_iters=max_iters, collect_iters=tuple(iters))
+                          max_iters=5, collect_iters=(1, 2, 3, 4, 5))
         pool.extend(m for _, _, m in result.collected)
         run += 1
     if len(pool) < count:
@@ -543,39 +540,28 @@ class AlphaTrainResult:
     search: TrainResult
 
 
-def _row_divergences(p_rows: np.ndarray, q_rows: np.ndarray) -> np.ndarray:
-    """Mean over rows of D(p_row || q_row), per (n, n) matrix of a (..., n, n) stack."""
-    q = floor_rows(q_rows, DEFAULT_FLOOR)
-    terms = np.where(p_rows > 0,
-                     p_rows * (np.log2(np.where(p_rows > 0, p_rows, 1.0)) - np.log2(q)),
-                     0.0)
-    return terms.sum(axis=-1).mean(axis=-1)
-
-
-def alpha_objective(matrices: list[np.ndarray], h: int = 3):
+def alpha_objective(matrices: list[np.ndarray]):
     """Frozen-batch objective: mean divergence of exact rows from corrected rows.
 
     Minor permanents of both split parts are precomputed once for the
     stacked batch, so each evaluation is one alpha-weighted broadcast: the
-    mean over rows per matrix, then the mean over matrices.
+    mean over rows per matrix, then the mean over matrices. Corrected rows
+    are floored at ``DEFAULT_FLOOR``, since a sparse head leaves zeros
+    where the exact node has mass.
     """
     stack = np.asarray(matrices, dtype=float)
     exact = constraint_exact(stack)
-    ph, pt = minor_permanents_split(head_tail_split(stack, h))
+    ph, pt = minor_permanents_split(head_tail_split(stack, HEAD_SIZE))
 
     def objective(corrector: ParametricCorrector) -> float:
-        a = corrector.alphas[:, None]
-        combined = a * ph + (1.0 - a) * pt
-        sums = combined.sum(axis=-1, keepdims=True)
-        combined = np.where(sums > 0, combined / np.where(sums > 0, sums, 1.0),
-                            1.0 / exact.shape[-1])
-        return float(_row_divergences(exact, combined).mean())
+        corrected = floor_rows(_alpha_mix(corrector.alphas, ph, pt), DEFAULT_FLOOR)
+        return float(divergence_rows(exact, corrected).mean(axis=-1).mean())
 
     return objective
 
 
 def train_alpha(n: int = 9, snr_db_list=(6.0, 8.0, 10.0), batch: int = 64,
-                seed: int = 0, budget: int = 4000, h: int = 3) -> AlphaTrainResult:
+                seed: int = 0, budget: int = 4000) -> AlphaTrainResult:
     """Train per-row correction weights against the exact node as reference.
 
     The default snr mix covers the solver's working region, where the
@@ -584,7 +570,7 @@ def train_alpha(n: int = 9, snr_db_list=(6.0, 8.0, 10.0), batch: int = 64,
     baselines on the frozen batch (they are probed explicitly).
     """
     matrices = harvest_constraint_inputs(n, list(snr_db_list), batch, seed)
-    objective = alpha_objective(matrices, h)
+    objective = alpha_objective(matrices)
     result = train_parametric(objective, slots=n, budget=budget)
     baselines = {
         0.5: objective(ParametricCorrector(np.full(n, 0.5))),

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AbsoluteContinuityViolation, BinOutOfRange, DimensionMismatch
-from .probs import Distribution
+from .probs import Distribution, log2_masked
 
 TABLE_FORMAT_VERSION = 1
 
@@ -56,8 +56,7 @@ def plogp_sum(posteriors: np.ndarray) -> float:
     total = 0.0
     for start in range(0, posteriors.shape[0], BLOCK):
         p = posteriors[start:start + BLOCK]
-        logs = np.where(p > 0, p, 1.0)
-        np.log2(logs, out=logs)
+        logs = log2_masked(p)
         logs *= p
         total += float(logs.sum())
     return total
@@ -211,21 +210,24 @@ class TrainResult:
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+#: Golden-section bracket width that ends a coordinate search, and the least
+#: improvement of a full coordinate cycle that starts another cycle.
+_LINE_TOL, _CYCLE_TOL = 1e-4, 1e-6
 
 
-def train_parametric(objective, slots: int, budget: int = 4000, *,
-                     init=None, line_tol: float = 1e-4, cycle_tol: float = 1e-6) -> TrainResult:
+def train_parametric(objective, slots: int, budget: int = 4000) -> TrainResult:
     """Minimize a deterministic objective over [0,1]^slots.
 
-    Cyclic coordinate descent, each coordinate minimized by golden-section
-    search to ``line_tol``; stops when a full cycle improves by less than
-    ``cycle_tol`` or the evaluation budget runs out (best-so-far returned
-    with ``budget_exhausted`` set). The returned point is the best of every
+    Cyclic coordinate descent from 0.5 in every slot, each coordinate
+    minimized by golden-section search to a bracket of ``_LINE_TOL``; stops
+    when a full cycle improves by less than ``_CYCLE_TOL`` or the
+    evaluation budget runs out (best-so-far returned with
+    ``budget_exhausted`` set). The returned point is the best of every
     point evaluated along the search trace.
     """
     if slots < 1:
         raise ValueError("need at least one slot")
-    alphas = np.full(slots, 0.5) if init is None else np.asarray(init, dtype=float).copy()
+    alphas = np.full(slots, 0.5)
 
     state = {"evals": 0, "exhausted": False}
     best = {"x": alphas.copy(), "f": math.inf}
@@ -252,7 +254,7 @@ def train_parametric(objective, slots: int, budget: int = 4000, *,
         fc = evaluate(x)
         x[i] = d
         fd = evaluate(x)
-        while b - a > line_tol:
+        while b - a > _LINE_TOL:
             if fc < fd:
                 b, d, fd = d, c, fc
                 c = b - _INVPHI * (b - a)
@@ -277,7 +279,7 @@ def train_parametric(objective, slots: int, budget: int = 4000, *,
             start = current
             for i in range(slots):
                 current = golden(i, current)
-            if start - current < cycle_tol:
+            if start - current < _CYCLE_TOL:
                 break
     except _BudgetStop:
         pass

@@ -72,6 +72,16 @@ def minsum_baseline_objective(posteriors: np.ndarray, minsum_llrs: np.ndarray,
     return math.fsum(terms) / posteriors.shape[0]
 
 
+def entropy_row(p) -> float:
+    """Shannon entropy of one pmf in bits (0 log 0 = 0), summed exactly."""
+    return -math.fsum(x * math.log2(x) for x in p if x > 0)
+
+
+def divergence_row(p, q) -> float:
+    """D(p || q) of one row pair in bits (terms with p = 0 drop out), summed exactly."""
+    return math.fsum(x * (math.log2(x) - math.log2(y)) for x, y in zip(p, q) if x > 0)
+
+
 def tanh_rule_rows(llrs: np.ndarray, saturation: float = 38.0) -> np.ndarray:
     """Row-wise tanh rule as one reduction over axis 1, shape (N, d) -> (N,)."""
     ceil = np.nextafter(1.0, 0.0)
@@ -98,7 +108,7 @@ def minsum_batch(d: int, sigmas, n: int, seed: int, num_bins: int = 64,
     truths = np.bitwise_xor.reduce(bits, axis=1)
     mags = np.min(np.abs(llrs), axis=1)
     signs = np.where(np.sum(llrs < 0, axis=1) % 2 == 1, -1, 1)
-    idx = np.minimum((mags / (max_magnitude / num_bins)).astype(int), num_bins - 1)
+    idx = np.minimum(mags / (max_magnitude / num_bins), num_bins - 1).astype(int)
     bins = np.where(signs < 0, idx + num_bins, idx)
     z = np.exp(-np.abs(ref_llr))
     big, small = 1.0 / (1.0 + z), z / (1.0 + z)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 
 from rolemodel import sudoku
-from rolemodel.cli import main
+from rolemodel.cli import build_parser, main
 from rolemodel.rng import make_rng
 
 
@@ -65,6 +65,15 @@ class TestMinsumCommands:
         lines = ev.read_text().splitlines()
         assert lines[0] == "bin,count,q0,q1"
 
+    def test_vanishing_noise_trains(self, tmp_path):
+        # magnitudes past the int64 range clamp into the top bins
+        out = tmp_path / "table.json"
+        assert run(["train-minsum", "--sigmas", "1e-10,1e-10,1e-10", "--samples", "2000",
+                    "--out", str(out), "--quiet"]) == 0
+        doc = json.loads(out.read_text())
+        counts = [entry["count"] for entry in doc["bins"]]
+        assert counts[63] + counts[127] == 2000
+
     def test_sigma_count_validated(self, tmp_path):
         assert run(["train-minsum", "--degree", "4", "--sigmas", "1,1,1",
                     "--samples", "10", "--out", str(tmp_path / "t.json")]) == 1
@@ -123,6 +132,10 @@ class TestExitChart:
         body = [l for l in lines[1:] if not l.startswith("#")]
         assert len(body) == 6  # 2 nodes x 3 grid points
         assert body[0].split(",")[1] == ""  # constraint curves carry no channel snr
+
+    def test_default_grid_is_parsed(self):
+        assert build_parser().parse_args(["exit-chart"]).mi_grid == [
+            0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.25, 2.5, 2.75, 3.0]
 
     def test_grid_parsing(self, tmp_path):
         assert run(["exit-chart", "--size", "4", "--mi-grid", "nonsense",

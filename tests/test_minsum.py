@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -119,6 +120,14 @@ class TestSimulateBatch:
         one_hot_gap = np.minimum(batch.posteriors[:, 0], batch.posteriors[:, 1])
         assert np.max(one_hot_gap) <= 1e-12  # posteriors are one-hot
         assert set(np.unique(batch.bins)) <= {63, 127}  # magnitudes clamp to top bins
+
+    def test_magnitudes_past_int64_clamp_to_top_bins(self):
+        # at sigma 1e-10 min-sum magnitudes reach ~1e20, past the int64 range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = minsum.simulate_batch(3, [1e-10] * 3, 5, seed=0)
+        assert np.abs(batch.minsum_llrs).min() > 2.0**63 * 25.0 / 64
+        assert set(batch.bins.tolist()) <= {63, 127}
 
     def test_pure_noise_limit(self):
         batch = minsum.simulate_batch(3, [30.0] * 3, 300, seed=8)

@@ -8,7 +8,9 @@ from rolemodel.probs import (
     Distribution,
     dist_to_llr,
     divergence,
+    divergence_rows,
     entropy,
+    entropy_rows,
     llr_to_dist,
     llrs_to_dists,
     normalize,
@@ -51,6 +53,27 @@ class TestDivergence:
             assert divergence(p1, p1) <= 1e-12
             if np.max(np.abs(p1 - p2)) > 1e-3:
                 assert d > 1e-12
+
+
+class TestRowKernels:
+    def test_zero_mass_terms_drop_out(self):
+        p = np.array([[0.0, 1.0], [0.5, 0.5], [0.0, 0.0]])
+        q = np.array([[0.0, 1.0], [0.5, 0.5], [0.0, 1.0]])
+        assert np.array_equal(divergence_rows(p, q), [0.0, 0.0, 0.0])
+        assert np.array_equal(entropy_rows(p), [0.0, 1.0, 0.0])
+
+    def test_zero_in_q_under_mass_in_p_is_infinite(self):
+        with np.errstate(divide="ignore"):
+            assert divergence_rows([0.5, 0.5], [1.0, 0.0]) == math.inf
+
+    def test_rows_broadcast(self):
+        p = np.array([[0.9, 0.1], [0.2, 0.8]])
+        q = np.array([[0.5, 0.5], [0.3, 0.7], [0.6, 0.4]])
+        got = divergence_rows(p[:, None, :], q[None, :, :])
+        assert got.shape == (2, 3)
+        for i in range(2):
+            for j in range(3):
+                assert got[i, j] == pytest.approx(divergence(p[i], q[j]), rel=1e-14)
 
 
 class TestEntropy:
