@@ -3,8 +3,9 @@
 One binary, one subcommand per experiment. Machine-readable results go to
 --out (CSV for tabular sweeps, JSON for trained artifacts); a short human
 summary goes to stdout. Runs with identical flags and seed produce
-byte-identical output files. Exit status: 0 success, 1 flag validation,
-2 numerical failure.
+byte-identical output files. Exit status: 0 success; 1 for a bad flag
+value or an unreadable input file, reported as one ``error:`` line on
+stderr; 2 for a numerical failure.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def _grid(text: str) -> list[float]:
     return values
 
 
-def _write_csv(path: str, header: list[str], rows: list[list], seed: int) -> None:
+def _save_csv(path: str, header: list[str], rows: list[list], seed: int) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(header)
@@ -65,7 +66,7 @@ def _write_csv(path: str, header: list[str], rows: list[list], seed: int) -> Non
         f.write(f"# version={__version__} seed={seed}\n")
 
 
-def _write_json(path: str, doc: dict) -> None:
+def _save_json(path: str, doc: dict) -> None:
     with open(path, "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -80,6 +81,10 @@ def _say(args, message: str) -> None:
 
 
 def _run_verify_theorem(args) -> int:
+    if args.trials < 1:
+        raise ValueError("--trials must be at least 1")
+    if args.max_alphabet < 2:
+        raise ValueError("--max-alphabet must be at least 2")
     rng = make_rng(args.seed, 10)
     rows = []
     worst = 0.0
@@ -93,7 +98,7 @@ def _run_verify_theorem(args) -> int:
         worst = max(worst, abs(r_markov), abs(r_general))
         rows.append([trial, nx, ny, nz, repr(r_markov), repr(r_general)])
     if args.out:
-        _write_csv(args.out, ["trial", "x_size", "y_size", "z_size",
+        _save_csv(args.out, ["trial", "x_size", "y_size", "z_size",
                               "markov_residual", "nonmarkov_residual"], rows, args.seed)
     verdict = "PASS" if worst <= 1e-10 else "FAIL"
     _say(args, f"{verdict} max_residual={worst:.3e} trials={args.trials}")
@@ -103,7 +108,7 @@ def _run_verify_theorem(args) -> int:
 def _run_train_minsum(args) -> int:
     sigmas = _csv_float(args.sigmas)
     if len(sigmas) != args.degree:
-        raise SystemExit(_fail(f"need {args.degree} sigmas, got {len(sigmas)}"))
+        raise ValueError(f"need {args.degree} sigmas, got {len(sigmas)}")
     quant = minsum.ZQuantizer(num_bins=args.bins)
     batch = minsum.simulate_batch(args.degree, sigmas, args.samples, args.seed, quant)
     table = minsum.new_table(quant)
@@ -123,18 +128,18 @@ def _run_eval_minsum(args) -> int:
         table = PostTable.from_json(f.read())
     spec = table.bin_spec
     if spec.get("kind") != "minsum":
-        raise SystemExit(_fail(f"table bin_spec kind {spec.get('kind')!r} is not 'minsum'"))
+        raise ValueError(f"table bin_spec kind {spec.get('kind')!r} is not 'minsum'")
     quant = minsum.ZQuantizer(num_bins=spec["num_bins"], max_magnitude=spec["max_magnitude"])
     sigmas = _csv_float(args.sigmas)
     if len(sigmas) != args.degree:
-        raise SystemExit(_fail(f"need {args.degree} sigmas, got {len(sigmas)}"))
+        raise ValueError(f"need {args.degree} sigmas, got {len(sigmas)}")
     batch = minsum.simulate_batch(args.degree, sigmas, args.samples, args.seed, quant)
     report = minsum.evaluate_table(table, batch)
     if args.out:
         final = table.finalize()
         rows = [[b, int(table.counts[b])] + [repr(float(v)) for v in final[b]]
                 for b in range(table.num_bins)]
-        _write_csv(args.out, ["bin", "count", "q0", "q1"], rows, args.seed)
+        _save_csv(args.out, ["bin", "count", "q0", "q1"], rows, args.seed)
     _say(args, report.summary())
     return 0
 
@@ -143,7 +148,7 @@ def _load_alphas(path: str, n: int) -> np.ndarray:
     with open(path) as f:
         doc = json.load(f)
     if int(doc.get("n", -1)) != n:
-        raise SystemExit(_fail(f"alpha table is for n={doc.get('n')}, puzzle is n={n}"))
+        raise ValueError(f"alpha table is for n={doc.get('n')}, puzzle is n={n}")
     return np.asarray(doc["alphas"], dtype=float)
 
 
@@ -157,12 +162,12 @@ def _run_solve(args) -> int:
     channel = None if classic else sudoku.ChannelModel.from_snr_db(args.snr_db, q=args.size)
     alphas = _load_alphas(args.alpha_table, args.size) if args.alpha_table else None
     if args.node == "corrected" and alphas is None:
-        raise SystemExit(_fail("--node corrected requires --alpha-table"))
+        raise ValueError("--node corrected requires --alpha-table")
     result = sudoku.bp_solve(puzzle, channel, node=args.node, alphas=alphas,
                              max_iters=args.iters, damping=args.damping, seed=args.seed)
     ser = None if math.isnan(result.symbol_error_rate) else result.symbol_error_rate
     if args.out:
-        _write_json(args.out, {
+        _save_json(args.out, {
             "version": __version__,
             "seed": args.seed,
             "size": args.size,
@@ -186,14 +191,14 @@ def _run_exit_chart(args) -> int:
     rows = []
     for node in nodes:
         if node == "corrected" and alphas is None:
-            raise SystemExit(_fail("corrected node requires --alpha-table"))
+            raise ValueError("corrected node requires --alpha-table")
         points = sudoku.exit_curve(node, grid, args.trials, args.seed, n=args.size,
                                    snr_db_list=snrs or None, alphas=alphas)
         for p in points:
             rows.append([p.node, "" if p.snr_db is None else repr(p.snr_db),
                          repr(p.ia_bits), repr(p.ie_bits), repr(p.stderr)])
     if args.out:
-        _write_csv(args.out, ["node", "snr_db", "ia_bits", "ie_bits", "stderr"], rows, args.seed)
+        _save_csv(args.out, ["node", "snr_db", "ia_bits", "ie_bits", "stderr"], rows, args.seed)
     _say(args, f"{len(rows)} exit points over nodes {','.join(nodes)} at {args.trials} trials")
     return 0
 
@@ -203,7 +208,7 @@ def _run_train_sudoku_alpha(args) -> int:
     result = sudoku.train_alpha(n=args.size, snr_db_list=mix, batch=args.batch,
                                 seed=args.seed, budget=args.budget)
     if args.out:
-        _write_json(args.out, {
+        _save_json(args.out, {
             "version": 1,
             "n": args.size,
             "alphas": [float(a) for a in result.corrector.alphas],
@@ -236,15 +241,10 @@ def _run_bench(args) -> int:
         rows.append([n, "uniform_rows", repr(uniform)])
         lines.append(f"n={n}: " + ", ".join(timing))
     if args.out:
-        _write_csv(args.out, ["n", "kernel", "value"], rows, args.seed)
+        _save_csv(args.out, ["n", "kernel", "value"], rows, args.seed)
     for line in lines:
         _say(args, line)
     return 0
-
-
-def _fail(message: str) -> int:
-    sys.stderr.write(f"error: {message}\n")
-    return 1
 
 
 # -- parser --------------------------------------------------------------
@@ -328,11 +328,14 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.run(args)
-    except SystemExit as exc:  # argparse/flag validation (also --help/--version)
+    except SystemExit as exc:  # argparse (also --help/--version)
         return exc.code if isinstance(exc.code, int) else 1
     except RoleModelError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 2
+    except (ValueError, OSError) as exc:  # flag values and input files
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
 
 
 if __name__ == "__main__":

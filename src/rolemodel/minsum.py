@@ -17,79 +17,13 @@ import numpy as np
 
 from . import chains
 from .errors import BinOutOfRange
-from .probs import DEFAULT_FLOOR, Distribution, floor_rows, llrs_to_dists, soft_mi
+from .probs import DEFAULT_FLOOR, floor_rows, llrs_to_dists, soft_mi
 from .rng import make_rng
 from .train import BLOCK, PostTable, SampleBatch, empirical_ed, plogp_sum
 
 #: Finite LLRs saturate here before entering tanh; tanh(38/2) is still
 #: strictly below 1 in double precision, keeping atanh finite.
 LLR_SATURATION = 38.0
-
-
-@dataclass(frozen=True)
-class CheckNodeInput:
-    """Incoming branch LLRs and the noise levels that generated them."""
-
-    llrs: np.ndarray
-    sigmas: np.ndarray
-
-    def __post_init__(self):
-        llrs = np.asarray(self.llrs, dtype=float)
-        sigmas = np.asarray(self.sigmas, dtype=float)
-        if llrs.ndim != 1 or llrs.size < 2:
-            raise ValueError("need at least two incoming branches")
-        if sigmas.shape != llrs.shape or np.any(sigmas <= 0):
-            raise ValueError("need one positive sigma per branch")
-        object.__setattr__(self, "llrs", llrs)
-        object.__setattr__(self, "sigmas", sigmas)
-
-    @property
-    def degree(self) -> int:
-        return self.llrs.size
-
-
-@dataclass(frozen=True)
-class MinSumStatistic:
-    magnitude: float
-    sign: int
-
-    @property
-    def llr(self) -> float:
-        """The naive LLR view: sign times magnitude."""
-        return self.sign * self.magnitude
-
-
-def _input_llrs(node_input) -> np.ndarray:
-    if isinstance(node_input, CheckNodeInput):
-        return node_input.llrs
-    return np.asarray(node_input, dtype=float)
-
-
-def tanh_rule(node_input) -> float:
-    """Exact LLR combination 2*atanh(prod_i tanh(l_i / 2)).
-
-    A zero LLR annihilates the combination; an infinite LLR contributes
-    only its sign, leaving the remaining branches to set the magnitude.
-    """
-    llrs = _input_llrs(node_input)
-    sign = 1.0
-    finite = []
-    for l in llrs:
-        if l == 0.0:
-            return 0.0
-        if math.isinf(l):
-            sign = -sign if l < 0 else sign
-        else:
-            finite.append(min(max(l, -LLR_SATURATION), LLR_SATURATION))
-    if not finite:
-        return sign * math.inf
-    if len(finite) == 1:
-        return sign * finite[0]
-    prod = math.prod(float(np.tanh(l / 2.0)) for l in finite)
-    prod = min(max(prod, -_TANH_CEIL), _TANH_CEIL)  # saturated tanh can round to 1
-    return sign * 2.0 * float(np.arctanh(prod))
-
-
 #: Largest double below 1; keeps atanh finite when saturated tanh rounds to 1.
 _TANH_CEIL = math.nextafter(1.0, 0.0)
 
@@ -114,17 +48,6 @@ def tanh_rule_rows(llrs: np.ndarray) -> np.ndarray:
     return prod
 
 
-def min_sum(node_input) -> MinSumStatistic:
-    """The degraded statistic: (min_i |l_i|, prod_i sign l_i)."""
-    llrs = _input_llrs(node_input)
-    magnitude = float(np.min(np.abs(llrs)))
-    neg = int(np.sum(llrs < 0))
-    sign = -1 if neg % 2 else 1
-    if magnitude == 0.0:
-        sign = 1  # erasure: sign carries no information
-    return MinSumStatistic(magnitude=magnitude, sign=sign)
-
-
 @dataclass(frozen=True)
 class ZQuantizer:
     """Uniform magnitude bins composed with the sign branch.
@@ -143,9 +66,6 @@ class ZQuantizer:
     @property
     def total_bins(self) -> int:
         return 2 * self.num_bins
-
-    def bin_index(self, stat: MinSumStatistic) -> int:
-        return int(self.bin_indices(np.array([stat.magnitude]), np.array([stat.sign]))[0])
 
     def bin_indices(self, magnitudes: np.ndarray, signs: np.ndarray) -> np.ndarray:
         mag = np.asarray(magnitudes, dtype=float)
@@ -239,13 +159,9 @@ def simulate_batch(d: int, sigmas, n: int, seed: int,
                        minsum_llrs=minsum_llrs)
 
 
-def new_table(quantizer: ZQuantizer, fallback=None) -> PostTable:
-    return PostTable(
-        num_bins=quantizer.total_bins,
-        alphabet_size=2,
-        fallback=fallback,
-        bin_spec=quantizer.spec(),
-    )
+def new_table(quantizer: ZQuantizer) -> PostTable:
+    return PostTable(num_bins=quantizer.total_bins, alphabet_size=2,
+                     bin_spec=quantizer.spec())
 
 
 def train_table(d: int, sigmas, n: int, seed: int,
@@ -392,14 +308,3 @@ def surrogate_chain(sigmas, levels_per_branch: int = 8,
     return SurrogateChain(model=model, z_of_y=z_of_y, num_z=2 * m,
                           levels_per_branch=levels_per_branch)
 
-
-def fallback_distribution(kind: str, batch: MinsumBatch | None = None) -> Distribution:
-    """Empty-bin fallback: 'uniform' (default) or the batch's empirical prior."""
-    if kind == "uniform":
-        return Distribution.uniform(2)
-    if kind == "prior":
-        if batch is None or batch.truths is None:
-            raise ValueError("empirical prior needs a batch with truths")
-        counts = np.bincount(batch.truths, minlength=2).astype(float)
-        return Distribution.from_weights(counts + 1.0)  # add-one smoothing
-    raise ValueError(f"unknown fallback kind {kind!r}")

@@ -436,6 +436,8 @@ def exit_point_trials(node: str, ia_bits: float, trials: int, seed: int, *,
     messages. A-priori messages are synthesized at the sigma calibrated to
     ``ia_bits``.
     """
+    if trials < 1:
+        raise ValueError("need at least one trial")
     max_mi = math.log2(n)
     if not -1e-9 <= ia_bits <= max_mi + 1e-9:
         raise BisectionFailure(f"a-priori target {ia_bits} outside [0, {max_mi}]")
@@ -515,6 +517,10 @@ def harvest_constraint_inputs(n: int, snr_db_list, count: int, seed: int) -> lis
     BP iterations 1-5, subsampled to ``count`` with a fixed stream so the
     batch is reproducible.
     """
+    if count < 1:
+        raise ValueError("need at least one matrix")
+    if not snr_db_list:
+        raise ValueError("need at least one snr")
     pool: list[np.ndarray] = []
     run = 0
     while len(pool) < count * 2 and run < 64:

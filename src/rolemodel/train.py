@@ -8,7 +8,6 @@ empirical objective over a small vector of correction weights in [0,1].
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -146,14 +145,6 @@ class PostTable:
             table.sums[b] = np.asarray(entry["sum"], dtype=float)
             table.counts[b] = int(entry["count"])
         return table
-
-    def write_csv(self, stream) -> None:
-        """Finalized table as rows (bin_index, p_0..p_{q-1}) for plotting."""
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["bin_index"] + [f"p_{x}" for x in range(self.alphabet_size)])
-        final = self.finalize()
-        for b in range(self.num_bins):
-            writer.writerow([b] + [repr(float(v)) for v in final[b]])
 
 
 def empirical_ed(batch: SampleBatch, q: np.ndarray, plogp: float | None = None) -> float:

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from rolemodel import sudoku
 from rolemodel.cli import build_parser, main
@@ -33,6 +34,31 @@ class TestDispatch:
 
     def test_version(self, capsys):
         assert run(["--version"]) == 0
+
+
+class TestErrorContract:
+    """Bad flag values and unreadable inputs: status 1, one ``error:`` line, no NaN."""
+
+    @pytest.mark.parametrize("argv", [
+        ["train-minsum", "--samples", "0"],
+        ["train-minsum", "--bins", "0"],
+        ["eval-minsum", "--table", "/nonexistent/table.json"],
+        ["solve", "--damping", "0"],
+        ["exit-chart", "--node", "bogus", "--mi-grid", "0:0:1"],
+        ["exit-chart", "--node", "variable", "--mi-grid", "0:0:1"],
+        ["exit-chart", "--node", "exact", "--mi-grid", "0:0:1", "--trials", "0"],
+        ["verify-theorem", "--trials", "0"],
+        ["verify-theorem", "--max-alphabet", "1"],
+        ["train-sudoku-alpha", "--batch", "0"],
+        ["train-sudoku-alpha", "--snr-list", ""],
+    ], ids=" ".join)
+    def test_bad_input_is_one_error_line(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines() if line.startswith("error: ")]
+        assert not out.exists() or "nan" not in out.read_text()
 
 
 class TestVerifyTheorem:

@@ -271,6 +271,10 @@ class TestExit:
         with pytest.raises(BisectionFailure):
             sudoku.calibrate_sigma(5.0, 9, seed=621)
 
+    def test_no_trials_rejected(self):
+        with pytest.raises(ValueError, match="at least one trial"):
+            sudoku.exit_point_trials("exact", 0.5, 0, seed=628, n=4)
+
     def test_variable_node_needs_snr(self):
         with pytest.raises(ValueError):
             sudoku.exit_curve("variable", [0.5], trials=4, seed=622, n=4)
@@ -330,6 +334,12 @@ class TestAlphaTraining:
         assert abs(res.objective_value - init_value) <= 1e-12
         values = [f for _, f in res.trace]
         assert max(values) - min(values) <= 1e-12
+
+    def test_harvest_rejects_empty_requests(self):
+        with pytest.raises(ValueError, match="at least one matrix"):
+            sudoku.harvest_constraint_inputs(4, [3.0], 0, seed=625)
+        with pytest.raises(ValueError, match="at least one snr"):
+            sudoku.harvest_constraint_inputs(4, [], 6, seed=625)
 
     def test_harvest_is_reproducible(self):
         a = sudoku.harvest_constraint_inputs(4, [3.0], 6, seed=625)

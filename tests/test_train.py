@@ -1,4 +1,3 @@
-import io
 import json
 
 import numpy as np
@@ -219,15 +218,6 @@ class TestSerialization:
         doc["version"] = 99
         with pytest.raises(ValueError):
             PostTable.from_json(json.dumps(doc))
-
-    def test_csv_export(self):
-        t = PostTable(num_bins=2, alphabet_size=2)
-        t.ingest_batch(sample([0.9, 0.1], 0))
-        buf = io.StringIO()
-        t.write_csv(buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "bin_index,p_0,p_1"
-        assert len(lines) == 3
 
 
 class TestTrainParametric:
