@@ -20,9 +20,8 @@ from .errors import (
     DimensionTooLarge,
     RoleModelError,
     ZeroMassAtTruth,
-    ZeroProbabilityConditioning,
 )
-from .probs import Distribution, dist_to_llr, divergence, entropy, llr_to_dist, soft_mi
+from .probs import soft_mi
 
 __all__ = [
     "AbsoluteContinuityViolation",
@@ -31,14 +30,8 @@ __all__ = [
     "DegenerateRow",
     "DimensionMismatch",
     "DimensionTooLarge",
-    "Distribution",
     "RoleModelError",
     "ZeroMassAtTruth",
-    "ZeroProbabilityConditioning",
-    "dist_to_llr",
-    "divergence",
-    "entropy",
-    "llr_to_dist",
     "soft_mi",
     "__version__",
 ]

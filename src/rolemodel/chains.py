@@ -13,12 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AbsoluteContinuityViolation,
-    DimensionTooLarge,
-    ZeroProbabilityConditioning,
-)
-from .probs import Distribution, entropy_rows, log2_masked
+from .errors import AbsoluteContinuityViolation, DimensionTooLarge
+from .probs import entropy_rows, log2_masked
 
 _MAX_CELLS = 10**6
 
@@ -100,30 +96,6 @@ class GeneralJoint:
         p = p.copy()
         p.flags.writeable = False
         object.__setattr__(self, "pxyz", p)
-
-    @classmethod
-    def from_chain(cls, model: ChainModel) -> "GeneralJoint":
-        j = model.joint()
-        return cls(j / j.sum())
-
-
-def posterior_xy(model: ChainModel, y: int) -> Distribution:
-    """Exact Bayes posterior P(X | Y=y)."""
-    w = model.px * model.ch1[:, y]
-    total = w.sum()
-    if total <= 0:
-        raise ZeroProbabilityConditioning(f"P(Y={y}) = 0")
-    return Distribution(w / total)
-
-
-def posterior_xz(model: ChainModel, z: int) -> Distribution:
-    """Exact Bayes posterior P(X | Z=z)."""
-    # joint column over x: sum_y P(x) P(y|x) P(z|y)
-    w = model.px * (model.ch1 @ model.ch2[:, z])
-    total = w.sum()
-    if total <= 0:
-        raise ZeroProbabilityConditioning(f"P(Z={z}) = 0")
-    return Distribution(w / total)
 
 
 def _conditional_rows(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -220,20 +192,6 @@ def nonmarkov_identity_residual(joint: GeneralJoint, q: np.ndarray) -> float:
     h_xy = float(py @ entropy_rows(pxgy))
     ed_xz = _expected_divergence(np.diag(pz), pxgz, np.asarray(q, dtype=float))
     return nonmarkov_lhs(joint, q) - (ed_xz + h_xz - h_xy)
-
-
-def sample_chain(model: ChainModel, n: int, rng: np.random.Generator):
-    """Draw n iid triples; returns (xs, ys, zs) index arrays."""
-    xs = rng.choice(model.nx, size=n, p=model.px)
-    ys = _sample_rows(model.ch1, xs, rng)
-    zs = _sample_rows(model.ch2, ys, rng)
-    return xs, ys, zs
-
-
-def _sample_rows(table: np.ndarray, rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    cum = np.cumsum(table, axis=1)
-    u = rng.random(rows.size)
-    return (cum[rows] < u[:, None]).sum(axis=1)
 
 
 def random_chain(rng: np.random.Generator, nx: int, ny: int, nz: int) -> ChainModel:

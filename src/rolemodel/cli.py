@@ -28,7 +28,7 @@ from .permanent import (
     permanent_uniform_rows,
 )
 from .rng import make_rng
-from .train import PostTable
+from .train import ParametricCorrector, PostTable
 
 
 class _Parser(argparse.ArgumentParser):
@@ -129,7 +129,12 @@ def _run_eval_minsum(args) -> int:
     spec = table.bin_spec
     if spec.get("kind") != "minsum":
         raise ValueError(f"table bin_spec kind {spec.get('kind')!r} is not 'minsum'")
-    quant = minsum.ZQuantizer(num_bins=spec["num_bins"], max_magnitude=spec["max_magnitude"])
+    num_bins, max_magnitude = spec.get("num_bins"), spec.get("max_magnitude")
+    if not (isinstance(num_bins, int) and isinstance(max_magnitude, (int, float))
+            and 2 * num_bins == table.num_bins):
+        raise ValueError("minsum bin_spec needs an integer 'num_bins', half the table's bins, "
+                         "and a number 'max_magnitude'")
+    quant = minsum.ZQuantizer(num_bins=num_bins, max_magnitude=max_magnitude)
     sigmas = _csv_float(args.sigmas)
     if len(sigmas) != args.degree:
         raise ValueError(f"need {args.degree} sigmas, got {len(sigmas)}")
@@ -147,9 +152,14 @@ def _run_eval_minsum(args) -> int:
 def _load_alphas(path: str, n: int) -> np.ndarray:
     with open(path) as f:
         doc = json.load(f)
-    if int(doc.get("n", -1)) != n:
-        raise ValueError(f"alpha table is for n={doc.get('n')}, puzzle is n={n}")
-    return np.asarray(doc["alphas"], dtype=float)
+    if not isinstance(doc, dict) or doc.get("n") != n:
+        found = doc.get("n") if isinstance(doc, dict) else None
+        raise ValueError(f"alpha table is for n={found}, puzzle is n={n}")
+    alphas = doc.get("alphas")
+    if not (isinstance(alphas, list) and len(alphas) == n
+            and all(isinstance(a, (int, float)) for a in alphas)):
+        raise ValueError(f"alpha table needs an 'alphas' list of {n} numbers")
+    return ParametricCorrector(alphas).alphas
 
 
 def _run_solve(args) -> int:

@@ -29,10 +29,6 @@ class ZeroMassAtTruth(RoleModelError):
         super().__init__(message or f"message {index} has zero mass at the true symbol")
 
 
-class ZeroProbabilityConditioning(RoleModelError):
-    """Posterior requested conditioned on an event of probability zero."""
-
-
 class BinOutOfRange(RoleModelError):
     """Sample statistic does not resolve to a valid accumulator bin."""
 

@@ -60,8 +60,8 @@ class ZQuantizer:
     max_magnitude: float = 25.0
 
     def __post_init__(self):
-        if self.num_bins < 1 or self.max_magnitude <= 0:
-            raise ValueError("need positive bin count and magnitude range")
+        if self.num_bins < 1 or not 0 < self.max_magnitude < math.inf:
+            raise ValueError("need a positive bin count and a finite positive magnitude range")
 
     @property
     def total_bins(self) -> int:
@@ -74,14 +74,6 @@ class ZQuantizer:
         width = self.max_magnitude / self.num_bins
         idx = np.minimum(mag / width, self.num_bins - 1).astype(int)  # clamp before the cast
         return idx + self.num_bins * (np.asarray(signs) < 0)
-
-    def bin_center_llr(self, b: int) -> float:
-        """Representative LLR of a bin (sign applied to the magnitude midpoint)."""
-        if not 0 <= b < self.total_bins:
-            raise BinOutOfRange(f"bin {b} outside [0, {self.total_bins})")
-        width = self.max_magnitude / self.num_bins
-        mag = (b % self.num_bins + 0.5) * width
-        return -mag if b >= self.num_bins else mag
 
     def spec(self) -> dict:
         return {
@@ -114,8 +106,8 @@ def simulate_batch(d: int, sigmas, n: int, seed: int,
     if n < 1:
         raise ValueError("need at least one trial")
     sig = np.asarray(sigmas, dtype=float)
-    if d < 1 or sig.shape != (d,) or np.any(sig <= 0):
-        raise ValueError("need one positive sigma per branch")
+    if d < 1 or sig.shape != (d,) or not np.all((sig > 0) & np.isfinite(sig)):
+        raise ValueError("need one finite positive sigma per branch")
     quantizer = quantizer or ZQuantizer()
     rng = make_rng(seed, 1, stream)
     bits = rng.integers(0, 2, size=(n, d))
@@ -162,15 +154,6 @@ def simulate_batch(d: int, sigmas, n: int, seed: int,
 def new_table(quantizer: ZQuantizer) -> PostTable:
     return PostTable(num_bins=quantizer.total_bins, alphabet_size=2,
                      bin_spec=quantizer.spec())
-
-
-def train_table(d: int, sigmas, n: int, seed: int,
-                quantizer: ZQuantizer | None = None) -> PostTable:
-    """Simulate a batch and ingest it into a fresh table."""
-    quantizer = quantizer or ZQuantizer()
-    table = new_table(quantizer)
-    table.ingest_batch(simulate_batch(d, sigmas, n, seed, quantizer))
-    return table
 
 
 @dataclass(frozen=True)

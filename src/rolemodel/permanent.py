@@ -226,19 +226,15 @@ class HeadTailSplit:
 
     ``head`` keeps the h largest entries per row, reduced by that row's
     uniform tail constant; ``tail_values`` holds the per-row constants.
-    Row sums of the reconstruction match the original matrix.
+    Row sums of ``head + tail_values[..., None]`` match the original matrix.
     """
 
     head: np.ndarray  # (..., n, n), at most h nonzeros per row
     tail_values: np.ndarray  # (..., n)
-    h: int
 
     @property
     def n(self) -> int:
         return self.tail_values.shape[-1]
-
-    def reconstruct(self) -> np.ndarray:
-        return self.head + self.tail_values[..., None]
 
 
 def head_tail_split(m, h: int = 3) -> HeadTailSplit:
@@ -258,7 +254,7 @@ def head_tail_split(m, h: int = 3) -> HeadTailSplit:
     head = np.zeros_like(a)
     top = np.take_along_axis(a, kept, axis=-1)
     np.put_along_axis(head, kept, np.maximum(top - tails[..., None], 0.0), axis=-1)
-    return HeadTailSplit(head=head, tail_values=tails, h=h)
+    return HeadTailSplit(head=head, tail_values=tails)
 
 
 def minor_permanents_split(split: HeadTailSplit) -> tuple[np.ndarray, np.ndarray]:

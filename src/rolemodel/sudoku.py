@@ -149,12 +149,6 @@ def parse_grid(text: str, n: int | None = None) -> Puzzle:
     return Puzzle(n=n, solution=vals - 1, givens=givens)
 
 
-def format_grid(puzzle: Puzzle) -> str:
-    out = np.where(puzzle.solution >= 0, puzzle.solution + 1, 0)
-    rows = out.reshape(puzzle.n, puzzle.n)
-    return "\n".join("".join(str(v) for v in row) for row in rows)
-
-
 # -- observation channel -------------------------------------------------
 
 
@@ -166,8 +160,8 @@ class ChannelModel:
     q: int = 9
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
 
     @property
     def snr_db(self) -> float:
@@ -175,7 +169,11 @@ class ChannelModel:
 
     @classmethod
     def from_snr_db(cls, snr_db: float, q: int = 9) -> "ChannelModel":
-        return cls(sigma=10.0 ** (-snr_db / 20.0), q=q)
+        try:
+            sigma = 10.0 ** (-snr_db / 20.0)
+        except OverflowError:  # a sigma past the float range; rejected as infinite
+            sigma = math.inf
+        return cls(sigma=sigma, q=q)
 
     def observe(self, symbols, rng: np.random.Generator) -> np.ndarray:
         s = np.asarray(symbols, dtype=int)

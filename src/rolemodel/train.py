@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AbsoluteContinuityViolation, BinOutOfRange, DimensionMismatch
-from .probs import Distribution, log2_masked
+from .probs import log2_masked
 
 TABLE_FORMAT_VERSION = 1
 
@@ -50,6 +50,30 @@ def _bin_sums(bins: np.ndarray, posteriors: np.ndarray, num_bins: int) -> np.nda
                      for x in range(posteriors.shape[1])], axis=1)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _finite_row(values, q: int, name: str) -> np.ndarray:
+    """``values`` as a length-q float row; ValueError unless every entry is a finite number."""
+    try:
+        row = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be {q} finite numbers") from exc
+    if row.shape != (q,) or not np.all(np.isfinite(row)):
+        raise ValueError(f"{name} must be {q} finite numbers")
+    return row
+
+
+def _fallback_row(values, q: int) -> np.ndarray:
+    """A table's fallback pmf, divided by its sum; it must be non-negative and sum to 1 within 1e-8."""
+    p = _finite_row(values, q, "fallback")
+    total = p.sum()
+    if np.any(p < 0) or abs(total - 1.0) > 1e-8:
+        raise ValueError(f"fallback must be non-negative and sum to 1, got sum {total}")
+    return p / total
+
+
 def plogp_sum(posteriors: np.ndarray) -> float:
     """sum_k sum_x p log2 p over posterior rows (0 log 0 = 0), one block at a time."""
     total = 0.0
@@ -66,24 +90,20 @@ class PostTable:
 
     Stores plain sums and counts (never running means) so shards can be
     merged exactly; ``finalize`` turns each non-empty bin into the average
-    posterior and fills empty bins with the fallback distribution.
+    posterior and fills empty bins with the fallback row.
     Single-writer: share work by sharding samples across tables and merging.
     """
 
     def __init__(self, num_bins: int, alphabet_size: int, fallback=None, bin_spec=None):
         if num_bins < 1 or alphabet_size < 2:
             raise ValueError("need at least one bin and a binary alphabet")
+        if fallback is None:
+            fallback = np.full(alphabet_size, 1.0 / alphabet_size)
+        self.fallback = _fallback_row(fallback, alphabet_size)
         self.num_bins = num_bins
         self.alphabet_size = alphabet_size
         self.sums = np.zeros((num_bins, alphabet_size))
         self.counts = np.zeros(num_bins, dtype=np.int64)
-        if fallback is None:
-            fallback = Distribution.uniform(alphabet_size)
-        elif not isinstance(fallback, Distribution):
-            fallback = Distribution(np.asarray(fallback, dtype=float))
-        if fallback.q != alphabet_size:
-            raise DimensionMismatch("fallback alphabet differs from table alphabet")
-        self.fallback = fallback
         self.bin_spec = dict(bin_spec) if bin_spec else {"kind": "index", "num_bins": num_bins}
 
     @property
@@ -109,7 +129,7 @@ class PostTable:
 
     def finalize(self) -> np.ndarray:
         """Conditional table, one pmf row per bin (fallback where count = 0)."""
-        out = np.tile(np.asarray(self.fallback), (self.num_bins, 1))
+        out = np.tile(self.fallback, (self.num_bins, 1))
         filled = self.counts > 0
         rows = self.sums[filled] / self.counts[filled, None]
         out[filled] = rows / rows.sum(axis=1, keepdims=True)
@@ -122,7 +142,7 @@ class PostTable:
             "version": TABLE_FORMAT_VERSION,
             "q": self.alphabet_size,
             "bin_spec": self.bin_spec,
-            "fallback": list(np.asarray(self.fallback)),
+            "fallback": list(self.fallback),
             "bins": [
                 {"sum": list(self.sums[b]), "count": int(self.counts[b])}
                 for b in range(self.num_bins)
@@ -132,18 +152,24 @@ class PostTable:
 
     @classmethod
     def from_json(cls, text: str) -> "PostTable":
+        """Rebuild a table written by :meth:`to_json`; ValueError on any schema violation."""
         doc = json.loads(text)
-        if doc.get("version") != TABLE_FORMAT_VERSION:
-            raise ValueError(f"unsupported table version {doc.get('version')!r}")
-        table = cls(
-            num_bins=len(doc["bins"]),
-            alphabet_size=int(doc["q"]),
-            fallback=np.asarray(doc["fallback"], dtype=float),
-            bin_spec=doc["bin_spec"],
-        )
-        for b, entry in enumerate(doc["bins"]):
-            table.sums[b] = np.asarray(entry["sum"], dtype=float)
-            table.counts[b] = int(entry["count"])
+        version = doc.get("version") if isinstance(doc, dict) else None
+        if version != TABLE_FORMAT_VERSION:
+            raise ValueError(f"unsupported table version {version!r}")
+        q, bins, spec = doc.get("q"), doc.get("bins"), doc.get("bin_spec")
+        if not (_is_int(q) and isinstance(bins, list) and bins and isinstance(spec, dict)
+                and all(isinstance(e, dict) and _is_int(e.get("count"))
+                        and 0 <= e["count"] < 2**63 for e in bins)):
+            raise ValueError("table needs an integer 'q', a 'bin_spec' object and a non-empty "
+                             "'bins' list of objects with a non-negative integer 'count'")
+        table = cls(num_bins=len(bins), alphabet_size=q, fallback=doc.get("fallback"),
+                    bin_spec=spec)
+        for b, entry in enumerate(bins):
+            table.sums[b] = _finite_row(entry.get("sum"), q, f"sum of bin {b}")
+            table.counts[b] = entry["count"]
+        if np.any(table.sums < 0) or np.any((table.counts > 0) & (table.sums.sum(axis=1) <= 0)):
+            raise ValueError("table bin sums must be non-negative, and positive where the count is")
         return table
 
 
@@ -184,7 +210,7 @@ class ParametricCorrector:
 
     def __post_init__(self):
         a = np.asarray(self.alphas, dtype=float)
-        if a.ndim != 1 or np.any(a < 0) or np.any(a > 1):
+        if a.ndim != 1 or not np.all((a >= 0) & (a <= 1)):
             raise ValueError("alphas must lie in [0,1]")
         a = a.copy()
         a.flags.writeable = False

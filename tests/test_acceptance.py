@@ -133,7 +133,8 @@ def test_6_minsum_training():
 
     wins = 0
     for s in range(10):
-        trained = minsum.train_table(3, [1.0] * 3, 30_000, seed=7000 + s)
+        trained = minsum.new_table(minsum.ZQuantizer())
+        trained.ingest_batch(minsum.simulate_batch(3, [1.0] * 3, 30_000, seed=7000 + s))
         held = minsum.simulate_batch(3, [1.0] * 3, 30_000, seed=8000 + s)
         rep = minsum.evaluate_table(trained, held)
         wins += rep.empirical_ed < rep.baseline_ed

@@ -6,13 +6,11 @@ derandomized, so every run checks the same examples.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rolemodel import chains
-from rolemodel.errors import ZeroProbabilityConditioning
 from rolemodel.probs import divergence_rows, entropy_rows
 
 from oracles import divergence_row, entropy_row
@@ -65,7 +63,8 @@ def test_identity_residuals_vanish(data):
     model = data.draw(degenerate_chains())
     q = candidate_table(data.draw, model.pz(), model.nx)
     assert abs(chains.markov_identity_residual(model, q)) <= 1e-12
-    assert abs(chains.nonmarkov_identity_residual(chains.GeneralJoint.from_chain(model), q)) <= 1e-12
+    j = model.joint()
+    assert abs(chains.nonmarkov_identity_residual(chains.GeneralJoint(j / j.sum()), q)) <= 1e-12
     joint = data.draw(degenerate_joints())
     pz = joint.pxyz.sum(axis=(0, 1))
     qj = candidate_table(data.draw, pz, joint.pxyz.shape[0])
@@ -75,18 +74,19 @@ def test_identity_residuals_vanish(data):
 @PROPERTY
 @given(degenerate_chains())
 def test_placeholder_rows_are_uniform_exactly_where_mass_is_zero(model):
-    for table, mass, posterior in (
-        (chains.posterior_table_xy(model), model.py(), chains.posterior_xy),
-        (chains.posterior_table_xz(model), model.pz(), chains.posterior_xz),
+    # other rows are the joint's (x, c) weights, normalised directly
+    joint = model.joint()
+    for table, mass, weights in (
+        (chains.posterior_table_xy(model), model.py(), joint.sum(axis=2)),
+        (chains.posterior_table_xz(model), model.pz(), joint.sum(axis=1)),
     ):
         assert np.any(mass == 0)
         for c, row in enumerate(table):
             if mass[c] == 0:
                 assert np.all(row == 1.0 / model.nx)
-                with pytest.raises(ZeroProbabilityConditioning):
-                    posterior(model, c)
             else:
-                assert np.allclose(row, np.asarray(posterior(model, c)), rtol=1e-14, atol=0)
+                w = weights[:, c]
+                assert np.allclose(row, w / w.sum(), rtol=1e-14, atol=0)
 
 
 @PROPERTY

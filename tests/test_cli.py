@@ -36,6 +36,15 @@ class TestDispatch:
         assert run(["--version"]) == 0
 
 
+#: JSON inputs that the argv lists below name as "@<file name>".
+INPUT_FILES = {
+    "alphas.json": {"version": 1, "n": 9, "alphas": [0.5] * 9},  # not a min-sum table
+    "n4.json": {"n": 4},  # the right n, but no alphas
+    "nospec.json": {"version": 1, "q": 2, "bin_spec": {"kind": "minsum"},  # no num_bins
+                    "fallback": [0.5, 0.5], "bins": [{"sum": [0.0, 0.0], "count": 0}] * 2},
+}
+
+
 class TestErrorContract:
     """Bad flag values and unreadable inputs: status 1, one ``error:`` line, no NaN."""
 
@@ -51,8 +60,19 @@ class TestErrorContract:
         ["verify-theorem", "--max-alphabet", "1"],
         ["train-sudoku-alpha", "--batch", "0"],
         ["train-sudoku-alpha", "--snr-list", ""],
+        ["train-minsum", "--sigmas", "nan,1,1", "--samples", "10"],
+        ["train-minsum", "--sigmas", "inf,1,1", "--samples", "10"],
+        ["exit-chart", "--node", "variable", "--snr-list", "nan", "--mi-grid", "0:1:0.5",
+         "--trials", "2"],
+        ["eval-minsum", "--table", "@alphas.json", "--samples", "10"],
+        ["eval-minsum", "--table", "@nospec.json", "--samples", "10"],
+        ["solve", "--size", "4", "--node", "corrected", "--alpha-table", "@n4.json"],
+        ["solve", "--size", "4", "--snr-db=-1e308"],
     ], ids=" ".join)
     def test_bad_input_is_one_error_line(self, argv, tmp_path, capsys):
+        for name, doc in INPUT_FILES.items():
+            (tmp_path / name).write_text(json.dumps(doc))
+        argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
         out = tmp_path / "out"
         assert run(argv + ["--out", str(out)]) == 1
         err = capsys.readouterr().err
@@ -117,7 +137,7 @@ class TestSolveCommand:
 
     def test_puzzle_file_classic_mode(self, tmp_path):
         grid = sudoku.random_puzzle(4, make_rng(900, 0))
-        chars = list(sudoku.format_grid(grid).replace("\n", ""))
+        chars = [str(v) for v in grid.solution + 1]
         chars[3] = "0"
         puzzle_file = tmp_path / "puzzle.txt"
         puzzle_file.write_text("".join(chars))

@@ -7,7 +7,7 @@ import pytest
 
 from rolemodel import minsum
 from rolemodel.errors import BinOutOfRange
-from rolemodel.probs import DEFAULT_FLOOR, llr_to_dist
+from rolemodel.probs import DEFAULT_FLOOR
 from rolemodel.rng import make_rng
 from rolemodel.train import empirical_ed
 
@@ -58,11 +58,10 @@ class TestQuantizer:
                              np.array([1, 1, 1, -1, -1]))
         assert bins.tolist() == [0, 7, 7, 8, 15]
 
-    def test_center_round_trip(self):
-        q = minsum.ZQuantizer(num_bins=8, max_magnitude=8.0)
-        for b in (0, 3, 7, 8, 15):
-            center = q.bin_center_llr(b)
-            assert q.bin_indices(np.array([abs(center)]), np.array([1 if center > 0 else -1]))[0] == b
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+    def test_magnitude_range_must_be_finite_and_positive(self, bad):
+        with pytest.raises(ValueError):
+            minsum.ZQuantizer(max_magnitude=bad)
 
     def test_negative_magnitude_rejected(self):
         q = minsum.ZQuantizer()
@@ -92,6 +91,11 @@ class TestSimulateBatch:
             batch = minsum.simulate_batch(3, [1e-10] * 3, 5, seed=0)
         assert np.abs(batch.minsum_llrs).min() > 2.0**63 * 25.0 / 64
         assert set(batch.bins.tolist()) <= {63, 127}
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+    def test_sigma_must_be_finite_and_positive(self, bad):
+        with pytest.raises(ValueError):
+            minsum.simulate_batch(3, [bad, 1.0, 1.0], 10, seed=0)
 
     def test_pure_noise_limit(self):
         batch = minsum.simulate_batch(3, [30.0] * 3, 300, seed=8)
@@ -145,7 +149,8 @@ class TestEvaluateTable:
 
     def test_unequal_variances(self):
         sigmas = [0.6, 1.0, 1.6]
-        table = minsum.train_table(3, sigmas, 50_000, seed=11)
+        table = minsum.new_table(minsum.ZQuantizer())
+        table.ingest_batch(minsum.simulate_batch(3, sigmas, 50_000, seed=11))
         held = minsum.simulate_batch(3, sigmas, 50_000, seed=12)
         report = minsum.evaluate_table(table, held)
         assert report.empirical_ed < report.baseline_ed
@@ -155,7 +160,8 @@ class TestEvaluateTable:
         # each longer than two blocks
         sigmas = [0.6, 1.0, 1.6]
         n = 2 * minsum.BLOCK + 7
-        table = minsum.train_table(3, sigmas, n, seed=18)
+        table = minsum.new_table(minsum.ZQuantizer())
+        table.ingest_batch(minsum.simulate_batch(3, sigmas, n, seed=18))
         for seed in (18, 19):
             batch = minsum.simulate_batch(3, sigmas, n, seed=seed)
             report = minsum.evaluate_table(table, batch)
@@ -169,7 +175,9 @@ class TestEvaluateTable:
         quant = minsum.ZQuantizer()
         wins = 0
         for s in range(10):
-            trained = minsum.train_table(3, [1.0] * 3, 20_000, seed=500 + s, quantizer=quant)
+            trained = minsum.new_table(quant)
+            trained.ingest_batch(minsum.simulate_batch(3, [1.0] * 3, 20_000, seed=500 + s,
+                                                       quantizer=quant))
             untrained = minsum.new_table(quant)
             held = minsum.simulate_batch(3, [1.0] * 3, 20_000, seed=600 + s, quantizer=quant)
             ed_trained = empirical_ed(held, trained.finalize())
@@ -190,7 +198,8 @@ class TestEvaluateTable:
         checked = 0
         for b in range(quant.total_bins):
             if table.counts[b] >= 200:
-                expect = np.asarray(llr_to_dist(quant.bin_center_llr(b)))[0]
+                center = (b % quant.num_bins + 0.5) * width * (-1 if b >= quant.num_bins else 1)
+                expect = 1.0 / (1.0 + math.exp(-center))  # P(bit 0) at the bin-center LLR
                 assert abs(q[b, 0] - expect) <= width / 4 + 0.02
                 checked += 1
         assert checked >= 20

@@ -3,44 +3,28 @@ import math
 import numpy as np
 import pytest
 
-from rolemodel.errors import AbsoluteContinuityViolation, DimensionMismatch, ZeroMassAtTruth
-from rolemodel.probs import (
-    Distribution,
-    dist_to_llr,
-    divergence,
-    divergence_rows,
-    entropy,
-    entropy_rows,
-    llr_to_dist,
-    llrs_to_dists,
-    normalize,
-    soft_mi,
-)
+from rolemodel.errors import ZeroMassAtTruth
+from rolemodel.probs import divergence_rows, entropy_rows, floor_rows, llrs_to_dists, soft_mi
 from rolemodel.rng import make_rng
+from rolemodel.train import PostTable
+
+from oracles import divergence_row
 
 LOG2_9 = math.log2(9)
 
 
 class TestDivergence:
     def test_identical(self):
-        assert divergence([0.5, 0.5], [0.5, 0.5]) == 0.0
+        assert divergence_rows([0.5, 0.5], [0.5, 0.5]) == 0.0
 
     def test_forced_one_bit(self):
-        assert divergence([1.0, 0.0], [0.5, 0.5]) == pytest.approx(1.0, abs=1e-15)
+        assert divergence_rows([1.0, 0.0], [0.5, 0.5]) == pytest.approx(1.0, abs=1e-15)
 
     def test_frozen_high_precision_value(self):
         # independent 50-digit summation oracle
-        assert divergence([0.9, 0.1], [0.5, 0.5]) == pytest.approx(
+        assert divergence_rows([0.9, 0.1], [0.5, 0.5]) == pytest.approx(
             0.53100440641071877875, rel=1e-14
         )
-
-    def test_absolute_continuity(self):
-        with pytest.raises(AbsoluteContinuityViolation):
-            divergence([0.5, 0.5], [1.0, 0.0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            divergence([0.5, 0.5], [0.2, 0.3, 0.5])
 
     def test_nonnegative_and_zero_iff_equal(self):
         rng = make_rng(101)
@@ -48,9 +32,9 @@ class TestDivergence:
             q = int(rng.integers(2, 6))
             p1 = rng.dirichlet(np.ones(q))
             p2 = rng.dirichlet(np.ones(q))
-            d = divergence(p1, p2)
+            d = divergence_rows(p1, p2)
             assert d >= -1e-12
-            assert divergence(p1, p1) <= 1e-12
+            assert divergence_rows(p1, p1) <= 1e-12
             if np.max(np.abs(p1 - p2)) > 1e-3:
                 assert d > 1e-12
 
@@ -73,25 +57,25 @@ class TestRowKernels:
         assert got.shape == (2, 3)
         for i in range(2):
             for j in range(3):
-                assert got[i, j] == pytest.approx(divergence(p[i], q[j]), rel=1e-14)
+                assert got[i, j] == pytest.approx(divergence_row(p[i], q[j]), rel=1e-14)
 
 
 class TestEntropy:
     def test_deterministic(self):
-        assert entropy([1.0, 0.0]) == 0.0
+        assert entropy_rows([1.0, 0.0]) == 0.0
 
     def test_uniform_max(self):
-        assert entropy(np.full(9, 1 / 9)) == pytest.approx(LOG2_9, abs=1e-12)
+        assert entropy_rows(np.full(9, 1 / 9)) == pytest.approx(LOG2_9, abs=1e-12)
 
     def test_frozen_high_precision_value(self):
-        assert entropy([0.7, 0.2, 0.1]) == pytest.approx(1.1567796494470394727, rel=1e-14)
+        assert entropy_rows([0.7, 0.2, 0.1]) == pytest.approx(1.1567796494470394727, rel=1e-14)
 
     def test_bounded_by_log_q(self):
         rng = make_rng(102)
         for _ in range(200):
             q = int(rng.integers(2, 8))
             p = rng.dirichlet(np.ones(q))
-            h = entropy(p)
+            h = entropy_rows(p)
             assert h <= math.log2(q) + 1e-12
             if np.max(np.abs(p - 1.0 / q)) > 1e-3:
                 assert h < math.log2(q) - 1e-12
@@ -99,33 +83,28 @@ class TestEntropy:
 
 class TestLlr:
     def test_zero_is_symmetric(self):
-        assert np.allclose(np.asarray(llr_to_dist(0.0)), [0.5, 0.5])
-
-    def test_degenerate_maps_to_inf(self):
-        assert dist_to_llr([1.0, 0.0]) == math.inf
-        assert dist_to_llr([0.0, 1.0]) == -math.inf
-        assert np.array_equal(np.asarray(llr_to_dist(math.inf)), [1.0, 0.0])
+        assert np.allclose(llrs_to_dists([0.0])[0], [0.5, 0.5])
 
     def test_closed_form_at_two(self):
-        p = np.asarray(llr_to_dist(2.0))
+        p = llrs_to_dists([2.0])[0]
         e2 = math.exp(2.0)
         assert p[0] == pytest.approx(e2 / (1 + e2), rel=1e-15)
         assert p[1] == pytest.approx(1 / (1 + e2), rel=1e-15)
 
     def test_round_trip(self):
+        # ln(p0 / p1) of each row recovers its LLR
         rng = make_rng(103)
-        for l in np.concatenate([rng.uniform(-30, 30, 200), [-30.0, 30.0, 0.0]]):
-            assert abs(dist_to_llr(llr_to_dist(l)) - l) <= 1e-12
-
-    def test_requires_binary(self):
-        with pytest.raises(DimensionMismatch):
-            dist_to_llr([0.2, 0.3, 0.5])
+        ls = np.concatenate([rng.uniform(-30, 30, 200), [-30.0, 30.0, 0.0]])
+        rows = llrs_to_dists(ls)
+        assert np.max(np.abs(np.log(rows[:, 0]) - np.log(rows[:, 1]) - ls)) <= 1e-12
 
     def test_vectorized_matches_scalar(self):
+        # each row against the scalar closed form (e^l / (1 + e^l), 1 / (1 + e^l))
         ls = np.array([-7.5, -1.0, 0.0, 0.3, 12.0])
         rows = llrs_to_dists(ls)
         for l, row in zip(ls, rows):
-            assert np.allclose(row, np.asarray(llr_to_dist(l)), atol=1e-15)
+            e = math.exp(l)
+            assert np.allclose(row, [e / (1 + e), 1 / (1 + e)], atol=1e-15)
 
 
 class TestSoftMi:
@@ -158,21 +137,24 @@ class TestSoftMi:
 
 
 class TestDistribution:
+    """Checks on one pmf row: the fallback validation of PostTable, and floor_rows."""
+
     def test_normalize_idempotent(self):
+        # the fallback is divided by its sum, and a second pass changes no bit
         rng = make_rng(105)
         w = rng.random(6)
-        once = normalize(w)
-        assert np.array_equal(normalize(once), once)
+        once = PostTable(1, 6, fallback=w / w.sum()).fallback
+        assert np.array_equal(PostTable(1, 6, fallback=once).fallback, once)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            Distribution(np.array([-0.1, 1.1]))
+            PostTable(1, 2, fallback=np.array([-0.1, 1.1]))
 
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError):
-            Distribution(np.array([0.5, 0.6]))
+            PostTable(1, 2, fallback=np.array([0.5, 0.6]))
 
     def test_floor_keeps_normalization(self):
-        d = Distribution.one_hot(4, 2).floor(1e-9)
-        assert np.all(np.asarray(d) > 0)
-        assert np.asarray(d).sum() == pytest.approx(1.0, abs=1e-15)
+        d = floor_rows(np.eye(4)[2], 1e-9)
+        assert np.all(d > 0)
+        assert d.sum() == pytest.approx(1.0, abs=1e-15)

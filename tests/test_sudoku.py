@@ -34,7 +34,8 @@ class TestGraphAndPuzzle:
 
     def test_grid_io_round_trip(self):
         p = sudoku.random_puzzle(9, make_rng(601, 0))
-        assert np.array_equal(sudoku.parse_grid(sudoku.format_grid(p)).solution, p.solution)
+        text = "\n".join("".join(str(v) for v in row) for row in p.solution.reshape(9, 9) + 1)
+        assert np.array_equal(sudoku.parse_grid(text).solution, p.solution)
 
     def test_classic_grid_parsing(self):
         p = sudoku.parse_grid("1234\n3412\n0021\n0003", 4)
@@ -55,6 +56,15 @@ class TestChannel:
     def test_snr_round_trip(self):
         ch = sudoku.ChannelModel.from_snr_db(7.0)
         assert ch.snr_db == pytest.approx(7.0, abs=1e-12)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, 0.0])
+    def test_sigma_must_be_finite_and_positive(self, sigma):
+        with pytest.raises(ValueError):
+            sudoku.ChannelModel(sigma=sigma, q=9)
+
+    def test_snr_past_the_float_range_is_rejected(self):
+        with pytest.raises(ValueError):
+            sudoku.ChannelModel.from_snr_db(-1e308, q=9)
 
     def test_posterior_rows_normalized(self):
         ch = sudoku.ChannelModel.from_snr_db(3.0, q=9)
@@ -186,7 +196,7 @@ class TestBpSolve:
 
     def test_classic_mode(self):
         grid = sudoku.random_puzzle(4, make_rng(26, 0))
-        chars = list(sudoku.format_grid(grid).replace("\n", ""))
+        chars = [str(v) for v in grid.solution + 1]
         for idx in (0, 5, 10):
             chars[idx] = "0"
         classic = sudoku.parse_grid("".join(chars), 4)

@@ -26,7 +26,7 @@ def sample(p, b):
 def chain_training_batch(model, n, seed):
     """Samples from a chain with z-identity binning: bin = z symbol."""
     rng = make_rng(seed)
-    _, ys, zs = chains.sample_chain(model, n, rng)
+    ys, zs = divmod(rng.choice(model.ny * model.nz, size=n, p=model.pyz().ravel()), model.nz)
     post = chains.posterior_table_xy(model)[ys]
     return SampleBatch(posteriors=post, bins=zs)
 
@@ -57,6 +57,12 @@ class TestIngestFinalize:
     def test_default_fallback_uniform(self):
         t = PostTable(num_bins=2, alphabet_size=5)
         assert np.allclose(t.finalize(), 0.2)
+
+    @pytest.mark.parametrize("fallback", [[0.5, np.nan], [0.5, np.inf], [1.0], [[0.5, 0.5]]],
+                             ids=["nan", "inf", "short", "2-d"])
+    def test_fallback_must_be_a_finite_row_of_q(self, fallback):
+        with pytest.raises(ValueError):
+            PostTable(num_bins=2, alphabet_size=2, fallback=fallback)
 
     def test_bin_out_of_range(self):
         t = PostTable(num_bins=2, alphabet_size=2)
@@ -219,6 +225,24 @@ class TestSerialization:
         with pytest.raises(ValueError):
             PostTable.from_json(json.dumps(doc))
 
+    def test_alpha_json_is_not_a_table(self):
+        # an alpha table from train-sudoku-alpha carries the same version field
+        doc = {"version": 1, "n": 9, "alphas": [0.5] * 9}
+        with pytest.raises(ValueError, match="'bins'"):
+            PostTable.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("key, value", [
+        ("q", "2"), ("bins", []), ("bin_spec", None), ("fallback", [0.5, float("nan")]),
+        ("bins", [{"sum": [0.5, 0.5]}]), ("bins", [{"sum": [0.5], "count": 1}]),
+        ("bins", [{"sum": [-0.5, 1.5], "count": 1}]), ("bins", [{"sum": [0.0, 0.0], "count": 1}]),
+    ], ids=["q-string", "bins-empty", "bin_spec-null", "fallback-nan", "bin-no-count",
+            "bin-short-sum", "bin-negative-sum", "bin-count-without-mass"])
+    def test_json_schema_violations(self, key, value):
+        doc = json.loads(PostTable(1, 2).to_json())
+        doc[key] = value
+        with pytest.raises(ValueError):
+            PostTable.from_json(json.dumps(doc))
+
 
 class TestTrainParametric:
     def test_single_quadratic(self):
@@ -255,6 +279,10 @@ class TestTrainParametric:
     def test_corrector_bounds_validated(self):
         with pytest.raises(ValueError):
             ParametricCorrector(np.array([0.5, 1.2]))
+
+    def test_corrector_rejects_nan(self):
+        with pytest.raises(ValueError):
+            ParametricCorrector(np.array([0.5, np.nan]))
 
 
 class TestSampleBatch:
