@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
+import re
 import sys
 import time
 
@@ -32,6 +34,12 @@ from .train import ParametricCorrector, PostTable
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a value like -1e5 is a negative number, not an unknown option (the
+        # matcher of Python 3.13; no option here starts with a digit)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):  # argparse defaults to status 2; we reserve that
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
@@ -260,7 +268,9 @@ def _run_bench(args) -> int:
 # -- parser --------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every later call."""
     parser = _Parser(prog="rolemodel", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

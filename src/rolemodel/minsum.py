@@ -17,7 +17,7 @@ import numpy as np
 
 from . import chains
 from .errors import BinOutOfRange
-from .probs import DEFAULT_FLOOR, floor_rows, llrs_to_dists, soft_mi
+from .probs import DEFAULT_FLOOR, floor_rows, llrs_to_dists, soft_mi, square_is_normal
 from .rng import make_rng
 from .train import BLOCK, PostTable, SampleBatch, empirical_ed, plogp_sum
 
@@ -72,7 +72,9 @@ class ZQuantizer:
         if np.any(mag < 0):
             raise BinOutOfRange("negative magnitude")
         width = self.max_magnitude / self.num_bins
-        idx = np.minimum(mag / width, self.num_bins - 1).astype(int)  # clamp before the cast
+        # clamp before the divide (no overflow) and before the cast
+        idx = np.minimum(np.minimum(mag, self.max_magnitude) / width, self.num_bins - 1)
+        idx = idx.astype(int)
         return idx + self.num_bins * (np.asarray(signs) < 0)
 
     def spec(self) -> dict:
@@ -106,8 +108,8 @@ def simulate_batch(d: int, sigmas, n: int, seed: int,
     if n < 1:
         raise ValueError("need at least one trial")
     sig = np.asarray(sigmas, dtype=float)
-    if d < 1 or sig.shape != (d,) or not np.all((sig > 0) & np.isfinite(sig)):
-        raise ValueError("need one finite positive sigma per branch")
+    if d < 1 or sig.shape != (d,) or not np.all(square_is_normal(sig)):
+        raise ValueError("need one positive sigma per branch, its square a finite normal float")
     quantizer = quantizer or ZQuantizer()
     rng = make_rng(seed, 1, stream)
     bits = rng.integers(0, 2, size=(n, d))

@@ -31,6 +31,18 @@ def floor_rows(rows: np.ndarray, eps: float = DEFAULT_FLOOR) -> np.ndarray:
     return r / r.sum(axis=-1, keepdims=True)
 
 
+def square_is_normal(x) -> np.ndarray:
+    """Whether x > 0 and x^2 is a finite normal float, elementwise.
+
+    The noise levels sigma must pass: outside that range the LLRs
+    2y / sigma^2 and the logits y / sigma^2 divide by zero or overflow.
+    """
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore"):
+        sq = x * x
+    return (x > 0) & (sq >= np.finfo(float).tiny) & (sq < math.inf)
+
+
 def log2_masked(a) -> np.ndarray:
     """log2 a where a > 0 and 0 elsewhere, so ``p * log2_masked(p)`` has 0 log 0 = 0."""
     a = np.asarray(a, dtype=float)

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import BisectionFailure, DegenerateRow
 from .permanent import head_tail_split, minor_permanents, minor_permanents_split
 from .probs import (DEFAULT_FLOOR, GIVEN_FLOOR, MESSAGE_FLOOR, divergence_rows, floor_rows,
-                    soft_mi)
+                    soft_mi, square_is_normal)
 from .rng import make_rng
 from .train import ParametricCorrector, TrainResult, train_parametric
 
@@ -60,7 +60,9 @@ class FactorGraph:
     cell_slots: np.ndarray  # (n^2, 3) slot of the cell inside each constraint
 
     @classmethod
+    @functools.lru_cache(maxsize=None)
     def build(cls, n: int) -> "FactorGraph":
+        """The graph for size n, built once per process; its arrays are read-only."""
         cons = constraint_cells(n)
         ncells = n * n
         cC = np.empty((ncells, 3), dtype=int)
@@ -73,6 +75,8 @@ class FactorGraph:
                 cS[v, k] = slot
                 fill[v] += 1
         assert np.all(fill == 3)
+        for a in (cons, cC, cS):
+            a.flags.writeable = False
         return cls(n=n, constraints=cons, cell_constraints=cC, cell_slots=cS)
 
 
@@ -160,8 +164,9 @@ class ChannelModel:
     q: int = 9
 
     def __post_init__(self):
-        if not 0 < self.sigma < math.inf:
-            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
+        if not square_is_normal(self.sigma):
+            raise ValueError(f"sigma must be positive, its square a finite normal float; "
+                             f"got {self.sigma}")
 
     @property
     def snr_db(self) -> float:

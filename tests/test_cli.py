@@ -68,7 +68,14 @@ class TestErrorContract:
         ["eval-minsum", "--table", "@nospec.json", "--samples", "10"],
         ["solve", "--size", "4", "--node", "corrected", "--alpha-table", "@n4.json"],
         ["solve", "--size", "4", "--snr-db=-1e308"],
+        # sigmas whose square overflows or underflows
+        ["solve", "--size", "4", "--snr-db=-6000"],
+        ["solve", "--size", "4", "--snr-db", "6000"],
+        ["solve", "--size", "4", "--snr-db", "-1e5"],
+        ["train-minsum", "--sigmas", "1e-300,1,1", "--samples", "10"],
+        ["train-minsum", "--sigmas", "1e300,1,1", "--samples", "10"],
     ], ids=" ".join)
+    @pytest.mark.filterwarnings("error")  # a numpy warning is not an error line
     def test_bad_input_is_one_error_line(self, argv, tmp_path, capsys):
         for name, doc in INPUT_FILES.items():
             (tmp_path / name).write_text(json.dumps(doc))
@@ -79,6 +86,44 @@ class TestErrorContract:
         assert "Traceback" not in err
         assert [line for line in err.splitlines() if line.startswith("error: ")]
         assert not out.exists() or "nan" not in out.read_text()
+
+
+class TestNegativeValues:
+    def test_exponent_form_is_a_value(self, tmp_path):
+        out = tmp_path / "exit.csv"
+        assert run(["exit-chart", "--size", "4", "--node", "variable", "--snr-list", "-1e1",
+                    "--mi-grid", "0:1:1", "--trials", "2", "--out", str(out), "--quiet"]) == 0
+        body = [l for l in out.read_text().splitlines()[1:] if not l.startswith("#")]
+        assert [l.split(",")[1] for l in body] == ["-10.0", "-10.0"]
+
+
+class TestSharedParser:
+    """Every ``main`` call in a process parses with the one cached parser."""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_calls_leak_no_state(self, tmp_path, capsys):
+        def calls(out):
+            return [
+                (["solve", "--no-such-flag"], 1),
+                (["--version"], 0),
+                (["solve", "--size", "4", "--snr-db", "5", "--node", "approx", "--seed", "3",
+                  "--out", str(out / "solve.json")], 0),
+                (["exit-chart", "--size", "4", "--mi-grid", "0:2:1", "--trials", "3",
+                  "--seed", "3", "--out", str(out / "exit.csv")], 0),
+            ]
+
+        outputs = []
+        for name, order in (("forward", 1), ("reverse", -1)):
+            out = tmp_path / name
+            out.mkdir()
+            for argv, status in calls(out)[::order]:
+                assert run(argv) == status
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        capsys.readouterr()
+        assert sorted(outputs[0]) == ["exit.csv", "solve.json"]
+        assert outputs[0] == outputs[1]
 
 
 class TestVerifyTheorem:

@@ -63,6 +63,13 @@ class TestQuantizer:
         with pytest.raises(ValueError):
             minsum.ZQuantizer(max_magnitude=bad)
 
+    def test_huge_magnitude_clamps_without_overflow(self):
+        q = minsum.ZQuantizer(max_magnitude=1e-300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bins = q.bin_indices(np.array([1e300, 0.0]), np.array([1.0, -1.0]))
+        assert bins.tolist() == [63, 64]
+
     def test_negative_magnitude_rejected(self):
         q = minsum.ZQuantizer()
         with pytest.raises(BinOutOfRange):
@@ -92,7 +99,7 @@ class TestSimulateBatch:
         assert np.abs(batch.minsum_llrs).min() > 2.0**63 * 25.0 / 64
         assert set(batch.bins.tolist()) <= {63, 127}
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0, 1e-300, 1e300])
     def test_sigma_must_be_finite_and_positive(self, bad):
         with pytest.raises(ValueError):
             minsum.simulate_batch(3, [bad, 1.0, 1.0], 10, seed=0)

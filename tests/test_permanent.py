@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,35 @@ class TestBatchedMinors:
                     for j in range(n):
                         ref = permanent_ryser(np.delete(np.delete(a[b], i, 0), j, 1))
                         assert close(batch[b, i, j], ref)
+
+    # sha256 of the little-endian float64 bytes of minor_permanents on a fixed
+    # row-normalised (B, n, n) batch or its head_tail_split head. The kernel only
+    # adds and multiplies, so the digests hold on every IEEE-754 platform; a
+    # change to them is a numerical change and must state its bound.
+    MINOR_DIGESTS = {
+        (4, 1, "dense"): "181b30ddd6e0f6fa2f32b6c3b14175e7e88ce0953dbcd5ee7564f14de6a2bb98",
+        (4, 1, "head"): "7b7b93af83c8d7e8dce3c556ab8726a1ad755ab7659cb2452066e4c7c3208393",
+        (4, 27, "dense"): "0e3f118f8c232eeb13d1b56e75d1e509641644ffa8ca25cc402274ec8e4bbdf1",
+        (4, 27, "head"): "764c857573c8cecef879d40eb8f1bb83115859ccdad3d59a2f1eaa4d2351e9ee",
+        (9, 1, "dense"): "27af9e47b6e5f2e9f90010f28d6a911a050a901ca3e6812c970bd229c7ead27d",
+        (9, 1, "head"): "9ae4da00aa82fb0790cba5a9058435d8a15ce6c6c7e475897a75dbb50a920a15",
+        (9, 27, "dense"): "e84641925c4c43c7d4d57404bca0b9795326fc9dc3b3523e21666ef929980412",
+        (9, 27, "head"): "9585f7a0a67a0366340e40a5525c52ac55945acdd1553ee41a5b167ecaf425f2",
+        (12, 1, "dense"): "0fc5d6a1dd6ed25240ccae73b0e552c1037e1df1761339456dc17d05063b6c52",
+        (12, 1, "head"): "c66e5aa137f8c8a9c82855b9cf8c8a1ff2ae140901c1553599e515f90f676b4d",
+        (12, 27, "dense"): "ca79bc04f841074ac0c41b050c16ad476511673e0b926eda02f2a1327c309566",
+        (12, 27, "head"): "d04658263935c015ab861ca62380e444486064bb4b449cc22d3bdd6864e59828",
+    }
+
+    @pytest.mark.parametrize("n,batch,kind", sorted(MINOR_DIGESTS))
+    def test_bits_are_pinned(self, n, batch, kind):
+        m = make_rng(320, n, batch).random((batch, n, n))
+        m /= m.sum(axis=-1, keepdims=True)
+        if kind == "head":
+            m = head_tail_split(m).head
+        out = minor_permanents(m)
+        digest = hashlib.sha256(out.astype("<f8").tobytes()).hexdigest()
+        assert digest == self.MINOR_DIGESTS[n, batch, kind]
 
     def test_shape_and_size_checks(self):
         with pytest.raises(ValueError):

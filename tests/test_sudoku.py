@@ -23,6 +23,13 @@ class TestGraphAndPuzzle:
         counts = np.bincount(g.constraints.ravel(), minlength=n * n)
         assert np.all(counts == 3)
 
+    def test_factor_graph_is_built_once_and_read_only(self):
+        g = sudoku.FactorGraph.build(9)
+        assert sudoku.FactorGraph.build(9) is g
+        for a in (g.constraints, g.cell_constraints, g.cell_slots):
+            with pytest.raises(ValueError):
+                a[0, 0] = 0
+
     @pytest.mark.parametrize("n", [4, 9])
     def test_random_puzzles_are_valid(self, n):
         for t in range(10):
@@ -57,7 +64,7 @@ class TestChannel:
         ch = sudoku.ChannelModel.from_snr_db(7.0)
         assert ch.snr_db == pytest.approx(7.0, abs=1e-12)
 
-    @pytest.mark.parametrize("sigma", [math.nan, math.inf, 0.0])
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, 0.0, -1.0, 1e-300, 1e300])
     def test_sigma_must_be_finite_and_positive(self, sigma):
         with pytest.raises(ValueError):
             sudoku.ChannelModel(sigma=sigma, q=9)
