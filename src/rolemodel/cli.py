@@ -56,6 +56,8 @@ def _grid(text: str) -> list[float]:
         start, stop, step = (float(tok) for tok in text.split(":"))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}, expected start:stop:step") from exc
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise argparse.ArgumentTypeError(f"bad grid {text!r}, start, stop and step must be finite")
     if step <= 0 or stop < start:
         raise argparse.ArgumentTypeError("grid needs step > 0 and stop >= start")
     values = []
@@ -303,10 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_run_eval_minsum)
 
     p = sub.add_parser("solve", help="run the BP sudoku solver once")
-    p.add_argument("--size", type=int, default=9, choices=(4, 9))
+    p.add_argument("--size", type=int, default=9, choices=sorted(sudoku.BOX_SIDE))
     p.add_argument("--snr-db", type=float, default=8.0)
-    p.add_argument("--node", type=str, default="exact",
-                   choices=("exact", "approx", "corrected"))
+    p.add_argument("--node", type=str, default="exact", choices=sudoku.NODE_KINDS)
     p.add_argument("--alpha-table", type=str, default=None)
     p.add_argument("--iters", type=int, default=30)
     p.add_argument("--damping", type=float, default=0.9)
@@ -318,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exit-chart", help="extrinsic information transfer sweep")
     p.add_argument("--node", type=str, default="exact,approx",
                    help="comma list of exact|approx|corrected|variable")
-    p.add_argument("--size", type=int, default=9, choices=(4, 9))
+    p.add_argument("--size", type=int, default=9, choices=sorted(sudoku.BOX_SIDE))
     p.add_argument("--snr-list", type=str, default="",
                    help="channel snrs (dB); used by the variable node")
     p.add_argument("--mi-grid", type=_grid, default="0:3.17:0.25")
@@ -328,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_run_exit_chart)
 
     p = sub.add_parser("train-sudoku-alpha", help="train corrected-node weights")
-    p.add_argument("--size", type=int, default=9, choices=(4, 9))
+    p.add_argument("--size", type=int, default=9, choices=sorted(sudoku.BOX_SIDE))
     p.add_argument("--batch", type=int, default=64)
     p.add_argument("--snr-list", type=str, default="6,8,10")
     p.add_argument("--budget", type=int, default=4000)

@@ -33,61 +33,47 @@ NODE_KINDS = ("exact", "approx", "corrected")
 HEAD_SIZE = 3
 
 
-# -- puzzle and graph ----------------------------------------------------
+# -- puzzle and constraints ----------------------------------------------
 
 
+def _box_side(n: int) -> int:
+    if n not in BOX_SIDE:
+        raise ValueError(f"unsupported sudoku size {n}; supported sizes are {sorted(BOX_SIDE)}")
+    return BOX_SIDE[n]
+
+
+@functools.lru_cache(maxsize=None)
 def constraint_cells(n: int) -> np.ndarray:
-    """Cell indices of the 3n constraints (n rows, n columns, n boxes), shape (3n, n)."""
-    b = BOX_SIDE[n]
+    """Cell indices of the 3n constraints, shape (3n, n), built once per n and read-only.
+
+    Constraint c is a row for c < n, a column for n <= c < 2n and a box
+    after that, so its kind (0 row, 1 column, 2 box) is ``c // n``, and
+    every cell sits in exactly one constraint of each kind.
+    """
+    b = _box_side(n)
     cells = np.arange(n * n).reshape(n, n)
-    rows = [cells[r] for r in range(n)]
-    cols = [cells[:, c] for c in range(n)]
-    boxes = [
-        cells[br * b : (br + 1) * b, bc * b : (bc + 1) * b].ravel()
-        for br in range(b)
-        for bc in range(b)
-    ]
-    return np.array(rows + cols + boxes)
+    boxes = cells.reshape(b, b, b, b).transpose(0, 2, 1, 3).reshape(n, n)
+    cons = np.concatenate([cells, cells.T, boxes])
+    cons.flags.writeable = False
+    return cons
 
 
-@dataclass(frozen=True)
-class FactorGraph:
-    """Bipartite adjacency: each cell sits in exactly 3 constraints."""
-
-    n: int
-    constraints: np.ndarray  # (3n, n) cell index per constraint slot
-    cell_constraints: np.ndarray  # (n^2, 3) constraint index per cell
-    cell_slots: np.ndarray  # (n^2, 3) slot of the cell inside each constraint
-
-    @classmethod
-    @functools.lru_cache(maxsize=None)
-    def build(cls, n: int) -> "FactorGraph":
-        """The graph for size n, built once per process; its arrays are read-only."""
-        cons = constraint_cells(n)
-        ncells = n * n
-        cC = np.empty((ncells, 3), dtype=int)
-        cS = np.empty((ncells, 3), dtype=int)
-        fill = np.zeros(ncells, dtype=int)
-        for c, members in enumerate(cons):
-            for slot, v in enumerate(members):
-                k = fill[v]
-                cC[v, k] = c
-                cS[v, k] = slot
-                fill[v] += 1
-        assert np.all(fill == 3)
-        for a in (cons, cC, cS):
-            a.flags.writeable = False
-        return cls(n=n, constraints=cons, cell_constraints=cC, cell_slots=cS)
+def _sorted_constraint_values(n: int, grid: np.ndarray) -> np.ndarray:
+    """The grid's values in each constraint, sorted, shape (3n, n)."""
+    return np.sort(grid[constraint_cells(n)], axis=1)
 
 
-def _check_solution(n: int, grid: np.ndarray, partial: bool) -> None:
-    for members in constraint_cells(n):
-        vals = grid[members]
-        vals = vals[vals >= 0] if partial else vals
-        if np.unique(vals).size != vals.size:
-            raise ValueError("grid violates an all-different constraint")
-        if not partial and (vals.min() < 0 or vals.max() >= n):
-            raise ValueError("symbols out of range")
+def _check_solution(n: int, grid: np.ndarray) -> None:
+    """Symbols in 0..n-1 (-1 for an unknown cell), and no known symbol twice in a constraint."""
+    vals = _sorted_constraint_values(n, grid)
+    if np.any((vals[:, 1:] == vals[:, :-1]) & (vals[:, 1:] >= 0)):
+        raise ValueError("grid violates an all-different constraint")
+    if vals.min() < -1 or vals.max() >= n:
+        raise ValueError("symbols out of range")
+
+
+def _satisfies(n: int, decisions: np.ndarray) -> bool:
+    return bool(np.all(_sorted_constraint_values(n, decisions) == np.arange(n)))
 
 
 @dataclass(frozen=True)
@@ -106,10 +92,9 @@ class Puzzle:
         sol = np.asarray(self.solution, dtype=int)
         if sol.shape != (self.n * self.n,):
             raise ValueError("solution must be a flat n^2 vector")
-        partial = bool(np.any(sol < 0))
-        if partial and self.givens is None:
+        if self.givens is None and np.any(sol < 0):
             raise ValueError("unknown cells require a givens mask")
-        _check_solution(self.n, sol, partial)
+        _check_solution(self.n, sol)
         sol = sol.copy()
         sol.flags.writeable = False
         object.__setattr__(self, "solution", sol)
@@ -125,7 +110,7 @@ class Puzzle:
 
 def random_puzzle(n: int, rng: np.random.Generator) -> Puzzle:
     """Seeded random solved grid via symbol/band/stack shuffles of a base pattern."""
-    b = BOX_SIDE[n]
+    b = _box_side(n)
     base = np.array([[(r * b + r // b + c) % n for c in range(n)] for r in range(n)])
     symbols = rng.permutation(n)
     grid = symbols[base]
@@ -302,51 +287,50 @@ def bp_solve(puzzle: Puzzle, channel: ChannelModel | None, node: str = "exact", 
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must be in (0, 1]")
     n = puzzle.n
-    graph = FactorGraph.build(n)
+    cons = constraint_cells(n)
+    kind = np.arange(3 * n)[:, None] // n  # broadcasts against cons
     rng = make_rng(seed, 5, stream)
     channel_post = observation_messages(puzzle, channel, rng)
     apply_node = node_function(node, alphas=alphas)
     diag: dict = {}
 
-    nc = 3 * n
-    # strict positivity throughout; extreme snr and undamped oscillation
-    # otherwise produce zero-support products
-    v2c = floor_rows(channel_post[graph.constraints], MESSAGE_FLOOR)  # (3n, n, q)
+    # messages per (cell, constraint kind): v2c[v, k] goes to, and c2v[v, k]
+    # comes from, the kind-k constraint of cell v; cons and kind gather them
+    # into node order (3n, n, q). Strict positivity throughout; extreme snr
+    # and undamped oscillation otherwise produce zero-support products.
+    v2c = np.repeat(floor_rows(channel_post, MESSAGE_FLOOR)[:, None], 3, axis=1)
     c2v = np.full_like(v2c, 1.0 / n)
     collected: list[tuple[int, int, np.ndarray]] = []
 
-    cC, cS = graph.cell_constraints, graph.cell_slots
-    cell_idx = np.arange(n * n)
     beliefs = channel_post.copy()
     decisions = beliefs.argmax(axis=1)
     iterations = 0
-    solved = _satisfies(graph, decisions)
+    solved = _satisfies(n, decisions)
 
     for it in range(1, max_iters + 1):
         if solved:
             break
         iterations = it
+        inputs = v2c[cons, kind]
         if it in collect_iters:
-            for c in range(nc):
-                collected.append((it, c, v2c[c].copy()))
-        fresh = floor_rows(apply_node(v2c, diag=diag), MESSAGE_FLOOR)  # all 3n constraints at once
+            collected.extend((it, c, m.copy()) for c, m in enumerate(inputs))
+        fresh = np.empty_like(c2v)
+        fresh[cons, kind] = floor_rows(apply_node(inputs, diag=diag), MESSAGE_FLOOR)
         if it == 1 or damping == 1.0:
             c2v = fresh
         else:
             c2v = damping * fresh + (1.0 - damping) * c2v
             c2v /= c2v.sum(axis=2, keepdims=True)
 
-        incoming = c2v[cC, cS]  # (n^2, 3, q)
-        beliefs = channel_post * incoming.prod(axis=1)
+        beliefs = channel_post * c2v.prod(axis=1)
         beliefs /= beliefs.sum(axis=1, keepdims=True)
         decisions = beliefs.argmax(axis=1)
-        solved = _satisfies(graph, decisions)
+        solved = _satisfies(n, decisions)
 
-        # extrinsic variable update: product of the other two constraint messages
-        for k in range(3):
-            others = [j for j in range(3) if j != k]
-            out = floor_rows(channel_post * incoming[:, others].prod(axis=1), MESSAGE_FLOOR)
-            v2c[cC[cell_idx, k], cS[cell_idx, k]] = out
+        # extrinsic variable update: each kind gets the product of the other two
+        i0, i1, i2 = c2v[:, 0], c2v[:, 1], c2v[:, 2]
+        others = np.stack([i1 * i2, i0 * i2, i0 * i1], axis=1)
+        v2c = floor_rows(channel_post[:, None] * others, MESSAGE_FLOOR)
 
     ser = math.nan
     if puzzle.truth_known:
@@ -360,11 +344,6 @@ def bp_solve(puzzle: Puzzle, channel: ChannelModel | None, node: str = "exact", 
         degenerate_rows=diag.get("degenerate_rows", 0),
         collected=collected,
     )
-
-
-def _satisfies(graph: FactorGraph, decisions: np.ndarray) -> bool:
-    vals = decisions[graph.constraints]
-    return bool(np.all(np.sort(vals, axis=1) == np.arange(graph.n)))
 
 
 # -- EXIT harness --------------------------------------------------------

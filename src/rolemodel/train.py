@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,10 +88,11 @@ def plogp_sum(posteriors: np.ndarray) -> float:
 class PostTable:
     """Per-bin accumulator of reference posteriors.
 
-    Stores plain sums and counts (never running means) so shards can be
-    merged exactly; ``finalize`` turns each non-empty bin into the average
-    posterior and fills empty bins with the fallback row.
-    Single-writer: share work by sharding samples across tables and merging.
+    Stores plain sums and counts (never running means), so successive
+    ``ingest_batch`` calls give the table of their concatenated batch, up
+    to the order of the floating-point additions; ``finalize`` turns each
+    non-empty bin into the average posterior and fills empty bins with the
+    fallback row. Single-writer.
     """
 
     def __init__(self, num_bins: int, alphabet_size: int, fallback=None, bin_spec=None):
@@ -119,13 +120,6 @@ class PostTable:
             raise BinOutOfRange(f"bin {bad} outside [0, {self.num_bins})")
         self.sums += _bin_sums(batch.bins, batch.posteriors, self.num_bins)
         self.counts += np.bincount(batch.bins, minlength=self.num_bins)
-
-    def merge(self, other: "PostTable") -> None:
-        """Fold another shard into this one (sums and counts add exactly)."""
-        if (other.num_bins, other.alphabet_size) != (self.num_bins, self.alphabet_size):
-            raise DimensionMismatch("cannot merge tables with different geometry")
-        self.sums += other.sums
-        self.counts += other.counts
 
     def finalize(self) -> np.ndarray:
         """Conditional table, one pmf row per bin (fallback where count = 0)."""
@@ -223,7 +217,6 @@ class TrainResult:
     objective_value: float
     evaluations: int
     budget_exhausted: bool
-    trace: list = field(default_factory=list, repr=False)
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -240,7 +233,7 @@ def train_parametric(objective, slots: int, budget: int = 4000) -> TrainResult:
     when a full cycle improves by less than ``_CYCLE_TOL`` or the
     evaluation budget runs out (best-so-far returned with
     ``budget_exhausted`` set). The returned point is the best of every
-    point evaluated along the search trace.
+    point evaluated along the search.
     """
     if slots < 1:
         raise ValueError("need at least one slot")
@@ -248,7 +241,6 @@ def train_parametric(objective, slots: int, budget: int = 4000) -> TrainResult:
 
     state = {"evals": 0, "exhausted": False}
     best = {"x": alphas.copy(), "f": math.inf}
-    trace: list[tuple[np.ndarray, float]] = []
 
     def evaluate(x: np.ndarray) -> float:
         if state["evals"] >= budget:
@@ -256,7 +248,6 @@ def train_parametric(objective, slots: int, budget: int = 4000) -> TrainResult:
             raise _BudgetStop
         state["evals"] += 1
         f = float(objective(ParametricCorrector(x.copy())))
-        trace.append((x.copy(), f))
         if f < best["f"]:
             best["x"], best["f"] = x.copy(), f
         return f
@@ -306,7 +297,6 @@ def train_parametric(objective, slots: int, budget: int = 4000) -> TrainResult:
         objective_value=best["f"],
         evaluations=state["evals"],
         budget_exhausted=state["exhausted"],
-        trace=trace,
     )
 
 

@@ -24,8 +24,6 @@ ALLOWLIST = {
                               "behind acceptance test 6",
     "minsum.SurrogateChain.sample_batch": "draws that oracle chain's training batch",
     "minsum.SurrogateChain.exact_ed": "scores a trained table exactly on that oracle chain",
-    "train.PostTable.merge": "the merge step of sharded table training that PostTable's "
-                             "sums-and-counts layout exists for; no command shards yet",
 }
 
 

@@ -74,6 +74,9 @@ class TestErrorContract:
         ["solve", "--size", "4", "--snr-db", "-1e5"],
         ["train-minsum", "--sigmas", "1e-300,1,1", "--samples", "10"],
         ["train-minsum", "--sigmas", "1e300,1,1", "--samples", "10"],
+        # unbounded grids would never stop growing
+        ["exit-chart", "--mi-grid=-inf:0:1"],
+        ["exit-chart", "--mi-grid", "0:inf:1"],
     ], ids=" ".join)
     @pytest.mark.filterwarnings("error")  # a numpy warning is not an error line
     def test_bad_input_is_one_error_line(self, argv, tmp_path, capsys):
@@ -84,7 +87,9 @@ class TestErrorContract:
         assert run(argv + ["--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        assert [line for line in err.splitlines() if line.startswith("error: ")]
+        # a value the parser rejects gets argparse's form, after its usage line
+        prefixes = ("error: ", f"rolemodel {argv[0]}: error: ")
+        assert len([line for line in err.splitlines() if line.startswith(prefixes)]) == 1
         assert not out.exists() or "nan" not in out.read_text()
 
 

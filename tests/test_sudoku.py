@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -8,27 +9,29 @@ from rolemodel.errors import BisectionFailure, DegenerateRow
 from rolemodel.permanent import head_tail_split, minor_permanents_split
 from rolemodel.probs import DEFAULT_FLOOR, floor_rows, soft_mi
 from rolemodel.rng import make_rng
-from rolemodel.train import ParametricCorrector
+from rolemodel.train import ParametricCorrector, train_parametric
 
 from oracles import constraint_marginals
 
 
 class TestGraphAndPuzzle:
     @pytest.mark.parametrize("n", [4, 9])
-    def test_factor_graph_degrees(self, n):
-        g = sudoku.FactorGraph.build(n)
-        assert g.constraints.shape == (3 * n, n)
-        assert g.cell_constraints.shape == (n * n, 3)
-        # every constraint covers n distinct cells, every cell sits in 3 constraints
-        counts = np.bincount(g.constraints.ravel(), minlength=n * n)
-        assert np.all(counts == 3)
+    def test_constraint_cells_degrees(self, n):
+        cons = sudoku.constraint_cells(n)
+        assert cons.shape == (3 * n, n)
+        # every constraint covers n distinct cells, every cell sits in one
+        # constraint of each kind (c // n: 0 row, 1 column, 2 box)
+        for k in range(3):
+            block = cons[k * n:(k + 1) * n]
+            assert np.array_equal(np.sort(block.ravel()), np.arange(n * n))
+        assert np.array_equal(cons[:n], np.arange(n * n).reshape(n, n))
+        assert np.array_equal(cons[n:2 * n], np.arange(n * n).reshape(n, n).T)
 
-    def test_factor_graph_is_built_once_and_read_only(self):
-        g = sudoku.FactorGraph.build(9)
-        assert sudoku.FactorGraph.build(9) is g
-        for a in (g.constraints, g.cell_constraints, g.cell_slots):
-            with pytest.raises(ValueError):
-                a[0, 0] = 0
+    def test_constraint_cells_are_built_once_and_read_only(self):
+        cons = sudoku.constraint_cells(9)
+        assert sudoku.constraint_cells(9) is cons
+        with pytest.raises(ValueError):
+            cons[0, 0] = 0
 
     @pytest.mark.parametrize("n", [4, 9])
     def test_random_puzzles_are_valid(self, n):
@@ -57,6 +60,16 @@ class TestGraphAndPuzzle:
     def test_conflicting_givens_rejected(self):
         with pytest.raises(ValueError):
             sudoku.parse_grid("1100" + "0000" + "0000" + "0000", 4)
+
+    def test_partial_grid_symbols_are_range_checked(self):
+        grid = np.full(16, -1)
+        grid[0] = 4  # a known symbol past n - 1
+        with pytest.raises(ValueError, match="out of range"):
+            sudoku.Puzzle(n=4, solution=grid, givens=grid >= 0)
+
+    def test_unsupported_size_names_the_supported_sizes(self):
+        with pytest.raises(ValueError, match=r"supported sizes are \[4, 9\]"):
+            sudoku.random_puzzle(5, make_rng(0))
 
 
 class TestChannel:
@@ -228,6 +241,55 @@ class TestBpSolve:
         assert all(m.shape == (4, 4) for _, _, m in res.collected)
 
 
+class TestBpBitsArePinned:
+    """sha256 of every ``BpResult`` field a run produces: the beliefs bytes,
+    iterations, solved flag, degenerate rows and every collected matrix,
+    over nine runs per case (damping 0.5, 0.9 and 1.0 at 1, 4 and 8 dB).
+    A change to the message layout or the order of the arithmetic in
+    ``bp_solve`` that moves any bit fails here."""
+
+    DIGESTS = {
+        (4, "exact"): "a07f233d98d0e69aa4a14e050a823987bcc4ef6bb36824b5564c3c70227d4ba9",
+        (4, "approx"): "e961b30c88c9a4c013e1eb5fafe0ca7d377e16824d26068f5c57a7fc0e7401d2",
+        (4, "corrected"): "7bc5d84ca406a45f3cb9b48992b50c6f42e89eb49d522ef144e3a64928a56880",
+        (9, "exact"): "faa357cc0ffb6526d80e7c4fdf6e266c860c5c75f8d96c96a3da66822a0750d2",
+        (9, "approx"): "edadbff4c8e3066327d5fbf733666d68da8160323651eb9190adcead0474cd67",
+        (9, "corrected"): "b58162f5ac288efdd9d1d5bb215499ed8f27fd960c64d10089e0ef7f5e3adb2b",
+        "classic": "9a994099aca757ca726c2a01e9bd886ad7f67d423e81265b69659df86a3e24ca",
+    }
+
+    @staticmethod
+    def digest(runs) -> str:
+        h = hashlib.sha256()
+        for res in runs:
+            h.update(res.beliefs.tobytes())
+            h.update(np.array([res.iterations, res.solved, res.degenerate_rows]).tobytes())
+            for it, c, m in res.collected:
+                h.update(np.array([it, c]).tobytes())
+                h.update(m.tobytes())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("n", [4, 9])
+    @pytest.mark.parametrize("node", sudoku.NODE_KINDS)
+    def test_channel_runs(self, n, node):
+        puzzle = sudoku.random_puzzle(n, make_rng(700, n))
+        runs = []
+        for damping in (0.5, 0.9, 1.0):
+            for snr in (1.0, 4.0, 8.0):
+                runs.append(sudoku.bp_solve(
+                    puzzle, sudoku.ChannelModel.from_snr_db(snr, q=n), node=node,
+                    alphas=np.ones(n), max_iters=12, damping=damping, seed=701,
+                    stream=len(runs), collect_iters=(1, 3)))
+        assert self.digest(runs) == self.DIGESTS[n, node]
+
+    def test_classic_run(self):
+        grid = sudoku.random_puzzle(9, make_rng(702)).solution.copy()
+        grid[1::2] = -1
+        puzzle = sudoku.Puzzle(n=9, solution=grid, givens=grid >= 0)
+        res = sudoku.bp_solve(puzzle, None, max_iters=12, collect_iters=(1, 3))
+        assert self.digest([res]) == self.DIGESTS["classic"]
+
+
 class TestExit:
     def test_perfect_inputs_saturate_exact_node(self):
         pts = sudoku.exit_curve("exact", [math.log2(9)], trials=8, seed=615, n=9)
@@ -344,12 +406,18 @@ class TestAlphaTraining:
         # rounding ripple): training gains nothing over the initialization
         flat = [np.full((9, 9), 1 / 9) for _ in range(4)]
         objective = sudoku.alpha_objective(flat)
-        from rolemodel.train import train_parametric
+        trace = []
 
-        res = train_parametric(objective, slots=9, budget=1200)
+        def recorded(c):
+            f = objective(c)
+            trace.append((c.alphas.copy(), f))
+            return f
+
+        res = train_parametric(recorded, slots=9, budget=1200)
+        assert len(trace) == res.evaluations
         init_value = objective(ParametricCorrector(np.full(9, 0.5)))
         assert abs(res.objective_value - init_value) <= 1e-12
-        values = [f for _, f in res.trace]
+        values = [f for _, f in trace]
         assert max(values) - min(values) <= 1e-12
 
     def test_harvest_rejects_empty_requests(self):

@@ -1,4 +1,4 @@
-"""Property tests of ``PostTable``: sharding, order and merge never change a table.
+"""Property tests of ``PostTable``: neither sample order nor splitting a batch changes a table.
 
 Counts must match exactly; sums, whose floating-point additions happen in
 another order, to 1e-12 relative. Runs are derandomized, so every run
@@ -45,28 +45,6 @@ def assert_same_table(a: PostTable, b: PostTable) -> None:
 
 
 @PROPERTY
-@given(geometries().flatmap(lambda g: st.tuples(
-    st.just(g), st.lists(batches(*g), min_size=3, max_size=3))))
-def test_merge_is_associative_and_commutative(case):
-    (num_bins, q), shards = case
-    a, b, c = (table_of(s, num_bins, q) for s in shards)
-
-    def merged(*tables):
-        out = PostTable(num_bins=num_bins, alphabet_size=q)
-        for t in tables:
-            out.merge(t)
-        return out
-
-    left = merged(a, b)
-    left.merge(c)
-    right = merged(b, c)
-    right = merged(a, right)
-    assert_same_table(left, right)
-    for order in ((c, b, a), (b, a, c), (c, a, b)):
-        assert_same_table(left, merged(*order))
-
-
-@PROPERTY
 @given(geometries().flatmap(lambda g: st.tuples(st.just(g), batches(*g))), st.data())
 def test_ingest_ignores_order_and_sharding(case, data):
     (num_bins, q), batch = case
@@ -78,8 +56,7 @@ def test_ingest_ignores_order_and_sharding(case, data):
     cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=4)))
     sharded = PostTable(num_bins=num_bins, alphabet_size=q)
     for lo, hi in zip([0] + cuts, cuts + [n]):
-        sharded.merge(table_of(SampleBatch(batch.posteriors[perm[lo:hi]], batch.bins[perm[lo:hi]]),
-                               num_bins, q))
+        sharded.ingest_batch(SampleBatch(batch.posteriors[perm[lo:hi]], batch.bins[perm[lo:hi]]))
     assert_same_table(whole, sharded)
 
 

@@ -38,6 +38,18 @@ class TestIngestFinalize:
         t.ingest_batch(sample([0.5, 0.5], 0))
         assert np.allclose(t.finalize()[0], [0.7, 0.3], atol=1e-15)
 
+    def test_successive_batches_equal_single_pass(self):
+        rng = make_rng(203)
+        post = rng.dirichlet(np.ones(3), size=400)
+        bins = rng.integers(0, 5, size=400)
+        whole = PostTable(num_bins=5, alphabet_size=3)
+        whole.ingest_batch(SampleBatch(post, bins))
+        split = PostTable(num_bins=5, alphabet_size=3)
+        split.ingest_batch(SampleBatch(post[:250], bins[:250]))
+        split.ingest_batch(SampleBatch(post[250:], bins[250:]))
+        assert np.array_equal(split.counts, whole.counts)
+        assert np.max(np.abs(split.sums - whole.sums)) <= 1e-15 * max(1.0, whole.sums.max())
+
     def test_single_sample_is_exact(self):
         t = PostTable(num_bins=2, alphabet_size=3)
         t.ingest_batch(sample([0.2, 0.3, 0.5], 1))
@@ -101,26 +113,6 @@ class TestIngestFinalize:
         t.ingest_batch(SampleBatch(post, bins))
         solver = projected_gradient_table(post, bins, 3, iters=20_000)
         assert np.max(np.abs(solver - t.finalize())) <= 1e-6
-
-
-class TestMerge:
-    def test_merge_equals_single_pass(self):
-        rng = make_rng(203)
-        post = rng.dirichlet(np.ones(3), size=400)
-        bins = rng.integers(0, 5, size=400)
-        whole = PostTable(num_bins=5, alphabet_size=3)
-        whole.ingest_batch(SampleBatch(post, bins))
-        left = PostTable(num_bins=5, alphabet_size=3)
-        right = PostTable(num_bins=5, alphabet_size=3)
-        left.ingest_batch(SampleBatch(post[:250], bins[:250]))
-        right.ingest_batch(SampleBatch(post[250:], bins[250:]))
-        left.merge(right)
-        assert np.array_equal(left.counts, whole.counts)
-        assert np.max(np.abs(left.sums - whole.sums)) <= 1e-15 * max(1.0, whole.sums.max())
-
-    def test_merge_geometry_guard(self):
-        with pytest.raises(DimensionMismatch):
-            PostTable(2, 2).merge(PostTable(3, 2))
 
 
 class TestEmpiricalEd:
@@ -272,8 +264,16 @@ class TestTrainParametric:
         def obj(c):
             return float(np.sum(weights * (c.alphas - 0.4) ** 2) + 0.1 * np.sin(7 * c.alphas).sum())
 
-        res = train_parametric(obj, slots=3, budget=500)
-        assert all(res.objective_value <= f + 1e-15 for _, f in res.trace)
+        trace = []
+
+        def recorded(c):
+            f = obj(c)
+            trace.append((c.alphas.copy(), f))
+            return f
+
+        res = train_parametric(recorded, slots=3, budget=500)
+        assert len(trace) == res.evaluations
+        assert all(res.objective_value <= f + 1e-15 for _, f in trace)
         assert np.all(res.corrector.alphas >= 0.0) and np.all(res.corrector.alphas <= 1.0)
 
     def test_corrector_bounds_validated(self):
