@@ -16,7 +16,7 @@ import numpy as np
 from .errors import AbsoluteContinuityViolation, DimensionTooLarge
 from .probs import entropy_rows, log2_masked
 
-_MAX_CELLS = 10**6
+MAX_CELLS = 10**6
 
 
 def _check_rows_stochastic(mat: np.ndarray, name: str) -> None:
@@ -40,7 +40,7 @@ class ChainModel:
         ch2 = np.asarray(self.ch2, dtype=float)
         if px.ndim != 1 or ch1.shape[0] != px.size or ch2.shape[0] != ch1.shape[1]:
             raise ValueError("inconsistent chain shapes")
-        if px.size * ch1.shape[1] * ch2.shape[1] > _MAX_CELLS:
+        if px.size * ch1.shape[1] * ch2.shape[1] > MAX_CELLS:
             raise DimensionTooLarge("joint exceeds the enumeration cap")
         _check_rows_stochastic(px[None, :], "px")
         _check_rows_stochastic(ch1, "ch1")
@@ -87,7 +87,7 @@ class GeneralJoint:
         p = np.asarray(self.pxyz, dtype=float)
         if p.ndim != 3:
             raise ValueError("joint must be a 3-d tensor")
-        if p.size > _MAX_CELLS:
+        if p.size > MAX_CELLS:
             raise DimensionTooLarge("joint exceeds the enumeration cap")
         if np.any(p < 0):
             raise ValueError("negative joint mass")

@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__, chains, minsum, sudoku
 from .errors import RoleModelError
 from .permanent import (
+    RYSER_MAX_N,
     permanent_bruteforce,
     permanent_ryser,
     permanent_sparse,
@@ -50,6 +51,10 @@ def _csv_float(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
+#: Most points a --mi-grid may hold; an a-priori grid spans at most log2(n) bits.
+_MAX_GRID_POINTS = 10_000
+
+
 def _grid(text: str) -> list[float]:
     """start:stop:step, stop inclusive when it lands on the lattice."""
     try:
@@ -60,6 +65,8 @@ def _grid(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}, start, stop and step must be finite")
     if step <= 0 or stop < start:
         raise argparse.ArgumentTypeError("grid needs step > 0 and stop >= start")
+    if (stop + 1e-9 - start) / step >= _MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(f"grid {text!r} has more than {_MAX_GRID_POINTS} points")
     values = []
     k = 0
     while start + k * step <= stop + 1e-9:
@@ -93,8 +100,9 @@ def _say(args, message: str) -> None:
 def _run_verify_theorem(args) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
-    if args.max_alphabet < 2:
-        raise ValueError("--max-alphabet must be at least 2")
+    if args.max_alphabet < 2 or args.max_alphabet**3 > chains.MAX_CELLS:
+        raise ValueError(f"--max-alphabet must be at least 2, and its cube at most "
+                         f"the {chains.MAX_CELLS}-cell enumeration cap")
     rng = make_rng(args.seed, 10)
     rows = []
     worst = 0.0
@@ -205,13 +213,16 @@ def _run_solve(args) -> int:
 
 def _run_exit_chart(args) -> int:
     nodes = [tok.strip() for tok in args.node.split(",") if tok.strip()]
+    kinds = (*sudoku.NODE_KINDS, "variable")
+    if not nodes or not set(nodes) <= set(kinds):
+        raise ValueError(f"--node needs a comma list of node kinds from {kinds}, got {args.node!r}")
     snrs = _csv_float(args.snr_list) if args.snr_list else []
     grid = args.mi_grid
     alphas = _load_alphas(args.alpha_table, args.size) if args.alpha_table else None
+    if "corrected" in nodes and alphas is None:
+        raise ValueError("corrected node requires --alpha-table")
     rows = []
     for node in nodes:
-        if node == "corrected" and alphas is None:
-            raise ValueError("corrected node requires --alpha-table")
         points = sudoku.exit_curve(node, grid, args.trials, args.seed, n=args.size,
                                    snr_db_list=snrs or None, alphas=alphas)
         for p in points:
@@ -241,6 +252,8 @@ def _run_train_sudoku_alpha(args) -> int:
 
 
 def _run_bench(args) -> int:
+    if not 2 <= args.max_n <= RYSER_MAX_N:
+        raise ValueError(f"--max-n must be in [2, {RYSER_MAX_N}]")
     rng = make_rng(args.seed, 12)
     rows = []
     lines = []
@@ -257,7 +270,7 @@ def _run_bench(args) -> int:
             dt = time.perf_counter() - t0
             rows.append([n, name, repr(value)])
             timing.append(f"{name} {dt * 1e3:.3f} ms")
-        uniform = permanent_uniform_rows(m[:, 0], n)
+        uniform = permanent_uniform_rows(m[:, 0])
         rows.append([n, "uniform_rows", repr(uniform)])
         lines.append(f"n={n}: " + ", ".join(timing))
     if args.out:

@@ -94,16 +94,16 @@ class MinsumBatch(SampleBatch):
 
 
 def simulate_batch(d: int, sigmas, n: int, seed: int,
-                   quantizer: ZQuantizer | None = None, stream: int = 0) -> MinsumBatch:
+                   quantizer: ZQuantizer | None = None) -> MinsumBatch:
     """Draw n check-node trials and pair reference posteriors with Z bins.
 
     Each trial draws d independent branch bits, observes them over BPSK/AWGN
     with the given per-branch sigmas (exact branch LLR 2y/sigma^2), and
     emits the tanh-rule posterior for the XOR bit alongside the quantized
-    min-sum statistic. Deterministic for a given (seed, stream): the draws
-    come first, all n*d bits and then all n*d normals from
-    ``make_rng(seed, 1, stream)``. Everything after them runs ``BLOCK`` rows
-    at a time, column by column, and writes into the returned arrays.
+    min-sum statistic. Deterministic for a given seed: the draws come
+    first, all n*d bits and then all n*d normals from ``make_rng(seed, 1)``.
+    Everything after them runs ``BLOCK`` rows at a time, column by column,
+    and writes into the returned arrays.
     """
     if n < 1:
         raise ValueError("need at least one trial")
@@ -111,7 +111,7 @@ def simulate_batch(d: int, sigmas, n: int, seed: int,
     if d < 1 or sig.shape != (d,) or not np.all(square_is_normal(sig)):
         raise ValueError("need one positive sigma per branch, its square a finite normal float")
     quantizer = quantizer or ZQuantizer()
-    rng = make_rng(seed, 1, stream)
+    rng = make_rng(seed, 1)
     bits = rng.integers(0, 2, size=(n, d))
     noise = rng.standard_normal((n, d))
     sig2 = sig**2
@@ -241,8 +241,8 @@ class SurrogateChain:
     def divergence_floor(self) -> float:
         return chains.divergence_floor(self.model)
 
-    def sample_batch(self, n: int, seed: int, stream: int = 0) -> SampleBatch:
-        rng = make_rng(seed, 2, stream)
+    def sample_batch(self, n: int, seed: int) -> SampleBatch:
+        rng = make_rng(seed, 2)
         post_xy = chains.posterior_table_xy(self.model)
         ys = rng.choice(self.model.ny, size=n, p=self.model.py())
         xs = (rng.random(n) >= post_xy[ys, 0]).astype(int)  # binary: P(x=0) first

@@ -98,16 +98,10 @@ def permanent_ryser(m) -> float:
     return float(total)
 
 
-def permanent_uniform_rows(tail_values, n: int | None = None) -> float:
+def permanent_uniform_rows(tail_values) -> float:
     """Permanent of the matrix whose row i is constant tail_values[i]: n! * prod(t)."""
     t = np.asarray(tail_values, dtype=float)
-    if n is None:
-        n = t.size
-    if t.size != n:
-        raise ValueError("need one constant per row")
-    if n == 0:
-        return 1.0
-    return float(math.factorial(n) * t.prod())
+    return float(math.factorial(t.size) * t.prod())
 
 
 def _permanent_sparse_rows(rows: list[list[tuple[int, float]]]) -> float:
@@ -238,25 +232,13 @@ def minor_permanents(m) -> np.ndarray:
 # -- head/tail split ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HeadTailSplit:
-    """Decomposition M' = H + T of row-stochastic matrices, one or a batch.
-
-    ``head`` keeps the h largest entries per row, reduced by that row's
-    uniform tail constant; ``tail_values`` holds the per-row constants.
-    Row sums of ``head + tail_values[..., None]`` match the original matrix.
-    """
-
-    head: np.ndarray  # (..., n, n), at most h nonzeros per row
-    tail_values: np.ndarray  # (..., n)
-
-    @property
-    def n(self) -> int:
-        return self.tail_values.shape[-1]
-
-
-def head_tail_split(m, h: int = 3) -> HeadTailSplit:
+def head_tail_split(m, h: int = 3) -> tuple[np.ndarray, np.ndarray]:
     """Split each row of an (n, n) or (B, n, n) input into its h largest entries plus a uniform remainder.
+
+    Returns ``(head, tails)``. ``head`` has the input's shape and keeps the
+    h largest entries of each row, reduced by that row's uniform tail
+    constant; ``tails``, shape (..., n), holds those constants, so
+    ``head + tails[..., None]`` has the input's row sums.
 
     Ties in the selection break by (value desc, column asc). Head entries
     are clamped at 0; the h largest entries can never fall strictly below
@@ -272,22 +254,23 @@ def head_tail_split(m, h: int = 3) -> HeadTailSplit:
     head = np.zeros_like(a)
     top = np.take_along_axis(a, kept, axis=-1)
     np.put_along_axis(head, kept, np.maximum(top - tails[..., None], 0.0), axis=-1)
-    return HeadTailSplit(head=head, tail_values=tails)
+    return head, tails
 
 
-def minor_permanents_split(split: HeadTailSplit) -> tuple[np.ndarray, np.ndarray]:
+def minor_permanents_split(head: np.ndarray, tails: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All head-minor and tail-minor permanents at once: (PH, PT), each of the head's shape.
 
-    PH runs through :func:`minor_permanents` (the head is a matrix with at
-    most h nonzeros per row). A tail minor has uniform rows, so its
-    permanent is (n-1)! times the other rows' constants, constant in j. That
-    product comes from exclusive prefix and suffix products, never from
-    dividing by a tail value, which may be 0.
+    ``(head, tails)`` is the pair :func:`head_tail_split` returns. PH runs
+    through :func:`minor_permanents` (the head is a matrix with at most h
+    nonzeros per row). A tail minor has uniform rows, so its permanent is
+    (n-1)! times the other rows' constants, constant in j. That product
+    comes from exclusive prefix and suffix products, never from dividing by
+    a tail value, which may be 0.
     """
-    t = split.tail_values
-    before = np.ones_like(t)
-    after = np.ones_like(t)
-    np.cumprod(t[..., :-1], axis=-1, out=before[..., 1:])
-    after[..., :-1] = np.cumprod(t[..., :0:-1], axis=-1)[..., ::-1]
-    pt = math.factorial(split.n - 1) * before * after
-    return minor_permanents(split.head), np.repeat(pt[..., None], split.n, axis=-1)
+    n = head.shape[-1]
+    before = np.ones_like(tails)
+    after = np.ones_like(tails)
+    np.cumprod(tails[..., :-1], axis=-1, out=before[..., 1:])
+    after[..., :-1] = np.cumprod(tails[..., :0:-1], axis=-1)[..., ::-1]
+    pt = math.factorial(n - 1) * before * after
+    return minor_permanents(head), np.repeat(pt[..., None], n, axis=-1)

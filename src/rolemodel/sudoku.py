@@ -81,7 +81,8 @@ class Puzzle:
     """Ground-truth grid; ``givens`` marks revealed cells in classic mode.
 
     ``solution`` is flat row-major with symbols 0..n-1; classic puzzles may
-    carry -1 at cells whose true value is unknown.
+    carry -1 at cells whose true value is unknown. ``givens`` is a flat
+    n^2 mask, and every given cell holds a known symbol.
     """
 
     n: int
@@ -100,6 +101,10 @@ class Puzzle:
         object.__setattr__(self, "solution", sol)
         if self.givens is not None:
             g = np.asarray(self.givens, dtype=bool).copy()
+            if g.shape != sol.shape:
+                raise ValueError("givens must be a flat n^2 mask")
+            if np.any(g & (sol < 0)):
+                raise ValueError("a given cell needs a known symbol")
             g.flags.writeable = False
             object.__setattr__(self, "givens", g)
 
@@ -122,11 +127,9 @@ def random_puzzle(n: int, rng: np.random.Generator) -> Puzzle:
     return Puzzle(n=n, solution=grid.ravel())
 
 
-def parse_grid(text: str, n: int | None = None) -> Puzzle:
+def parse_grid(text: str, n: int) -> Puzzle:
     """Row-major digits, symbols 1..n; '0' marks an unknown cell (classic mode)."""
     digits = [ch for ch in text if not ch.isspace()]
-    if n is None:
-        n = math.isqrt(len(digits))
     if n not in BOX_SIDE or len(digits) != n * n:
         raise ValueError(f"expected {n}x{n} grid, got {len(digits)} symbols")
     vals = np.array([int(ch, 16) for ch in digits])
@@ -152,10 +155,6 @@ class ChannelModel:
         if not square_is_normal(self.sigma):
             raise ValueError(f"sigma must be positive, its square a finite normal float; "
                              f"got {self.sigma}")
-
-    @property
-    def snr_db(self) -> float:
-        return -20.0 * math.log10(self.sigma)
 
     @classmethod
     def from_snr_db(cls, snr_db: float, q: int = 9) -> "ChannelModel":
@@ -225,7 +224,7 @@ def constraint_approx(m: np.ndarray, alphas=0.5, h: int = HEAD_SIZE,
     """
     n = m.shape[-1]
     a = np.full(n, float(alphas)) if np.isscalar(alphas) else np.asarray(alphas, dtype=float)
-    return _alpha_mix(a, *minor_permanents_split(head_tail_split(m, h)), diag)
+    return _alpha_mix(a, *minor_permanents_split(*head_tail_split(m, h)), diag)
 
 
 def node_function(kind: str, alphas=None):
@@ -253,7 +252,8 @@ class BpResult:
     decisions: np.ndarray  # (n^2,)
     symbol_error_rate: float
     degenerate_rows: int = 0
-    collected: list = field(default_factory=list, repr=False)
+    #: per iteration, the constraint nodes' (3n, n, q) input stack
+    node_inputs: list = field(default_factory=list, repr=False)
 
 
 def observation_messages(puzzle: Puzzle, channel: ChannelModel | None,
@@ -274,15 +274,16 @@ def observation_messages(puzzle: Puzzle, channel: ChannelModel | None,
 
 def bp_solve(puzzle: Puzzle, channel: ChannelModel | None, node: str = "exact", *,
              alphas=None, max_iters: int = 30, damping: float = 0.9,
-             seed: int = 0, stream: int = 0, collect_iters: tuple = ()) -> BpResult:
+             seed: int = 0, stream: int = 0) -> BpResult:
     """Flooding-schedule BP over the sudoku factor graph.
 
     ``damping`` is the weight of the new constraint-to-variable message
     (1.0 disables damping). Terminates as soon as the per-cell hard
     decision satisfies every constraint. Observations are drawn from the
     stream (seed, stream), so paired-seed runs of different node variants
-    see identical inputs. ``collect_iters`` records copies of incoming
-    constraint message matrices at those iteration numbers (1-based).
+    see identical inputs. ``node_inputs`` on the result lists every
+    iteration's constraint-node input, one (3n, n, q) stack per iteration
+    in constraint order; BP never writes to a stack after the node call.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must be in (0, 1]")
@@ -300,7 +301,7 @@ def bp_solve(puzzle: Puzzle, channel: ChannelModel | None, node: str = "exact", 
     # and undamped oscillation otherwise produce zero-support products.
     v2c = np.repeat(floor_rows(channel_post, MESSAGE_FLOOR)[:, None], 3, axis=1)
     c2v = np.full_like(v2c, 1.0 / n)
-    collected: list[tuple[int, int, np.ndarray]] = []
+    node_inputs: list[np.ndarray] = []
 
     beliefs = channel_post.copy()
     decisions = beliefs.argmax(axis=1)
@@ -312,8 +313,7 @@ def bp_solve(puzzle: Puzzle, channel: ChannelModel | None, node: str = "exact", 
             break
         iterations = it
         inputs = v2c[cons, kind]
-        if it in collect_iters:
-            collected.extend((it, c, m.copy()) for c, m in enumerate(inputs))
+        node_inputs.append(inputs)
         fresh = np.empty_like(c2v)
         fresh[cons, kind] = floor_rows(apply_node(inputs, diag=diag), MESSAGE_FLOOR)
         if it == 1 or damping == 1.0:
@@ -342,7 +342,7 @@ def bp_solve(puzzle: Puzzle, channel: ChannelModel | None, node: str = "exact", 
         decisions=decisions,
         symbol_error_rate=ser,
         degenerate_rows=diag.get("degenerate_rows", 0),
-        collected=collected,
+        node_inputs=node_inputs,
     )
 
 
@@ -361,8 +361,11 @@ class ExitPoint:
 
 def _apriori_messages(truths: np.ndarray, sigma: float | None, q: int,
                       rng: np.random.Generator) -> np.ndarray:
-    if sigma is None:  # degenerate endpoints of the MI scale
+    """A-priori rows about ``truths`` at noise ``sigma``: uniform at None, one-hot at 0.0."""
+    if sigma is None:
         return np.full((truths.size, q), 1.0 / q)
+    if sigma == 0.0:
+        return np.eye(q)[truths]
     ch = ChannelModel(sigma=sigma, q=q)
     return ch.posterior(ch.observe(truths, rng))
 
@@ -424,7 +427,7 @@ def exit_point_trials(node: str, ia_bits: float, trials: int, seed: int, *,
     if not -1e-9 <= ia_bits <= max_mi + 1e-9:
         raise BisectionFailure(f"a-priori target {ia_bits} outside [0, {max_mi}]")
     if ia_bits >= max_mi - 1e-9:
-        sigma_a = 0.0  # exact one-hot inputs
+        sigma_a = 0.0
     elif ia_bits <= 1e-9:
         sigma_a = None
     else:
@@ -433,12 +436,6 @@ def exit_point_trials(node: str, ia_bits: float, trials: int, seed: int, *,
         raise ValueError("variable-node transfer needs a channel snr")
     channel = ChannelModel.from_snr_db(snr_db, q=n) if node == "variable" else None
     apply_node = None if node == "variable" else node_function(node, alphas=alphas)
-
-    def synth_apriori(truths, rng):
-        if sigma_a == 0.0:
-            return np.eye(n)[truths]
-        return _apriori_messages(truths, sigma_a, n, rng)
-
     # each trial draws from its own stream; constraint nodes then see all
     # trials in one batched call
     truths = np.empty((trials, n), dtype=int)
@@ -448,11 +445,12 @@ def exit_point_trials(node: str, ia_bits: float, trials: int, seed: int, *,
         if node == "variable":
             truths[t] = rng.integers(0, n, size=n)
             obs = channel.posterior(channel.observe(truths[t], rng))
-            msg = obs * synth_apriori(truths[t], rng) * synth_apriori(truths[t], rng)
+            msg = (obs * _apriori_messages(truths[t], sigma_a, n, rng)
+                   * _apriori_messages(truths[t], sigma_a, n, rng))
             out[t] = floor_rows(msg, MESSAGE_FLOOR)
         else:
             truths[t] = rng.permutation(n)
-            out[t] = synth_apriori(truths[t], rng)
+            out[t] = _apriori_messages(truths[t], sigma_a, n, rng)
     if apply_node is not None:
         out = apply_node(out)
     at_truth = np.take_along_axis(floor_rows(out, DEFAULT_FLOOR), truths[..., None], axis=-1)
@@ -495,23 +493,24 @@ def exit_curve(node: str, ia_grid, trials: int, seed: int, *,
 def harvest_constraint_inputs(n: int, snr_db_list, count: int, seed: int) -> list[np.ndarray]:
     """Constraint-node input matrices from live exact-node BP runs.
 
-    Runs cycle through the snr mix; matrices are the incoming messages at
-    BP iterations 1-5, subsampled to ``count`` with a fixed stream so the
-    batch is reproducible.
+    Runs cycle through the snr mix, every snr of which is checked before
+    the first run; matrices are the node inputs of BP iterations 1-5
+    (``BpResult.node_inputs``), subsampled to ``count`` with a fixed stream
+    so the batch is reproducible. The matrices are views of those stacks.
     """
     if count < 1:
         raise ValueError("need at least one matrix")
     if not snr_db_list:
         raise ValueError("need at least one snr")
+    channels = [ChannelModel.from_snr_db(snr, q=n) for snr in snr_db_list]
     pool: list[np.ndarray] = []
     run = 0
     while len(pool) < count * 2 and run < 64:
-        snr = snr_db_list[run % len(snr_db_list)]
         puzzle = random_puzzle(n, make_rng(seed, 8, run))
-        channel = ChannelModel.from_snr_db(snr, q=n)
-        result = bp_solve(puzzle, channel, node="exact", seed=seed, stream=run,
-                          max_iters=5, collect_iters=(1, 2, 3, 4, 5))
-        pool.extend(m for _, _, m in result.collected)
+        channel = channels[run % len(channels)]
+        result = bp_solve(puzzle, channel, node="exact", seed=seed, stream=run, max_iters=5)
+        for inputs in result.node_inputs:
+            pool.extend(inputs)
         run += 1
     if len(pool) < count:
         raise ValueError("harvest produced too few matrices; increase runs")
@@ -539,7 +538,7 @@ def alpha_objective(matrices: list[np.ndarray]):
     """
     stack = np.asarray(matrices, dtype=float)
     exact = constraint_exact(stack)
-    ph, pt = minor_permanents_split(head_tail_split(stack, HEAD_SIZE))
+    ph, pt = minor_permanents_split(*head_tail_split(stack, HEAD_SIZE))
 
     def objective(corrector: ParametricCorrector) -> float:
         corrected = floor_rows(_alpha_mix(corrector.alphas, ph, pt), DEFAULT_FLOOR)

@@ -91,15 +91,15 @@ def tanh_rule_rows(llrs: np.ndarray, saturation: float = 38.0) -> np.ndarray:
 
 
 def minsum_batch(d: int, sigmas, n: int, seed: int, num_bins: int = 64,
-                 max_magnitude: float = 25.0, stream: int = 0):
+                 max_magnitude: float = 25.0):
     """Check-node training batch from whole (n, d) arrays in one shot.
 
     Draws every branch bit, then every noise sample, from the Philox stream
-    keyed by ``seed`` with counter labels (1, stream); returns
+    keyed by ``seed`` with counter labels (1, 0); returns
     (posteriors, bins, truths, minsum_llrs).
     """
     sig = np.asarray(sigmas, dtype=float)
-    rng = np.random.Generator(np.random.Philox(counter=[1, stream, 0, 0], key=seed))
+    rng = np.random.Generator(np.random.Philox(counter=[1, 0, 0, 0], key=seed))
     bits = rng.integers(0, 2, size=(n, d))
     symbols = 1.0 - 2.0 * bits
     y = symbols + sig * rng.standard_normal((n, d))

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rolemodel import sudoku
 from rolemodel.cli import build_parser, main
@@ -77,6 +83,16 @@ class TestErrorContract:
         # unbounded grids would never stop growing
         ["exit-chart", "--mi-grid=-inf:0:1"],
         ["exit-chart", "--mi-grid", "0:inf:1"],
+        ["exit-chart", "--mi-grid", "0:1e308:1"],
+        ["exit-chart", "--mi-grid", "0:0:1e-300"],
+        # counts past what the command can do, and lists that name nothing
+        ["bench", "--max-n", "17"],
+        ["bench", "--max-n", "1"],
+        ["verify-theorem", "--max-alphabet", "101"],
+        ["exit-chart", "--node", "", "--mi-grid", "0:0:1"],
+        ["exit-chart", "--node", ",", "--mi-grid", "0:0:1"],
+        # a bad snr that the harvest's first runs would never reach
+        ["train-sudoku-alpha", "--snr-list", "6,8,nan"],
     ], ids=" ".join)
     @pytest.mark.filterwarnings("error")  # a numpy warning is not an error line
     def test_bad_input_is_one_error_line(self, argv, tmp_path, capsys):
@@ -91,6 +107,115 @@ class TestErrorContract:
         prefixes = ("error: ", f"rolemodel {argv[0]}: error: ")
         assert len([line for line in err.splitlines() if line.startswith(prefixes)]) == 1
         assert not out.exists() or "nan" not in out.read_text()
+
+    @pytest.mark.parametrize("nodes", ["exact,bogus", "exact,corrected"])
+    def test_node_list_is_checked_before_any_curve(self, nodes, monkeypatch, capsys):
+        curves = []
+        monkeypatch.setattr(sudoku, "exit_curve", lambda node, *a, **k: curves.append(node) or [])
+        assert run(["exit-chart", "--node", nodes, "--mi-grid", "0:0:1"]) == 1
+        assert curves == []
+
+
+#: Per subcommand, a small run that succeeds in milliseconds, and the flags
+#: the property test draws for it. The drawn flag and value are appended
+#: after the base argv, and argparse keeps a flag's last value.
+GRAMMAR = {
+    "verify-theorem": (["--trials", "2", "--max-alphabet", "3"],
+                       ["--trials", "--max-alphabet", "--seed"]),
+    "train-minsum": (["--samples", "50", "--bins", "4"],
+                     ["--degree", "--sigmas", "--samples", "--bins", "--seed"]),
+    "eval-minsum": (["--table", "@table.json", "--samples", "50"],
+                    ["--table", "--degree", "--sigmas", "--samples", "--seed"]),
+    "solve": (["--size", "4", "--iters", "3"],
+              ["--size", "--snr-db", "--node", "--alpha-table", "--iters", "--damping",
+               "--puzzle", "--seed"]),
+    "exit-chart": (["--size", "4", "--node", "exact", "--mi-grid", "0:1:1", "--trials", "2"],
+                   ["--node", "--size", "--snr-list", "--mi-grid", "--trials",
+                    "--alpha-table", "--seed"]),
+    "train-sudoku-alpha": (["--size", "4", "--batch", "2", "--snr-list", "8", "--budget", "20"],
+                           ["--size", "--batch", "--snr-list", "--budget", "--seed"]),
+    "bench": (["--max-n", "3"], ["--max-n", "--seed"]),
+}
+#: Commands whose --out is a CSV file with a header line.
+CSV_OUT = {"verify-theorem", "eval-minsum", "exit-chart", "bench"}
+#: Flags that set how many samples, trials or iterations a run does: a huge
+#: value would allocate or run for minutes, so they draw none.
+COUNT_FLAGS = {"--samples", "--trials", "--batch", "--budget", "--iters", "--bins"}
+#: Bad values by the kind of value a flag takes: nan, +-inf, 0, -1, empty,
+#: malformed lists, three-element lists with one bad element (the base runs
+#: have three branches), and JSON files of the wrong kind (an n = 9 alpha
+#: table, an n = 4 one without alphas, a bare list, and the min-sum table
+#: off its flag).
+SCALAR = ["nan", "inf", "-inf", "0", "-1", ""]
+BAD_VALUES = {
+    "number": SCALAR,
+    "list": SCALAR + [",", "1,,x", "1:2"] + [f"{v},1,1" for v in SCALAR if v],
+    "grid": SCALAR + ["1:2", "nan:1:1", "0:1:0"],
+    "file": ["", "nan", "@alphas9.json", "@n4.json", "@list.json", "@table.json"],
+}
+HUGE_VALUES = {"number": ["1e308", "9" * 30], "list": ["1e308", "1e308,1,1"],
+               "grid": ["0:1e308:1"], "file": []}
+FLAG_KINDS = {"--sigmas": "list", "--snr-list": "list", "--node": "list", "--mi-grid": "grid",
+              "--table": "file", "--alpha-table": "file", "--puzzle": "file"}
+FLAG_FILES = {"alphas9.json": {"version": 1, "n": 9, "alphas": [0.5] * 9},
+              "n4.json": {"n": 4}, "list.json": [1, 2, 3]}
+NON_FINITE = re.compile(r"\b(nan|-?inf(inity)?)\b", re.IGNORECASE)
+
+
+@st.composite
+def bad_argv(draw):
+    """One subcommand's small run with one flag set to a bad value.
+
+    One bad value per run, so that no other flag's check can mask its
+    outcome; the choices form a tree of about 300 leaves, which the test's
+    example budget exhausts.
+    """
+    command = draw(st.sampled_from(sorted(GRAMMAR)))
+    base, flags = GRAMMAR[command]
+    flag = draw(st.sampled_from(flags))
+    kind = FLAG_KINDS.get(flag, "number")
+    values = BAD_VALUES[kind] + ([] if flag in COUNT_FLAGS else HUGE_VALUES[kind])
+    return [command, *base, flag, draw(st.sampled_from(values))]
+
+
+@pytest.fixture(scope="module")
+def flag_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("flags")
+    for name, doc in FLAG_FILES.items():
+        (root / name).write_text(json.dumps(doc))
+    assert main(["train-minsum", "--samples", "50", "--bins", "4", "--quiet",
+                 "--out", str(root / "table.json")]) == 0
+    return root
+
+
+class TestFlagGrammar:
+    """Any one bad flag value ends in status 0, 1 or 2 under the exit-status contract."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(bad_argv())
+    def test_every_outcome_keeps_the_contract(self, flag_dir, argv):
+        argv = [str(flag_dir / a[1:]) if a.startswith("@") else a for a in argv]
+        out = flag_dir / "out"
+        out.unlink(missing_ok=True)
+        stderr = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("error")  # a numpy warning is neither a result nor an error line
+            status = main(argv + ["--out", str(out)])
+        err = stderr.getvalue()
+        assert status in (0, 1, 2)
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        if status == 1:
+            prefixes = ("error: ", f"rolemodel {argv[0]}: error: ")
+            assert len([line for line in lines if line.startswith(prefixes)]) == 1
+        if status == 2:
+            assert len([line for line in lines if line.startswith("numerical failure: ")]) == 1
+        if status == 0:
+            # a successful run writes its result, and a CSV result has a data row
+            rows = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+            assert argv[0] not in CSV_OUT or len(rows) > 1
+        assert not out.exists() or not NON_FINITE.search(out.read_text())
 
 
 class TestNegativeValues:

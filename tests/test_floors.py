@@ -26,7 +26,7 @@ SLACK = 1 - 1e-9
 class TestGivenFloor:
     def test_given_cells_carry_every_symbol(self):
         # site: observation_messages
-        puzzle = sudoku.parse_grid(CLASSIC_9)
+        puzzle = sudoku.parse_grid(CLASSIC_9, 9)
         post = sudoku.observation_messages(puzzle, None, make_rng(0))
         given = post[puzzle.givens]
         assert given.min() >= GIVEN_FLOOR / (1 + 8 * GIVEN_FLOOR) * SLACK
@@ -43,9 +43,9 @@ class TestMessageFloor:
         channel = sudoku.ChannelModel.from_snr_db(16.0)
         post = sudoku.observation_messages(puzzle, channel, make_rng(0, 5, 1731))
         assert post.min() < MESSAGE_FLOOR
-        res = sudoku.bp_solve(puzzle, channel, seed=0, stream=1731, collect_iters=(1,))
-        assert res.iterations >= 1 and res.collected
-        assert min(m.min() for _, _, m in res.collected) >= MESSAGE_FLOOR * SLACK
+        res = sudoku.bp_solve(puzzle, channel, seed=0, stream=1731)
+        assert res.iterations >= 1
+        assert res.node_inputs[0].min() >= MESSAGE_FLOOR * SLACK
 
     def test_constraint_messages_are_floored(self):
         # site: the node output in bp_solve. Undamped, each belief is the
@@ -66,10 +66,9 @@ class TestMessageFloor:
         # sharpens the products past MESSAGE_FLOOR by the fourth iteration, and
         # undamped exact BP at 2 dB would otherwise hand the node a row
         # that excludes every configuration.
-        res = sudoku.bp_solve(sudoku.parse_grid(CLASSIC_9), None,
-                              collect_iters=tuple(range(1, 31)))
+        res = sudoku.bp_solve(sudoku.parse_grid(CLASSIC_9, 9), None)
         assert res.solved and res.iterations >= 4
-        assert min(m.min() for _, _, m in res.collected) >= MESSAGE_FLOOR * SLACK
+        assert min(inputs.min() for inputs in res.node_inputs) >= MESSAGE_FLOOR * SLACK
         channel = sudoku.ChannelModel.from_snr_db(2.0)
         for s in range(3):
             try:
@@ -84,7 +83,7 @@ class TestDefaultFloor:
         # site: the corrected rows in alpha_objective. At alpha = 1 the
         # sparse head leaves exact zeros where the exact node has mass.
         mats = sudoku.harvest_constraint_inputs(9, [6.0, 8.0], 12, seed=21)
-        ph, _ = minor_permanents_split(head_tail_split(np.asarray(mats), sudoku.HEAD_SIZE))
+        ph, _ = minor_permanents_split(*head_tail_split(np.asarray(mats), sudoku.HEAD_SIZE))
         exact = sudoku.constraint_exact(np.asarray(mats))
         assert np.any((ph == 0) & (exact > 0))
         value = sudoku.alpha_objective(mats)(ParametricCorrector(np.ones(9)))

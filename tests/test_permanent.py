@@ -154,7 +154,7 @@ class TestBatchedMinors:
         m = make_rng(320, n, batch).random((batch, n, n))
         m /= m.sum(axis=-1, keepdims=True)
         if kind == "head":
-            m = head_tail_split(m).head
+            m, _ = head_tail_split(m)
         out = minor_permanents(m)
         digest = hashlib.sha256(out.astype("<f8").tobytes()).hexdigest()
         assert digest == self.MINOR_DIGESTS[n, batch, kind]
@@ -172,12 +172,12 @@ class TestBatchedMinors:
     def test_split_minors_vs_scalar_kernels(self):
         rng = make_rng(308)
         rows = rng.dirichlet(np.ones(7), size=7)
-        split = head_tail_split(rows, 3)
-        ph, pt = minor_permanents_split(split)
-        tmat = np.repeat(split.tail_values[:, None], 7, axis=1)
+        head, tails = head_tail_split(rows, 3)
+        ph, pt = minor_permanents_split(head, tails)
+        tmat = np.repeat(tails[:, None], 7, axis=1)
         for i in range(7):
             for j in range(7):
-                ref_h = permanent_ryser(np.delete(np.delete(split.head, i, 0), j, 1))
+                ref_h = permanent_ryser(np.delete(np.delete(head, i, 0), j, 1))
                 ref_t = permanent_ryser(np.delete(np.delete(tmat, i, 0), j, 1))
                 assert close(ph[i, j], ref_h)
                 assert close(pt[i, j], ref_t)
@@ -189,38 +189,38 @@ class TestHeadTailSplit:
         tail_part = np.full(6, 0.35 / 6)
         row = np.concatenate([[0.3, 0.2, 0.15], tail_part])
         m = np.tile(row, (9, 1))
-        split = head_tail_split(m, 3)
+        head, tails = head_tail_split(m, 3)
         t = 0.35 / 6
-        assert split.tail_values[0] == pytest.approx(t, abs=1e-15)
-        assert split.head[0, 0] == pytest.approx(0.3 - t, abs=1e-15)
-        assert split.head[0, 1] == pytest.approx(0.2 - t, abs=1e-15)
-        assert split.head[0, 2] == pytest.approx(0.15 - t, abs=1e-15)
-        assert np.all(split.head[0, 3:] == 0.0)
+        assert tails[0] == pytest.approx(t, abs=1e-15)
+        assert head[0, 0] == pytest.approx(0.3 - t, abs=1e-15)
+        assert head[0, 1] == pytest.approx(0.2 - t, abs=1e-15)
+        assert head[0, 2] == pytest.approx(0.15 - t, abs=1e-15)
+        assert np.all(head[0, 3:] == 0.0)
 
     def test_uniform_row_degenerates_to_pure_tail(self):
         m = np.full((6, 6), 1 / 6)
-        split = head_tail_split(m, 3)
-        assert np.allclose(split.tail_values, 1 / 6, atol=1e-15)
-        assert np.all(split.head == 0.0)
+        head, tails = head_tail_split(m, 3)
+        assert np.allclose(tails, 1 / 6, atol=1e-15)
+        assert np.all(head == 0.0)
 
     def test_reconstruction_preserves_row_sums(self):
         rng = make_rng(309)
         for _ in range(30):
             m = rng.dirichlet(np.ones(9), size=9)
-            split = head_tail_split(m, 3)
-            rec = split.head + split.tail_values[..., None]
+            head, tails = head_tail_split(m, 3)
+            rec = head + tails[..., None]
             assert np.max(np.abs(rec.sum(axis=1) - m.sum(axis=1))) <= 1e-12
             assert np.all(rec >= 0.0)
-            assert np.all(split.head >= 0.0)
-            assert np.max((split.head != 0).sum(axis=1)) <= 3
+            assert np.all(head >= 0.0)
+            assert np.max((head != 0).sum(axis=1)) <= 3
 
     def test_tie_break_keeps_lowest_columns(self):
         row = np.full(5, 0.2)
         m = np.tile(row, (5, 1))
-        split = head_tail_split(m, 2)
+        head, tails = head_tail_split(m, 2)
         # all values tie; heads must come from columns 0 and 1 (then cancel to 0)
-        assert np.all(split.head == 0.0)
-        assert np.allclose(split.tail_values, 0.2)
+        assert np.all(head == 0.0)
+        assert np.allclose(tails, 0.2)
 
     def test_head_size_bounds(self):
         with pytest.raises(ValueError):
@@ -228,8 +228,8 @@ class TestHeadTailSplit:
 
 
 def approx_minor(split, i, j, alpha):
-    """alpha * perm(H minor) + (1 - alpha) * perm(T minor) for the (i, j) minor."""
-    ph, pt = minor_permanents_split(split)
+    """alpha * perm(H minor) + (1 - alpha) * perm(T minor) for the (i, j) minor of a (head, tails) split."""
+    ph, pt = minor_permanents_split(*split)
     return float(alpha * ph[i, j] + (1.0 - alpha) * pt[i, j])
 
 
@@ -237,10 +237,10 @@ class TestApproxMinor:
     def test_alpha_endpoints(self):
         rng = make_rng(310)
         m = rng.dirichlet(np.ones(6), size=6)
-        split = head_tail_split(m, 3)
+        split = head, tails = head_tail_split(m, 3)
         for i, j in ((0, 0), (2, 4), (5, 5)):
-            ph = permanent_sparse(np.delete(np.delete(split.head, i, 0), j, 1))
-            pt = permanent_uniform_rows(np.delete(split.tail_values, i))
+            ph = permanent_sparse(np.delete(np.delete(head, i, 0), j, 1))
+            pt = permanent_uniform_rows(np.delete(tails, i))
             assert approx_minor(split, i, j, 1.0) == pytest.approx(ph, rel=1e-12, abs=1e-15)
             assert approx_minor(split, i, j, 0.0) == pytest.approx(pt, rel=1e-12, abs=1e-15)
             mid = approx_minor(split, i, j, 0.5)
@@ -253,10 +253,10 @@ class TestApproxMinor:
         errs = []
         for _ in range(40):
             m = rng.dirichlet(np.ones(9), size=9)
-            split = head_tail_split(m, 3)
+            split = head, tails = head_tail_split(m, 3)
             i, j = int(rng.integers(9)), int(rng.integers(9))
             approx = 2.0 * approx_minor(split, i, j, 0.5)
-            rec = split.head + split.tail_values[..., None]
+            rec = head + tails[..., None]
             exact = permanent_ryser(np.delete(np.delete(rec, i, 0), j, 1))
             errs.append(abs(approx - exact) / exact)
         assert float(np.median(errs)) > 0.10

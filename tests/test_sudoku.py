@@ -45,7 +45,7 @@ class TestGraphAndPuzzle:
     def test_grid_io_round_trip(self):
         p = sudoku.random_puzzle(9, make_rng(601, 0))
         text = "\n".join("".join(str(v) for v in row) for row in p.solution.reshape(9, 9) + 1)
-        assert np.array_equal(sudoku.parse_grid(text).solution, p.solution)
+        assert np.array_equal(sudoku.parse_grid(text, 9).solution, p.solution)
 
     def test_classic_grid_parsing(self):
         p = sudoku.parse_grid("1234\n3412\n0021\n0003", 4)
@@ -67,6 +67,18 @@ class TestGraphAndPuzzle:
         with pytest.raises(ValueError, match="out of range"):
             sudoku.Puzzle(n=4, solution=grid, givens=grid >= 0)
 
+    def test_givens_must_mark_known_cells(self):
+        grid = sudoku.random_puzzle(4, make_rng(604)).solution.copy()
+        grid[0] = -1
+        with pytest.raises(ValueError, match="known symbol"):
+            sudoku.Puzzle(n=4, solution=grid, givens=np.ones(16, dtype=bool))
+
+    def test_givens_mask_must_cover_the_grid(self):
+        grid = sudoku.random_puzzle(4, make_rng(605)).solution.copy()
+        grid[0] = -1
+        with pytest.raises(ValueError, match="flat n\\^2 mask"):
+            sudoku.Puzzle(n=4, solution=grid, givens=np.ones(3, dtype=bool))
+
     def test_unsupported_size_names_the_supported_sizes(self):
         with pytest.raises(ValueError, match=r"supported sizes are \[4, 9\]"):
             sudoku.random_puzzle(5, make_rng(0))
@@ -74,8 +86,7 @@ class TestGraphAndPuzzle:
 
 class TestChannel:
     def test_snr_round_trip(self):
-        ch = sudoku.ChannelModel.from_snr_db(7.0)
-        assert ch.snr_db == pytest.approx(7.0, abs=1e-12)
+        assert sudoku.ChannelModel.from_snr_db(7.0).sigma == 10 ** (-7 / 20)
 
     @pytest.mark.parametrize("sigma", [math.nan, math.inf, 0.0, -1.0, 1e-300, 1e300])
     def test_sigma_must_be_finite_and_positive(self, sigma):
@@ -232,19 +243,20 @@ class TestBpSolve:
         r2 = sudoku.bp_solve(p, ch, seed=612, max_iters=8)
         assert np.array_equal(r1.beliefs, r2.beliefs)
 
-    def test_collect_iters(self):
+    def test_node_inputs(self):
+        # one (3n, n, q) stack per iteration, each row a pmf from one cell
         p = sudoku.random_puzzle(4, make_rng(613, 0))
         ch = sudoku.ChannelModel.from_snr_db(1.0, q=4)
-        res = sudoku.bp_solve(p, ch, seed=614, max_iters=5, collect_iters=(1, 3))
-        iters = {it for it, _, _ in res.collected}
-        assert iters <= {1, 3}
-        assert all(m.shape == (4, 4) for _, _, m in res.collected)
+        res = sudoku.bp_solve(p, ch, seed=614, max_iters=5)
+        assert res.iterations == 5 and len(res.node_inputs) == 5
+        assert all(inputs.shape == (12, 4, 4) for inputs in res.node_inputs)
+        assert np.allclose(np.stack(res.node_inputs).sum(axis=-1), 1.0, atol=1e-12)
 
 
 class TestBpBitsArePinned:
     """sha256 of every ``BpResult`` field a run produces: the beliefs bytes,
-    iterations, solved flag, degenerate rows and every collected matrix,
-    over nine runs per case (damping 0.5, 0.9 and 1.0 at 1, 4 and 8 dB).
+    iterations, solved flag, degenerate rows and every constraint's node
+    input at iterations 1 and 3, over nine runs per case (damping 0.5, 0.9 and 1.0 at 1, 4 and 8 dB).
     A change to the message layout or the order of the arithmetic in
     ``bp_solve`` that moves any bit fails here."""
 
@@ -264,9 +276,11 @@ class TestBpBitsArePinned:
         for res in runs:
             h.update(res.beliefs.tobytes())
             h.update(np.array([res.iterations, res.solved, res.degenerate_rows]).tobytes())
-            for it, c, m in res.collected:
-                h.update(np.array([it, c]).tobytes())
-                h.update(m.tobytes())
+            for it, inputs in enumerate(res.node_inputs, start=1):
+                if it in (1, 3):
+                    for c, m in enumerate(inputs):
+                        h.update(np.array([it, c]).tobytes())
+                        h.update(m.tobytes())
         return h.hexdigest()
 
     @pytest.mark.parametrize("n", [4, 9])
@@ -279,14 +293,14 @@ class TestBpBitsArePinned:
                 runs.append(sudoku.bp_solve(
                     puzzle, sudoku.ChannelModel.from_snr_db(snr, q=n), node=node,
                     alphas=np.ones(n), max_iters=12, damping=damping, seed=701,
-                    stream=len(runs), collect_iters=(1, 3)))
+                    stream=len(runs)))
         assert self.digest(runs) == self.DIGESTS[n, node]
 
     def test_classic_run(self):
         grid = sudoku.random_puzzle(9, make_rng(702)).solution.copy()
         grid[1::2] = -1
         puzzle = sudoku.Puzzle(n=9, solution=grid, givens=grid >= 0)
-        res = sudoku.bp_solve(puzzle, None, max_iters=12, collect_iters=(1, 3))
+        res = sudoku.bp_solve(puzzle, None, max_iters=12)
         assert self.digest([res]) == self.DIGESTS["classic"]
 
 
@@ -385,7 +399,7 @@ class TestAlphaTraining:
             total = 0.0
             for m in mats:
                 exact = sudoku.constraint_exact(m)
-                ph, pt = minor_permanents_split(head_tail_split(m, 3))
+                ph, pt = minor_permanents_split(*head_tail_split(m, 3))
                 combined = a[:, None] * ph + (1.0 - a)[:, None] * pt
                 sums = combined.sum(axis=1, keepdims=True)
                 combined = np.where(sums > 0, combined / np.where(sums > 0, sums, 1.0), 1 / 9)
