@@ -181,14 +181,14 @@ def _load_alphas(path: str, n: int) -> np.ndarray:
 
 
 def _run_solve(args) -> int:
-    if args.puzzle:
+    if args.puzzle is not None:
         with open(args.puzzle) as f:
             puzzle = sudoku.parse_grid(f.read(), args.size)
     else:
         puzzle = sudoku.random_puzzle(args.size, make_rng(args.seed, 11))
     classic = puzzle.givens is not None
     channel = None if classic else sudoku.ChannelModel.from_snr_db(args.snr_db, q=args.size)
-    alphas = _load_alphas(args.alpha_table, args.size) if args.alpha_table else None
+    alphas = _load_alphas(args.alpha_table, args.size) if args.alpha_table is not None else None
     if args.node == "corrected" and alphas is None:
         raise ValueError("--node corrected requires --alpha-table")
     result = sudoku.bp_solve(puzzle, channel, node=args.node, alphas=alphas,
@@ -218,7 +218,7 @@ def _run_exit_chart(args) -> int:
         raise ValueError(f"--node needs a comma list of node kinds from {kinds}, got {args.node!r}")
     snrs = _csv_float(args.snr_list) if args.snr_list else []
     grid = args.mi_grid
-    alphas = _load_alphas(args.alpha_table, args.size) if args.alpha_table else None
+    alphas = _load_alphas(args.alpha_table, args.size) if args.alpha_table is not None else None
     if "corrected" in nodes and alphas is None:
         raise ValueError("corrected node requires --alpha-table")
     rows = []

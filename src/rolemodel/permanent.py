@@ -12,9 +12,11 @@ matrices at once by forward/backward subset dynamic programming:
     b_r[T] = permanent of rows r..n-1 on column set T, |T| = n - r
     minor(i, j) = sum over |S| = i, j not in S of f_i[S] * b_{i+1}[full - S - {j}]
 
-That is O(n^2 2^n) work per matrix (n = 20 at most) in about 8n numpy calls
-per batch, over two batch-major (B, 2^n - 1) tables, one for f and one for
-b. The gather indices depend only on n and are built once per n.
+That is O(n^2 2^n) work per matrix (n = 20 at most) in about 10n numpy
+calls per batch, over two column-set-major (2^n - 1, B) tables, one for f
+and one for b: one row per column set, the batch innermost, so every gather
+index copies a contiguous B-long row. The minors are read off one row i at
+a time. The gather indices depend only on n and are built once per n.
 For non-negative input every step adds non-negative products, so (unlike
 inclusion-exclusion) tiny minors of near-decided probability matrices keep
 full relative accuracy, and a minor without a perfect matching comes out as
@@ -142,16 +144,16 @@ class _MinorPlan:
     """Gather indices of the subset DP for one n.
 
     Subsets of the n columns are numbered by (size, bitmask); a table holds
-    every subset but the full set, in that order, one row per matrix. The
+    every subset but the full set, in that order, one row per subset. The
     forward table holds the values f, the backward table the values b.
     """
 
     size: int  # 2^n - 1 table entries
-    # per level k = 1..n-1: (lo, hi, f row, b row, parents, members, sum axis)
+    # per level k = 1..n-1: (lo, hi, f row, b row, parents, members), indices (k, C)
     levels: tuple
-    head: np.ndarray  # table index of S, ordered by (i, j, S)
-    tail: np.ndarray  # table index of full - S - {j}, same order
-    starts: np.ndarray  # first term of each (i, j) group, row-major
+    # per minor row i: (head, tail, starts): the table index of S with |S| = i
+    # and of full - S - {j}, ordered by (j, S), and the first term of each j
+    readout: tuple
 
 
 @functools.lru_cache(maxsize=None)
@@ -174,37 +176,26 @@ def _minor_plan(n: int) -> _MinorPlan:
         subsets = level(k)
         members = np.nonzero((subsets[:, None] >> columns) & 1)[1].reshape(-1, k)
         parents = pos[subsets[:, None] ^ (1 << members)]
-        # The k terms of a level are summed in the order numpy gives a contiguous
-        # last axis: in sequence below 8 terms, pairwise from 8 on. Below 8 the
-        # indices are stored (k, C), so the gather is (B, k, C) and its sum over
-        # axis 1 adds whole rows in that sequence; from 8 on (the last levels at
-        # n >= 9, where C is small) they stay (C, k) and the gather is summed
-        # over its last axis. Either way the bits are those of the last-axis sum.
-        if k < 8:
-            parents, members, axis = parents.T.copy(), members.T.copy(), 1
-        else:
-            axis = 2
         # f_k adds row k-1, b_{n-k} adds row n-k
-        levels.append((offsets[k], offsets[k + 1], k - 1, n - k, parents, members, axis))
+        levels.append((offsets[k], offsets[k + 1], k - 1, n - k,
+                       parents.T.copy(), members.T.copy()))
 
     full = (1 << n) - 1
-    head, tail = [], []
+    readout = []
     for i in range(n):
         subsets = level(i)
         j, s = np.nonzero(((subsets[None, :] >> columns[:, None]) & 1) == 0)
-        head.append(pos[subsets[s]])
-        tail.append(pos[full ^ subsets[s] ^ (1 << j)])
-    group = np.repeat([math.comb(n - 1, i) for i in range(n)], n)
-    starts = np.concatenate([[0], np.cumsum(group)[:-1]])
-    return _MinorPlan(size=full, levels=tuple(levels), head=np.concatenate(head),
-                      tail=np.concatenate(tail), starts=starts)
+        readout.append((pos[subsets[s]], pos[full ^ subsets[s] ^ (1 << j)],
+                        columns * math.comb(n - 1, i)))
+    return _MinorPlan(size=full, levels=tuple(levels), readout=tuple(readout))
 
 
 def minor_permanents(m) -> np.ndarray:
     """Permanents of every (i, j) minor of one (n, n) matrix or a (B, n, n) batch.
 
-    Returns the input's shape. Forward/backward subset DP (module
-    docstring) over two batch-major (B, 2^n - 1) tables.
+    Returns a C-contiguous array of the input's shape. Forward/backward
+    subset DP (module docstring) over two column-set-major (2^n - 1, B)
+    tables.
     """
     a = _as_square(m, batched=True)
     n = a.shape[-1]
@@ -214,19 +205,34 @@ def minor_permanents(m) -> np.ndarray:
         raise DimensionTooLarge(f"subset DP capped at n={MINORS_MAX_N}")
     plan = _minor_plan(n)
     batch = a.reshape(-1, n, n)
-    f = np.empty((batch.shape[0], plan.size))
+    rows = np.ascontiguousarray(batch.transpose(1, 2, 0))  # rows[i, j]: entry (i, j), all of B
+    f = np.empty((plan.size, batch.shape[0]))
     b = np.empty_like(f)
-    f[:, 0] = b[:, 0] = 1.0  # f_0 and b_n: the empty set
-    for lo, hi, f_row, b_row, parents, members, axis in plan.levels:
+    f[0] = b[0] = 1.0  # f_0 and b_n: the empty set
+    for lo, hi, f_row, b_row, parents, members in plan.levels:
         for table, row in ((f, f_row), (b, b_row)):
-            # take gives a C-contiguous gather, which fixes the sum order;
-            # table[:, parents] would put the batch axis innermost
-            terms = table.take(parents, axis=1)
-            terms *= batch[:, row].take(members, axis=1)
-            terms.sum(axis=axis, out=table[:, lo:hi])
-    terms = f.take(plan.head, axis=1)
-    terms *= b.take(plan.tail, axis=1)
-    return np.add.reduceat(terms, plan.starts, axis=-1).reshape(a.shape)
+            terms = table.take(parents, axis=0)  # (k, C, B)
+            terms *= rows[row].take(members, axis=0)
+            # The k terms are summed in the order numpy gives a contiguous last
+            # axis: in sequence below 8 terms, which is the axis-0 sum of whole
+            # rows; pairwise from 8 on (the last levels at n >= 9, where C is
+            # small), which needs the contiguous (C, B, k) copy, as a strided
+            # view would be summed in sequence.
+            if len(terms) < 8:
+                terms.sum(axis=0, out=table[lo:hi])
+            else:
+                np.ascontiguousarray(terms.transpose(1, 2, 0)).sum(axis=-1, out=table[lo:hi])
+    # One minor row at a time: each read-out holds at most binomial(n - 1, n // 2) n
+    # rows, not 2^(n-1) n. At n = 9 and B >= 27 the whole read-out at once
+    # page-faulted fresh memory on every call (270 faults at B = 27), which
+    # cost as much as the arithmetic; the smaller arrays reuse freed memory.
+    minors = np.empty((n, n, batch.shape[0]))
+    for i, (head, tail, starts) in enumerate(plan.readout):
+        terms = f.take(head, axis=0)
+        terms *= b.take(tail, axis=0)
+        np.add.reduceat(terms, starts, axis=0, out=minors[i])
+    # contiguous, so callers' row sums over j keep the bits of a last-axis sum
+    return np.ascontiguousarray(minors.transpose(2, 0, 1)).reshape(a.shape)
 
 
 # -- head/tail split ---------------------------------------------------

@@ -56,11 +56,16 @@ def entropy_rows(rows) -> np.ndarray:
     return -(p * log2_masked(p)).sum(axis=-1)
 
 
-def divergence_rows(p, q) -> np.ndarray:
-    """Row-wise D(p || q) in bits; log2 q is taken only where p > 0, so a zero there gives inf."""
+def divergence_rows(p, q, *, _log_p=None) -> np.ndarray:
+    """Row-wise D(p || q) in bits; log2 q is taken only where p > 0, so a zero there gives inf.
+
+    ``_log_p``, if given, is ``(log2_masked(p), p > 0)``, computed once by a
+    caller that scores the same p against many q.
+    """
     p = np.asarray(p, dtype=float)
-    logq = np.log2(q, out=np.zeros(np.broadcast_shapes(p.shape, np.shape(q))), where=p > 0)
-    return (p * (log2_masked(p) - logq)).sum(axis=-1)
+    log_p, support = (log2_masked(p), p > 0) if _log_p is None else _log_p
+    logq = np.log2(q, out=np.zeros(np.broadcast_shapes(p.shape, np.shape(q))), where=support)
+    return (p * (log_p - logq)).sum(axis=-1)
 
 
 def llrs_to_dists(llrs, out: np.ndarray | None = None) -> np.ndarray:

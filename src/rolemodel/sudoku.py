@@ -21,7 +21,7 @@ import numpy as np
 from .errors import BisectionFailure, DegenerateRow
 from .permanent import head_tail_split, minor_permanents, minor_permanents_split
 from .probs import (DEFAULT_FLOOR, GIVEN_FLOOR, MESSAGE_FLOOR, divergence_rows, floor_rows,
-                    soft_mi, square_is_normal)
+                    log2_masked, soft_mi, square_is_normal)
 from .rng import make_rng
 from .train import ParametricCorrector, TrainResult, train_parametric
 
@@ -288,16 +288,18 @@ def bp_solve(puzzle: Puzzle, channel: ChannelModel | None, node: str = "exact", 
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must be in (0, 1]")
     n = puzzle.n
-    cons = constraint_cells(n)
-    kind = np.arange(3 * n)[:, None] // n  # broadcasts against cons
+    # row of each node input in v2c viewed as (3 n^2, n): the constraint's cells
+    # times 3 plus its kind; every (cell, kind) slot appears once
+    slots = (constraint_cells(n) * 3 + np.arange(3 * n)[:, None] // n).ravel()
+    back = np.argsort(slots)  # the inverse permutation, node order -> (cell, kind)
     rng = make_rng(seed, 5, stream)
     channel_post = observation_messages(puzzle, channel, rng)
     apply_node = node_function(node, alphas=alphas)
     diag: dict = {}
 
     # messages per (cell, constraint kind): v2c[v, k] goes to, and c2v[v, k]
-    # comes from, the kind-k constraint of cell v; cons and kind gather them
-    # into node order (3n, n, q). Strict positivity throughout; extreme snr
+    # comes from, the kind-k constraint of cell v; slots gathers them into
+    # node order (3n, n, q). Strict positivity throughout; extreme snr
     # and undamped oscillation otherwise produce zero-support products.
     v2c = np.repeat(floor_rows(channel_post, MESSAGE_FLOOR)[:, None], 3, axis=1)
     c2v = np.full_like(v2c, 1.0 / n)
@@ -312,10 +314,10 @@ def bp_solve(puzzle: Puzzle, channel: ChannelModel | None, node: str = "exact", 
         if solved:
             break
         iterations = it
-        inputs = v2c[cons, kind]
+        inputs = v2c.reshape(-1, n).take(slots, axis=0).reshape(3 * n, n, n)
         node_inputs.append(inputs)
-        fresh = np.empty_like(c2v)
-        fresh[cons, kind] = floor_rows(apply_node(inputs, diag=diag), MESSAGE_FLOOR)
+        fresh = floor_rows(apply_node(inputs, diag=diag), MESSAGE_FLOOR)
+        fresh = fresh.reshape(-1, n).take(back, axis=0).reshape(c2v.shape)
         if it == 1 or damping == 1.0:
             c2v = fresh
         else:
@@ -463,11 +465,13 @@ def exit_curve(node: str, ia_grid, trials: int, seed: int, *,
 
     Constraint-node curves do not depend on the observation channel, so
     ``snr_db_list`` only applies to the ``variable`` variant (one curve per
-    channel snr).
+    channel snr); every snr given is checked all the same.
     """
     grid = list(ia_grid)
     if not grid:
         raise ValueError("empty a-priori grid")
+    for snr in snr_db_list or ():
+        ChannelModel.from_snr_db(snr, q=n)  # raises on an snr no channel can have
     snrs: list[float | None]
     if node == "variable":
         if not snr_db_list:
@@ -538,11 +542,12 @@ def alpha_objective(matrices: list[np.ndarray]):
     """
     stack = np.asarray(matrices, dtype=float)
     exact = constraint_exact(stack)
+    exact_log = (log2_masked(exact), exact > 0)
     ph, pt = minor_permanents_split(*head_tail_split(stack, HEAD_SIZE))
 
     def objective(corrector: ParametricCorrector) -> float:
         corrected = floor_rows(_alpha_mix(corrector.alphas, ph, pt), DEFAULT_FLOOR)
-        return float(divergence_rows(exact, corrected).mean(axis=-1).mean())
+        return float(divergence_rows(exact, corrected, _log_p=exact_log).mean(axis=-1).mean())
 
     return objective
 

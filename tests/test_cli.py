@@ -93,6 +93,14 @@ class TestErrorContract:
         ["exit-chart", "--node", ",", "--mi-grid", "0:0:1"],
         # a bad snr that the harvest's first runs would never reach
         ["train-sudoku-alpha", "--snr-list", "6,8,nan"],
+        # a bad snr that constraint-node curves never use
+        ["exit-chart", "--size", "4", "--node", "exact", "--snr-list", "nan", "--mi-grid",
+         "0:1:1", "--trials", "2"],
+        # an empty path names no readable file; it does not mean "no file"
+        ["solve", "--size", "4", "--alpha-table", ""],
+        ["solve", "--size", "4", "--puzzle", ""],
+        ["exit-chart", "--size", "4", "--node", "exact", "--mi-grid", "0:1:1", "--trials", "2",
+         "--alpha-table", ""],
     ], ids=" ".join)
     @pytest.mark.filterwarnings("error")  # a numpy warning is not an error line
     def test_bad_input_is_one_error_line(self, argv, tmp_path, capsys):

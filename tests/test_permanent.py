@@ -147,6 +147,11 @@ class TestBatchedMinors:
         (12, 1, "head"): "c66e5aa137f8c8a9c82855b9cf8c8a1ff2ae140901c1553599e515f90f676b4d",
         (12, 27, "dense"): "ca79bc04f841074ac0c41b050c16ad476511673e0b926eda02f2a1327c309566",
         (12, 27, "head"): "d04658263935c015ab861ca62380e444486064bb4b449cc22d3bdd6864e59828",
+        # the batch sizes of an EXIT point (40 trials) and of an alpha-training harvest
+        (9, 40, "dense"): "05f0d287f1763b2fe7d815bc08369bc7a3901861b5aec85b5a2f9bf075f035db",
+        (9, 40, "head"): "c41061a0a0f13923b11df637edc86d01846e533c347a6ec6abd48b360d9567b6",
+        (9, 64, "dense"): "9c476f752f0d2a95a18ee1335d4d794ff589e08fa2024813d06db9fe4188ca4a",
+        (9, 64, "head"): "1928888ad162c142de559f6bf97f5d699a61c2859bfdb87846294d801d85ab5e",
     }
 
     @pytest.mark.parametrize("n,batch,kind", sorted(MINOR_DIGESTS))
@@ -158,6 +163,14 @@ class TestBatchedMinors:
         out = minor_permanents(m)
         digest = hashlib.sha256(out.astype("<f8").tobytes()).hexdigest()
         assert digest == self.MINOR_DIGESTS[n, batch, kind]
+
+    @pytest.mark.parametrize("shape", [(9, 9), (1, 9, 9), (27, 9, 9), (5, 4, 4)])
+    def test_output_is_c_contiguous_in_the_input_shape(self, shape):
+        # callers sum its rows over j, and numpy sums a strided last axis in
+        # another order than a contiguous one
+        out = minor_permanents(make_rng(321).random(shape))
+        assert out.shape == shape
+        assert out.flags.c_contiguous
 
     def test_shape_and_size_checks(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from rolemodel.errors import ZeroMassAtTruth
-from rolemodel.probs import divergence_rows, entropy_rows, floor_rows, llrs_to_dists, soft_mi
+from rolemodel.probs import (divergence_rows, entropy_rows, floor_rows, llrs_to_dists, log2_masked,
+                             soft_mi)
 from rolemodel.rng import make_rng
 from rolemodel.train import PostTable
 
@@ -49,6 +50,16 @@ class TestRowKernels:
     def test_zero_in_q_under_mass_in_p_is_infinite(self):
         with np.errstate(divide="ignore"):
             assert divergence_rows([0.5, 0.5], [1.0, 0.0]) == math.inf
+
+    def test_precomputed_log_p_gives_the_same_bits(self):
+        # alpha_objective passes log2_masked(p) and p > 0 once for many q
+        rng = make_rng(102)
+        p = rng.dirichlet(np.ones(9), size=(6, 9))
+        p[p < 0.05] = 0.0
+        for _ in range(20):
+            q = floor_rows(rng.dirichlet(np.ones(9), size=(6, 9)))
+            got = divergence_rows(p, q, _log_p=(log2_masked(p), p > 0))
+            assert got.tobytes() == divergence_rows(p, q).tobytes()
 
     def test_rows_broadcast(self):
         p = np.array([[0.9, 0.1], [0.2, 0.8]])
