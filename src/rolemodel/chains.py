@@ -62,11 +62,6 @@ class ChainModel:
     def nz(self) -> int:
         return self.ch2.shape[1]
 
-    def joint(self) -> np.ndarray:
-        """Dense P(x,y,z), shape (nx, ny, nz)."""
-        pxy = self.px[:, None] * self.ch1
-        return pxy[:, :, None] * self.ch2[None, :, :]
-
     def py(self) -> np.ndarray:
         return self.px @ self.ch1
 

@@ -236,7 +236,6 @@ class SurrogateChain:
     model: chains.ChainModel
     z_of_y: np.ndarray  # (ny,) bin index of each y tuple
     num_z: int
-    levels_per_branch: int
 
     def divergence_floor(self) -> float:
         return chains.divergence_floor(self.model)
@@ -290,6 +289,5 @@ def surrogate_chain(sigmas, levels_per_branch: int = 8,
     ch2 = np.zeros((ny, 2 * m))
     ch2[np.arange(ny), z_of_y] = 1.0
     model = chains.ChainModel(px=np.array([0.5, 0.5]), ch1=ch1, ch2=ch2)
-    return SurrogateChain(model=model, z_of_y=z_of_y, num_z=2 * m,
-                          levels_per_branch=levels_per_branch)
+    return SurrogateChain(model=model, z_of_y=z_of_y, num_z=2 * m)
 

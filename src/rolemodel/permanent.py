@@ -238,7 +238,7 @@ def minor_permanents(m) -> np.ndarray:
 # -- head/tail split ---------------------------------------------------
 
 
-def head_tail_split(m, h: int = 3) -> tuple[np.ndarray, np.ndarray]:
+def head_tail_split(m, h: int) -> tuple[np.ndarray, np.ndarray]:
     """Split each row of an (n, n) or (B, n, n) input into its h largest entries plus a uniform remainder.
 
     Returns ``(head, tails)``. ``head`` has the input's shape and keeps the
@@ -264,19 +264,19 @@ def head_tail_split(m, h: int = 3) -> tuple[np.ndarray, np.ndarray]:
 
 
 def minor_permanents_split(head: np.ndarray, tails: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All head-minor and tail-minor permanents at once: (PH, PT), each of the head's shape.
+    """All head-minor and tail-minor permanents at once: (PH, PT).
 
-    ``(head, tails)`` is the pair :func:`head_tail_split` returns. PH runs
-    through :func:`minor_permanents` (the head is a matrix with at most h
-    nonzeros per row). A tail minor has uniform rows, so its permanent is
-    (n-1)! times the other rows' constants, constant in j. That product
-    comes from exclusive prefix and suffix products, never from dividing by
-    a tail value, which may be 0.
+    ``(head, tails)`` is the pair :func:`head_tail_split` returns. PH, of
+    the head's shape, runs through :func:`minor_permanents` (the head is a
+    matrix with at most h nonzeros per row). A tail minor has uniform rows,
+    so its permanent is (n-1)! times the other rows' constants, the same
+    for every column j: PT holds one value per row, shape (..., n). That
+    product comes from exclusive prefix and suffix products, never from
+    dividing by a tail value, which may be 0.
     """
     n = head.shape[-1]
     before = np.ones_like(tails)
     after = np.ones_like(tails)
     np.cumprod(tails[..., :-1], axis=-1, out=before[..., 1:])
     after[..., :-1] = np.cumprod(tails[..., :0:-1], axis=-1)[..., ::-1]
-    pt = math.factorial(n - 1) * before * after
-    return minor_permanents(head), np.repeat(pt[..., None], n, axis=-1)
+    return minor_permanents(head), math.factorial(n - 1) * before * after

@@ -198,46 +198,50 @@ def constraint_exact(m: np.ndarray) -> np.ndarray:
     return perms / sums[..., None]
 
 
-def _alpha_mix(alphas: np.ndarray, ph: np.ndarray, pt: np.ndarray,
-               diag: dict | None = None) -> np.ndarray:
-    """Row-normalized alpha_i PH + (1 - alpha_i) PT; zero-sum rows go uniform (counted in diag)."""
-    a = alphas[:, None]
-    combined = a * ph + (1.0 - a) * pt
+def _alpha_mix(alphas, ph: np.ndarray, pt: np.ndarray) -> tuple[np.ndarray, int]:
+    """Row-normalized alpha_i PH + (1 - alpha_i) PT, and how many zero-sum rows went uniform.
+
+    ``alphas`` is one weight for every row or one per row; ``pt`` holds one
+    tail-minor value per row.
+    """
+    a = np.asarray(alphas, dtype=float)[..., None]
+    combined = a * ph + (1.0 - a) * pt[..., None]
     sums = combined.sum(axis=-1)
     dead = sums <= 0
-    if np.any(dead):
-        if diag is not None:
-            diag["degenerate_rows"] = diag.get("degenerate_rows", 0) + int(dead.sum())
+    fallback_rows = int(dead.sum())
+    if fallback_rows:
         combined[dead] = 1.0
         sums = combined.sum(axis=-1)
-    return combined / sums[..., None]
+    return combined / sums[..., None], fallback_rows
 
 
-def constraint_approx(m: np.ndarray, alphas=0.5, h: int = HEAD_SIZE,
-                      diag: dict | None = None) -> np.ndarray:
-    """Head/tail approximate node with per-row correction weights.
+def constraint_approx(m: np.ndarray, alphas) -> tuple[np.ndarray, int]:
+    """Head/tail approximate node with correction weights: ``(rows, fallback_rows)``.
 
-    ``m`` is one (n, n) message matrix or a (B, n, n) batch. alpha_i
-    weights the head-minor permanent against the tail-minor permanent in
-    row i; a scalar alpha applies to every row. Rows whose weighted sum
-    vanishes fall back to uniform (counted in ``diag``).
+    ``m`` is one (n, n) message matrix or a (B, n, n) batch, split with
+    head size ``HEAD_SIZE``. alpha_i weights the head-minor permanent
+    against the tail-minor permanent in row i; ``alphas`` is one weight for
+    every row or one per row. Rows whose weighted sum vanishes fall back to
+    uniform, and ``fallback_rows`` counts them.
     """
-    n = m.shape[-1]
-    a = np.full(n, float(alphas)) if np.isscalar(alphas) else np.asarray(alphas, dtype=float)
-    return _alpha_mix(a, *minor_permanents_split(*head_tail_split(m, h)), diag)
+    return _alpha_mix(alphas, *minor_permanents_split(*head_tail_split(m, HEAD_SIZE)))
 
 
 def node_function(kind: str, alphas=None):
-    """Bind a constraint-node variant to a callable (matrix or batch, diag=None) -> same shape."""
+    """Bind a constraint-node variant to a callable m -> ``(rows, fallback_rows)``.
+
+    ``m`` is one matrix or a batch, and ``rows`` has its shape. The exact
+    node never falls back (a degenerate row raises :class:`DegenerateRow`),
+    so its count is 0.
+    """
     if kind == "exact":
-        return lambda m, diag=None: constraint_exact(m)
+        return lambda m: (constraint_exact(m), 0)
     if kind == "approx":
-        return lambda m, diag=None: constraint_approx(m, 0.5, diag=diag)
+        return lambda m: constraint_approx(m, 0.5)
     if kind == "corrected":
         if alphas is None:
             raise ValueError("corrected node needs trained alphas")
-        a = np.asarray(alphas, dtype=float)
-        return lambda m, diag=None: constraint_approx(m, a, diag=diag)
+        return lambda m: constraint_approx(m, alphas)
     raise ValueError(f"unknown node kind {kind!r}; expected one of {NODE_KINDS}")
 
 
@@ -284,9 +288,13 @@ def bp_solve(puzzle: Puzzle, channel: ChannelModel | None, node: str = "exact", 
     see identical inputs. ``node_inputs`` on the result lists every
     iteration's constraint-node input, one (3n, n, q) stack per iteration
     in constraint order; BP never writes to a stack after the node call.
+    ``degenerate_rows`` sums the node calls' fallback rows. ``max_iters``
+    may be 0, which leaves the channel's decisions.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must be in (0, 1]")
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be at least 0, got {max_iters}")
     n = puzzle.n
     # row of each node input in v2c viewed as (3 n^2, n): the constraint's cells
     # times 3 plus its kind; every (cell, kind) slot appears once
@@ -295,13 +303,13 @@ def bp_solve(puzzle: Puzzle, channel: ChannelModel | None, node: str = "exact", 
     rng = make_rng(seed, 5, stream)
     channel_post = observation_messages(puzzle, channel, rng)
     apply_node = node_function(node, alphas=alphas)
-    diag: dict = {}
+    degenerate_rows = 0
 
     # messages per (cell, constraint kind): v2c[v, k] goes to, and c2v[v, k]
     # comes from, the kind-k constraint of cell v; slots gathers them into
     # node order (3n, n, q). Strict positivity throughout; extreme snr
     # and undamped oscillation otherwise produce zero-support products.
-    v2c = np.repeat(floor_rows(channel_post, MESSAGE_FLOOR)[:, None], 3, axis=1)
+    v2c = np.stack([floor_rows(channel_post, MESSAGE_FLOOR)] * 3, axis=1)
     c2v = np.full_like(v2c, 1.0 / n)
     node_inputs: list[np.ndarray] = []
 
@@ -316,7 +324,9 @@ def bp_solve(puzzle: Puzzle, channel: ChannelModel | None, node: str = "exact", 
         iterations = it
         inputs = v2c.reshape(-1, n).take(slots, axis=0).reshape(3 * n, n, n)
         node_inputs.append(inputs)
-        fresh = floor_rows(apply_node(inputs, diag=diag), MESSAGE_FLOOR)
+        rows, fallback_rows = apply_node(inputs)
+        degenerate_rows += fallback_rows
+        fresh = floor_rows(rows, MESSAGE_FLOOR)
         fresh = fresh.reshape(-1, n).take(back, axis=0).reshape(c2v.shape)
         if it == 1 or damping == 1.0:
             c2v = fresh
@@ -343,7 +353,7 @@ def bp_solve(puzzle: Puzzle, channel: ChannelModel | None, node: str = "exact", 
         beliefs=beliefs,
         decisions=decisions,
         symbol_error_rate=ser,
-        degenerate_rows=diag.get("degenerate_rows", 0),
+        degenerate_rows=degenerate_rows,
         node_inputs=node_inputs,
     )
 
@@ -454,7 +464,7 @@ def exit_point_trials(node: str, ia_bits: float, trials: int, seed: int, *,
             truths[t] = rng.permutation(n)
             out[t] = _apriori_messages(truths[t], sigma_a, n, rng)
     if apply_node is not None:
-        out = apply_node(out)
+        out = apply_node(out)[0]
     at_truth = np.take_along_axis(floor_rows(out, DEFAULT_FLOOR), truths[..., None], axis=-1)
     return max_mi - np.mean(-np.log2(at_truth[..., 0]), axis=-1)
 
@@ -517,7 +527,9 @@ def harvest_constraint_inputs(n: int, snr_db_list, count: int, seed: int) -> lis
             pool.extend(inputs)
         run += 1
     if len(pool) < count:
-        raise ValueError("harvest produced too few matrices; increase runs")
+        raise ValueError(f"harvest gathered {len(pool)} of the {count} matrices needed in "
+                         f"{run} BP runs, its cap: BP solved too early at these snrs, "
+                         f"or --batch is too large")
     pick = make_rng(seed, 9).choice(len(pool), size=count, replace=False)
     return [pool[i] for i in sorted(pick)]
 
@@ -546,7 +558,7 @@ def alpha_objective(matrices: list[np.ndarray]):
     ph, pt = minor_permanents_split(*head_tail_split(stack, HEAD_SIZE))
 
     def objective(corrector: ParametricCorrector) -> float:
-        corrected = floor_rows(_alpha_mix(corrector.alphas, ph, pt), DEFAULT_FLOOR)
+        corrected = floor_rows(_alpha_mix(corrector.alphas, ph, pt)[0], DEFAULT_FLOOR)
         return float(divergence_rows(exact, corrected, _log_p=exact_log).mean(axis=-1).mean())
 
     return objective
@@ -559,23 +571,17 @@ def train_alpha(n: int = 9, snr_db_list=(6.0, 8.0, 10.0), batch: int = 64,
     The default snr mix covers the solver's working region, where the
     ensemble holds both mushy and nearly decided message matrices. The
     returned corrector never loses to the fixed alpha = 0.5 / alpha = 1
-    baselines on the frozen batch (they are probed explicitly).
+    baselines on the frozen batch: the search starts at alpha = 0.5 and
+    returns the best point it scored, and alpha = 1 is probed explicitly.
     """
     matrices = harvest_constraint_inputs(n, list(snr_db_list), batch, seed)
     objective = alpha_objective(matrices)
     result = train_parametric(objective, slots=n, budget=budget)
-    baselines = {
-        0.5: objective(ParametricCorrector(np.full(n, 0.5))),
-        1.0: objective(ParametricCorrector(np.ones(n))),
-    }
-    best_alpha, best_val = result.corrector, result.objective_value
-    for level, val in baselines.items():
-        if val < best_val:
-            best_alpha, best_val = ParametricCorrector(np.full(n, level)), val
-    return AlphaTrainResult(
-        corrector=best_alpha,
-        objective_value=best_val,
-        baseline_half=baselines[0.5],
-        baseline_ones=baselines[1.0],
-        search=result,
-    )
+    baseline_half = objective(ParametricCorrector(np.full(n, 0.5)))
+    ones = ParametricCorrector(np.ones(n))
+    baseline_ones = objective(ones)
+    best, best_val = result.corrector, result.objective_value
+    if baseline_ones < best_val:
+        best, best_val = ones, baseline_ones
+    return AlphaTrainResult(corrector=best, objective_value=best_val, baseline_half=baseline_half,
+                            baseline_ones=baseline_ones, search=result)

@@ -216,7 +216,6 @@ class TrainResult:
     corrector: ParametricCorrector
     objective_value: float
     evaluations: int
-    budget_exhausted: bool
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -231,25 +230,29 @@ def train_parametric(objective, slots: int, budget: int = 4000) -> TrainResult:
     Cyclic coordinate descent from 0.5 in every slot, each coordinate
     minimized by golden-section search to a bracket of ``_LINE_TOL``; stops
     when a full cycle improves by less than ``_CYCLE_TOL`` or the
-    evaluation budget runs out (best-so-far returned with
-    ``budget_exhausted`` set). The returned point is the best of every
-    point evaluated along the search.
+    evaluation budget runs out. Once ``budget`` evaluations are spent, every
+    further point scores +inf without calling the objective, and no new
+    cycle starts. The first evaluation is the start point, so ``budget``
+    must be at least 1; the returned point is the best of every point
+    evaluated along the search.
     """
     if slots < 1:
         raise ValueError("need at least one slot")
+    if budget < 1:
+        raise ValueError(f"the evaluation budget must be at least 1, got {budget}")
     alphas = np.full(slots, 0.5)
-
-    state = {"evals": 0, "exhausted": False}
-    best = {"x": alphas.copy(), "f": math.inf}
+    evals, exhausted = 0, False
+    best_x, best_f = alphas.copy(), math.inf
 
     def evaluate(x: np.ndarray) -> float:
-        if state["evals"] >= budget:
-            state["exhausted"] = True
-            raise _BudgetStop
-        state["evals"] += 1
+        nonlocal evals, exhausted, best_x, best_f
+        if evals >= budget:
+            exhausted = True
+            return math.inf
+        evals += 1
         f = float(objective(ParametricCorrector(x.copy())))
-        if f < best["f"]:
-            best["x"], best["f"] = x.copy(), f
+        if f < best_f:
+            best_x, best_f = x.copy(), f
         return f
 
     def golden(i: int, current: float) -> float:
@@ -281,24 +284,12 @@ def train_parametric(objective, slots: int, budget: int = 4000) -> TrainResult:
         x[i] = pos
         return val
 
-    try:
-        current = evaluate(alphas)
-        while True:
-            start = current
-            for i in range(slots):
-                current = golden(i, current)
-            if start - current < _CYCLE_TOL:
-                break
-    except _BudgetStop:
-        pass
-
-    return TrainResult(
-        corrector=ParametricCorrector(best["x"]),
-        objective_value=best["f"],
-        evaluations=state["evals"],
-        budget_exhausted=state["exhausted"],
-    )
-
-
-class _BudgetStop(Exception):
-    pass
+    current = evaluate(alphas)
+    while not exhausted:
+        start = current
+        for i in range(slots):
+            current = golden(i, current)
+        if start - current < _CYCLE_TOL:
+            break
+    return TrainResult(corrector=ParametricCorrector(best_x), objective_value=best_f,
+                       evaluations=evals)

@@ -137,6 +137,11 @@ def constraint_marginals(m: np.ndarray) -> np.ndarray:
     return out / out.sum(axis=1, keepdims=True)
 
 
+def chain_joint(model) -> np.ndarray:
+    """Dense P(x,y,z) = P(x) P(y|x) P(z|y) of a chain model, shape (nx, ny, nz)."""
+    return model.px[:, None, None] * model.ch1[:, :, None] * model.ch2[None, :, :]
+
+
 def joint_expected_divergence(pxyz: np.ndarray, q: np.ndarray) -> float:
     """ED(P_{X|Y} || Q_{X|Z}) by direct triple-loop enumeration (bits)."""
     nx, ny, nz = pxyz.shape

@@ -1,16 +1,23 @@
-"""Guard against test-only code: every definition in ``src/rolemodel`` has a caller outside the tests.
+"""Static checks over ``src/rolemodel``: test-only code and random-stream labels.
 
-An ``ast`` scan collects the top-level functions and classes of each
-module and the methods of each class. It then collects every name that
-``src/rolemodel`` and the non-test ``perfbench`` files use: identifiers,
-attribute names, imported names, and the parts of string constants
-(``perfbench/spans.py`` patches functions by name). A definition is not a
-use of itself, and a re-export in ``rolemodel/__init__.py`` is not a use.
-Matching is by bare name, so the scan errs toward passing: a dead method
-that shares its name with a live attribute goes unflagged.
+Test-only code: an ``ast`` scan collects the top-level functions and classes
+of each module, and the members of each class: methods, properties and
+dataclass fields. It then collects what ``src/rolemodel`` and the non-test
+``perfbench`` files use. A top-level definition is used when its bare name
+appears as an identifier, an attribute, an imported name or a part of a
+string constant (``perfbench/spans.py`` patches functions by name). A member
+is used only when it is read as an attribute (``.name``) or named in a
+string constant, so a dead method or field that shares its name with a live
+variable is flagged. A definition is not a use of itself, and a re-export in
+``rolemodel/__init__.py`` is not a use.
+
+Stream labels: every ``make_rng`` call in the package passes a literal first
+stream label that no other call site uses, so no two purposes share a
+random stream.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import rolemodel
@@ -18,51 +25,82 @@ import rolemodel
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "rolemodel"
 
-#: Definitions that only tests call, each kept for the stated reason.
+#: Definitions that only tests use, each kept for the stated reason.
 ALLOWLIST = {
     "minsum.surrogate_chain": "builds the exactly enumerable min-sum chain, the oracle "
                               "behind acceptance test 6",
     "minsum.SurrogateChain.sample_batch": "draws that oracle chain's training batch",
     "minsum.SurrogateChain.exact_ed": "scores a trained table exactly on that oracle chain",
+    "chains.ChainModel.nx": "with ny, which the package reads, the chain's alphabet sizes; "
+                            "the chain tests size their tables with them",
+    "chains.ChainModel.nz": "as ChainModel.nx",
+    "sudoku.BpResult.beliefs": "the solver's output to library callers",
+    "sudoku.BpResult.decisions": "the solver's output to library callers",
 }
 
 
-def definitions() -> dict[str, str]:
-    """Qualified name ("module.Class.method") -> bare name, dunder methods left out."""
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def definitions() -> dict[str, tuple[str, bool]]:
+    """Qualified name ("module.Class.member") -> (bare name, is a class member).
+
+    Dunder methods are left out.
+    """
     found = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            found[f"{path.stem}.{node.name}"] = node.name
-            if isinstance(node, ast.ClassDef):
-                for item in node.body:
-                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
-                        found[f"{path.stem}.{node.name}.{item.name}"] = item.name
+            found[f"{path.stem}.{node.name}"] = (node.name, False)
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    name = item.name
+                elif (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                      and _is_dataclass(node)):
+                    name = item.target.id
+                else:
+                    continue
+                found[f"{path.stem}.{node.name}.{name}"] = (name, True)
     return found
 
 
-def used_names() -> set[str]:
+def _sources() -> list[Path]:
     files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
-    files += [p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_")]
-    names = set()
-    for path in files:
+    return files + [p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_")]
+
+
+def used_names() -> tuple[set[str], set[str]]:
+    """(every name used, the names read as attributes or named in strings)."""
+    names, members = set(), set()
+    for path in _sources():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
+                if isinstance(node.ctx, ast.Load):
+                    members.add(node.attr)
             elif isinstance(node, ast.alias):
                 names.add(node.name.rpartition(".")[2])
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                names.update(node.value.split("."))
-    return names
+                parts = node.value.split(".")
+                names.update(parts)
+                members.update(parts)
+    return names, members
 
 
 def test_every_definition_has_a_caller_outside_the_tests():
-    defined = definitions()
-    used = used_names()
-    unused = sorted(q for q, name in defined.items() if name not in used and q not in ALLOWLIST)
+    names, members = used_names()
+    unused = sorted(q for q, (name, member) in definitions().items()
+                    if name not in (members if member else names) and q not in ALLOWLIST)
     assert not unused, f"defined in src/rolemodel but used only by tests, or by nothing: {unused}"
 
 
@@ -73,3 +111,20 @@ def test_allowlist_names_live_definitions():
 def test_every_public_name_resolves():
     missing = [name for name in rolemodel.__all__ if not hasattr(rolemodel, name)]
     assert not missing
+
+
+def test_each_make_rng_call_has_its_own_literal_first_label():
+    labels = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "make_rng"):
+                where = f"{path.name}:{node.lineno}"
+                assert len(node.args) >= 2, f"{where}: make_rng without a stream label"
+                first = node.args[1]
+                assert isinstance(first, ast.Constant) and isinstance(first.value, int), \
+                    f"{where}: the first stream label is not a literal integer"
+                labels.append(first.value)
+    assert labels, "found no make_rng call"
+    shared = sorted(label for label, count in Counter(labels).items() if count > 1)
+    assert not shared, f"stream labels used by more than one make_rng call: {shared}"

@@ -5,7 +5,7 @@ from rolemodel import chains
 from rolemodel.errors import DimensionTooLarge
 from rolemodel.rng import make_rng
 
-from oracles import divergence_row, entropy_row, joint_expected_divergence
+from oracles import chain_joint, divergence_row, entropy_row, joint_expected_divergence
 
 
 def small_model(seed, max_size=5):
@@ -29,7 +29,7 @@ class TestPosteriors:
 
     def test_posterior_xy_vs_joint_normalization(self):
         model, _ = small_model(11)
-        joint = model.joint()
+        joint = chain_joint(model)
         table = chains.posterior_table_xy(model)
         for y in range(model.ny):
             slice_xy = joint[:, y, :].sum(axis=1)
@@ -59,7 +59,7 @@ class TestPosteriors:
     def test_posterior_xz_dual_path(self):
         # direct Bayes vs the mixture sum_y P(x|y) P(y|z)
         model, _ = small_model(14)
-        joint = model.joint()
+        joint = chain_joint(model)
         pyz = joint.sum(axis=0)
         pxgy, pxgz = chains.posterior_table_xy(model), chains.posterior_table_xz(model)
         for z in range(model.nz):
@@ -110,7 +110,7 @@ class TestExpectedDivergence:
         model, rng = small_model(23)
         q = chains.random_conditional(rng, model.nz, model.nx)
         py, pz = model.py(), model.pz()
-        joint = model.joint()
+        joint = chain_joint(model)
         pxy, pxz = joint.sum(axis=2), joint.sum(axis=1)
         h_xy = sum(py[y] * entropy_row(pxy[:, y] / pxy[:, y].sum()) for y in range(model.ny))
         h_xz = sum(pz[z] * entropy_row(pxz[:, z] / pxz[:, z].sum()) for z in range(model.nz))
@@ -127,7 +127,7 @@ class TestExpectedDivergence:
         model, rng = small_model(24)
         q = chains.random_conditional(rng, model.nz, model.nx)
         assert chains.expected_divergence(model, q) == pytest.approx(
-            joint_expected_divergence(model.joint(), q), abs=1e-12
+            joint_expected_divergence(chain_joint(model), q), abs=1e-12
         )
 
 
@@ -189,7 +189,7 @@ class TestMarkovIdentity:
 class TestNonMarkovIdentity:
     def test_markov_factorizable_joint(self):
         model, rng = small_model(71)
-        j = model.joint()
+        j = chain_joint(model)
         joint = chains.GeneralJoint(j / j.sum())
         q = chains.random_conditional(rng, model.nz, model.nx)
         assert abs(chains.nonmarkov_identity_residual(joint, q)) <= 1e-10

@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 from rolemodel import chains
 from rolemodel.probs import divergence_rows, entropy_rows
 
-from oracles import divergence_row, entropy_row
+from oracles import chain_joint, divergence_row, entropy_row
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -63,7 +63,7 @@ def test_identity_residuals_vanish(data):
     model = data.draw(degenerate_chains())
     q = candidate_table(data.draw, model.pz(), model.nx)
     assert abs(chains.markov_identity_residual(model, q)) <= 1e-12
-    j = model.joint()
+    j = chain_joint(model)
     assert abs(chains.nonmarkov_identity_residual(chains.GeneralJoint(j / j.sum()), q)) <= 1e-12
     joint = data.draw(degenerate_joints())
     pz = joint.pxyz.sum(axis=(0, 1))
@@ -75,7 +75,7 @@ def test_identity_residuals_vanish(data):
 @given(degenerate_chains())
 def test_placeholder_rows_are_uniform_exactly_where_mass_is_zero(model):
     # other rows are the joint's (x, c) weights, normalised directly
-    joint = model.joint()
+    joint = chain_joint(model)
     for table, mass, weights in (
         (chains.posterior_table_xy(model), model.py(), joint.sum(axis=2)),
         (chains.posterior_table_xz(model), model.pz(), joint.sum(axis=1)),

@@ -101,6 +101,14 @@ class TestErrorContract:
         ["solve", "--size", "4", "--puzzle", ""],
         ["exit-chart", "--size", "4", "--node", "exact", "--mi-grid", "0:1:1", "--trials", "2",
          "--alpha-table", ""],
+        # counts below their least value (--iters 0 is a run of channel decisions)
+        ["solve", "--size", "4", "--iters", "-1"],
+        ["train-sudoku-alpha", "--size", "4", "--batch", "2", "--snr-list", "8", "--budget", "0"],
+        ["train-sudoku-alpha", "--size", "4", "--batch", "2", "--snr-list", "8", "--budget", "-5"],
+        # seeds outside [0, 2^64), which would alias seeds inside it
+        ["solve", "--size", "4", "--seed", "-1"],
+        ["solve", "--size", "4", "--seed", "18446744073709551616"],
+        ["verify-theorem", "--trials", "2", "--seed", "-1"],
     ], ids=" ".join)
     @pytest.mark.filterwarnings("error")  # a numpy warning is not an error line
     def test_bad_input_is_one_error_line(self, argv, tmp_path, capsys):
@@ -115,6 +123,20 @@ class TestErrorContract:
         prefixes = ("error: ", f"rolemodel {argv[0]}: error: ")
         assert len([line for line in err.splitlines() if line.startswith(prefixes)]) == 1
         assert not out.exists() or "nan" not in out.read_text()
+
+    def test_harvest_shortfall_says_what_it_gathered(self, capsys):
+        # at 300 dB, BP decides every cell from the channel alone and never calls a node
+        argv = ["train-sudoku-alpha", "--size", "4", "--batch", "4", "--snr-list", "300"]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: harvest gathered 0 of the 4 matrices needed in 64 BP runs, "
+                       "its cap: BP solved too early at these snrs, or --batch is too large\n")
+
+    def test_zero_iterations_leave_the_channel_decisions(self, tmp_path):
+        out = tmp_path / "solve.json"
+        assert run(["solve", "--size", "4", "--iters", "0", "--out", str(out), "--quiet"]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["iterations"] == 0 and 0.0 <= doc["symbol_error_rate"] <= 1.0
 
     @pytest.mark.parametrize("nodes", ["exact,bogus", "exact,corrected"])
     def test_node_list_is_checked_before_any_curve(self, nodes, monkeypatch, capsys):

@@ -99,7 +99,7 @@ class TestDefaultFloor:
         for t, value in enumerate(values):
             rng = make_rng(seed, 7, 0, t)
             truths = rng.permutation(n)
-            out = sudoku.constraint_approx(channel.posterior(channel.observe(truths, rng)))
+            out, _ = sudoku.constraint_approx(channel.posterior(channel.observe(truths, rng)), 0.5)
             at_truth = floor_rows(out, DEFAULT_FLOOR)[np.arange(n), truths]
             lowest = min(lowest, out[np.arange(n), truths].min())
             assert value == math.log2(n) - float(np.mean(-np.log2(at_truth)))

@@ -94,11 +94,13 @@ def test_each_matrix_gives_the_same_bits_in_any_batch(n, b, seed):
     h = min(3, n - 1)
     minors = minor_permanents(stack)
     exact = sudoku.constraint_exact(stack)
-    approx = sudoku.constraint_approx(stack, 0.5, h)
+    # the approximate node splits with HEAD_SIZE, which needs n > HEAD_SIZE
+    approx = sudoku.constraint_approx(stack, 0.5)[0] if n > sudoku.HEAD_SIZE else None
     ph, pt = minor_permanents_split(*head_tail_split(stack, h))
     for k in range(b):
         assert np.array_equal(minors[k], minor_permanents(stack[k]))
         assert np.array_equal(exact[k], sudoku.constraint_exact(stack[k]))
-        assert np.array_equal(approx[k], sudoku.constraint_approx(stack[k], 0.5, h))
+        if approx is not None:
+            assert np.array_equal(approx[k], sudoku.constraint_approx(stack[k], 0.5)[0])
         single = minor_permanents_split(*head_tail_split(stack[k], h))
         assert np.array_equal(ph[k], single[0]) and np.array_equal(pt[k], single[1])

@@ -240,7 +240,7 @@ class TestTrainParametric:
     def test_single_quadratic(self):
         res = train_parametric(lambda c: (c.alphas[0] - 0.3) ** 2, slots=1)
         assert abs(res.corrector.alphas[0] - 0.3) <= 1e-3
-        assert not res.budget_exhausted
+        assert res.evaluations < 4000  # converged inside the default budget
 
     def test_separable_two_slot(self):
         target = np.array([0.2, 0.85])
@@ -251,9 +251,8 @@ class TestTrainParametric:
         res = train_parametric(obj, slots=2)
         assert np.max(np.abs(res.corrector.alphas - target)) <= 1e-3
 
-    def test_budget_exhaustion_flag(self):
+    def test_budget_exhaustion_stops_at_the_budget(self):
         res = train_parametric(lambda c: (c.alphas[0] - 0.3) ** 2, slots=1, budget=5)
-        assert res.budget_exhausted
         assert res.evaluations == 5
         assert 0.0 <= res.corrector.alphas[0] <= 1.0
 
