@@ -167,12 +167,18 @@ def _run_eval_minsum(args) -> int:
     return 0
 
 
+#: The ``version`` of the alpha tables that train-sudoku-alpha writes and the CLI reads.
+ALPHA_FORMAT_VERSION = 1
+
+
 def _load_alphas(path: str, n: int) -> np.ndarray:
     with open(path) as f:
         doc = json.load(f)
-    if not isinstance(doc, dict) or doc.get("n") != n:
-        found = doc.get("n") if isinstance(doc, dict) else None
-        raise ValueError(f"alpha table is for n={found}, puzzle is n={n}")
+    version = doc.get("version") if isinstance(doc, dict) else None
+    if version != ALPHA_FORMAT_VERSION:
+        raise ValueError(f"unsupported alpha table version {version!r}")
+    if doc.get("n") != n:
+        raise ValueError(f"alpha table is for n={doc.get('n')}, puzzle is n={n}")
     alphas = doc.get("alphas")
     if not (isinstance(alphas, list) and len(alphas) == n
             and all(isinstance(a, (int, float)) for a in alphas)):
@@ -240,7 +246,7 @@ def _run_train_sudoku_alpha(args) -> int:
                                 seed=args.seed, budget=args.budget)
     if args.out:
         _save_json(args.out, {
-            "version": 1,
+            "version": ALPHA_FORMAT_VERSION,
             "n": args.size,
             "alphas": [float(a) for a in result.corrector.alphas],
         })

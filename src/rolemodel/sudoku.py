@@ -543,25 +543,31 @@ class AlphaTrainResult:
     search: TrainResult
 
 
-def alpha_objective(matrices: list[np.ndarray]):
-    """Frozen-batch objective: mean divergence of exact rows from corrected rows.
+def _alpha_divergences(matrices: list[np.ndarray]):
+    """Frozen batch -> corrector -> (B, n) divergences of exact rows from corrected rows.
 
     Minor permanents of both split parts are precomputed once for the
-    stacked batch, so each evaluation is one alpha-weighted broadcast: the
-    mean over rows per matrix, then the mean over matrices. Corrected rows
-    are floored at ``DEFAULT_FLOOR``, since a sparse head leaves zeros
-    where the exact node has mass.
+    stacked batch, so each call is one alpha-weighted broadcast. Row i of
+    every matrix depends on alpha_i alone. Corrected rows are floored at
+    ``DEFAULT_FLOOR``, since a sparse head leaves zeros where the exact
+    node has mass.
     """
     stack = np.asarray(matrices, dtype=float)
     exact = constraint_exact(stack)
     exact_log = (log2_masked(exact), exact > 0)
     ph, pt = minor_permanents_split(*head_tail_split(stack, HEAD_SIZE))
 
-    def objective(corrector: ParametricCorrector) -> float:
+    def rows(corrector: ParametricCorrector) -> np.ndarray:
         corrected = floor_rows(_alpha_mix(corrector.alphas, ph, pt)[0], DEFAULT_FLOOR)
-        return float(divergence_rows(exact, corrected, _log_p=exact_log).mean(axis=-1).mean())
+        return divergence_rows(exact, corrected, _log_p=exact_log)
 
-    return objective
+    return rows
+
+
+def alpha_objective(matrices: list[np.ndarray]):
+    """Frozen-batch objective: the mean divergence over rows per matrix, then over matrices."""
+    rows = _alpha_divergences(matrices)
+    return lambda corrector: float(rows(corrector).mean(axis=-1).mean())
 
 
 def train_alpha(n: int = 9, snr_db_list=(6.0, 8.0, 10.0), batch: int = 64,
@@ -570,18 +576,16 @@ def train_alpha(n: int = 9, snr_db_list=(6.0, 8.0, 10.0), batch: int = 64,
 
     The default snr mix covers the solver's working region, where the
     ensemble holds both mushy and nearly decided message matrices. The
-    returned corrector never loses to the fixed alpha = 0.5 / alpha = 1
-    baselines on the frozen batch: the search starts at alpha = 0.5 and
-    returns the best point it scored, and alpha = 1 is probed explicitly.
+    search minimizes each row's mean divergence over the batch; the result
+    is the lowest under :func:`alpha_objective`'s reduction of the search's
+    point, alpha = 0.5 and alpha = 1, so it never loses to those baselines
+    on the frozen batch.
     """
-    matrices = harvest_constraint_inputs(n, list(snr_db_list), batch, seed)
-    objective = alpha_objective(matrices)
-    result = train_parametric(objective, slots=n, budget=budget)
-    baseline_half = objective(ParametricCorrector(np.full(n, 0.5)))
-    ones = ParametricCorrector(np.ones(n))
-    baseline_ones = objective(ones)
-    best, best_val = result.corrector, result.objective_value
-    if baseline_ones < best_val:
-        best, best_val = ones, baseline_ones
-    return AlphaTrainResult(corrector=best, objective_value=best_val, baseline_half=baseline_half,
-                            baseline_ones=baseline_ones, search=result)
+    rows = _alpha_divergences(harvest_constraint_inputs(n, list(snr_db_list), batch, seed))
+    result = train_parametric(lambda c: rows(c).mean(axis=0), slots=n, budget=budget)
+    candidates = (result.corrector, ParametricCorrector(np.full(n, 0.5)),
+                  ParametricCorrector(np.ones(n)))
+    values = [float(rows(c).mean(axis=-1).mean()) for c in candidates]
+    best = int(np.argmin(values))  # the first lowest: the search's point wins a tie
+    return AlphaTrainResult(corrector=candidates[best], objective_value=values[best],
+                            baseline_half=values[1], baseline_ones=values[2], search=result)

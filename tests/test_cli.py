@@ -46,6 +46,8 @@ class TestDispatch:
 INPUT_FILES = {
     "alphas.json": {"version": 1, "n": 9, "alphas": [0.5] * 9},  # not a min-sum table
     "n4.json": {"n": 4},  # the right n, but no alphas
+    "v99.json": {"version": 99, "n": 4, "alphas": [0.5] * 4},  # a version this CLI cannot read
+    "unversioned.json": {"n": 4, "alphas": [0.5] * 4},
     "nospec.json": {"version": 1, "q": 2, "bin_spec": {"kind": "minsum"},  # no num_bins
                     "fallback": [0.5, 0.5], "bins": [{"sum": [0.0, 0.0], "count": 0}] * 2},
 }
@@ -73,6 +75,11 @@ class TestErrorContract:
         ["eval-minsum", "--table", "@alphas.json", "--samples", "10"],
         ["eval-minsum", "--table", "@nospec.json", "--samples", "10"],
         ["solve", "--size", "4", "--node", "corrected", "--alpha-table", "@n4.json"],
+        # alpha tables of another format version, or of none
+        ["solve", "--size", "4", "--node", "corrected", "--alpha-table", "@v99.json"],
+        ["solve", "--size", "4", "--node", "corrected", "--alpha-table", "@unversioned.json"],
+        ["exit-chart", "--size", "4", "--node", "corrected", "--mi-grid", "0:1:1", "--trials", "2",
+         "--alpha-table", "@v99.json"],
         ["solve", "--size", "4", "--snr-db=-1e308"],
         # sigmas whose square overflows or underflows
         ["solve", "--size", "4", "--snr-db=-6000"],
