@@ -249,8 +249,13 @@ class TestTrainParametric:
         res = train_parametric(lambda c: (c.alphas - target) ** 2, slots=2)
         assert np.max(np.abs(res.corrector.alphas - target)) <= 1e-3
 
+    def test_budget_exhaustion_stops_at_the_budget(self):
+        res = train_parametric(lambda c: (c.alphas - 0.3) ** 2, slots=1, budget=5)
+        assert res.evaluations == 5
+        assert 0.0 <= res.corrector.alphas[0] <= 1.0
+
     @pytest.mark.parametrize("budget", range(1, 31))
-    def test_budget_exhaustion_stops_at_the_budget(self, budget):
+    def test_budget_sweep_stops_at_the_budget(self, budget):
         calls = []
 
         def obj(c):
