@@ -17,19 +17,11 @@ import json
 import math
 import re
 import sys
-import time
 
 import numpy as np
 
 from . import __version__, chains, minsum, sudoku
 from .errors import RoleModelError
-from .permanent import (
-    RYSER_MAX_N,
-    permanent_bruteforce,
-    permanent_ryser,
-    permanent_sparse,
-    permanent_uniform_rows,
-)
 from .rng import make_rng
 from .train import ParametricCorrector, PostTable
 
@@ -45,6 +37,11 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(1)
+
+
+def _is_number(value) -> bool:
+    """A JSON number: true and false load as Python ints, but are not numbers."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _csv_float(text: str) -> list[float]:
@@ -148,7 +145,7 @@ def _run_eval_minsum(args) -> int:
     if spec.get("kind") != "minsum":
         raise ValueError(f"table bin_spec kind {spec.get('kind')!r} is not 'minsum'")
     num_bins, max_magnitude = spec.get("num_bins"), spec.get("max_magnitude")
-    if not (isinstance(num_bins, int) and isinstance(max_magnitude, (int, float))
+    if not (_is_number(num_bins) and isinstance(num_bins, int) and _is_number(max_magnitude)
             and 2 * num_bins == table.num_bins):
         raise ValueError("minsum bin_spec needs an integer 'num_bins', half the table's bins, "
                          "and a number 'max_magnitude'")
@@ -175,13 +172,13 @@ def _load_alphas(path: str, n: int) -> np.ndarray:
     with open(path) as f:
         doc = json.load(f)
     version = doc.get("version") if isinstance(doc, dict) else None
-    if version != ALPHA_FORMAT_VERSION:
+    if not _is_number(version) or version != ALPHA_FORMAT_VERSION:
         raise ValueError(f"unsupported alpha table version {version!r}")
     if doc.get("n") != n:
         raise ValueError(f"alpha table is for n={doc.get('n')}, puzzle is n={n}")
     alphas = doc.get("alphas")
     if not (isinstance(alphas, list) and len(alphas) == n
-            and all(isinstance(a, (int, float)) for a in alphas)):
+            and all(_is_number(a) for a in alphas)):
         raise ValueError(f"alpha table needs an 'alphas' list of {n} numbers")
     return ParametricCorrector(alphas).alphas
 
@@ -223,7 +220,8 @@ def _run_exit_chart(args) -> int:
     if not nodes or not set(nodes) <= set(kinds):
         raise ValueError(f"--node needs a comma list of node kinds from {kinds}, got {args.node!r}")
     snrs = _csv_float(args.snr_list) if args.snr_list else []
-    grid = args.mi_grid
+    # the default grid spans the a-priori range of the size, [0, log2(n)]
+    grid = args.mi_grid if args.mi_grid is not None else _grid(f"0:{math.log2(args.size)}:0.25")
     alphas = _load_alphas(args.alpha_table, args.size) if args.alpha_table is not None else None
     if "corrected" in nodes and alphas is None:
         raise ValueError("corrected node requires --alpha-table")
@@ -254,35 +252,6 @@ def _run_train_sudoku_alpha(args) -> int:
                f"(alpha=0.5 baseline {result.baseline_half:.6f}, "
                f"alpha=1 baseline {result.baseline_ones:.6f}; "
                f"{result.search.evaluations} evaluations)")
-    return 0
-
-
-def _run_bench(args) -> int:
-    if not 2 <= args.max_n <= RYSER_MAX_N:
-        raise ValueError(f"--max-n must be in [2, {RYSER_MAX_N}]")
-    rng = make_rng(args.seed, 12)
-    rows = []
-    lines = []
-    for n in range(2, args.max_n + 1):
-        m = rng.random((n, n))
-        kernels = [("ryser", permanent_ryser)]
-        if n <= 10:
-            kernels.append(("bruteforce", permanent_bruteforce))
-        kernels.append(("sparse", permanent_sparse))
-        timing = []
-        for name, fn in kernels:
-            t0 = time.perf_counter()
-            value = fn(m)
-            dt = time.perf_counter() - t0
-            rows.append([n, name, repr(value)])
-            timing.append(f"{name} {dt * 1e3:.3f} ms")
-        uniform = permanent_uniform_rows(m[:, 0])
-        rows.append([n, "uniform_rows", repr(uniform)])
-        lines.append(f"n={n}: " + ", ".join(timing))
-    if args.out:
-        _save_csv(args.out, ["n", "kernel", "value"], rows, args.seed)
-    for line in lines:
-        _say(args, line)
     return 0
 
 
@@ -341,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, default=9, choices=sorted(sudoku.BOX_SIDE))
     p.add_argument("--snr-list", type=str, default="",
                    help="channel snrs (dB); used by the variable node")
-    p.add_argument("--mi-grid", type=_grid, default="0:3.17:0.25")
+    p.add_argument("--mi-grid", type=_grid, default=None,
+                   help="a-priori MI grid start:stop:step in bits (default 0:log2(size):0.25)")
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--alpha-table", type=str, default=None)
     common(p)
@@ -354,11 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=4000)
     common(p)
     p.set_defaults(run=_run_train_sudoku_alpha)
-
-    p = sub.add_parser("bench", help="time the permanent kernels across n")
-    p.add_argument("--max-n", type=int, default=8)
-    common(p)
-    p.set_defaults(run=_run_bench)
 
     return parser
 

@@ -1,12 +1,9 @@
-"""Matrix permanents: reference kernels, the batched minor kernel and the head/tail split.
-
-The reference kernels compute one permanent each: brute force over all n!
-permutations (n <= 10), Ryser inclusion-exclusion (n <= 16), sparse row
-expansion, and the closed form for rows of constant value.
+"""Matrix permanents: the batched minor kernel and the head/tail split.
 
 Constraint nodes need every minor permanent perm(A without row i and
-column j). :func:`minor_permanents` computes all n^2 of them for a batch of
-matrices at once by forward/backward subset dynamic programming:
+column j), and these are the only permanents the package computes.
+:func:`minor_permanents`, the one kernel, computes all n^2 of them for a
+batch of matrices at once by forward/backward subset dynamic programming:
 
     f_k[S] = permanent of rows 0..k-1 on column set S, |S| = k
     b_r[T] = permanent of rows r..n-1 on column set T, |T| = n - r
@@ -32,108 +29,21 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
 from .errors import DimensionTooLarge
 
-BRUTEFORCE_MAX_N = 10
-RYSER_MAX_N = 16
 MINORS_MAX_N = 20
 
 
-def _as_square(m, batched: bool = False) -> np.ndarray:
+def _as_square(m) -> np.ndarray:
     a = np.asarray(m, dtype=float)
-    if a.ndim not in ((2, 3) if batched else (2,)) or a.shape[-1] != a.shape[-2]:
-        kind = "(n, n) or (B, n, n)" if batched else "square"
-        raise ValueError(f"{kind} matrix required, got shape {a.shape}")
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"(n, n) or (B, n, n) matrix required, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     return a
-
-
-def permanent_bruteforce(m) -> float:
-    """Sum over all n! permutations; the reference every kernel is checked against.
-
-    Permutations are consumed in chunks so the row-gather product runs
-    vectorized without materializing all n! index tuples at once.
-    """
-    a = _as_square(m)
-    n = a.shape[0]
-    if n > BRUTEFORCE_MAX_N:
-        raise DimensionTooLarge(f"brute force capped at n={BRUTEFORCE_MAX_N}")
-    rows = np.arange(n)
-    total = 0.0
-    chunk: list[tuple[int, ...]] = []
-    for p in permutations(range(n)):
-        chunk.append(p)
-        if len(chunk) == 40320:
-            total += a[rows, np.array(chunk)].prod(axis=1).sum()
-            chunk.clear()
-    if chunk:
-        total += a[rows, np.array(chunk)].prod(axis=1).sum()
-    return float(total)
-
-
-def permanent_ryser(m) -> float:
-    """Ryser inclusion-exclusion with Gray-code column-sum updates, O(2^n * n)."""
-    a = _as_square(m)
-    n = a.shape[0]
-    if n > RYSER_MAX_N:
-        raise DimensionTooLarge(f"Ryser kernel capped at n={RYSER_MAX_N}")
-    col_sums = np.zeros(n)
-    total = 0.0
-    gray = 0
-    size = 0
-    for k in range(1, 1 << n):
-        bit = (k & -k).bit_length() - 1  # column toggled between consecutive Gray codes
-        gray ^= 1 << bit
-        if gray >> bit & 1:
-            col_sums += a[:, bit]
-            size += 1
-        else:
-            col_sums -= a[:, bit]
-            size -= 1
-        sign = -1.0 if (n - size) & 1 else 1.0
-        total += sign * col_sums.prod()
-    return float(total)
-
-
-def permanent_uniform_rows(tail_values) -> float:
-    """Permanent of the matrix whose row i is constant tail_values[i]: n! * prod(t)."""
-    t = np.asarray(tail_values, dtype=float)
-    return float(math.factorial(t.size) * t.prod())
-
-
-def _permanent_sparse_rows(rows: list[list[tuple[int, float]]]) -> float:
-    """Row expansion with used-column masking, zero pruning, and state memoization."""
-    order = sorted(rows, key=len)  # fewest options first
-    m = len(order)
-    memo: dict[tuple[int, int], float] = {}
-
-    def rec(r: int, used: int) -> float:
-        if r == m:
-            return 1.0
-        key = (r, used)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        total = 0.0
-        for c, v in order[r]:
-            if not used >> c & 1:
-                total += v * rec(r + 1, used | 1 << c)
-        memo[key] = total
-        return total
-
-    return rec(0, 0)
-
-
-def permanent_sparse(m) -> float:
-    """Exact permanent exploiting row sparsity; cheap when rows have few nonzeros."""
-    a = _as_square(m)
-    return float(_permanent_sparse_rows([[(j, v) for j, v in enumerate(row) if v != 0.0]
-                                         for row in a]))
 
 
 # -- batched minors ----------------------------------------------------
@@ -197,7 +107,7 @@ def minor_permanents(m) -> np.ndarray:
     subset DP (module docstring) over two column-set-major (2^n - 1, B)
     tables.
     """
-    a = _as_square(m, batched=True)
+    a = _as_square(m)
     n = a.shape[-1]
     if n < 2:
         raise ValueError("minors need n >= 2")
@@ -250,7 +160,7 @@ def head_tail_split(m, h: int) -> tuple[np.ndarray, np.ndarray]:
     are clamped at 0; the h largest entries can never fall strictly below
     the mean of the remaining ones, so the clamp only absorbs rounding.
     """
-    a = _as_square(m, batched=True)
+    a = _as_square(m)
     n = a.shape[-1]
     if not 0 < h < n:
         raise ValueError(f"head size must be in (0, {n})")

@@ -56,12 +56,16 @@ def _is_int(value) -> bool:
 
 
 def _finite_row(values, q: int, name: str) -> np.ndarray:
-    """``values`` as a length-q float row; ValueError unless every entry is a finite number."""
+    """``values`` as a length-q float row; ValueError unless every entry is a finite number.
+
+    A bool is not a number here, though JSON true and false load as Python ints.
+    """
     try:
         row = np.asarray(values, dtype=float)
+        has_bool = any(isinstance(v, bool) for v in values)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{name} must be {q} finite numbers") from exc
-    if row.shape != (q,) or not np.all(np.isfinite(row)):
+    if has_bool or row.shape != (q,) or not np.all(np.isfinite(row)):
         raise ValueError(f"{name} must be {q} finite numbers")
     return row
 
@@ -150,7 +154,7 @@ class PostTable:
         """Rebuild a table written by :meth:`to_json`; ValueError on any schema violation."""
         doc = json.loads(text)
         version = doc.get("version") if isinstance(doc, dict) else None
-        if version != TABLE_FORMAT_VERSION:
+        if not _is_int(version) or version != TABLE_FORMAT_VERSION:
             raise ValueError(f"unsupported table version {version!r}")
         q, bins, spec = doc.get("q"), doc.get("bins"), doc.get("bin_spec")
         if not (_is_int(q) and isinstance(bins, list) and bins and isinstance(spec, dict)

@@ -2,11 +2,13 @@
 
 Nothing here may share code with the paths under test: the convex solver
 re-derives the per-bin optimum by projected gradient descent, the
-constraint-node oracle enumerates permutations explicitly, the min-sum
+permanent and constraint-node oracles enumerate permutations explicitly
+(and import nothing from ``rolemodel``), the min-sum
 batch oracle evaluates the whole-array formula in one shot, and the
 divergence oracles sum per-sample terms exactly with ``math.fsum``.
 """
 
+import functools
 import math
 from itertools import permutations
 
@@ -115,6 +117,37 @@ def minsum_batch(d: int, sigmas, n: int, seed: int, num_bins: int = 64,
     posteriors = np.stack([np.where(ref_llr >= 0, big, small),
                            np.where(ref_llr >= 0, small, big)], axis=-1)
     return posteriors, bins, truths, signs * mags
+
+
+#: Largest n the brute-force permanent takes: its n! x n permutation table is 26 MB at n = 9.
+PERMANENT_MAX_N = 9
+
+
+@functools.lru_cache(maxsize=None)
+def _permutation_table(n: int) -> np.ndarray:
+    """Every permutation of range(n), one per row: (n!, n)."""
+    return np.array(list(permutations(range(n))), dtype=np.intp).reshape(math.factorial(n), n)
+
+
+def permanent(m) -> float:
+    """sum over every permutation s of prod_i m[i, s(i)]; 1 for the empty matrix.
+
+    For non-negative entries every term is non-negative, so the sum keeps
+    full relative accuracy, also for near-permutation matrices.
+    """
+    a = np.asarray(m, dtype=float)
+    n = a.shape[0]
+    if a.shape != (n, n) or n > PERMANENT_MAX_N:
+        raise ValueError(f"square matrix with n <= {PERMANENT_MAX_N} required, got {a.shape}")
+    return float(a[np.arange(n), _permutation_table(n)].prod(axis=1).sum())
+
+
+def minor_permanents(m) -> np.ndarray:
+    """Matrix of perm(m without row i and column j), each by :func:`permanent`."""
+    a = np.asarray(m, dtype=float)
+    n = a.shape[0]
+    return np.array([[permanent(np.delete(np.delete(a, i, 0), j, 1)) for j in range(n)]
+                     for i in range(n)])
 
 
 def constraint_marginals(m: np.ndarray) -> np.ndarray:

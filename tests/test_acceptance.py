@@ -11,16 +11,12 @@ import numpy as np
 
 from rolemodel import chains, minsum, sudoku
 from rolemodel.cli import main as cli_main
-from rolemodel.permanent import (
-    permanent_bruteforce,
-    permanent_ryser,
-    permanent_sparse,
-    permanent_uniform_rows,
-)
+from rolemodel.permanent import minor_permanents, minor_permanents_split
 from rolemodel.rng import make_rng
 from rolemodel.train import ParametricCorrector, PostTable, SampleBatch
 
 from oracles import constraint_marginals, joint_expected_divergence, projected_gradient_table
+from oracles import minor_permanents as brute_minors
 
 
 def report(num, name, ok, detail, elapsed, budget):
@@ -85,30 +81,33 @@ def test_4_permanent_kernels():
     for n in range(2, 9):
         for _ in range(100):
             a = rng.random((n, n))
-            bf = permanent_bruteforce(a)
-            ry = permanent_ryser(a)
-            worst = max(worst, abs(ry - bf) / max(abs(bf), 1e-300))
-    exact_40320 = permanent_ryser(np.ones((8, 8))) == 40320.0
+            ref = brute_minors(a)
+            worst = max(worst, float(np.max(np.abs(minor_permanents(a) - ref)
+                                            / np.maximum(np.abs(ref), 1e-300))))
+    # every minor of the 9x9 all-ones matrix is 8!
+    exact_40320 = bool(np.all(minor_permanents(np.ones((9, 9))) == 40320.0))
 
-    # sparse supports can lack a perfect matching (true permanent exactly 0,
-    # which Ryser only reproduces up to inclusion-exclusion roundoff), so the
-    # 1e-10 relative tolerance carries an absolute floor at that noise scale
+    # sparse supports can lack a perfect matching (true minor exactly 0), so
+    # the 1e-10 relative tolerance carries an absolute floor
     def excess(a, b):
-        return abs(a - b) / (1e-10 * max(abs(a), abs(b)) + 1e-12)
+        return float(np.max(np.abs(a - b) / (1e-10 * np.maximum(np.abs(a), np.abs(b)) + 1e-12)))
 
     worst_special = 0.0
     for _ in range(50):
         t = rng.random(7)
         explicit = np.repeat(t[:, None], 7, axis=1)
-        worst_special = max(worst_special, excess(permanent_uniform_rows(t), permanent_ryser(explicit)))
+        _, pt = minor_permanents_split(np.zeros((7, 7)), t)
+        worst_special = max(worst_special, excess(pt[:, None], brute_minors(explicit)))
         sparse = np.zeros((8, 8))
         for r in range(8):
             sparse[r, rng.choice(8, 3, replace=False)] = rng.random(3)
-        worst_special = max(worst_special, excess(permanent_sparse(sparse), permanent_ryser(sparse)))
+        ph, _ = minor_permanents_split(sparse, np.zeros(8))
+        worst_special = max(worst_special, excess(ph, brute_minors(sparse)))
     ok = worst <= 1e-10 and exact_40320 and worst_special <= 1.0
     report(4, "permanent kernels", ok,
-           f"ryser-vs-brute rel err = {worst:.2e}; 8x8 all-ones exact = {exact_40320}; "
-           f"closed-form/sparse tolerance ratio = {worst_special:.2e}", time.time() - t0, 60)
+           f"kernel-vs-brute minor rel err = {worst:.2e}; 9x9 all-ones minors exact = "
+           f"{exact_40320}; closed-form/sparse tolerance ratio = {worst_special:.2e}",
+           time.time() - t0, 60)
 
 
 def test_5_exact_constraint_node():
@@ -193,23 +192,26 @@ def test_8_alpha_training():
            time.time() - t0, 600)
 
 
+def determinism_runs(table: str) -> dict[str, list[str]]:
+    """Per subcommand, the small run that test 9 makes twice; ``table`` is a min-sum table."""
+    return {
+        "verify-theorem": ["verify-theorem", "--trials", "10"],
+        "train-minsum": ["train-minsum", "--samples", "3000"],
+        "eval-minsum": ["eval-minsum", "--table", table, "--samples", "3000"],
+        "solve": ["solve", "--size", "4", "--snr-db", "4"],
+        "exit-chart": ["exit-chart", "--size", "4", "--mi-grid", "0:2:0.5", "--trials", "8"],
+        "train-sudoku-alpha": ["train-sudoku-alpha", "--batch", "8", "--snr-list", "8",
+                               "--budget", "300"],
+    }
+
+
 def test_9_cli_determinism(tmp_path):
     t0 = time.time()
     table = tmp_path / "table.json"
     assert cli_main(["train-minsum", "--samples", "3000", "--seed", "1",
                      "--out", str(table), "--quiet"]) == 0
-    commands = {
-        "verify-theorem": ["verify-theorem", "--trials", "10"],
-        "train-minsum": ["train-minsum", "--samples", "3000"],
-        "eval-minsum": ["eval-minsum", "--table", str(table), "--samples", "3000"],
-        "solve": ["solve", "--size", "4", "--snr-db", "4"],
-        "exit-chart": ["exit-chart", "--size", "4", "--mi-grid", "0:2:0.5", "--trials", "8"],
-        "train-sudoku-alpha": ["train-sudoku-alpha", "--batch", "8", "--snr-list", "8",
-                               "--budget", "300"],
-        "bench": ["bench", "--max-n", "5"],
-    }
     stable = []
-    for name, argv in commands.items():
+    for name, argv in determinism_runs(str(table)).items():
         outs = []
         for run in ("a", "b"):
             out = tmp_path / f"{name}.{run}"

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -12,6 +13,8 @@ from hypothesis import strategies as st
 from rolemodel import sudoku
 from rolemodel.cli import build_parser, main
 from rolemodel.rng import make_rng
+
+from test_acceptance import determinism_runs
 
 
 def run(argv):
@@ -41,6 +44,12 @@ class TestDispatch:
     def test_version(self, capsys):
         assert run(["--version"]) == 0
 
+    def test_command_tables_name_every_subcommand(self):
+        # acceptance test 9 and the flag grammar below each run every subcommand
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(determinism_runs("table.json")) == set(sub.choices)
+        assert set(GRAMMAR) == set(sub.choices)
+
 
 #: JSON inputs that the argv lists below name as "@<file name>".
 INPUT_FILES = {
@@ -50,6 +59,21 @@ INPUT_FILES = {
     "unversioned.json": {"n": 4, "alphas": [0.5] * 4},
     "nospec.json": {"version": 1, "q": 2, "bin_spec": {"kind": "minsum"},  # no num_bins
                     "fallback": [0.5, 0.5], "bins": [{"sum": [0.0, 0.0], "count": 0}] * 2},
+    # JSON true and false load as Python ints, but are not numbers
+    "boolalphas.json": {"version": 1, "n": 4, "alphas": [True, False, True, 1]},
+    "boolversion.json": {"version": True, "n": 4, "alphas": [0.5] * 4},
+    "boolsum.json": {"version": 1, "q": 2, "fallback": [0.5, 0.5],
+                     "bin_spec": {"kind": "minsum", "num_bins": 1, "max_magnitude": 25.0},
+                     "bins": [{"sum": [True, True], "count": 1}, {"sum": [0.0, 0.0], "count": 0}]},
+    "boolbins.json": {"version": 1, "q": 2, "fallback": [0.5, 0.5],
+                      "bin_spec": {"kind": "minsum", "num_bins": True, "max_magnitude": 25.0},
+                      "bins": [{"sum": [0.0, 0.0], "count": 0}] * 2},
+    "boolfallback.json": {"version": 1, "q": 2, "fallback": [True, False],
+                          "bin_spec": {"kind": "minsum", "num_bins": 1, "max_magnitude": 25.0},
+                          "bins": [{"sum": [0.0, 0.0], "count": 0}] * 2},
+    "booltable.json": {"version": True, "q": 2, "fallback": [0.5, 0.5],
+                       "bin_spec": {"kind": "minsum", "num_bins": 1, "max_magnitude": 25.0},
+                       "bins": [{"sum": [0.0, 0.0], "count": 0}] * 2},
 }
 
 
@@ -92,9 +116,18 @@ class TestErrorContract:
         ["exit-chart", "--mi-grid", "0:inf:1"],
         ["exit-chart", "--mi-grid", "0:1e308:1"],
         ["exit-chart", "--mi-grid", "0:0:1e-300"],
-        # counts past what the command can do, and lists that name nothing
+        # a subcommand that is gone, with its old flag and without
         ["bench", "--max-n", "17"],
         ["bench", "--max-n", "1"],
+        ["bench"],
+        # JSON booleans where a number is read
+        ["solve", "--size", "4", "--node", "corrected", "--alpha-table", "@boolalphas.json"],
+        ["solve", "--size", "4", "--node", "corrected", "--alpha-table", "@boolversion.json"],
+        ["eval-minsum", "--table", "@boolsum.json", "--samples", "10"],
+        ["eval-minsum", "--table", "@boolbins.json", "--samples", "10"],
+        ["eval-minsum", "--table", "@boolfallback.json", "--samples", "10"],
+        ["eval-minsum", "--table", "@booltable.json", "--samples", "10"],
+        # counts past what the command can do, and lists that name nothing
         ["verify-theorem", "--max-alphabet", "101"],
         ["exit-chart", "--node", "", "--mi-grid", "0:0:1"],
         ["exit-chart", "--node", ",", "--mi-grid", "0:0:1"],
@@ -126,8 +159,9 @@ class TestErrorContract:
         assert run(argv + ["--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        # a value the parser rejects gets argparse's form, after its usage line
-        prefixes = ("error: ", f"rolemodel {argv[0]}: error: ")
+        # a value the parser rejects gets argparse's form, after its usage line;
+        # an unknown subcommand gets the top-level parser's form
+        prefixes = ("error: ", f"rolemodel {argv[0]}: error: ", "rolemodel: error: ")
         assert len([line for line in err.splitlines() if line.startswith(prefixes)]) == 1
         assert not out.exists() or "nan" not in out.read_text()
 
@@ -171,10 +205,9 @@ GRAMMAR = {
                     "--alpha-table", "--seed"]),
     "train-sudoku-alpha": (["--size", "4", "--batch", "2", "--snr-list", "8", "--budget", "20"],
                            ["--size", "--batch", "--snr-list", "--budget", "--seed"]),
-    "bench": (["--max-n", "3"], ["--max-n", "--seed"]),
 }
 #: Commands whose --out is a CSV file with a header line.
-CSV_OUT = {"verify-theorem", "eval-minsum", "exit-chart", "bench"}
+CSV_OUT = {"verify-theorem", "eval-minsum", "exit-chart"}
 #: Flags that set how many samples, trials or iterations a run does: a huge
 #: value would allocate or run for minutes, so they draw none.
 COUNT_FLAGS = {"--samples", "--trials", "--batch", "--budget", "--iters", "--bins"}
@@ -391,9 +424,19 @@ class TestExitChart:
         assert len(body) == 6  # 2 nodes x 3 grid points
         assert body[0].split(",")[1] == ""  # constraint curves carry no channel snr
 
-    def test_default_grid_is_parsed(self):
-        assert build_parser().parse_args(["exit-chart"]).mi_grid == [
-            0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.25, 2.5, 2.75, 3.0]
+    def test_default_grid_is_parsed(self, monkeypatch):
+        grids = []
+        monkeypatch.setattr(sudoku, "exit_curve", lambda node, grid, *a, **k: grids.append(grid) or [])
+        assert run(["exit-chart", "--node", "exact", "--quiet"]) == 0
+        assert grids == [[0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.25, 2.5, 2.75, 3.0]]
+
+    def test_default_grid_spans_the_size(self, tmp_path):
+        # the default grid is 0:log2(n):0.25, so at n = 4 it stops at 2 bits
+        out = tmp_path / "exit.csv"
+        assert run(["exit-chart", "--size", "4", "--node", "exact", "--trials", "4",
+                    "--out", str(out), "--quiet"]) == 0
+        body = [l for l in out.read_text().splitlines()[1:] if not l.startswith("#")]
+        assert [float(l.split(",")[2]) for l in body] == [0.25 * k for k in range(9)]
 
     def test_grid_parsing(self, tmp_path):
         assert run(["exit-chart", "--size", "4", "--mi-grid", "nonsense",
@@ -411,24 +454,6 @@ class TestTrainSudokuAlpha:
         assert len(doc["alphas"]) == 9
         assert all(0.0 <= a <= 1.0 for a in doc["alphas"])
         assert "trained objective" in capsys.readouterr().out
-
-
-class TestBench:
-    def test_values_csv(self, tmp_path, capsys):
-        out = tmp_path / "bench.csv"
-        assert run(["bench", "--max-n", "4", "--seed", "8", "--out", str(out)]) == 0
-        lines = out.read_text().splitlines()
-        assert lines[0] == "n,kernel,value"
-        # kernel values at each n agree with one another
-        by_n = {}
-        for line in lines[1:]:
-            if line.startswith("#"):
-                continue
-            n, kernel, value = line.split(",")
-            if kernel in ("ryser", "bruteforce", "sparse"):
-                by_n.setdefault(n, []).append(float(value))
-        for vals in by_n.values():
-            assert np.allclose(vals, vals[0], rtol=1e-10)
 
 
 class TestDeterminism:

@@ -4,20 +4,16 @@ import numpy as np
 import pytest
 
 from rolemodel.errors import DimensionTooLarge
-from rolemodel.permanent import (
-    head_tail_split,
-    minor_permanents,
-    minor_permanents_split,
-    permanent_bruteforce,
-    permanent_ryser,
-    permanent_sparse,
-    permanent_uniform_rows,
-)
+from rolemodel.permanent import head_tail_split, minor_permanents, minor_permanents_split
 from rolemodel.rng import make_rng
+
+from oracles import PERMANENT_MAX_N
+from oracles import minor_permanents as brute_minors
+from oracles import permanent as brute_permanent
 
 
 def close(a, b, rel=1e-10, abs_tol=1e-13):
-    return abs(a - b) <= rel * max(abs(a), abs(b)) + abs_tol
+    return np.all(np.abs(a - b) <= rel * np.maximum(np.abs(a), np.abs(b)) + abs_tol)
 
 
 def random_sparse(rng, n, nnz=3):
@@ -29,96 +25,72 @@ def random_sparse(rng, n, nnz=3):
 
 
 class TestBruteForce:
+    """The brute-force oracle in ``tests/oracles.py``, the reference for the kernel."""
+
     def test_identity(self):
         for n in (1, 3, 6):
-            assert permanent_bruteforce(np.eye(n)) == 1.0
+            assert brute_permanent(np.eye(n)) == 1.0
 
     def test_all_ones_3x3(self):
-        assert permanent_bruteforce(np.ones((3, 3))) == 6.0
+        assert brute_permanent(np.ones((3, 3))) == 6.0
 
     def test_2x2_closed_form(self):
-        assert permanent_bruteforce([[1.0, 2.0], [3.0, 4.0]]) == 10.0
+        assert brute_permanent([[1.0, 2.0], [3.0, 4.0]]) == 10.0
 
     def test_cap(self):
-        with pytest.raises(DimensionTooLarge):
-            permanent_bruteforce(np.ones((11, 11)))
-
-
-class TestRyser:
-    def test_identity_8(self):
-        assert permanent_ryser(np.eye(8)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_all_ones_8_is_factorial(self):
-        assert permanent_ryser(np.ones((8, 8))) == 40320.0
-
-    def test_vs_bruteforce(self):
-        rng = make_rng(301)
-        for _ in range(100):
-            a = rng.random((6, 6))
-            assert close(permanent_ryser(a), permanent_bruteforce(a))
-
-    def test_row_and_column_permutation_invariance(self):
-        rng = make_rng(302)
-        a = rng.random((7, 7))
-        base = permanent_ryser(a)
-        for _ in range(5):
-            assert close(permanent_ryser(a[rng.permutation(7)]), base)
-            assert close(permanent_ryser(a[:, rng.permutation(7)]), base)
-
-    def test_multilinear_in_rows(self):
-        rng = make_rng(303)
-        a = rng.random((6, 6))
-        base = permanent_ryser(a)
-        for c in (0.0, 0.25, 3.0):
-            scaled = a.copy()
-            scaled[2] *= c
-            assert permanent_ryser(scaled) == pytest.approx(c * base, rel=1e-12, abs=1e-12)
-
-    def test_cap(self):
-        with pytest.raises(DimensionTooLarge):
-            permanent_ryser(np.ones((17, 17)))
+        with pytest.raises(ValueError):
+            brute_permanent(np.ones((PERMANENT_MAX_N + 1, PERMANENT_MAX_N + 1)))
 
 
 class TestUniformRows:
+    """PT of :func:`minor_permanents_split`: the closed form of uniform-row minors."""
+
+    @staticmethod
+    def tail_minors(tails):
+        n = len(tails)
+        return minor_permanents_split(np.zeros((n, n)), np.asarray(tails, dtype=float))[1]
+
     def test_unit_constants(self):
-        assert permanent_uniform_rows(np.ones(4)) == 24.0
+        assert np.array_equal(self.tail_minors(np.ones(5)), np.full(5, 24.0))
 
     def test_zero_constant_kills(self):
-        assert permanent_uniform_rows([0.3, 0.0, 0.2]) == 0.0
+        # every minor that keeps the zero row is exactly 0; the one without it is not
+        pt = self.tail_minors([0.3, 0.0, 0.2])
+        assert pt[0] == 0.0 and pt[2] == 0.0
+        assert pt[1] == pytest.approx(2 * 0.3 * 0.2, rel=1e-15)
 
-    def test_vs_ryser_on_explicit_matrix(self):
+    def test_vs_oracle_on_explicit_matrix(self):
         rng = make_rng(304)
         for _ in range(100):
             t = rng.random(7)
             explicit = np.repeat(t[:, None], 7, axis=1)
-            assert close(permanent_uniform_rows(t), permanent_ryser(explicit))
+            assert close(self.tail_minors(t)[:, None], brute_minors(explicit))
 
 
 class TestSparse:
+    """The kernel on inputs with few nonzeros per row, like the approximate node's head."""
+
     def test_permutation_matrix(self):
+        # minor (i, j) of a permutation matrix is 1 where the matrix is 1, else 0
         perm = np.eye(8)[[3, 1, 0, 2, 7, 6, 4, 5]]
-        assert permanent_sparse(perm) == 1.0
+        assert np.array_equal(minor_permanents(perm), perm)
 
     def test_zero_row(self):
         a = np.ones((4, 4))
         a[2] = 0.0
-        assert permanent_sparse(a) == 0.0
+        expected = np.zeros((4, 4))
+        expected[2] = 6.0  # the 3x3 all-ones minors
+        assert np.array_equal(minor_permanents(a), expected)
 
-    def test_vs_ryser_on_sparse_inputs(self):
+    def test_vs_oracle_on_sparse_inputs(self):
         rng = make_rng(305)
-        for _ in range(100):
-            a = random_sparse(rng, 8)
-            assert close(permanent_sparse(a), permanent_ryser(a))
-
-    def test_dense_agreement(self):
-        rng = make_rng(306)
-        for n in range(2, 8):
-            a = rng.random((n, n))
-            assert close(permanent_sparse(a), permanent_bruteforce(a))
+        stack = np.stack([random_sparse(rng, 8) for _ in range(100)])
+        for a, minors in zip(stack, minor_permanents(stack)):
+            assert close(minors, brute_minors(a))
 
 
 class TestBatchedMinors:
-    def test_vs_scalar_ryser(self):
+    def test_vs_scalar_oracle(self):
         rng = make_rng(307)
         for n in (2, 4, 6, 9):
             a = rng.random((2, n, n))
@@ -127,8 +99,28 @@ class TestBatchedMinors:
             for b in range(2):
                 for i in range(n):
                     for j in range(n):
-                        ref = permanent_ryser(np.delete(np.delete(a[b], i, 0), j, 1))
+                        ref = brute_permanent(np.delete(np.delete(a[b], i, 0), j, 1))
                         assert close(batch[b, i, j], ref)
+
+    @pytest.mark.parametrize("n", [2, 4, 9, 12])
+    def test_permuting_rows_and_columns_permutes_the_minors(self, n):
+        rng = make_rng(322, n)
+        rows, cols = rng.permutation(n), rng.permutation(n)
+
+        def permuted(stack):
+            return stack[:, rows][:, :, cols]
+
+        # Entries in {0, 1/4, 1/2, 3/4} keep every product and partial sum exact
+        # in float64 at n <= 12 (below 11! in size, 22 fractional bits), so the
+        # minors come out permuted bit for bit.
+        dyadic = rng.integers(0, 4, size=(3, n, n)) / 4
+        assert np.array_equal(minor_permanents(permuted(dyadic)),
+                              permuted(minor_permanents(dyadic)))
+        # On real entries the DP's summation order follows the row and column
+        # order, so the permuted minors may differ in rounding only.
+        real = rng.random((3, n, n))
+        assert close(minor_permanents(permuted(real)), permuted(minor_permanents(real)),
+                     rel=1e-14, abs_tol=0.0)
 
     # sha256 of the little-endian float64 bytes of minor_permanents on a fixed
     # row-normalised (B, n, n) batch or its head_tail_split head. The kernel only
@@ -191,8 +183,8 @@ class TestBatchedMinors:
         assert pt.shape == (7,)
         for i in range(7):
             for j in range(7):
-                ref_h = permanent_ryser(np.delete(np.delete(head, i, 0), j, 1))
-                ref_t = permanent_ryser(np.delete(np.delete(tmat, i, 0), j, 1))
+                ref_h = brute_permanent(np.delete(np.delete(head, i, 0), j, 1))
+                ref_t = brute_permanent(np.delete(np.delete(tmat, i, 0), j, 1))
                 assert close(ph[i, j], ref_h)
                 assert close(pt[i], ref_t)
 
@@ -253,8 +245,8 @@ class TestApproxMinor:
         m = rng.dirichlet(np.ones(6), size=6)
         split = head, tails = head_tail_split(m, 3)
         for i, j in ((0, 0), (2, 4), (5, 5)):
-            ph = permanent_sparse(np.delete(np.delete(head, i, 0), j, 1))
-            pt = permanent_uniform_rows(np.delete(tails, i))
+            ph = brute_permanent(np.delete(np.delete(head, i, 0), j, 1))
+            pt = brute_permanent(np.repeat(np.delete(tails, i)[:, None], 5, axis=1))
             assert approx_minor(split, i, j, 1.0) == pytest.approx(ph, rel=1e-12, abs=1e-15)
             assert approx_minor(split, i, j, 0.0) == pytest.approx(pt, rel=1e-12, abs=1e-15)
             mid = approx_minor(split, i, j, 0.5)
@@ -271,6 +263,6 @@ class TestApproxMinor:
             i, j = int(rng.integers(9)), int(rng.integers(9))
             approx = 2.0 * approx_minor(split, i, j, 0.5)
             rec = head + tails[..., None]
-            exact = permanent_ryser(np.delete(np.delete(rec, i, 0), j, 1))
+            exact = brute_permanent(np.delete(np.delete(rec, i, 0), j, 1))
             errs.append(abs(approx - exact) / exact)
         assert float(np.median(errs)) > 0.10

@@ -9,24 +9,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rolemodel import sudoku
-from rolemodel.permanent import (
-    head_tail_split,
-    minor_permanents,
-    minor_permanents_split,
-    permanent_bruteforce,
-)
+from rolemodel.permanent import head_tail_split, minor_permanents, minor_permanents_split
 from rolemodel.rng import make_rng
+
+from oracles import minor_permanents as brute_minors
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
 # entries bounded away from 0, so no product of up to 7 of them underflows
 ENTRIES = st.floats(min_value=1e-3, max_value=1.0)
-
-
-def brute_minors(a: np.ndarray) -> np.ndarray:
-    n = a.shape[0]
-    return np.array([[permanent_bruteforce(np.delete(np.delete(a, i, 0), j, 1))
-                      for j in range(n)] for i in range(n)])
 
 
 def assert_relative(got: np.ndarray, ref: np.ndarray, rel: float) -> None:
