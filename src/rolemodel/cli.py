@@ -225,16 +225,14 @@ def _run_exit_chart(args) -> int:
     alphas = _load_alphas(args.alpha_table, args.size) if args.alpha_table is not None else None
     if "corrected" in nodes and alphas is None:
         raise ValueError("corrected node requires --alpha-table")
-    rows = []
-    for node in nodes:
-        points = sudoku.exit_curve(node, grid, args.trials, args.seed, n=args.size,
-                                   snr_db_list=snrs or None, alphas=alphas)
-        for p in points:
-            rows.append([p.node, "" if p.snr_db is None else repr(p.snr_db),
-                         repr(p.ia_bits), repr(p.ie_bits), repr(p.stderr)])
+    points = sudoku.exit_curve(nodes, grid, args.trials, args.seed, n=args.size,
+                               snr_db_list=snrs or None, alphas=alphas)
+    rows = [[p.node, "" if p.snr_db is None else repr(p.snr_db),
+             repr(p.ia_bits), repr(p.ie_bits), repr(p.stderr)] for p in points]
     if args.out:
         _save_csv(args.out, ["node", "snr_db", "ia_bits", "ie_bits", "stderr"], rows, args.seed)
-    _say(args, f"{len(rows)} exit points over nodes {','.join(nodes)} at {args.trials} trials")
+    _say(args, f"{len(rows)} exit points over nodes {','.join(nodes)} at {args.trials} trials, "
+               f"fallback_rows={sum(p.fallback_rows for p in points)}")
     return 0
 
 

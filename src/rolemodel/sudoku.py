@@ -166,8 +166,13 @@ class ChannelModel:
 
     def observe(self, symbols, rng: np.random.Generator) -> np.ndarray:
         s = np.asarray(symbols, dtype=int)
-        y = self.sigma * rng.standard_normal((s.size, self.q))
-        y[np.arange(s.size), s] += 1.0
+        return self.receive(s, rng.standard_normal((s.size, self.q)))
+
+    def receive(self, symbols, noise: np.ndarray) -> np.ndarray:
+        """Channel outputs for ``symbols`` of any shape, given noise of that shape plus (q,)."""
+        s = np.asarray(symbols, dtype=int)
+        y = self.sigma * noise
+        y[(*np.indices(s.shape, sparse=True), s)] += 1.0
         return y
 
     def posterior(self, y: np.ndarray) -> np.ndarray:
@@ -369,17 +374,34 @@ class ExitPoint:
     ie_bits: float
     stderr: float
     trials: int
+    #: node rows replaced by uniform over the point's trials (0 for exact and variable)
+    fallback_rows: int
 
 
-def _apriori_messages(truths: np.ndarray, sigma: float | None, q: int,
-                      rng: np.random.Generator) -> np.ndarray:
+def _trial_draws(seed: int, point: int, trials: int, n: int, draw_truths,
+                 blocks: int) -> tuple[np.ndarray, np.ndarray]:
+    """Trial t's truths, then its ``blocks`` (n, n) standard-normal blocks, from stream (seed, 7, point, t).
+
+    Returns truths of shape (trials, n) and noise of shape (blocks, trials, n, n).
+    """
+    truths = np.empty((trials, n), dtype=int)
+    noise = np.empty((blocks, trials, n, n))
+    for t in range(trials):
+        rng = make_rng(seed, 7, point, t)
+        truths[t] = draw_truths(rng)
+        noise[:, t] = rng.standard_normal((blocks, n, n))
+    return truths, noise
+
+
+def _apriori_rows(truths: np.ndarray, sigma: float | None, q: int,
+                  noise: np.ndarray) -> np.ndarray:
     """A-priori rows about ``truths`` at noise ``sigma``: uniform at None, one-hot at 0.0."""
     if sigma is None:
-        return np.full((truths.size, q), 1.0 / q)
+        return np.full(truths.shape + (q,), 1.0 / q)
     if sigma == 0.0:
         return np.eye(q)[truths]
     ch = ChannelModel(sigma=sigma, q=q)
-    return ch.posterior(ch.observe(truths, rng))
+    return ch.posterior(ch.receive(truths, noise))
 
 
 @functools.lru_cache(maxsize=256)
@@ -401,11 +423,8 @@ def calibrate_sigma(ia_target: float, q: int, seed: int) -> float:
     noise = rng.standard_normal((samples, q))
 
     def mi_at(log_sigma: float) -> float:
-        sigma = 10.0**log_sigma
-        y = sigma * noise
-        y[np.arange(samples), truths] += 1.0
-        ch = ChannelModel(sigma=sigma, q=q)
-        return soft_mi(truths, floor_rows(ch.posterior(y), DEFAULT_FLOOR))
+        ch = ChannelModel(sigma=10.0**log_sigma, q=q)
+        return soft_mi(truths, floor_rows(ch.posterior(ch.receive(truths, noise)), DEFAULT_FLOOR))
 
     lo, hi = -3.0, 3.0
     if not (mi_at(hi) <= ia_target <= mi_at(lo)):
@@ -422,16 +441,21 @@ def calibrate_sigma(ia_target: float, q: int, seed: int) -> float:
     raise BisectionFailure(f"bisection did not reach target {ia_target}")
 
 
-def exit_point_trials(node: str, ia_bits: float, trials: int, seed: int, *,
+def exit_point_trials(nodes, ia_bits: float, trials: int, seed: int, *,
                       n: int = 9, point: int = 0, alphas=None,
-                      snr_db: float | None = None) -> np.ndarray:
-    """Per-trial extrinsic information values (unclamped), one per trial.
+                      snr_db: float | None = None) -> tuple[np.ndarray, list[int]]:
+    """Per-trial extrinsic information of each node kind at one EXIT point.
 
+    Returns ``(values, fallback_rows)``: unclamped values of shape
+    (len(nodes), trials), and per node the rows it replaced by uniform
+    over all trials. Trial t draws from stream (seed, 7, point, t).
     Constraint-node variants see an n x n matrix whose truth is a random
-    permutation (a valid constraint configuration); the ``variable``
-    variant combines a channel observation at ``snr_db`` with two a-priori
-    messages. A-priori messages are synthesized at the sigma calibrated to
-    ``ia_bits``.
+    permutation (a valid constraint configuration); the trials are drawn
+    once, and every constraint node is called once on that same
+    (trials, n, n) stack, so their values are paired trial by trial. The
+    ``variable`` variant combines a channel observation at ``snr_db`` with
+    two a-priori messages about random symbols. A-priori messages are
+    synthesized at the sigma calibrated to ``ia_bits``.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -444,61 +468,76 @@ def exit_point_trials(node: str, ia_bits: float, trials: int, seed: int, *,
         sigma_a = None
     else:
         sigma_a = calibrate_sigma(ia_bits, n, seed)
-    if node == "variable" and snr_db is None:
-        raise ValueError("variable-node transfer needs a channel snr")
-    channel = ChannelModel.from_snr_db(snr_db, q=n) if node == "variable" else None
-    apply_node = None if node == "variable" else node_function(node, alphas=alphas)
-    # each trial draws from its own stream; constraint nodes then see all
-    # trials in one batched call
-    truths = np.empty((trials, n), dtype=int)
-    out = np.empty((trials, n, n))
-    for t in range(trials):
-        rng = make_rng(seed, 7, point, t)
-        if node == "variable":
-            truths[t] = rng.integers(0, n, size=n)
-            obs = channel.posterior(channel.observe(truths[t], rng))
-            msg = (obs * _apriori_messages(truths[t], sigma_a, n, rng)
-                   * _apriori_messages(truths[t], sigma_a, n, rng))
-            out[t] = floor_rows(msg, MESSAGE_FLOOR)
+    apply_node = {kind: node_function(kind, alphas=alphas) for kind in nodes if kind != "variable"}
+    # the a-priori blocks are drawn even where sigma_a is None or 0.0 and
+    # nothing reads them; they come last in each trial's stream, so no value moves
+    if apply_node:
+        perms, noise = _trial_draws(seed, point, trials, n, lambda rng: rng.permutation(n), 1)
+        apriori = _apriori_rows(perms, sigma_a, n, noise[0])
+    if "variable" in nodes:
+        if snr_db is None:
+            raise ValueError("variable-node transfer needs a channel snr")
+        channel = ChannelModel.from_snr_db(snr_db, q=n)
+        symbols, noise = _trial_draws(seed, point, trials, n,
+                                      lambda rng: rng.integers(0, n, size=n), 3)
+        msg = (channel.posterior(channel.receive(symbols, noise[0]))
+               * _apriori_rows(symbols, sigma_a, n, noise[1])
+               * _apriori_rows(symbols, sigma_a, n, noise[2]))
+        variable = floor_rows(msg, MESSAGE_FLOOR)
+    values = np.empty((len(nodes), trials))
+    fallback_rows = []
+    for i, kind in enumerate(nodes):
+        if kind == "variable":
+            truths, out, fallback = symbols, variable, 0
         else:
-            truths[t] = rng.permutation(n)
-            out[t] = _apriori_messages(truths[t], sigma_a, n, rng)
-    if apply_node is not None:
-        out = apply_node(out)[0]
-    at_truth = np.take_along_axis(floor_rows(out, DEFAULT_FLOOR), truths[..., None], axis=-1)
-    return max_mi - np.mean(-np.log2(at_truth[..., 0]), axis=-1)
+            truths, (out, fallback) = perms, apply_node[kind](apriori)
+        at_truth = np.take_along_axis(floor_rows(out, DEFAULT_FLOOR), truths[..., None], axis=-1)
+        values[i] = max_mi - np.mean(-np.log2(at_truth[..., 0]), axis=-1)
+        fallback_rows.append(fallback)
+    return values, fallback_rows
 
 
-def exit_curve(node: str, ia_grid, trials: int, seed: int, *,
+def exit_curve(nodes, ia_grid, trials: int, seed: int, *,
                n: int = 9, snr_db_list=None, alphas=None) -> list[ExitPoint]:
-    """Extrinsic-vs-a-priori information transfer of one node variant.
+    """Extrinsic-vs-a-priori information transfer of each node kind in ``nodes``.
 
-    Constraint-node curves do not depend on the observation channel, so
-    ``snr_db_list`` only applies to the ``variable`` variant (one curve per
-    channel snr); every snr given is checked all the same.
+    ``nodes`` is a sequence of kinds (a bare string raises ValueError).
+    Each grid point calibrates its a-priori sigma once, and its
+    constraint-node curves share one draw of trials (see
+    :func:`exit_point_trials`), so they are paired. Constraint-node curves
+    do not depend on the observation channel, so ``snr_db_list`` only
+    applies to the ``variable`` variant (one curve per channel snr); every
+    snr given is checked all the same. Points come node by node, then snr
+    by snr, then in grid order.
     """
+    if isinstance(nodes, str):
+        raise ValueError(f"nodes must be a sequence of node kinds, not the string {nodes!r}")
+    nodes = list(nodes)
     grid = list(ia_grid)
     if not grid:
         raise ValueError("empty a-priori grid")
     for snr in snr_db_list or ():
         ChannelModel.from_snr_db(snr, q=n)  # raises on an snr no channel can have
-    snrs: list[float | None]
-    if node == "variable":
+    snrs: list[float | None] = [None]
+    if "variable" in nodes:
         if not snr_db_list:
             raise ValueError("variable-node transfer needs --snr-list")
         snrs = list(snr_db_list)
-    else:
-        snrs = [None]
-    points = []
-    for snr in snrs:
-        for p, ia in enumerate(grid):
-            vals = exit_point_trials(node, ia, trials, seed, n=n, point=p,
-                                     alphas=alphas, snr_db=snr)
-            stderr = float(vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-            points.append(ExitPoint(node=node, snr_db=snr, ia_bits=float(ia),
-                                    ie_bits=max(float(vals.mean()), 0.0),
-                                    stderr=stderr, trials=trials))
-    return points
+    curves: dict[tuple[int, int], list[ExitPoint]] = {}
+    for p, ia in enumerate(grid):
+        for s, snr in enumerate(snrs):
+            # constraint nodes ignore the channel, so only the first snr's call runs them
+            picked = [i for i, kind in enumerate(nodes) if kind == "variable" or s == 0]
+            values, fallbacks = exit_point_trials([nodes[i] for i in picked], ia, trials, seed,
+                                                  n=n, point=p, alphas=alphas, snr_db=snr)
+            for i, vals, fallback in zip(picked, values, fallbacks):
+                on_channel = nodes[i] == "variable"
+                stderr = float(vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+                curves.setdefault((i, s if on_channel else 0), []).append(ExitPoint(
+                    node=nodes[i], snr_db=snr if on_channel else None, ia_bits=float(ia),
+                    ie_bits=max(float(vals.mean()), 0.0), stderr=stderr, trials=trials,
+                    fallback_rows=fallback))
+    return [point for key in sorted(curves) for point in curves[key]]
 
 
 # -- alpha training ------------------------------------------------------

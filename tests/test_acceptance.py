@@ -152,9 +152,8 @@ def test_7_exit_ordering():
     gaps_top, gaps_bottom = [], []
     worst_margin = math.inf
     for p, ia in enumerate(grid):
-        ve = sudoku.exit_point_trials("exact", ia, trials, seed, n=n, point=p)
-        va = sudoku.exit_point_trials("approx", ia, trials, seed, n=n, point=p)
-        diff = ve - va  # paired: same incoming messages per trial
+        (ve, va), _ = sudoku.exit_point_trials(("exact", "approx"), ia, trials, seed, n=n, point=p)
+        diff = ve - va  # paired: both nodes are called on the same drawn trials
         se = float(diff.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
         ie_e, ie_a = max(ve.mean(), 0.0), max(va.mean(), 0.0)
         margin = (ie_e - ie_a) + 2.0 * se

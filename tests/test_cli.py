@@ -413,6 +413,15 @@ class TestSolveCommand:
 
 
 class TestExitChart:
+    def test_summary_line_reports_fallback_rows(self, tmp_path, capsys):
+        # alpha = 1 on uniform a-priori rows: every row of the 5 trials falls back
+        alphas = tmp_path / "alphas.json"
+        alphas.write_text(json.dumps({"version": 1, "n": 4, "alphas": [1.0] * 4}))
+        assert run(["exit-chart", "--size", "4", "--node", "exact,corrected", "--mi-grid", "0:0:1",
+                    "--trials", "5", "--alpha-table", str(alphas)]) == 0
+        assert capsys.readouterr().out == ("2 exit points over nodes exact,corrected at 5 trials, "
+                                           "fallback_rows=20\n")
+
     def test_csv_schema(self, tmp_path):
         out = tmp_path / "exit.csv"
         assert run(["exit-chart", "--size", "4", "--node", "exact,approx",

@@ -93,7 +93,7 @@ class TestDefaultFloor:
         # site: the node output in exit_point_trials. At I_A = 2 bits the
         # approximate node puts less than 1e-12 on the truth in some trials.
         n, seed, trials = 9, 3, 20
-        values = sudoku.exit_point_trials("approx", 2.0, trials, seed, n=n)
+        (values,), _ = sudoku.exit_point_trials(("approx",), 2.0, trials, seed, n=n)
         channel = sudoku.ChannelModel(sigma=sudoku.calibrate_sigma(2.0, n, seed), q=n)
         lowest = 1.0
         for t, value in enumerate(values):

@@ -7,7 +7,7 @@ import pytest
 from rolemodel import sudoku
 from rolemodel.errors import BisectionFailure, DegenerateRow
 from rolemodel.permanent import head_tail_split, minor_permanents_split
-from rolemodel.probs import DEFAULT_FLOOR, floor_rows, soft_mi
+from rolemodel.probs import DEFAULT_FLOOR, MESSAGE_FLOOR, floor_rows, soft_mi
 from rolemodel.rng import make_rng
 from rolemodel.train import ParametricCorrector, train_parametric
 
@@ -303,26 +303,58 @@ class TestBpBitsArePinned:
         assert self.digest([res]) == self.DIGESTS["classic"]
 
 
+class TestExitBitsArePinned:
+    """sha256 of the ``(snr_db, ia_bits, ie_bits, stderr)`` reprs of every
+    EXIT point, per node kind, over a grid that takes the uniform,
+    calibrated and one-hot a-priori branches: exact, approx, corrected
+    (mixed alphas) and variable (two snrs). The digests were recorded
+    with one ``exit_curve`` call per node kind, before the node kinds of a
+    point shared one draw of trials. A change to the trial streams or the
+    order of the arithmetic that moves any bit fails here."""
+
+    DIGESTS = {
+        (4, "exact"): "5e0ea75dc00af6d352aaca5c5158bcc06172cc88c50e4dbd49152a4009aab786",
+        (4, "approx"): "a19f5196550fc9ddae7cd11b0ebb571827badbfe11b38f4892c0f9c553d41cc0",
+        (4, "corrected"): "db81d2b0744467f4362d4c3ebf1c613d0be9d18a53f6ddcbce0ec8ffbae9cb95",
+        (4, "variable"): "42a95daf85bd8063ea2b49772ace96d13fe4eafaa28dcf737d7ce0c447c3dbcb",
+        (9, "exact"): "4f2cb1cf48ec322949714dc5382c99689f4285674b48fa08fe4fdbc4640ea143",
+        (9, "approx"): "c054d5587af7ef2ba0b4423b6f59924f183bfc8118e82369abfe198edafb4641",
+        (9, "corrected"): "ce54cc220b65b92af8149f338bae23cceea96c6122e5f89d4a6fc1b0480679cc",
+        (9, "variable"): "40863d4302d910a92f865ed8ec5839f9ef5e17e8275ec1ce1c24df092f02f71d",
+    }
+    KINDS = ("exact", "approx", "corrected", "variable")
+
+    @pytest.mark.parametrize("n", [4, 9])
+    def test_curves(self, n):
+        grid = [0.0, 0.5, 1.0, 1.5, math.log2(n)]
+        points = sudoku.exit_curve(self.KINDS, grid, 12, 900 + n, n=n, snr_db_list=[2.0, 6.0],
+                                   alphas=np.linspace(0.2, 1.0, n))
+        for kind in self.KINDS:
+            picked = [(p.snr_db, p.ia_bits, p.ie_bits, p.stderr) for p in points if p.node == kind]
+            assert hashlib.sha256(repr(picked).encode()).hexdigest() == self.DIGESTS[n, kind]
+
+
 class TestExit:
     def test_perfect_inputs_saturate_exact_node(self):
-        pts = sudoku.exit_curve("exact", [math.log2(9)], trials=8, seed=615, n=9)
+        pts = sudoku.exit_curve(("exact",), [math.log2(9)], trials=8, seed=615, n=9)
         assert pts[0].ie_bits == pytest.approx(math.log2(9), abs=1e-6)
 
     def test_zero_information_in_zero_out(self):
         for node in ("exact", "approx"):
-            pts = sudoku.exit_curve(node, [0.0], trials=8, seed=616, n=9)
+            pts = sudoku.exit_curve((node,), [0.0], trials=8, seed=616, n=9)
             assert pts[0].ie_bits == pytest.approx(0.0, abs=1e-9)
 
     def test_exact_dominates_approx_mid_grid(self):
         grid = [0.5, 1.0, 1.5]
-        pe = sudoku.exit_curve("exact", grid, trials=60, seed=617, n=4)
-        pa = sudoku.exit_curve("approx", grid, trials=60, seed=617, n=4)
+        pts = sudoku.exit_curve(("exact", "approx"), grid, trials=60, seed=617, n=4)
+        pe, pa = pts[:len(grid)], pts[len(grid):]
+        assert [p.node for p in pe + pa] == ["exact"] * len(grid) + ["approx"] * len(grid)
         for e, a in zip(pe, pa):
             assert e.ie_bits >= a.ie_bits - 2.0 * (e.stderr + a.stderr)
 
     def test_exact_transfer_monotone(self):
         grid = [0.25, 0.75, 1.25, 1.75]
-        pts = sudoku.exit_curve("exact", grid, trials=60, seed=618, n=4)
+        pts = sudoku.exit_curve(("exact",), grid, trials=60, seed=618, n=4)
         for a, b in zip(pts, pts[1:]):
             assert b.ie_bits >= a.ie_bits - 2.0 * (a.stderr + b.stderr)
 
@@ -336,23 +368,62 @@ class TestExit:
         assert abs(mi - target) <= 0.03  # fresh-draw check, looser than the bisection tol
 
     def test_second_node_curve_reuses_calibration(self):
+        # the node kinds of one curve calibrate once per grid point, and a
+        # second curve at the same grid and seed reads every sigma from the cache
         sudoku.calibrate_sigma.cache_clear()
         grid = [0.5, 1.0]
-        sudoku.exit_curve("exact", grid, trials=2, seed=626, n=4)
+        sudoku.exit_curve(("exact", "approx", "corrected"), grid, trials=2, seed=626, n=4,
+                          alphas=np.full(4, 0.7))
         first = sudoku.calibrate_sigma.cache_info()
-        sudoku.exit_curve("approx", grid, trials=2, seed=626, n=4)
+        sudoku.exit_curve(("approx",), grid, trials=2, seed=626, n=4)
         second = sudoku.calibrate_sigma.cache_info()
-        assert first.misses == len(grid)
+        assert (first.misses, first.hits) == (len(grid), 0)
         assert (second.misses, second.hits) == (first.misses, first.hits + len(grid))
         assert sudoku.calibrate_sigma(1.0, 4, 626) == sudoku.calibrate_sigma.__wrapped__(1.0, 4, 626)
+
+    def test_one_draw_per_point_for_every_constraint_node(self, monkeypatch):
+        n, trials, seed = 4, 5, 629
+        grid = [0.0, 1.0, 2.0]
+        alphas = np.full(n, 0.7)
+        kinds = ("exact", "approx", "corrected")
+        labels = []
+
+        def counting_rng(*key):
+            labels.append(key[1] if len(key) > 1 else None)
+            return make_rng(*key)
+
+        monkeypatch.setattr(sudoku, "make_rng", counting_rng)
+        shared = sudoku.exit_curve(kinds, grid, trials, seed, n=n, alphas=alphas)
+        assert labels.count(7) == trials * len(grid)
+        for kind in kinds:
+            alone = sudoku.exit_curve((kind,), grid, trials, seed, n=n, alphas=alphas)
+            assert [p for p in shared if p.node == kind] == alone
+            for point, ia in enumerate(grid):
+                values, _ = sudoku.exit_point_trials(kinds, ia, trials, seed, n=n, point=point,
+                                                     alphas=alphas)
+                one, _ = sudoku.exit_point_trials((kind,), ia, trials, seed, n=n, point=point,
+                                                  alphas=alphas)
+                assert np.array_equal(values[kinds.index(kind)], one[0])
+
+    def test_fallback_rows_are_reported_per_node(self):
+        # at I_A = 0 every a-priori row is uniform, so the head minors vanish
+        # and alpha = 1 leaves every row of every trial at zero
+        pts = sudoku.exit_curve(("corrected", "exact"), [0.0], 40, 3, n=9, alphas=np.ones(9))
+        assert [(p.node, p.fallback_rows) for p in pts] == [("corrected", 360), ("exact", 0)]
+
+    def test_bare_string_is_rejected(self):
+        with pytest.raises(ValueError, match="sequence of node kinds"):
+            sudoku.exit_curve("exact", [0.5], trials=2, seed=630, n=4)
 
     def test_batched_trials_match_one_node_call_per_trial(self):
         n, seed, point = 4, 627, 3
         sigma = sudoku.calibrate_sigma(1.0, n, seed)
-        for node in ("exact", "approx"):
-            values = sudoku.exit_point_trials(node, 1.0, 6, seed, n=n, point=point)
+        kinds = ("exact", "approx")
+        values, fallbacks = sudoku.exit_point_trials(kinds, 1.0, 6, seed, n=n, point=point)
+        assert values.shape == (len(kinds), 6) and fallbacks == [0, 0]
+        for node, node_values in zip(kinds, values):
             apply_node = sudoku.node_function(node)
-            for t, value in enumerate(values):
+            for t, value in enumerate(node_values):
                 rng = make_rng(seed, 7, point, t)
                 truths = rng.permutation(n)
                 ch = sudoku.ChannelModel(sigma=sigma, q=n)
@@ -360,6 +431,20 @@ class TestExit:
                 assert fallback_rows == 0
                 out = floor_rows(rows, DEFAULT_FLOOR)
                 assert value == math.log2(n) - float(np.mean(-np.log2(out[np.arange(n), truths])))
+        # the variable node: a channel observation times two a-priori messages
+        (values,), (fallback_rows,) = sudoku.exit_point_trials(("variable",), 1.0, 6, seed, n=n,
+                                                               point=point, snr_db=3.0)
+        assert fallback_rows == 0
+        channel = sudoku.ChannelModel.from_snr_db(3.0, q=n)
+        apriori = sudoku.ChannelModel(sigma=sigma, q=n)
+        for t, value in enumerate(values):
+            rng = make_rng(seed, 7, point, t)
+            symbols = rng.integers(0, n, size=n)
+            msg = channel.posterior(channel.observe(symbols, rng))
+            msg = msg * apriori.posterior(apriori.observe(symbols, rng))
+            msg = msg * apriori.posterior(apriori.observe(symbols, rng))
+            out = floor_rows(floor_rows(msg, MESSAGE_FLOOR), DEFAULT_FLOOR)
+            assert value == math.log2(n) - float(np.mean(-np.log2(out[np.arange(n), symbols])))
 
     def test_unreachable_target_fails(self):
         with pytest.raises(BisectionFailure):
@@ -367,12 +452,12 @@ class TestExit:
 
     def test_no_trials_rejected(self):
         with pytest.raises(ValueError, match="at least one trial"):
-            sudoku.exit_point_trials("exact", 0.5, 0, seed=628, n=4)
+            sudoku.exit_point_trials(("exact",), 0.5, 0, seed=628, n=4)
 
     def test_variable_node_needs_snr(self):
         with pytest.raises(ValueError):
-            sudoku.exit_curve("variable", [0.5], trials=4, seed=622, n=4)
-        pts = sudoku.exit_curve("variable", [0.5, 1.0], trials=10, seed=623, n=4,
+            sudoku.exit_curve(("variable",), [0.5], trials=4, seed=622, n=4)
+        pts = sudoku.exit_curve(("variable",), [0.5, 1.0], trials=10, seed=623, n=4,
                                 snr_db_list=[3.0])
         assert len(pts) == 2
         assert all(p.snr_db == 3.0 for p in pts)
