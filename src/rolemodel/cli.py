@@ -141,15 +141,7 @@ def _run_train_minsum(args) -> int:
 def _run_eval_minsum(args) -> int:
     with open(args.table) as f:
         table = PostTable.from_json(f.read())
-    spec = table.bin_spec
-    if spec.get("kind") != "minsum":
-        raise ValueError(f"table bin_spec kind {spec.get('kind')!r} is not 'minsum'")
-    num_bins, max_magnitude = spec.get("num_bins"), spec.get("max_magnitude")
-    if not (_is_number(num_bins) and isinstance(num_bins, int) and _is_number(max_magnitude)
-            and 2 * num_bins == table.num_bins):
-        raise ValueError("minsum bin_spec needs an integer 'num_bins', half the table's bins, "
-                         "and a number 'max_magnitude'")
-    quant = minsum.ZQuantizer(num_bins=num_bins, max_magnitude=max_magnitude)
+    quant = minsum.ZQuantizer.from_table(table)
     sigmas = _csv_float(args.sigmas)
     if len(sigmas) != args.degree:
         raise ValueError(f"need {args.degree} sigmas, got {len(sigmas)}")
@@ -192,8 +184,6 @@ def _run_solve(args) -> int:
     classic = puzzle.givens is not None
     channel = None if classic else sudoku.ChannelModel.from_snr_db(args.snr_db, q=args.size)
     alphas = _load_alphas(args.alpha_table, args.size) if args.alpha_table is not None else None
-    if args.node == "corrected" and alphas is None:
-        raise ValueError("--node corrected requires --alpha-table")
     result = sudoku.bp_solve(puzzle, channel, node=args.node, alphas=alphas,
                              max_iters=args.iters, damping=args.damping, seed=args.seed)
     ser = None if math.isnan(result.symbol_error_rate) else result.symbol_error_rate
@@ -216,17 +206,11 @@ def _run_solve(args) -> int:
 
 def _run_exit_chart(args) -> int:
     nodes = [tok.strip() for tok in args.node.split(",") if tok.strip()]
-    kinds = (*sudoku.NODE_KINDS, "variable")
-    if not nodes or not set(nodes) <= set(kinds):
-        raise ValueError(f"--node needs a comma list of node kinds from {kinds}, got {args.node!r}")
-    snrs = _csv_float(args.snr_list) if args.snr_list else []
     # the default grid spans the a-priori range of the size, [0, log2(n)]
     grid = args.mi_grid if args.mi_grid is not None else _grid(f"0:{math.log2(args.size)}:0.25")
     alphas = _load_alphas(args.alpha_table, args.size) if args.alpha_table is not None else None
-    if "corrected" in nodes and alphas is None:
-        raise ValueError("corrected node requires --alpha-table")
     points = sudoku.exit_curve(nodes, grid, args.trials, args.seed, n=args.size,
-                               snr_db_list=snrs or None, alphas=alphas)
+                               snr_db_list=_csv_float(args.snr_list), alphas=alphas)
     rows = [[p.node, "" if p.snr_db is None else repr(p.snr_db),
              repr(p.ia_bits), repr(p.ie_bits), repr(p.stderr)] for p in points]
     if args.out:

@@ -19,7 +19,7 @@ from . import chains
 from .errors import BinOutOfRange
 from .probs import DEFAULT_FLOOR, floor_rows, llrs_to_dists, soft_mi, square_is_normal
 from .rng import make_rng
-from .train import BLOCK, PostTable, SampleBatch, empirical_ed, plogp_sum
+from .train import BLOCK, PostTable, SampleBatch, _is_int, empirical_ed, plogp_sum
 
 #: Finite LLRs saturate here before entering tanh; tanh(38/2) is still
 #: strictly below 1 in double precision, keeping atanh finite.
@@ -83,6 +83,20 @@ class ZQuantizer:
             "num_bins": self.num_bins,
             "max_magnitude": self.max_magnitude,
         }
+
+    @classmethod
+    def from_table(cls, table: PostTable) -> "ZQuantizer":
+        """A binary min-sum table's quantizer, from the ``bin_spec`` that :meth:`spec` wrote."""
+        spec = table.bin_spec
+        if spec.get("kind") != "minsum" or table.alphabet_size != 2:
+            raise ValueError(f"not a binary min-sum table: bin_spec kind {spec.get('kind')!r}, "
+                             f"q={table.alphabet_size}")
+        num_bins, max_magnitude = spec.get("num_bins"), spec.get("max_magnitude")
+        if not (_is_int(num_bins) and 2 * num_bins == table.num_bins
+                and (_is_int(max_magnitude) or isinstance(max_magnitude, float))):
+            raise ValueError("minsum bin_spec needs an integer 'num_bins', half the table's bins, "
+                             "and a number 'max_magnitude'")
+        return cls(num_bins=num_bins, max_magnitude=max_magnitude)
 
 
 class MinsumBatch(SampleBatch):

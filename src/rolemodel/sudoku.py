@@ -27,6 +27,8 @@ from .train import ParametricCorrector, TrainResult, train_parametric
 
 BOX_SIDE = {4: 2, 9: 3}
 NODE_KINDS = ("exact", "approx", "corrected")
+#: The node kinds an EXIT chart can trace: the constraint nodes and the variable node.
+EXIT_KINDS = (*NODE_KINDS, "variable")
 
 #: Head size h of the approximate nodes: the h largest entries of each
 #: message row form the sparse head, the rest a uniform tail.
@@ -245,7 +247,7 @@ def node_function(kind: str, alphas=None):
         return lambda m: constraint_approx(m, 0.5)
     if kind == "corrected":
         if alphas is None:
-            raise ValueError("corrected node needs trained alphas")
+            raise ValueError("corrected node needs trained alphas (--alpha-table)")
         return lambda m: constraint_approx(m, alphas)
     raise ValueError(f"unknown node kind {kind!r}; expected one of {NODE_KINDS}")
 
@@ -441,24 +443,41 @@ def calibrate_sigma(ia_target: float, q: int, seed: int) -> float:
     raise BisectionFailure(f"bisection did not reach target {ia_target}")
 
 
+def _exit_curves(nodes, snr_db_list) -> list[tuple[str, float | None]]:
+    """Each EXIT curve's ``(kind, snr_db)``: ``variable`` once per snr, other kinds at None."""
+    return [(kind, snr) for kind in nodes
+            for snr in ((snr_db_list or ()) if kind == "variable" else (None,))]
+
+
 def exit_point_trials(nodes, ia_bits: float, trials: int, seed: int, *,
                       n: int = 9, point: int = 0, alphas=None,
-                      snr_db: float | None = None) -> tuple[np.ndarray, list[int]]:
-    """Per-trial extrinsic information of each node kind at one EXIT point.
+                      snr_db_list=None) -> tuple[np.ndarray, list[int]]:
+    """Per-trial extrinsic information of each EXIT curve at one point.
 
-    Returns ``(values, fallback_rows)``: unclamped values of shape
-    (len(nodes), trials), and per node the rows it replaced by uniform
-    over all trials. Trial t draws from stream (seed, 7, point, t).
-    Constraint-node variants see an n x n matrix whose truth is a random
-    permutation (a valid constraint configuration); the trials are drawn
-    once, and every constraint node is called once on that same
-    (trials, n, n) stack, so their values are paired trial by trial. The
-    ``variable`` variant combines a channel observation at ``snr_db`` with
-    two a-priori messages about random symbols. A-priori messages are
+    A curve is a constraint-node kind, or ``variable`` at one snr of
+    ``snr_db_list``; curves come in node order, a ``variable`` node's in snr
+    order. Returns ``(values, fallback_rows)``: unclamped values of shape
+    (curves, trials), and per curve the rows replaced by uniform over all
+    trials. The kinds (from ``EXIT_KINDS``; ``corrected`` needs ``alphas``,
+    ``variable`` an snr) and every snr are checked before any work.
+
+    Trial t draws from stream (seed, 7, point, t), once for every curve, so
+    the curves are paired trial by trial. The constraint nodes are called
+    on one (trials, n, n) stack whose truths are random permutations. The
+    ``variable`` curves multiply a channel observation at their snr by the
+    same two a-priori messages about random symbols. A-priori messages are
     synthesized at the sigma calibrated to ``ia_bits``.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if not nodes or not set(nodes) <= set(EXIT_KINDS):  # a bare string's letters are no kinds
+        raise ValueError(f"nodes (--node) must be a non-empty sequence of node kinds from "
+                         f"{EXIT_KINDS}, got {nodes!r}")
+    apply_node = {kind: node_function(kind, alphas=alphas) for kind in nodes if kind != "variable"}
+    # every snr given is checked, though constraint-node curves ignore the channel
+    channels = {snr: ChannelModel.from_snr_db(snr, q=n) for snr in snr_db_list or ()}
+    if "variable" in nodes and not channels:
+        raise ValueError("variable-node transfer needs a channel snr (--snr-list)")
     max_mi = math.log2(n)
     if not -1e-9 <= ia_bits <= max_mi + 1e-9:
         raise BisectionFailure(f"a-priori target {ia_bits} outside [0, {max_mi}]")
@@ -468,76 +487,54 @@ def exit_point_trials(nodes, ia_bits: float, trials: int, seed: int, *,
         sigma_a = None
     else:
         sigma_a = calibrate_sigma(ia_bits, n, seed)
-    apply_node = {kind: node_function(kind, alphas=alphas) for kind in nodes if kind != "variable"}
     # the a-priori blocks are drawn even where sigma_a is None or 0.0 and
     # nothing reads them; they come last in each trial's stream, so no value moves
     if apply_node:
         perms, noise = _trial_draws(seed, point, trials, n, lambda rng: rng.permutation(n), 1)
         apriori = _apriori_rows(perms, sigma_a, n, noise[0])
     if "variable" in nodes:
-        if snr_db is None:
-            raise ValueError("variable-node transfer needs a channel snr")
-        channel = ChannelModel.from_snr_db(snr_db, q=n)
         symbols, noise = _trial_draws(seed, point, trials, n,
                                       lambda rng: rng.integers(0, n, size=n), 3)
-        msg = (channel.posterior(channel.receive(symbols, noise[0]))
-               * _apriori_rows(symbols, sigma_a, n, noise[1])
-               * _apriori_rows(symbols, sigma_a, n, noise[2]))
-        variable = floor_rows(msg, MESSAGE_FLOOR)
-    values = np.empty((len(nodes), trials))
+        apriori_1 = _apriori_rows(symbols, sigma_a, n, noise[1])
+        apriori_2 = _apriori_rows(symbols, sigma_a, n, noise[2])
+    values = []
     fallback_rows = []
-    for i, kind in enumerate(nodes):
+    for kind, snr in _exit_curves(nodes, snr_db_list):
         if kind == "variable":
-            truths, out, fallback = symbols, variable, 0
+            channel = channels[snr]
+            msg = channel.posterior(channel.receive(symbols, noise[0])) * apriori_1 * apriori_2
+            truths, out, fallback = symbols, floor_rows(msg, MESSAGE_FLOOR), 0
         else:
             truths, (out, fallback) = perms, apply_node[kind](apriori)
         at_truth = np.take_along_axis(floor_rows(out, DEFAULT_FLOOR), truths[..., None], axis=-1)
-        values[i] = max_mi - np.mean(-np.log2(at_truth[..., 0]), axis=-1)
+        values.append(max_mi - np.mean(-np.log2(at_truth[..., 0]), axis=-1))
         fallback_rows.append(fallback)
-    return values, fallback_rows
+    return np.array(values), fallback_rows
 
 
 def exit_curve(nodes, ia_grid, trials: int, seed: int, *,
                n: int = 9, snr_db_list=None, alphas=None) -> list[ExitPoint]:
-    """Extrinsic-vs-a-priori information transfer of each node kind in ``nodes``.
+    """Extrinsic-vs-a-priori information transfer of each EXIT curve of ``nodes``.
 
-    ``nodes`` is a sequence of kinds (a bare string raises ValueError).
-    Each grid point calibrates its a-priori sigma once, and its
-    constraint-node curves share one draw of trials (see
-    :func:`exit_point_trials`), so they are paired. Constraint-node curves
-    do not depend on the observation channel, so ``snr_db_list`` only
-    applies to the ``variable`` variant (one curve per channel snr); every
-    snr given is checked all the same. Points come node by node, then snr
-    by snr, then in grid order.
+    One :func:`exit_point_trials` call per grid point checks the kinds,
+    calibrates once and draws one set of trials for every curve, so the
+    curves are paired. Points come curve by curve, in that function's curve
+    order, each in grid order.
     """
-    if isinstance(nodes, str):
-        raise ValueError(f"nodes must be a sequence of node kinds, not the string {nodes!r}")
-    nodes = list(nodes)
     grid = list(ia_grid)
     if not grid:
         raise ValueError("empty a-priori grid")
-    for snr in snr_db_list or ():
-        ChannelModel.from_snr_db(snr, q=n)  # raises on an snr no channel can have
-    snrs: list[float | None] = [None]
-    if "variable" in nodes:
-        if not snr_db_list:
-            raise ValueError("variable-node transfer needs --snr-list")
-        snrs = list(snr_db_list)
-    curves: dict[tuple[int, int], list[ExitPoint]] = {}
-    for p, ia in enumerate(grid):
-        for s, snr in enumerate(snrs):
-            # constraint nodes ignore the channel, so only the first snr's call runs them
-            picked = [i for i, kind in enumerate(nodes) if kind == "variable" or s == 0]
-            values, fallbacks = exit_point_trials([nodes[i] for i in picked], ia, trials, seed,
-                                                  n=n, point=p, alphas=alphas, snr_db=snr)
-            for i, vals, fallback in zip(picked, values, fallbacks):
-                on_channel = nodes[i] == "variable"
-                stderr = float(vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-                curves.setdefault((i, s if on_channel else 0), []).append(ExitPoint(
-                    node=nodes[i], snr_db=snr if on_channel else None, ia_bits=float(ia),
-                    ie_bits=max(float(vals.mean()), 0.0), stderr=stderr, trials=trials,
-                    fallback_rows=fallback))
-    return [point for key in sorted(curves) for point in curves[key]]
+    points = [exit_point_trials(nodes, ia, trials, seed, n=n, point=p, alphas=alphas,
+                                snr_db_list=snr_db_list) for p, ia in enumerate(grid)]
+
+    def stderr(vals: np.ndarray) -> float:
+        return float(vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+
+    return [ExitPoint(node=kind, snr_db=snr, ia_bits=float(ia),
+                      ie_bits=max(float(values[c].mean()), 0.0), stderr=stderr(values[c]),
+                      trials=trials, fallback_rows=fallbacks[c])
+            for c, (kind, snr) in enumerate(_exit_curves(nodes, snr_db_list))
+            for ia, (values, fallbacks) in zip(grid, points)]
 
 
 # -- alpha training ------------------------------------------------------

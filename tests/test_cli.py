@@ -74,6 +74,10 @@ INPUT_FILES = {
     "booltable.json": {"version": True, "q": 2, "fallback": [0.5, 0.5],
                        "bin_spec": {"kind": "minsum", "num_bins": 1, "max_magnitude": 25.0},
                        "bins": [{"sum": [0.0, 0.0], "count": 0}] * 2},
+    # a valid table schema, but min-sum tables are binary
+    "ternary.json": {"version": 1, "q": 3, "fallback": [0.25, 0.25, 0.5],
+                     "bin_spec": {"kind": "minsum", "num_bins": 1, "max_magnitude": 25.0},
+                     "bins": [{"sum": [0.0, 0.0, 0.0], "count": 0}] * 2},
 }
 
 
@@ -98,7 +102,11 @@ class TestErrorContract:
          "--trials", "2"],
         ["eval-minsum", "--table", "@alphas.json", "--samples", "10"],
         ["eval-minsum", "--table", "@nospec.json", "--samples", "10"],
+        ["eval-minsum", "--table", "@ternary.json", "--samples", "10"],
         ["solve", "--size", "4", "--node", "corrected", "--alpha-table", "@n4.json"],
+        # the corrected node without its alpha table
+        ["solve", "--size", "4", "--node", "corrected"],
+        ["exit-chart", "--size", "4", "--node", "corrected", "--mi-grid", "0:1:1", "--trials", "2"],
         # alpha tables of another format version, or of none
         ["solve", "--size", "4", "--node", "corrected", "--alpha-table", "@v99.json"],
         ["solve", "--size", "4", "--node", "corrected", "--alpha-table", "@unversioned.json"],
@@ -181,10 +189,12 @@ class TestErrorContract:
 
     @pytest.mark.parametrize("nodes", ["exact,bogus", "exact,corrected"])
     def test_node_list_is_checked_before_any_curve(self, nodes, monkeypatch, capsys):
-        curves = []
-        monkeypatch.setattr(sudoku, "exit_curve", lambda node, *a, **k: curves.append(node) or [])
-        assert run(["exit-chart", "--node", nodes, "--mi-grid", "0:0:1"]) == 1
-        assert curves == []
+        # sudoku checks the kinds before the first point calibrates or draws a trial
+        work = []
+        monkeypatch.setattr(sudoku, "calibrate_sigma", lambda *a: work.append("calibrate"))
+        monkeypatch.setattr(sudoku, "_trial_draws", lambda *a: work.append("draw"))
+        assert run(["exit-chart", "--node", nodes, "--mi-grid", "1:1:1"]) == 1
+        assert work == []
 
 
 #: Per subcommand, a small run that succeeds in milliseconds, and the flags

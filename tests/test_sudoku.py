@@ -333,6 +333,38 @@ class TestExitBitsArePinned:
             picked = [(p.snr_db, p.ia_bits, p.ie_bits, p.stderr) for p in points if p.node == kind]
             assert hashlib.sha256(repr(picked).encode()).hexdigest() == self.DIGESTS[n, kind]
 
+    #: sha256 of every point's ``(node, snr_db, ia_bits, ie_bits, stderr,
+    #: fallback_rows)`` repr in output order, recorded while each snr of a
+    #: ``variable`` curve still drew its own trials
+    CURVE_DIGESTS = {
+        "variable-three-snrs": "c05cd3c71e8fb306d57e93743acffecc2147d918fa82b216bb738702e587b1f4",
+        "repeated-kinds": "7f55d7fbd35caf92f2c6c4dc06dd0a8c82e83aa5108326da9bc451e0cc65a202",
+    }
+
+    @pytest.mark.parametrize("name, nodes, n, snrs", [
+        ("variable-three-snrs", ("variable",), 9, [0.0, 3.0, 9.0]),
+        ("repeated-kinds", ("exact", "approx", "exact", "variable"), 4, [2.0, 6.0]),
+    ])
+    def test_curve_sets(self, name, nodes, n, snrs):
+        grid = [0.0, 0.5, 1.0, 1.5, math.log2(n)]
+        points = sudoku.exit_curve(nodes, grid, 12, 900 + n, n=n, snr_db_list=snrs)
+        fields = [(p.node, p.snr_db, p.ia_bits, p.ie_bits, p.stderr, p.fallback_rows)
+                  for p in points]
+        assert hashlib.sha256(repr(fields).encode()).hexdigest() == self.CURVE_DIGESTS[name]
+
+
+@pytest.fixture
+def rng_labels(monkeypatch):
+    """The first stream label of every ``make_rng`` call that ``sudoku`` makes, in call order."""
+    labels = []
+
+    def counting_rng(*key):
+        labels.append(key[1] if len(key) > 1 else None)
+        return make_rng(*key)
+
+    monkeypatch.setattr(sudoku, "make_rng", counting_rng)
+    return labels
+
 
 class TestExit:
     def test_perfect_inputs_saturate_exact_node(self):
@@ -381,20 +413,13 @@ class TestExit:
         assert (second.misses, second.hits) == (first.misses, first.hits + len(grid))
         assert sudoku.calibrate_sigma(1.0, 4, 626) == sudoku.calibrate_sigma.__wrapped__(1.0, 4, 626)
 
-    def test_one_draw_per_point_for_every_constraint_node(self, monkeypatch):
+    def test_one_draw_per_point_for_every_constraint_node(self, rng_labels):
         n, trials, seed = 4, 5, 629
         grid = [0.0, 1.0, 2.0]
         alphas = np.full(n, 0.7)
         kinds = ("exact", "approx", "corrected")
-        labels = []
-
-        def counting_rng(*key):
-            labels.append(key[1] if len(key) > 1 else None)
-            return make_rng(*key)
-
-        monkeypatch.setattr(sudoku, "make_rng", counting_rng)
         shared = sudoku.exit_curve(kinds, grid, trials, seed, n=n, alphas=alphas)
-        assert labels.count(7) == trials * len(grid)
+        assert rng_labels.count(7) == trials * len(grid)
         for kind in kinds:
             alone = sudoku.exit_curve((kind,), grid, trials, seed, n=n, alphas=alphas)
             assert [p for p in shared if p.node == kind] == alone
@@ -433,7 +458,7 @@ class TestExit:
                 assert value == math.log2(n) - float(np.mean(-np.log2(out[np.arange(n), truths])))
         # the variable node: a channel observation times two a-priori messages
         (values,), (fallback_rows,) = sudoku.exit_point_trials(("variable",), 1.0, 6, seed, n=n,
-                                                               point=point, snr_db=3.0)
+                                                               point=point, snr_db_list=[3.0])
         assert fallback_rows == 0
         channel = sudoku.ChannelModel.from_snr_db(3.0, q=n)
         apriori = sudoku.ChannelModel(sigma=sigma, q=n)
@@ -445,6 +470,49 @@ class TestExit:
             msg = msg * apriori.posterior(apriori.observe(symbols, rng))
             out = floor_rows(floor_rows(msg, MESSAGE_FLOOR), DEFAULT_FLOOR)
             assert value == math.log2(n) - float(np.mean(-np.log2(out[np.arange(n), symbols])))
+
+    def test_one_draw_per_point_for_every_variable_snr(self, rng_labels):
+        # the snrs of a variable curve share each point's trials and calibration
+        n, trials, seed = 9, 6, 631
+        grid = [0.0, 0.5, 1.0, math.log2(n)]
+        snrs = [0.0, 3.0, 9.0]
+        sudoku.calibrate_sigma.cache_clear()
+        shared = sudoku.exit_curve(("variable",), grid, trials, seed, n=n, snr_db_list=snrs)
+        info = sudoku.calibrate_sigma.cache_info()
+        assert rng_labels.count(7) == trials * len(grid)
+        calibrated = 2  # the uniform and one-hot ends need no sigma
+        assert (info.misses, info.hits) == (calibrated, 0)
+        assert [p.snr_db for p in shared] == [snr for snr in snrs for _ in grid]
+        for snr in snrs:
+            alone = sudoku.exit_curve(("variable",), grid, trials, seed, n=n, snr_db_list=[snr])
+            assert [p for p in shared if p.snr_db == snr] == alone
+        for point, ia in enumerate(grid):
+            values, fallbacks = sudoku.exit_point_trials(("variable",), ia, trials, seed, n=n,
+                                                         point=point, snr_db_list=snrs)
+            assert values.shape == (len(snrs), trials) and fallbacks == [0] * len(snrs)
+            for row, snr in zip(values, snrs):
+                (one,), _ = sudoku.exit_point_trials(("variable",), ia, trials, seed, n=n,
+                                                     point=point, snr_db_list=[snr])
+                assert np.array_equal(row, one)
+
+    @pytest.mark.parametrize("nodes, kwargs", [
+        ((), {}),
+        (("bogus",), {}),
+        (("exact", "bogus"), {}),
+        (("corrected",), {}),
+        (("variable",), {}),
+        (("variable",), {"snr_db_list": []}),
+        (("exact",), {"snr_db_list": [float("nan")]}),
+    ], ids=["empty", "bogus", "exact-bogus", "corrected-no-alphas", "variable-no-snrs",
+            "variable-empty-snrs", "bad-snr"])
+    def test_node_rules_are_checked_before_any_work(self, nodes, kwargs, rng_labels):
+        sudoku.calibrate_sigma.cache_clear()
+        with pytest.raises(ValueError):
+            sudoku.exit_curve(nodes, [0.5, 1.0], trials=2, seed=632, n=4, **kwargs)
+        with pytest.raises(ValueError):
+            sudoku.exit_point_trials(nodes, 0.5, 2, 632, n=4, **kwargs)
+        assert sudoku.calibrate_sigma.cache_info().misses == 0
+        assert rng_labels == []
 
     def test_unreachable_target_fails(self):
         with pytest.raises(BisectionFailure):
