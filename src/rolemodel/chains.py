@@ -50,18 +50,6 @@ class ChainModel:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
-    @property
-    def nx(self) -> int:
-        return self.px.size
-
-    @property
-    def ny(self) -> int:
-        return self.ch1.shape[1]
-
-    @property
-    def nz(self) -> int:
-        return self.ch2.shape[1]
-
     def py(self) -> np.ndarray:
         return self.px @ self.ch1
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__, chains, minsum, sudoku
 from .errors import RoleModelError
 from .rng import make_rng
-from .train import ParametricCorrector, PostTable
+from .train import ParametricCorrector, PostTable, _is_int, _is_number
 
 
 class _Parser(argparse.ArgumentParser):
@@ -37,11 +37,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(1)
-
-
-def _is_number(value) -> bool:
-    """A JSON number: true and false load as Python ints, but are not numbers."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _csv_float(text: str) -> list[float]:
@@ -164,9 +159,9 @@ def _load_alphas(path: str, n: int) -> np.ndarray:
     with open(path) as f:
         doc = json.load(f)
     version = doc.get("version") if isinstance(doc, dict) else None
-    if not _is_number(version) or version != ALPHA_FORMAT_VERSION:
+    if not _is_int(version) or version != ALPHA_FORMAT_VERSION:
         raise ValueError(f"unsupported alpha table version {version!r}")
-    if doc.get("n") != n:
+    if not _is_int(doc.get("n")) or doc["n"] != n:
         raise ValueError(f"alpha table is for n={doc.get('n')}, puzzle is n={n}")
     alphas = doc.get("alphas")
     if not (isinstance(alphas, list) and len(alphas) == n

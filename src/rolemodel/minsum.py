@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import chains
 from .errors import BinOutOfRange
 from .probs import DEFAULT_FLOOR, floor_rows, llrs_to_dists, soft_mi, square_is_normal
 from .rng import make_rng
-from .train import BLOCK, PostTable, SampleBatch, _is_int, empirical_ed, plogp_sum
+from .train import (BLOCK, PostTable, SampleBatch, _is_int, _is_number, empirical_ed,
+                    plogp_sum)
 
 #: Finite LLRs saturate here before entering tanh; tanh(38/2) is still
 #: strictly below 1 in double precision, keeping atanh finite.
@@ -92,8 +92,7 @@ class ZQuantizer:
             raise ValueError(f"not a binary min-sum table: bin_spec kind {spec.get('kind')!r}, "
                              f"q={table.alphabet_size}")
         num_bins, max_magnitude = spec.get("num_bins"), spec.get("max_magnitude")
-        if not (_is_int(num_bins) and 2 * num_bins == table.num_bins
-                and (_is_int(max_magnitude) or isinstance(max_magnitude, float))):
+        if not (_is_int(num_bins) and 2 * num_bins == table.num_bins and _is_number(max_magnitude)):
             raise ValueError("minsum bin_spec needs an integer 'num_bins', half the table's bins, "
                              "and a number 'max_magnitude'")
         return cls(num_bins=num_bins, max_magnitude=max_magnitude)
@@ -209,99 +208,4 @@ def evaluate_table(table: PostTable, batch: MinsumBatch) -> EvalReport:
     baseline = (plogp - cross) / post.shape[0]
     mi = soft_mi(batch.truths, q[batch.bins]) if batch.truths is not None else math.nan
     return EvalReport(empirical_ed=ed, soft_mi=mi, baseline_ed=baseline, count=len(batch))
-
-
-# -- discretized surrogate chain ----------------------------------------
-
-
-def _phi(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-
-
-def _branch_level_probs(sigma: float, mag_edges: np.ndarray) -> np.ndarray:
-    """(2, levels) table: P(level | bit) for one branch.
-
-    Levels 0..M-1 are positive-LLR magnitude cells, M..2M-1 the negative
-    mirror; LLR cell bounds map to observation bounds via y = l*sigma^2/2.
-    """
-    m = mag_edges.size - 1
-    out = np.empty((2, 2 * m))
-    for bit, mu in ((0, 1.0), (1, -1.0)):
-        for cell in range(m):
-            lo, hi = mag_edges[cell], mag_edges[cell + 1]
-            y_lo, y_hi = lo * sigma**2 / 2.0, hi * sigma**2 / 2.0
-            pos = _phi((y_hi - mu) / sigma) - _phi((y_lo - mu) / sigma)
-            neg = _phi((-y_lo - mu) / sigma) - _phi((-y_hi - mu) / sigma)
-            out[bit, cell] = pos
-            out[bit, m + cell] = neg
-    return out
-
-
-@dataclass(frozen=True)
-class SurrogateChain:
-    """Exactly enumerable stand-in for the continuous check-node experiment.
-
-    Y is the tuple of per-branch quantized LLR levels; Z applies the
-    min-sum pairing (min magnitude level, sign product) to Y. The chain
-    oracle can then evaluate trained tables and the divergence floor
-    without Monte Carlo.
-    """
-
-    model: chains.ChainModel
-    z_of_y: np.ndarray  # (ny,) bin index of each y tuple
-    num_z: int
-
-    def divergence_floor(self) -> float:
-        return chains.divergence_floor(self.model)
-
-    def sample_batch(self, n: int, seed: int) -> SampleBatch:
-        rng = make_rng(seed, 2)
-        post_xy = chains.posterior_table_xy(self.model)
-        ys = rng.choice(self.model.ny, size=n, p=self.model.py())
-        xs = (rng.random(n) >= post_xy[ys, 0]).astype(int)  # binary: P(x=0) first
-        return SampleBatch(posteriors=post_xy[ys], bins=self.z_of_y[ys], truths=xs)
-
-    def new_table(self) -> PostTable:
-        return PostTable(num_bins=self.num_z, alphabet_size=2,
-                         bin_spec={"kind": "surrogate-minsum", "num_bins": self.num_z})
-
-    def exact_ed(self, q: np.ndarray) -> float:
-        return chains.expected_divergence(self.model, q)
-
-
-def surrogate_chain(sigmas, levels_per_branch: int = 8,
-                    max_branch_magnitude: float = 8.0) -> SurrogateChain:
-    """Build the discrete chain for branch LLRs quantized to a few levels."""
-    sig = np.asarray(sigmas, dtype=float)
-    d = sig.size
-    if levels_per_branch % 2 or levels_per_branch < 2:
-        raise ValueError("levels_per_branch must be even (sign * magnitude cells)")
-    m = levels_per_branch // 2
-    edges = np.linspace(0.0, max_branch_magnitude, m + 1)
-    edges[-1] = math.inf  # top magnitude cell is open
-    branch = [_branch_level_probs(s, edges) for s in sig]
-
-    # P(level tuple | x) through the XOR mixture over branch bits
-    even = branch[0][0]
-    odd = branch[0][1]
-    for a in branch[1:]:
-        even, odd = (
-            np.multiply.outer(even, a[0]) + np.multiply.outer(odd, a[1]),
-            np.multiply.outer(even, a[1]) + np.multiply.outer(odd, a[0]),
-        )
-    scale = 2.0 ** (d - 1)
-    ch1 = np.stack([even.ravel() / scale, odd.ravel() / scale])
-
-    # Z = (sign product, min magnitude level) read directly off the levels
-    grids = np.meshgrid(*([np.arange(levels_per_branch)] * d), indexing="ij")
-    levels = np.stack([g.ravel() for g in grids], axis=1)  # (ny, d)
-    mag_levels = levels % m
-    negs = (levels >= m).sum(axis=1)
-    z_of_y = np.where(negs % 2 == 1, m, 0) + mag_levels.min(axis=1)
-
-    ny = levels.shape[0]
-    ch2 = np.zeros((ny, 2 * m))
-    ch2[np.arange(ny), z_of_y] = 1.0
-    model = chains.ChainModel(px=np.array([0.5, 0.5]), ch1=ch1, ch2=ch2)
-    return SurrogateChain(model=model, z_of_y=z_of_y, num_z=2 * m)
 

@@ -100,12 +100,30 @@ def _minor_plan(n: int) -> _MinorPlan:
     return _MinorPlan(size=full, levels=tuple(levels), readout=tuple(readout))
 
 
+@functools.lru_cache(maxsize=1)
+def _workspace(n: int, batch: int) -> tuple[np.ndarray, ...]:
+    """Scratch arrays of :func:`minor_permanents` for one (n, B), kept for its next call.
+
+    The f and b tables, and two term buffers that each hold the largest
+    (k, C, B) level or read-out, k binomial(n, k) rows. Only the last shape
+    is kept. Arrays of this size (110-140 KB at n = 9, B = 27), freed after
+    every call, go back to the system or not depending on the heap's
+    layout; when they do, every call faults their pages in afresh, at
+    about the cost of the arithmetic. Shared arrays make the kernel not
+    re-entrant across threads; the package starts none.
+    """
+    size = (1 << n) - 1
+    most = max(k * math.comb(n, k) for k in range(1, n + 1))
+    return (np.empty((size, batch)), np.empty((size, batch)),
+            np.empty((most, batch)), np.empty((most, batch)))
+
+
 def minor_permanents(m) -> np.ndarray:
     """Permanents of every (i, j) minor of one (n, n) matrix or a (B, n, n) batch.
 
-    Returns a C-contiguous array of the input's shape. Forward/backward
+    Returns a new C-contiguous array of the input's shape. Forward/backward
     subset DP (module docstring) over two column-set-major (2^n - 1, B)
-    tables.
+    tables, in arrays that the next call of the same shape reuses.
     """
     a = _as_square(m)
     n = a.shape[-1]
@@ -115,31 +133,36 @@ def minor_permanents(m) -> np.ndarray:
         raise DimensionTooLarge(f"subset DP capped at n={MINORS_MAX_N}")
     plan = _minor_plan(n)
     batch = a.reshape(-1, n, n)
+    width = batch.shape[0]
     rows = np.ascontiguousarray(batch.transpose(1, 2, 0))  # rows[i, j]: entry (i, j), all of B
-    f = np.empty((plan.size, batch.shape[0]))
-    b = np.empty_like(f)
+    f, b, work, spare = _workspace(n, width)
     f[0] = b[0] = 1.0  # f_0 and b_n: the empty set
+    # take writes straight into out= only in "clip" mode ("raise" buffers it);
+    # every plan index is in range, so clipping changes no value
     for lo, hi, f_row, b_row, parents, members in plan.levels:
+        k, count = parents.shape
         for table, row in ((f, f_row), (b, b_row)):
-            terms = table.take(parents, axis=0)  # (k, C, B)
-            terms *= rows[row].take(members, axis=0)
+            terms = table.take(parents, axis=0, out=work[:k * count].reshape(k, count, width),
+                               mode="clip")
+            terms *= rows[row].take(members, axis=0,
+                                    out=spare[:k * count].reshape(k, count, width), mode="clip")
             # The k terms are summed in the order numpy gives a contiguous last
             # axis: in sequence below 8 terms, which is the axis-0 sum of whole
             # rows; pairwise from 8 on (the last levels at n >= 9, where C is
             # small), which needs the contiguous (C, B, k) copy, as a strided
             # view would be summed in sequence.
-            if len(terms) < 8:
+            if k < 8:
                 terms.sum(axis=0, out=table[lo:hi])
             else:
-                np.ascontiguousarray(terms.transpose(1, 2, 0)).sum(axis=-1, out=table[lo:hi])
+                by_set = spare[:k * count].reshape(count, width, k)
+                np.copyto(by_set, terms.transpose(1, 2, 0))
+                by_set.sum(axis=-1, out=table[lo:hi])
     # One minor row at a time: each read-out holds at most binomial(n - 1, n // 2) n
-    # rows, not 2^(n-1) n. At n = 9 and B >= 27 the whole read-out at once
-    # page-faulted fresh memory on every call (270 faults at B = 27), which
-    # cost as much as the arithmetic; the smaller arrays reuse freed memory.
-    minors = np.empty((n, n, batch.shape[0]))
+    # rows, not 2^(n-1) n, and fits a term buffer.
+    minors = np.empty((n, n, width))
     for i, (head, tail, starts) in enumerate(plan.readout):
-        terms = f.take(head, axis=0)
-        terms *= b.take(tail, axis=0)
+        terms = f.take(head, axis=0, out=work[:head.size], mode="clip")
+        terms *= b.take(tail, axis=0, out=spare[:tail.size], mode="clip")
         np.add.reduceat(terms, starts, axis=0, out=minors[i])
     # contiguous, so callers' row sums over j keep the bits of a last-axis sum
     return np.ascontiguousarray(minors.transpose(2, 0, 1)).reshape(a.shape)

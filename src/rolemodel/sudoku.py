@@ -160,10 +160,14 @@ class ChannelModel:
 
     @classmethod
     def from_snr_db(cls, snr_db: float, q: int = 9) -> "ChannelModel":
+        """The channel at ``snr_db``; ValueError naming the snr when its sigma is not valid."""
         try:
             sigma = 10.0 ** (-snr_db / 20.0)
         except OverflowError:  # a sigma past the float range; rejected as infinite
             sigma = math.inf
+        if not square_is_normal(sigma):
+            raise ValueError(f"snr {snr_db} dB gives no valid channel: its sigma "
+                             f"10^(-snr/20) = {sigma} must have a finite normal square")
         return cls(sigma=sigma, q=q)
 
     def observe(self, symbols, rng: np.random.Generator) -> np.ndarray:
@@ -413,8 +417,9 @@ def calibrate_sigma(ia_target: float, q: int, seed: int) -> float:
     Bisects log-sigma (at most 200 steps, to 0.005 bits) against a fixed
     16384-sample calibration draw (common random numbers make the MI curve
     smooth and monotone in sigma). The result depends only on the
-    arguments, so it is cached per process: the curves of several node
-    kinds at the same grid and seed calibrate once.
+    arguments, so it is cached per process. An EXIT point already
+    calibrates once for all its curves, so the cache serves only repeated
+    calls in one process, such as a test suite or a benchmark's passes.
     """
     max_mi = math.log2(q)
     if not 0.0 < ia_target < max_mi:

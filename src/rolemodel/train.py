@@ -55,6 +55,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    """A JSON number: true and false load as Python ints, but are not numbers."""
+    return _is_int(value) or isinstance(value, float)
+
+
 def _finite_row(values, q: int, name: str) -> np.ndarray:
     """``values`` as a length-q float row; ValueError unless every entry is a finite number.
 

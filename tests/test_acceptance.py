@@ -17,6 +17,7 @@ from rolemodel.train import ParametricCorrector, PostTable, SampleBatch
 
 from oracles import constraint_marginals, joint_expected_divergence, projected_gradient_table
 from oracles import minor_permanents as brute_minors
+from surrogate import sample_batch, surrogate_chain
 
 
 def report(num, name, ok, detail, elapsed, budget):
@@ -123,12 +124,10 @@ def test_5_exact_constraint_node():
 
 def test_6_minsum_training():
     t0 = time.time()
-    surrogate = minsum.surrogate_chain([1.0, 1.0, 1.0])
-    batch = surrogate.sample_batch(1_000_000, seed=2024)
-    table = surrogate.new_table()
-    table.ingest_batch(batch)
-    floor = surrogate.divergence_floor()
-    gap = surrogate.exact_ed(table.finalize()) - floor
+    model, z_of_y = surrogate_chain([1.0, 1.0, 1.0])
+    table = PostTable(model.ch2.shape[1], 2)
+    table.ingest_batch(sample_batch(model, z_of_y, 1_000_000, seed=2024))
+    gap = chains.expected_divergence(model, table.finalize()) - chains.divergence_floor(model)
 
     wins = 0
     for s in range(10):

@@ -27,13 +27,6 @@ PACKAGE = ROOT / "src" / "rolemodel"
 
 #: Definitions that only tests use, each kept for the stated reason.
 ALLOWLIST = {
-    "minsum.surrogate_chain": "builds the exactly enumerable min-sum chain, the oracle "
-                              "behind acceptance test 6",
-    "minsum.SurrogateChain.sample_batch": "draws that oracle chain's training batch",
-    "minsum.SurrogateChain.exact_ed": "scores a trained table exactly on that oracle chain",
-    "chains.ChainModel.nx": "with ny, which the package reads, the chain's alphabet sizes; "
-                            "the chain tests size their tables with them",
-    "chains.ChainModel.nz": "as ChainModel.nx",
     "sudoku.BpResult.beliefs": "the solver's output to library callers",
     "sudoku.BpResult.decisions": "the solver's output to library callers",
 }
@@ -106,6 +99,14 @@ def test_every_definition_has_a_caller_outside_the_tests():
 
 def test_allowlist_names_live_definitions():
     assert set(ALLOWLIST) <= set(definitions())
+
+
+def test_allowlist_names_only_definitions_without_a_caller():
+    # an entry whose definition gained a caller outside the tests is stale
+    names, members = used_names()
+    stale = sorted(q for q, (name, member) in definitions().items()
+                   if name in (members if member else names) and q in ALLOWLIST)
+    assert not stale, f"allowlisted, but used in src/rolemodel or perfbench: {stale}"
 
 
 def test_every_public_name_resolves():

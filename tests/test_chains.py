@@ -31,7 +31,7 @@ class TestPosteriors:
         model, _ = small_model(11)
         joint = chain_joint(model)
         table = chains.posterior_table_xy(model)
-        for y in range(model.ny):
+        for y in range(model.ch1.shape[1]):
             slice_xy = joint[:, y, :].sum(axis=1)
             expect = slice_xy / slice_xy.sum()
             assert np.allclose(table[y], expect, atol=1e-12)
@@ -62,10 +62,10 @@ class TestPosteriors:
         joint = chain_joint(model)
         pyz = joint.sum(axis=0)
         pxgy, pxgz = chains.posterior_table_xy(model), chains.posterior_table_xz(model)
-        for z in range(model.nz):
-            mix = np.zeros(model.nx)
+        for z in range(model.ch2.shape[1]):
+            mix = np.zeros(model.px.size)
             pz = pyz[:, z].sum()
-            for y in range(model.ny):
+            for y in range(model.ch1.shape[1]):
                 if pyz[y, z] > 0:
                     mix += pxgy[y] * pyz[y, z] / pz
             assert np.allclose(pxgz[z], mix, atol=1e-12)
@@ -108,14 +108,15 @@ class TestExpectedDivergence:
         # right-hand side rebuilt term by term from posteriors of the normalised
         # joint and the exact-sum row oracles
         model, rng = small_model(23)
-        q = chains.random_conditional(rng, model.nz, model.nx)
+        q = chains.random_conditional(rng, model.ch2.shape[1], model.px.size)
         py, pz = model.py(), model.pz()
         joint = chain_joint(model)
         pxy, pxz = joint.sum(axis=2), joint.sum(axis=1)
-        h_xy = sum(py[y] * entropy_row(pxy[:, y] / pxy[:, y].sum()) for y in range(model.ny))
-        h_xz = sum(pz[z] * entropy_row(pxz[:, z] / pxz[:, z].sum()) for z in range(model.nz))
+        ny, nz = model.ch2.shape
+        h_xy = sum(py[y] * entropy_row(pxy[:, y] / pxy[:, y].sum()) for y in range(ny))
+        h_xz = sum(pz[z] * entropy_row(pxz[:, z] / pxz[:, z].sum()) for z in range(nz))
         ed_xz = sum(
-            pz[z] * divergence_row(pxz[:, z] / pxz[:, z].sum(), q[z]) for z in range(model.nz)
+            pz[z] * divergence_row(pxz[:, z] / pxz[:, z].sum(), q[z]) for z in range(nz)
         )
         assert chains.expected_divergence(model, q) == pytest.approx(
             h_xz - h_xy + ed_xz, abs=1e-12
@@ -125,7 +126,7 @@ class TestExpectedDivergence:
 
     def test_direct_joint_enumeration_oracle(self):
         model, rng = small_model(24)
-        q = chains.random_conditional(rng, model.nz, model.nx)
+        q = chains.random_conditional(rng, model.ch2.shape[1], model.px.size)
         assert chains.expected_divergence(model, q) == pytest.approx(
             joint_expected_divergence(chain_joint(model), q), abs=1e-12
         )
@@ -178,8 +179,8 @@ class TestMarkovIdentity:
     def test_convexity_spot_check(self):
         model, rng = small_model(61)
         for _ in range(20):
-            q1 = chains.random_conditional(rng, model.nz, model.nx)
-            q2 = chains.random_conditional(rng, model.nz, model.nx)
+            q1 = chains.random_conditional(rng, model.ch2.shape[1], model.px.size)
+            q2 = chains.random_conditional(rng, model.ch2.shape[1], model.px.size)
             t = float(rng.uniform(0.05, 0.95))
             mixed = chains.expected_divergence(model, t * q1 + (1 - t) * q2)
             bound = t * chains.expected_divergence(model, q1) + (1 - t) * chains.expected_divergence(model, q2)
@@ -191,7 +192,7 @@ class TestNonMarkovIdentity:
         model, rng = small_model(71)
         j = chain_joint(model)
         joint = chains.GeneralJoint(j / j.sum())
-        q = chains.random_conditional(rng, model.nz, model.nx)
+        q = chains.random_conditional(rng, model.ch2.shape[1], model.px.size)
         assert abs(chains.nonmarkov_identity_residual(joint, q)) <= 1e-10
         # for a Markov joint the left side IS the expected divergence
         assert chains.nonmarkov_lhs(joint, q) == pytest.approx(

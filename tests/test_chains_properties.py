@@ -61,7 +61,7 @@ def candidate_table(draw, pz: np.ndarray, nx: int) -> np.ndarray:
 @given(st.data())
 def test_identity_residuals_vanish(data):
     model = data.draw(degenerate_chains())
-    q = candidate_table(data.draw, model.pz(), model.nx)
+    q = candidate_table(data.draw, model.pz(), model.px.size)
     assert abs(chains.markov_identity_residual(model, q)) <= 1e-12
     j = chain_joint(model)
     assert abs(chains.nonmarkov_identity_residual(chains.GeneralJoint(j / j.sum()), q)) <= 1e-12
@@ -83,7 +83,7 @@ def test_placeholder_rows_are_uniform_exactly_where_mass_is_zero(model):
         assert np.any(mass == 0)
         for c, row in enumerate(table):
             if mass[c] == 0:
-                assert np.all(row == 1.0 / model.nx)
+                assert np.all(row == 1.0 / model.px.size)
             else:
                 w = weights[:, c]
                 assert np.allclose(row, w / w.sum(), rtol=1e-14, atol=0)
@@ -93,7 +93,7 @@ def test_placeholder_rows_are_uniform_exactly_where_mass_is_zero(model):
 @given(st.data())
 def test_row_kernels_match_exact_sums(data):
     model = data.draw(degenerate_chains())
-    q = candidate_table(data.draw, np.ones(model.nz), model.nx)
+    q = candidate_table(data.draw, np.ones(model.ch2.shape[1]), model.px.size)
     for table in (chains.posterior_table_xy(model), chains.posterior_table_xz(model)):
         assert np.any(table == 0)
         expect = [entropy_row(row) for row in table]

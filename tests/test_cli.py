@@ -62,6 +62,9 @@ INPUT_FILES = {
     # JSON true and false load as Python ints, but are not numbers
     "boolalphas.json": {"version": 1, "n": 4, "alphas": [True, False, True, 1]},
     "boolversion.json": {"version": True, "n": 4, "alphas": [0.5] * 4},
+    # the integer fields of an alpha table, typed as floats
+    "floatversion.json": {"version": 1.0, "n": 4, "alphas": [0.5] * 4},
+    "floatn.json": {"version": 1, "n": 4.0, "alphas": [0.5] * 4},
     "boolsum.json": {"version": 1, "q": 2, "fallback": [0.5, 0.5],
                      "bin_spec": {"kind": "minsum", "num_bins": 1, "max_magnitude": 25.0},
                      "bins": [{"sum": [True, True], "count": 1}, {"sum": [0.0, 0.0], "count": 0}]},
@@ -131,6 +134,8 @@ class TestErrorContract:
         # JSON booleans where a number is read
         ["solve", "--size", "4", "--node", "corrected", "--alpha-table", "@boolalphas.json"],
         ["solve", "--size", "4", "--node", "corrected", "--alpha-table", "@boolversion.json"],
+        ["solve", "--size", "4", "--node", "corrected", "--alpha-table", "@floatversion.json"],
+        ["solve", "--size", "4", "--node", "corrected", "--alpha-table", "@floatn.json"],
         ["eval-minsum", "--table", "@boolsum.json", "--samples", "10"],
         ["eval-minsum", "--table", "@boolbins.json", "--samples", "10"],
         ["eval-minsum", "--table", "@boolfallback.json", "--samples", "10"],
@@ -172,6 +177,15 @@ class TestErrorContract:
         prefixes = ("error: ", f"rolemodel {argv[0]}: error: ", "rolemodel: error: ")
         assert len([line for line in err.splitlines() if line.startswith(prefixes)]) == 1
         assert not out.exists() or "nan" not in out.read_text()
+
+    @pytest.mark.parametrize("argv, snr", [
+        (["solve", "--size", "4", "--snr-db=-1e308"], "-1e+308"),
+        (["exit-chart", "--snr-list", "nan"], "nan"),
+        (["train-sudoku-alpha", "--snr-list", "6,8,nan"], "nan"),
+    ])
+    def test_an_snr_without_a_channel_is_named(self, argv, snr, capsys):
+        assert run(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: snr {snr} dB gives no valid channel")
 
     def test_harvest_shortfall_says_what_it_gathered(self, capsys):
         # at 300 dB, BP decides every cell from the channel alone and never calls a node

@@ -5,13 +5,14 @@ import warnings
 import numpy as np
 import pytest
 
-from rolemodel import minsum
+from rolemodel import chains, minsum
 from rolemodel.errors import BinOutOfRange
-from rolemodel.probs import DEFAULT_FLOOR
+from rolemodel.probs import DEFAULT_FLOOR, floor_rows
 from rolemodel.rng import make_rng
-from rolemodel.train import empirical_ed
+from rolemodel.train import PostTable, SampleBatch, empirical_ed
 
 from oracles import empirical_objective, minsum_baseline_objective
+from surrogate import sample_batch, surrogate_chain
 
 class TestTanhRule:
     def test_erasure_annihilates(self):
@@ -224,29 +225,76 @@ class TestEvaluateTable:
 
 class TestSurrogateChain:
     def test_channel_cells_are_proper(self):
-        sc = minsum.surrogate_chain([1.0] * 3)
-        assert sc.model.ny == 8**3
-        assert sc.num_z == 8
-        assert np.max(np.abs(sc.model.ch1.sum(axis=1) - 1.0)) <= 1e-12
+        model, _ = surrogate_chain([1.0] * 3)
+        assert model.ch1.shape[1] == 8**3
+        assert model.ch2.shape[1] == 8
+        assert np.max(np.abs(model.ch1.sum(axis=1) - 1.0)) <= 1e-12
 
     def test_floor_is_nonnegative_and_small(self):
-        sc = minsum.surrogate_chain([1.0] * 3)
-        floor = sc.divergence_floor()
+        model, _ = surrogate_chain([1.0] * 3)
+        floor = chains.divergence_floor(model)
         assert 0.0 <= floor < 0.5
 
     def test_trained_table_reaches_floor(self):
-        sc = minsum.surrogate_chain([1.0] * 3)
-        batch = sc.sample_batch(100_000, seed=15)
-        table = sc.new_table()
-        table.ingest_batch(batch)
-        gap = sc.exact_ed(table.finalize()) - sc.divergence_floor()
+        model, z_of_y = surrogate_chain([1.0] * 3)
+        table = PostTable(model.ch2.shape[1], 2)
+        table.ingest_batch(sample_batch(model, z_of_y, 100_000, seed=15))
+        gap = chains.expected_divergence(model, table.finalize()) - chains.divergence_floor(model)
         assert 0.0 <= gap <= 0.01
 
     def test_unequal_sigmas_supported(self):
-        sc = minsum.surrogate_chain([0.7, 1.0, 1.4])
-        batch = sc.sample_batch(50_000, seed=16)
-        table = sc.new_table()
-        table.ingest_batch(batch)
-        gap = sc.exact_ed(table.finalize()) - sc.divergence_floor()
+        model, z_of_y = surrogate_chain([0.7, 1.0, 1.4])
+        table = PostTable(model.ch2.shape[1], 2)
+        table.ingest_batch(sample_batch(model, z_of_y, 50_000, seed=16))
+        gap = chains.expected_divergence(model, table.finalize()) - chains.divergence_floor(model)
         assert 0.0 <= gap <= 0.01
 
+
+class TestMonteCarloIntegration:
+    """The non-parametric trainer on the surrogate chain, d = 3, sigmas 1, 1, 1.
+
+    The role-model table averages P(X|Y) over each Z bin: a Monte Carlo
+    integration of P(X|Z) = E[P(X|Y) | Z]. Counting the true bits instead
+    estimates the same row from a noisier variable. Bins 3 and 7 (every
+    branch in the top magnitude cell) have P(z) = 5.9e-6 each, so at
+    N = 1e5 each is empty in a batch about half the time. An empty bin holds
+    the uniform fallback in both tables, which adds the same term to both
+    excesses; at N = 1e5 that term is most of the role-model table's.
+    """
+
+    SIGMAS = [1.0, 1.0, 1.0]
+
+    def test_role_model_table_beats_truth_counts(self):
+        model, z_of_y = surrogate_chain(self.SIGMAS)
+        floor = chains.divergence_floor(model)
+        nz = model.ch2.shape[1]
+        mean_bound = {1_000: 5e-4, 10_000: 5e-5, 100_000: 2e-5}
+        for n, bound in mean_bound.items():
+            role, counts = [], []
+            for seed in range(20):
+                batch = sample_batch(model, z_of_y, n, seed)
+                table, truth_table = PostTable(nz, 2), PostTable(nz, 2)
+                table.ingest_batch(batch)
+                truth_table.ingest_batch(SampleBatch(np.eye(2)[batch.truths], batch.bins))
+                role.append(chains.expected_divergence(model, table.finalize()) - floor)
+                truth_q = floor_rows(truth_table.finalize(), 1e-6)
+                counts.append(chains.expected_divergence(model, truth_q) - floor)
+            assert all(r < c for r, c in zip(role, counts)), (n, role, counts)
+            assert 0.0 <= np.mean(role) <= bound, (n, np.mean(role))
+
+    def test_role_model_table_converges_to_p_x_given_z(self):
+        # a filled bin's row is the mean of its count samples of P(X=0|Y) given z,
+        # with exact mean P(X=0|z) and exact standard deviation sd[z]; it must lie
+        # within 5 standard errors, sd[z] / sqrt(count). An empty bin keeps the
+        # fallback, and only the two P(z) = 5.9e-6 bins may be empty.
+        model, z_of_y = surrogate_chain(self.SIGMAS)
+        pyz, p0, pz = model.pyz(), chains.posterior_table_xy(model)[:, 0], model.pz()
+        exact = chains.posterior_table_xz(model)
+        sd = np.sqrt(np.maximum(pyz.T @ p0**2 / pz - exact[:, 0] ** 2, 0.0))
+        for seed in range(5):
+            table = PostTable(model.ch2.shape[1], 2)
+            table.ingest_batch(sample_batch(model, z_of_y, 1_000_000, seed))
+            q, filled = table.finalize(), table.counts > 0
+            assert np.all(q[~filled] == 0.5) and np.all(pz[~filled] < 1e-5)
+            err = np.abs(q[filled, 0] - exact[filled, 0])
+            assert np.all(err <= 5 * sd[filled] / np.sqrt(table.counts[filled]) + 1e-12), (seed, err)

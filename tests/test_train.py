@@ -26,7 +26,8 @@ def sample(p, b):
 def chain_training_batch(model, n, seed):
     """Samples from a chain with z-identity binning: bin = z symbol."""
     rng = make_rng(seed)
-    ys, zs = divmod(rng.choice(model.ny * model.nz, size=n, p=model.pyz().ravel()), model.nz)
+    ny, nz = model.ch2.shape
+    ys, zs = divmod(rng.choice(ny * nz, size=n, p=model.pyz().ravel()), nz)
     post = chains.posterior_table_xy(model)[ys]
     return SampleBatch(posteriors=post, bins=zs)
 
@@ -94,12 +95,12 @@ class TestIngestFinalize:
         rng = make_rng(201)
         model = chains.random_chain(rng, 3, 6, 4)
         batch = chain_training_batch(model, 10_000, seed=202)
-        t = PostTable(num_bins=model.nz, alphabet_size=model.nx)
+        t = PostTable(num_bins=model.ch2.shape[1], alphabet_size=model.px.size)
         t.ingest_batch(batch)
         final = t.finalize()
         opt = chains.posterior_table_xz(model)
         pz = model.pz()
-        for z in range(model.nz):
+        for z in range(model.ch2.shape[1]):
             if pz[z] > 0.01:
                 tv = 0.5 * np.abs(final[z] - opt[z]).sum()
                 assert tv <= 0.02
@@ -134,7 +135,7 @@ class TestEmpiricalEd:
         rng = make_rng(205)
         model = chains.random_chain(rng, 3, 5, 4)
         batch = chain_training_batch(model, 100_000, seed=206)
-        t = PostTable(num_bins=model.nz, alphabet_size=model.nx)
+        t = PostTable(num_bins=model.ch2.shape[1], alphabet_size=model.px.size)
         t.ingest_batch(batch)
         q = t.finalize()
         assert empirical_ed(batch, q) == pytest.approx(
@@ -191,7 +192,7 @@ class TestEmpiricalEd:
             vals = []
             for s in range(20):
                 batch = chain_training_batch(model, n, seed=300 + 7 * s)
-                t = PostTable(num_bins=model.nz, alphabet_size=model.nx)
+                t = PostTable(num_bins=model.ch2.shape[1], alphabet_size=model.px.size)
                 t.ingest_batch(batch)
                 vals.append(chains.expected_divergence(model, t.finalize()))
             medians.append(float(np.median(vals)))
