@@ -1,9 +1,9 @@
 """Counter-based random streams.
 
 All randomness in the package flows through Philox, keyed by the user seed
-with stream labels loaded into the counter block. Streams with distinct
-labels are independent, so trials/shards can run in any order (or in
-parallel) and still reproduce byte-identical results for a given seed.
+with stream labels loaded into the counter block; the same seed and labels
+always give the same words. Distinct labels do not make streams independent:
+(seed, k, ...) reaches (seed, k + 1, ...) after one 256-bit block.
 """
 
 from __future__ import annotations

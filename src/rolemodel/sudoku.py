@@ -384,19 +384,18 @@ class ExitPoint:
     fallback_rows: int
 
 
-def _trial_draws(seed: int, point: int, trials: int, n: int, draw_truths,
-                 blocks: int) -> tuple[np.ndarray, np.ndarray]:
-    """Trial t's truths, then its ``blocks`` (n, n) standard-normal blocks, from stream (seed, 7, point, t).
+def _trial_draws(seed: int, point: int, trials: int, n: int,
+                 variable: bool) -> tuple[np.ndarray, np.ndarray]:
+    """A point's truths, then its noise, all from stream (seed, 7, point).
 
-    Returns truths of shape (trials, n) and noise of shape (blocks, trials, n, n).
+    The (trials, n) truths are random permutations of range(n) for the
+    constraint nodes, or random symbols for ``variable``; the noise is
+    (1, trials, n, n), or (3, trials, n, n) for ``variable``.
     """
-    truths = np.empty((trials, n), dtype=int)
-    noise = np.empty((blocks, trials, n, n))
-    for t in range(trials):
-        rng = make_rng(seed, 7, point, t)
-        truths[t] = draw_truths(rng)
-        noise[:, t] = rng.standard_normal((blocks, n, n))
-    return truths, noise
+    rng = make_rng(seed, 7, point)
+    truths = (rng.integers(0, n, size=(trials, n)) if variable
+              else rng.permuted(np.tile(np.arange(n), (trials, 1)), axis=1))
+    return truths, rng.standard_normal((3 if variable else 1, trials, n, n))
 
 
 def _apriori_rows(truths: np.ndarray, sigma: float | None, q: int,
@@ -466,12 +465,13 @@ def exit_point_trials(nodes, ia_bits: float, trials: int, seed: int, *,
     trials. The kinds (from ``EXIT_KINDS``; ``corrected`` needs ``alphas``,
     ``variable`` an snr) and every snr are checked before any work.
 
-    Trial t draws from stream (seed, 7, point, t), once for every curve, so
-    the curves are paired trial by trial. The constraint nodes are called
-    on one (trials, n, n) stack whose truths are random permutations. The
-    ``variable`` curves multiply a channel observation at their snr by the
-    same two a-priori messages about random symbols. A-priori messages are
-    synthesized at the sigma calibrated to ``ia_bits``.
+    The point's trials come from one draw on stream (seed, 7, point), which
+    every curve reads, so the curves are paired trial by trial. The
+    constraint nodes are called on one (trials, n, n) stack whose truths
+    are random permutations. The ``variable`` curves multiply a channel
+    observation at their snr by the same two a-priori messages about random
+    symbols. A-priori messages are synthesized at the sigma calibrated to
+    ``ia_bits``.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -493,13 +493,12 @@ def exit_point_trials(nodes, ia_bits: float, trials: int, seed: int, *,
     else:
         sigma_a = calibrate_sigma(ia_bits, n, seed)
     # the a-priori blocks are drawn even where sigma_a is None or 0.0 and
-    # nothing reads them; they come last in each trial's stream, so no value moves
+    # nothing reads them; they come after the truths, so no value moves
     if apply_node:
-        perms, noise = _trial_draws(seed, point, trials, n, lambda rng: rng.permutation(n), 1)
+        perms, noise = _trial_draws(seed, point, trials, n, False)
         apriori = _apriori_rows(perms, sigma_a, n, noise[0])
     if "variable" in nodes:
-        symbols, noise = _trial_draws(seed, point, trials, n,
-                                      lambda rng: rng.integers(0, n, size=n), 3)
+        symbols, noise = _trial_draws(seed, point, trials, n, True)
         apriori_1 = _apriori_rows(symbols, sigma_a, n, noise[1])
         apriori_2 = _apriori_rows(symbols, sigma_a, n, noise[2])
     values = []

@@ -167,11 +167,12 @@ class PostTable:
                         and 0 <= e["count"] < 2**63 for e in bins)):
             raise ValueError("table needs an integer 'q', a 'bin_spec' object and a non-empty "
                              "'bins' list of objects with a non-negative integer 'count'")
+        # check every row against q before building any q-sized array
+        sums = [_finite_row(e.get("sum"), q, f"sum of bin {b}") for b, e in enumerate(bins)]
         table = cls(num_bins=len(bins), alphabet_size=q, fallback=doc.get("fallback"),
                     bin_spec=spec)
-        for b, entry in enumerate(bins):
-            table.sums[b] = _finite_row(entry.get("sum"), q, f"sum of bin {b}")
-            table.counts[b] = entry["count"]
+        table.sums[:] = sums
+        table.counts[:] = [e["count"] for e in bins]
         if np.any(table.sums < 0) or np.any((table.counts > 0) & (table.sums.sum(axis=1) <= 0)):
             raise ValueError("table bin sums must be non-negative, and positive where the count is")
         return table

@@ -81,6 +81,11 @@ INPUT_FILES = {
     "ternary.json": {"version": 1, "q": 3, "fallback": [0.25, 0.25, 0.5],
                      "bin_spec": {"kind": "minsum", "num_bins": 1, "max_magnitude": 25.0},
                      "bins": [{"sum": [0.0, 0.0, 0.0], "count": 0}] * 2},
+    # a q far past memory, with 2-entry bin sums and no fallback: the loader
+    # must check the rows before it builds any q-sized array
+    "hugeq.json": {"version": 1, "q": 10**11,
+                   "bin_spec": {"kind": "minsum", "num_bins": 1, "max_magnitude": 25.0},
+                   "bins": [{"sum": [0.0, 0.0], "count": 0}] * 2},
 }
 
 
@@ -106,6 +111,7 @@ class TestErrorContract:
         ["eval-minsum", "--table", "@alphas.json", "--samples", "10"],
         ["eval-minsum", "--table", "@nospec.json", "--samples", "10"],
         ["eval-minsum", "--table", "@ternary.json", "--samples", "10"],
+        ["eval-minsum", "--table", "@hugeq.json", "--samples", "10"],
         ["solve", "--size", "4", "--node", "corrected", "--alpha-table", "@n4.json"],
         # the corrected node without its alpha table
         ["solve", "--size", "4", "--node", "corrected"],

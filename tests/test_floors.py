@@ -91,15 +91,19 @@ class TestDefaultFloor:
 
     def test_exit_scores_floored_mass_at_the_truth(self):
         # site: the node output in exit_point_trials. At I_A = 2 bits the
-        # approximate node puts less than 1e-12 on the truth in some trials.
-        n, seed, trials = 9, 3, 20
+        # approximate node puts less than 1e-12 on the truth in some trials;
+        # seed 4 is the first seed from 3 upward where it does.
+        n, seed, trials = 9, 4, 20
         (values,), _ = sudoku.exit_point_trials(("approx",), 2.0, trials, seed, n=n)
         channel = sudoku.ChannelModel(sigma=sudoku.calibrate_sigma(2.0, n, seed), q=n)
+        rng = make_rng(seed, 7, 0)
+        perms = rng.permuted(np.tile(np.arange(n), (trials, 1)), axis=1)
+        noise = rng.standard_normal((trials, n, n))
         lowest = 1.0
         for t, value in enumerate(values):
-            rng = make_rng(seed, 7, 0, t)
-            truths = rng.permutation(n)
-            out, _ = sudoku.constraint_approx(channel.posterior(channel.observe(truths, rng)), 0.5)
+            truths = perms[t]
+            out, _ = sudoku.constraint_approx(channel.posterior(channel.receive(truths, noise[t])),
+                                              0.5)
             at_truth = floor_rows(out, DEFAULT_FLOOR)[np.arange(n), truths]
             lowest = min(lowest, out[np.arange(n), truths].min())
             assert value == math.log2(n) - float(np.mean(-np.log2(at_truth)))

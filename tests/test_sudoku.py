@@ -308,19 +308,19 @@ class TestExitBitsArePinned:
     EXIT point, per node kind, over a grid that takes the uniform,
     calibrated and one-hot a-priori branches: exact, approx, corrected
     (mixed alphas) and variable (two snrs). The digests were recorded
-    with one ``exit_curve`` call per node kind, before the node kinds of a
-    point shared one draw of trials. A change to the trial streams or the
-    order of the arithmetic that moves any bit fails here."""
+    when each point first drew all its trials from one stream,
+    (seed, 7, point). A change to the trial streams or the order of the
+    arithmetic that moves any bit fails here."""
 
     DIGESTS = {
-        (4, "exact"): "5e0ea75dc00af6d352aaca5c5158bcc06172cc88c50e4dbd49152a4009aab786",
-        (4, "approx"): "a19f5196550fc9ddae7cd11b0ebb571827badbfe11b38f4892c0f9c553d41cc0",
-        (4, "corrected"): "db81d2b0744467f4362d4c3ebf1c613d0be9d18a53f6ddcbce0ec8ffbae9cb95",
-        (4, "variable"): "42a95daf85bd8063ea2b49772ace96d13fe4eafaa28dcf737d7ce0c447c3dbcb",
-        (9, "exact"): "4f2cb1cf48ec322949714dc5382c99689f4285674b48fa08fe4fdbc4640ea143",
-        (9, "approx"): "c054d5587af7ef2ba0b4423b6f59924f183bfc8118e82369abfe198edafb4641",
-        (9, "corrected"): "ce54cc220b65b92af8149f338bae23cceea96c6122e5f89d4a6fc1b0480679cc",
-        (9, "variable"): "40863d4302d910a92f865ed8ec5839f9ef5e17e8275ec1ce1c24df092f02f71d",
+        (4, "exact"): "219882cb0ed29f7e9044cc5c41c86b7fa1c6b58bed0d9ab732a741ef505ef027",
+        (4, "approx"): "e17ed48f2053c480b04a6a33a0771d05b2b3f80e9b787c309c49f4ac434be154",
+        (4, "corrected"): "13df469cc033673bd6e88662d2465916e7e6875c9d23c4a30e65ca7bf6d44898",
+        (4, "variable"): "856e7c546baf2351171d38fa6ed1d872114957b910a2899e55e5ac823063fd7c",
+        (9, "exact"): "9948b2bd14f71b0174fe7e213c46ed7a58ea815a779df12aa954be64e0ee82cd",
+        (9, "approx"): "331f1330b8ed88623e58303bf867e1af7887e0d49fabf69a585039662654a9d3",
+        (9, "corrected"): "f71a1fbbe2f5c364dc6631e6ec7a526590abcc992cc4ef80dc43350c61d44e51",
+        (9, "variable"): "503ca4cc5dae811bf373b8c22e0a3a449e96cea9cc4dd6d6ac5ac32b8eab7953",
     }
     KINDS = ("exact", "approx", "corrected", "variable")
 
@@ -334,11 +334,10 @@ class TestExitBitsArePinned:
             assert hashlib.sha256(repr(picked).encode()).hexdigest() == self.DIGESTS[n, kind]
 
     #: sha256 of every point's ``(node, snr_db, ia_bits, ie_bits, stderr,
-    #: fallback_rows)`` repr in output order, recorded while each snr of a
-    #: ``variable`` curve still drew its own trials
+    #: fallback_rows)`` repr in output order, recorded with the digests above
     CURVE_DIGESTS = {
-        "variable-three-snrs": "c05cd3c71e8fb306d57e93743acffecc2147d918fa82b216bb738702e587b1f4",
-        "repeated-kinds": "7f55d7fbd35caf92f2c6c4dc06dd0a8c82e83aa5108326da9bc451e0cc65a202",
+        "variable-three-snrs": "b64d8e4ab5fd386f6351756d25ae218175b672e9dcdd1ea636aafd0cfcc11174",
+        "repeated-kinds": "254bfd2a89cf24d8039be6b26220974c5f657899415c0b697bd6e7a5d1648caa",
     }
 
     @pytest.mark.parametrize("name, nodes, n, snrs", [
@@ -419,7 +418,7 @@ class TestExit:
         alphas = np.full(n, 0.7)
         kinds = ("exact", "approx", "corrected")
         shared = sudoku.exit_curve(kinds, grid, trials, seed, n=n, alphas=alphas)
-        assert rng_labels.count(7) == trials * len(grid)
+        assert rng_labels.count(7) == len(grid)
         for kind in kinds:
             alone = sudoku.exit_curve((kind,), grid, trials, seed, n=n, alphas=alphas)
             assert [p for p in shared if p.node == kind] == alone
@@ -441,35 +440,39 @@ class TestExit:
             sudoku.exit_curve("exact", [0.5], trials=2, seed=630, n=4)
 
     def test_batched_trials_match_one_node_call_per_trial(self):
-        n, seed, point = 4, 627, 3
+        # the point's arrays come from one stream, (seed, 7, point); each node
+        # is then called on one trial's matrix at a time
+        n, seed, point, trials = 4, 627, 3, 6
         sigma = sudoku.calibrate_sigma(1.0, n, seed)
+        apriori = sudoku.ChannelModel(sigma=sigma, q=n)
         kinds = ("exact", "approx")
-        values, fallbacks = sudoku.exit_point_trials(kinds, 1.0, 6, seed, n=n, point=point)
-        assert values.shape == (len(kinds), 6) and fallbacks == [0, 0]
+        values, fallbacks = sudoku.exit_point_trials(kinds, 1.0, trials, seed, n=n, point=point)
+        assert values.shape == (len(kinds), trials) and fallbacks == [0, 0]
+        rng = make_rng(seed, 7, point)
+        perms = rng.permuted(np.tile(np.arange(n), (trials, 1)), axis=1)
+        noise = rng.standard_normal((trials, n, n))
         for node, node_values in zip(kinds, values):
             apply_node = sudoku.node_function(node)
             for t, value in enumerate(node_values):
-                rng = make_rng(seed, 7, point, t)
-                truths = rng.permutation(n)
-                ch = sudoku.ChannelModel(sigma=sigma, q=n)
-                rows, fallback_rows = apply_node(ch.posterior(ch.observe(truths, rng)))
+                rows, fallback_rows = apply_node(apriori.posterior(apriori.receive(perms[t],
+                                                                                   noise[t])))
                 assert fallback_rows == 0
                 out = floor_rows(rows, DEFAULT_FLOOR)
-                assert value == math.log2(n) - float(np.mean(-np.log2(out[np.arange(n), truths])))
+                assert value == math.log2(n) - float(np.mean(-np.log2(out[np.arange(n), perms[t]])))
         # the variable node: a channel observation times two a-priori messages
-        (values,), (fallback_rows,) = sudoku.exit_point_trials(("variable",), 1.0, 6, seed, n=n,
-                                                               point=point, snr_db_list=[3.0])
+        (values,), (fallback_rows,) = sudoku.exit_point_trials(("variable",), 1.0, trials, seed,
+                                                               n=n, point=point, snr_db_list=[3.0])
         assert fallback_rows == 0
         channel = sudoku.ChannelModel.from_snr_db(3.0, q=n)
-        apriori = sudoku.ChannelModel(sigma=sigma, q=n)
+        rng = make_rng(seed, 7, point)
+        symbols = rng.integers(0, n, size=(trials, n))
+        noise = rng.standard_normal((3, trials, n, n))
         for t, value in enumerate(values):
-            rng = make_rng(seed, 7, point, t)
-            symbols = rng.integers(0, n, size=n)
-            msg = channel.posterior(channel.observe(symbols, rng))
-            msg = msg * apriori.posterior(apriori.observe(symbols, rng))
-            msg = msg * apriori.posterior(apriori.observe(symbols, rng))
+            msg = channel.posterior(channel.receive(symbols[t], noise[0, t]))
+            msg = msg * apriori.posterior(apriori.receive(symbols[t], noise[1, t]))
+            msg = msg * apriori.posterior(apriori.receive(symbols[t], noise[2, t]))
             out = floor_rows(floor_rows(msg, MESSAGE_FLOOR), DEFAULT_FLOOR)
-            assert value == math.log2(n) - float(np.mean(-np.log2(out[np.arange(n), symbols])))
+            assert value == math.log2(n) - float(np.mean(-np.log2(out[np.arange(n), symbols[t]])))
 
     def test_one_draw_per_point_for_every_variable_snr(self, rng_labels):
         # the snrs of a variable curve share each point's trials and calibration
@@ -479,7 +482,7 @@ class TestExit:
         sudoku.calibrate_sigma.cache_clear()
         shared = sudoku.exit_curve(("variable",), grid, trials, seed, n=n, snr_db_list=snrs)
         info = sudoku.calibrate_sigma.cache_info()
-        assert rng_labels.count(7) == trials * len(grid)
+        assert rng_labels.count(7) == len(grid)
         calibrated = 2  # the uniform and one-hot ends need no sigma
         assert (info.misses, info.hits) == (calibrated, 0)
         assert [p.snr_db for p in shared] == [snr for snr in snrs for _ in grid]
