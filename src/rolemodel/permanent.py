@@ -58,7 +58,6 @@ class _MinorPlan:
     forward table holds the values f, the backward table the values b.
     """
 
-    size: int  # 2^n - 1 table entries
     # per level k = 1..n-1: (lo, hi, f row, b row, parents, members), indices (k, C)
     levels: tuple
     # per minor row i: (head, tail, starts): the table index of S with |S| = i
@@ -97,7 +96,7 @@ def _minor_plan(n: int) -> _MinorPlan:
         j, s = np.nonzero(((subsets[None, :] >> columns[:, None]) & 1) == 0)
         readout.append((pos[subsets[s]], pos[full ^ subsets[s] ^ (1 << j)],
                         columns * math.comb(n - 1, i)))
-    return _MinorPlan(size=full, levels=tuple(levels), readout=tuple(readout))
+    return _MinorPlan(levels=tuple(levels), readout=tuple(readout))
 
 
 @functools.lru_cache(maxsize=1)

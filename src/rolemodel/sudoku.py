@@ -379,23 +379,8 @@ class ExitPoint:
     ia_bits: float
     ie_bits: float
     stderr: float
-    trials: int
     #: node rows replaced by uniform over the point's trials (0 for exact and variable)
     fallback_rows: int
-
-
-def _trial_draws(seed: int, point: int, trials: int, n: int,
-                 variable: bool) -> tuple[np.ndarray, np.ndarray]:
-    """A point's truths, then its noise, all from stream (seed, 7, point).
-
-    The (trials, n) truths are random permutations of range(n) for the
-    constraint nodes, or random symbols for ``variable``; the noise is
-    (1, trials, n, n), or (3, trials, n, n) for ``variable``.
-    """
-    rng = make_rng(seed, 7, point)
-    truths = (rng.integers(0, n, size=(trials, n)) if variable
-              else rng.permuted(np.tile(np.arange(n), (trials, 1)), axis=1))
-    return truths, rng.standard_normal((3 if variable else 1, trials, n, n))
 
 
 def _apriori_rows(truths: np.ndarray, sigma: float | None, q: int,
@@ -453,6 +438,31 @@ def _exit_curves(nodes, snr_db_list) -> list[tuple[str, float | None]]:
             for snr in ((snr_db_list or ()) if kind == "variable" else (None,))]
 
 
+def _exit_checks(nodes, ia_grid, trials: int, n: int, snr_db_list, alphas):
+    """Check an EXIT run's arguments before any work: ``(node functions, channels)``.
+
+    The grid, trials, kinds and every snr raise ValueError; an a-priori
+    target outside [0, log2(n)] raises :class:`BisectionFailure`.
+    """
+    if not ia_grid:
+        raise ValueError("empty a-priori grid")
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    if not nodes or not set(nodes) <= set(EXIT_KINDS):  # a bare string's letters are no kinds
+        raise ValueError(f"nodes (--node) must be a non-empty sequence of node kinds from "
+                         f"{EXIT_KINDS}, got {nodes!r}")
+    apply_node = {kind: node_function(kind, alphas=alphas) for kind in nodes if kind != "variable"}
+    # every snr given is checked, though constraint-node curves ignore the channel
+    channels = {snr: ChannelModel.from_snr_db(snr, q=n) for snr in snr_db_list or ()}
+    if "variable" in nodes and not channels:
+        raise ValueError("variable-node transfer needs a channel snr (--snr-list)")
+    max_mi = math.log2(n)
+    for ia in ia_grid:
+        if not -1e-9 <= ia <= max_mi + 1e-9:
+            raise BisectionFailure(f"a-priori target {ia} outside [0, {max_mi}]")
+    return apply_node, channels
+
+
 def exit_point_trials(nodes, ia_bits: float, trials: int, seed: int, *,
                       n: int = 9, point: int = 0, alphas=None,
                       snr_db_list=None) -> tuple[np.ndarray, list[int]]:
@@ -465,51 +475,40 @@ def exit_point_trials(nodes, ia_bits: float, trials: int, seed: int, *,
     trials. The kinds (from ``EXIT_KINDS``; ``corrected`` needs ``alphas``,
     ``variable`` an snr) and every snr are checked before any work.
 
-    The point's trials come from one draw on stream (seed, 7, point), which
-    every curve reads, so the curves are paired trial by trial. The
-    constraint nodes are called on one (trials, n, n) stack whose truths
-    are random permutations. The ``variable`` curves multiply a channel
-    observation at their snr by the same two a-priori messages about random
-    symbols. A-priori messages are synthesized at the sigma calibrated to
-    ``ia_bits``.
+    Every curve reads one draw on stream (seed, 7, point), so the curves
+    are paired trial by trial: the truths, (trials, n) random permutations,
+    then normal noise blocks of shape (trials, n, n), one block or, with
+    ``variable``, three. Block 0 gives the a-priori rows, synthesized at the
+    sigma calibrated to ``ia_bits``, that every constraint node is called on
+    as one stack. The ``variable`` curves multiply those rows by a second
+    a-priori message from block 1 and by a channel observation at their snr
+    from block 2.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if not nodes or not set(nodes) <= set(EXIT_KINDS):  # a bare string's letters are no kinds
-        raise ValueError(f"nodes (--node) must be a non-empty sequence of node kinds from "
-                         f"{EXIT_KINDS}, got {nodes!r}")
-    apply_node = {kind: node_function(kind, alphas=alphas) for kind in nodes if kind != "variable"}
-    # every snr given is checked, though constraint-node curves ignore the channel
-    channels = {snr: ChannelModel.from_snr_db(snr, q=n) for snr in snr_db_list or ()}
-    if "variable" in nodes and not channels:
-        raise ValueError("variable-node transfer needs a channel snr (--snr-list)")
+    apply_node, channels = _exit_checks(nodes, [ia_bits], trials, n, snr_db_list, alphas)
     max_mi = math.log2(n)
-    if not -1e-9 <= ia_bits <= max_mi + 1e-9:
-        raise BisectionFailure(f"a-priori target {ia_bits} outside [0, {max_mi}]")
     if ia_bits >= max_mi - 1e-9:
         sigma_a = 0.0
     elif ia_bits <= 1e-9:
         sigma_a = None
     else:
         sigma_a = calibrate_sigma(ia_bits, n, seed)
-    # the a-priori blocks are drawn even where sigma_a is None or 0.0 and
-    # nothing reads them; they come after the truths, so no value moves
-    if apply_node:
-        perms, noise = _trial_draws(seed, point, trials, n, False)
-        apriori = _apriori_rows(perms, sigma_a, n, noise[0])
+    # blocks 0 and 1 are drawn even where sigma_a is None or 0.0 and go
+    # unread, so every block keeps its place in the stream at every I_A
+    rng = make_rng(seed, 7, point)
+    truths = rng.permuted(np.tile(np.arange(n), (trials, 1)), axis=1)
+    noise = rng.standard_normal((3 if "variable" in nodes else 1, trials, n, n))
+    apriori = _apriori_rows(truths, sigma_a, n, noise[0])
     if "variable" in nodes:
-        symbols, noise = _trial_draws(seed, point, trials, n, True)
-        apriori_1 = _apriori_rows(symbols, sigma_a, n, noise[1])
-        apriori_2 = _apriori_rows(symbols, sigma_a, n, noise[2])
+        both = apriori * _apriori_rows(truths, sigma_a, n, noise[1])
     values = []
     fallback_rows = []
     for kind, snr in _exit_curves(nodes, snr_db_list):
         if kind == "variable":
             channel = channels[snr]
-            msg = channel.posterior(channel.receive(symbols, noise[0])) * apriori_1 * apriori_2
-            truths, out, fallback = symbols, floor_rows(msg, MESSAGE_FLOOR), 0
+            msg = channel.posterior(channel.receive(truths, noise[2])) * both
+            out, fallback = floor_rows(msg, MESSAGE_FLOOR), 0
         else:
-            truths, (out, fallback) = perms, apply_node[kind](apriori)
+            out, fallback = apply_node[kind](apriori)
         at_truth = np.take_along_axis(floor_rows(out, DEFAULT_FLOOR), truths[..., None], axis=-1)
         values.append(max_mi - np.mean(-np.log2(at_truth[..., 0]), axis=-1))
         fallback_rows.append(fallback)
@@ -520,14 +519,14 @@ def exit_curve(nodes, ia_grid, trials: int, seed: int, *,
                n: int = 9, snr_db_list=None, alphas=None) -> list[ExitPoint]:
     """Extrinsic-vs-a-priori information transfer of each EXIT curve of ``nodes``.
 
-    One :func:`exit_point_trials` call per grid point checks the kinds,
+    Every argument, the whole grid included, is checked before the first
+    point. One :func:`exit_point_trials` call per grid point then
     calibrates once and draws one set of trials for every curve, so the
     curves are paired. Points come curve by curve, in that function's curve
     order, each in grid order.
     """
     grid = list(ia_grid)
-    if not grid:
-        raise ValueError("empty a-priori grid")
+    _exit_checks(nodes, grid, trials, n, snr_db_list, alphas)
     points = [exit_point_trials(nodes, ia, trials, seed, n=n, point=p, alphas=alphas,
                                 snr_db_list=snr_db_list) for p, ia in enumerate(grid)]
 
@@ -536,7 +535,7 @@ def exit_curve(nodes, ia_grid, trials: int, seed: int, *,
 
     return [ExitPoint(node=kind, snr_db=snr, ia_bits=float(ia),
                       ie_bits=max(float(values[c].mean()), 0.0), stderr=stderr(values[c]),
-                      trials=trials, fallback_rows=fallbacks[c])
+                      fallback_rows=fallbacks[c])
             for c, (kind, snr) in enumerate(_exit_curves(nodes, snr_db_list))
             for ia, (values, fallbacks) in zip(grid, points)]
 

@@ -212,7 +212,7 @@ class TestErrorContract:
         # sudoku checks the kinds before the first point calibrates or draws a trial
         work = []
         monkeypatch.setattr(sudoku, "calibrate_sigma", lambda *a: work.append("calibrate"))
-        monkeypatch.setattr(sudoku, "_trial_draws", lambda *a: work.append("draw"))
+        monkeypatch.setattr(sudoku, "make_rng", lambda *a: work.append("draw"))
         assert run(["exit-chart", "--node", nodes, "--mi-grid", "1:1:1"]) == 1
         assert work == []
 

@@ -307,20 +307,22 @@ class TestExitBitsArePinned:
     """sha256 of the ``(snr_db, ia_bits, ie_bits, stderr)`` reprs of every
     EXIT point, per node kind, over a grid that takes the uniform,
     calibrated and one-hot a-priori branches: exact, approx, corrected
-    (mixed alphas) and variable (two snrs). The digests were recorded
-    when each point first drew all its trials from one stream,
-    (seed, 7, point). A change to the trial streams or the order of the
-    arithmetic that moves any bit fails here."""
+    (mixed alphas) and variable (two snrs). The constraint-node digests
+    were recorded when each point first drew all its trials from one
+    stream, (seed, 7, point); the variable digests when the variable node
+    first read the constraint nodes' truths and a-priori rows from that
+    draw. A change to the trial streams or the order of the arithmetic
+    that moves any bit fails here."""
 
     DIGESTS = {
         (4, "exact"): "219882cb0ed29f7e9044cc5c41c86b7fa1c6b58bed0d9ab732a741ef505ef027",
         (4, "approx"): "e17ed48f2053c480b04a6a33a0771d05b2b3f80e9b787c309c49f4ac434be154",
         (4, "corrected"): "13df469cc033673bd6e88662d2465916e7e6875c9d23c4a30e65ca7bf6d44898",
-        (4, "variable"): "856e7c546baf2351171d38fa6ed1d872114957b910a2899e55e5ac823063fd7c",
+        (4, "variable"): "d3278c061a58439f57af46324a43aeeae02e19e8ce850b21990740ed3d8f82dd",
         (9, "exact"): "9948b2bd14f71b0174fe7e213c46ed7a58ea815a779df12aa954be64e0ee82cd",
         (9, "approx"): "331f1330b8ed88623e58303bf867e1af7887e0d49fabf69a585039662654a9d3",
         (9, "corrected"): "f71a1fbbe2f5c364dc6631e6ec7a526590abcc992cc4ef80dc43350c61d44e51",
-        (9, "variable"): "503ca4cc5dae811bf373b8c22e0a3a449e96cea9cc4dd6d6ac5ac32b8eab7953",
+        (9, "variable"): "de9dd8ff52a22c2a992f857c26c98dae955c4e196ed28cd8ecb867e76757fa78",
     }
     KINDS = ("exact", "approx", "corrected", "variable")
 
@@ -334,10 +336,10 @@ class TestExitBitsArePinned:
             assert hashlib.sha256(repr(picked).encode()).hexdigest() == self.DIGESTS[n, kind]
 
     #: sha256 of every point's ``(node, snr_db, ia_bits, ie_bits, stderr,
-    #: fallback_rows)`` repr in output order, recorded with the digests above
+    #: fallback_rows)`` repr in output order, recorded with the variable digests above
     CURVE_DIGESTS = {
-        "variable-three-snrs": "b64d8e4ab5fd386f6351756d25ae218175b672e9dcdd1ea636aafd0cfcc11174",
-        "repeated-kinds": "254bfd2a89cf24d8039be6b26220974c5f657899415c0b697bd6e7a5d1648caa",
+        "variable-three-snrs": "608cc36da92f6206b94fb3839137f05ad487166eba15a74db575df2f893a8a4a",
+        "repeated-kinds": "e7c5f0d0c0d0601bfbdca3c4736396cfc0e1f7b3fdc817f4bc0385fcbd90e356",
     }
 
     @pytest.mark.parametrize("name, nodes, n, snrs", [
@@ -416,17 +418,19 @@ class TestExit:
         n, trials, seed = 4, 5, 629
         grid = [0.0, 1.0, 2.0]
         alphas = np.full(n, 0.7)
-        kinds = ("exact", "approx", "corrected")
-        shared = sudoku.exit_curve(kinds, grid, trials, seed, n=n, alphas=alphas)
+        kinds = ("exact", "approx", "corrected", "variable")
+        snrs = [3.0]
+        shared = sudoku.exit_curve(kinds, grid, trials, seed, n=n, alphas=alphas, snr_db_list=snrs)
         assert rng_labels.count(7) == len(grid)
         for kind in kinds:
-            alone = sudoku.exit_curve((kind,), grid, trials, seed, n=n, alphas=alphas)
+            alone = sudoku.exit_curve((kind,), grid, trials, seed, n=n, alphas=alphas,
+                                      snr_db_list=snrs)
             assert [p for p in shared if p.node == kind] == alone
             for point, ia in enumerate(grid):
                 values, _ = sudoku.exit_point_trials(kinds, ia, trials, seed, n=n, point=point,
-                                                     alphas=alphas)
+                                                     alphas=alphas, snr_db_list=snrs)
                 one, _ = sudoku.exit_point_trials((kind,), ia, trials, seed, n=n, point=point,
-                                                  alphas=alphas)
+                                                  alphas=alphas, snr_db_list=snrs)
                 assert np.array_equal(values[kinds.index(kind)], one[0])
 
     def test_fallback_rows_are_reported_per_node(self):
@@ -450,29 +454,31 @@ class TestExit:
         assert values.shape == (len(kinds), trials) and fallbacks == [0, 0]
         rng = make_rng(seed, 7, point)
         perms = rng.permuted(np.tile(np.arange(n), (trials, 1)), axis=1)
-        noise = rng.standard_normal((trials, n, n))
+        noise = rng.standard_normal((1, trials, n, n))
         for node, node_values in zip(kinds, values):
             apply_node = sudoku.node_function(node)
             for t, value in enumerate(node_values):
                 rows, fallback_rows = apply_node(apriori.posterior(apriori.receive(perms[t],
-                                                                                   noise[t])))
+                                                                                   noise[0, t])))
                 assert fallback_rows == 0
                 out = floor_rows(rows, DEFAULT_FLOOR)
                 assert value == math.log2(n) - float(np.mean(-np.log2(out[np.arange(n), perms[t]])))
-        # the variable node: a channel observation times two a-priori messages
+        # the variable node, on the same truths: the constraint nodes' a-priori
+        # message (block 0) times a second one (block 1), times a channel
+        # observation (block 2); the first block of a longer draw is the same
         (values,), (fallback_rows,) = sudoku.exit_point_trials(("variable",), 1.0, trials, seed,
                                                                n=n, point=point, snr_db_list=[3.0])
         assert fallback_rows == 0
         channel = sudoku.ChannelModel.from_snr_db(3.0, q=n)
         rng = make_rng(seed, 7, point)
-        symbols = rng.integers(0, n, size=(trials, n))
+        assert np.array_equal(rng.permuted(np.tile(np.arange(n), (trials, 1)), axis=1), perms)
         noise = rng.standard_normal((3, trials, n, n))
         for t, value in enumerate(values):
-            msg = channel.posterior(channel.receive(symbols[t], noise[0, t]))
-            msg = msg * apriori.posterior(apriori.receive(symbols[t], noise[1, t]))
-            msg = msg * apriori.posterior(apriori.receive(symbols[t], noise[2, t]))
+            a1 = apriori.posterior(apriori.receive(perms[t], noise[0, t]))
+            a2 = apriori.posterior(apriori.receive(perms[t], noise[1, t]))
+            msg = channel.posterior(channel.receive(perms[t], noise[2, t])) * (a1 * a2)
             out = floor_rows(floor_rows(msg, MESSAGE_FLOOR), DEFAULT_FLOOR)
-            assert value == math.log2(n) - float(np.mean(-np.log2(out[np.arange(n), symbols[t]])))
+            assert value == math.log2(n) - float(np.mean(-np.log2(out[np.arange(n), perms[t]])))
 
     def test_one_draw_per_point_for_every_variable_snr(self, rng_labels):
         # the snrs of a variable curve share each point's trials and calibration
@@ -514,6 +520,15 @@ class TestExit:
             sudoku.exit_curve(nodes, [0.5, 1.0], trials=2, seed=632, n=4, **kwargs)
         with pytest.raises(ValueError):
             sudoku.exit_point_trials(nodes, 0.5, 2, 632, n=4, **kwargs)
+        assert sudoku.calibrate_sigma.cache_info().misses == 0
+        assert rng_labels == []
+
+    def test_whole_grid_is_checked_before_the_first_point(self, rng_labels):
+        # a target past log2(4) = 2 at the end of the grid fails before the
+        # first point calibrates or draws a trial
+        sudoku.calibrate_sigma.cache_clear()
+        with pytest.raises(BisectionFailure, match="a-priori target 2.5 outside"):
+            sudoku.exit_curve(("exact",), [1.0, 1.5, 2.0, 2.5], trials=2, seed=633, n=4)
         assert sudoku.calibrate_sigma.cache_info().misses == 0
         assert rng_labels == []
 
