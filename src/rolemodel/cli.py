@@ -4,8 +4,8 @@ One binary, one subcommand per experiment. Machine-readable results go to
 --out (CSV for tabular sweeps, JSON for trained artifacts); a short human
 summary goes to stdout. Runs with identical flags and seed produce
 byte-identical output files. Exit status: 0 success; 1 for a bad flag
-value or an unreadable input file, reported as one ``error:`` line on
-stderr; 2 for a numerical failure.
+value, an unreadable input file or a request too large for memory,
+reported as one ``error:`` line on stderr; 2 for a numerical failure.
 """
 
 from __future__ import annotations
@@ -317,6 +317,10 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, OSError) as exc:  # flag values and input files
         sys.stderr.write(f"error: {exc}\n")
+        return 1
+    except MemoryError as exc:  # a count of samples or bins too large to hold
+        detail = f": {exc}" if str(exc) else ""
+        sys.stderr.write(f"error: out of memory{detail}\n")
         return 1
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BinOutOfRange
+from .errors import BinOutOfRange, DimensionMismatch, ZeroMassAtTruth
 from .probs import DEFAULT_FLOOR, floor_rows, llrs_to_dists, soft_mi, square_is_normal
 from .rng import make_rng
 from .train import (BLOCK, PostTable, SampleBatch, _is_int, _is_number, empirical_ed,
@@ -113,10 +113,14 @@ def simulate_batch(d: int, sigmas, n: int, seed: int,
     Each trial draws d independent branch bits, observes them over BPSK/AWGN
     with the given per-branch sigmas (exact branch LLR 2y/sigma^2), and
     emits the tanh-rule posterior for the XOR bit alongside the quantized
-    min-sum statistic. Deterministic for a given seed: the draws come
-    first, all n*d bits and then all n*d normals from ``make_rng(seed, 1)``.
-    Everything after them runs ``BLOCK`` rows at a time, column by column,
-    and writes into the returned arrays.
+    min-sum statistic. Deterministic for a given seed: all n*d bits come
+    first and then all n*d normals, from ``make_rng(seed, 1)``. The bits are
+    drawn ``BLOCK`` rows at a time into one (n, d) uint8 array; then each
+    block draws its normals into one (``BLOCK``, d) buffer and runs column
+    by column, writing into the returned arrays. Chunked draws advance the
+    stream exactly as the whole-array calls would, so the batch is bitwise
+    the same; it needs n*d bytes of bits, 40 bytes per sample of returned
+    arrays, and the block buffers.
     """
     if n < 1:
         raise ValueError("need at least one trial")
@@ -125,20 +129,24 @@ def simulate_batch(d: int, sigmas, n: int, seed: int,
         raise ValueError("need one positive sigma per branch, its square a finite normal float")
     quantizer = quantizer or ZQuantizer()
     rng = make_rng(seed, 1)
-    bits = rng.integers(0, 2, size=(n, d))
-    noise = rng.standard_normal((n, d))
+    bits = np.empty((n, d), dtype=np.uint8)
+    for start in range(0, n, BLOCK):
+        stop = min(start + BLOCK, n)
+        bits[start:stop] = rng.integers(0, 2, size=(stop - start, d))
     sig2 = sig**2
     posteriors = np.empty((n, 2))
     bins = np.empty(n, dtype=int)
-    truths = np.empty(n, dtype=bits.dtype)
+    truths = np.empty(n, dtype=np.int64)
     minsum_llrs = np.empty(n)
     rows = min(n, BLOCK)
+    noise_rows = np.empty((rows, d))
     llrs = np.empty((d, rows))  # one block of LLRs, branch j contiguous in llrs[j]
     tmp_rows = np.empty(rows)
     odd_rows = np.empty(rows, dtype=bool)
     for start in range(0, n, BLOCK):
         stop = min(start + BLOCK, n)
         m = stop - start
+        noise = rng.standard_normal(out=noise_rows[:m])
         mins, parity = minsum_llrs[start:stop], truths[start:stop]
         tmp, odd = tmp_rows[:m], odd_rows[:m]
         mins.fill(np.inf)
@@ -150,7 +158,7 @@ def simulate_batch(d: int, sigmas, n: int, seed: int,
             col = llrs[j, :m]
             np.multiply(bits[start:stop, j], 2.0, out=col)
             np.subtract(1.0, col, out=col)
-            np.multiply(noise[start:stop, j], sig[j], out=tmp)
+            np.multiply(noise[:, j], sig[j], out=tmp)
             col += tmp
             col *= 2.0
             col /= sig2[j]
@@ -185,6 +193,23 @@ class EvalReport:
         )
 
 
+def _soft_mi_from_counts(q: np.ndarray, bins: np.ndarray, truths: np.ndarray) -> float:
+    """``soft_mi(truths, q[bins])``, from the count of each (bin, truth) pair."""
+    num_bins, alphabet = q.shape
+    if truths.min() < 0 or truths.max() >= alphabet:  # would alias another bin's pair
+        raise DimensionMismatch(f"truths must lie in [0, {alphabet})")
+    pair = bins * alphabet
+    pair += truths
+    counts = np.bincount(pair, minlength=num_bins * alphabet)
+    try:
+        return soft_mi(np.tile(np.arange(alphabet), num_bins), np.repeat(q, alphabet, axis=0),
+                       weights=counts)
+    except ZeroMassAtTruth as exc:
+        # name the first sample whose pair has zero mass, as a per-sample call would
+        bad = (counts > 0) & (q.ravel() == 0)
+        raise ZeroMassAtTruth(int(np.flatnonzero(bad[pair])[0])) from exc
+
+
 def evaluate_table(table: PostTable, batch: MinsumBatch) -> EvalReport:
     """Score a trained table on a batch, against the naive min-sum baseline.
 
@@ -192,7 +217,8 @@ def evaluate_table(table: PostTable, batch: MinsumBatch) -> EvalReport:
     output rows are floored before the divergence since extreme LLRs
     produce exact zeros that the reference posteriors never have. Both
     divergences share one ``sum p log2 p`` over the batch; the baseline's
-    rows are built one block at a time.
+    rows are built one block at a time. Soft MI is scored from the batch's
+    per-(bin, truth) counts, one row per pair, not from a per-sample gather.
     """
     q = table.finalize()
     post = batch.posteriors
@@ -206,6 +232,6 @@ def evaluate_table(table: PostTable, batch: MinsumBatch) -> EvalReport:
         rows *= post[start:stop]
         cross += float(rows.sum())
     baseline = (plogp - cross) / post.shape[0]
-    mi = soft_mi(batch.truths, q[batch.bins]) if batch.truths is not None else math.nan
+    mi = math.nan if batch.truths is None else _soft_mi_from_counts(q, batch.bins, batch.truths)
     return EvalReport(empirical_ed=ed, soft_mi=mi, baseline_ed=baseline, count=len(batch))
 

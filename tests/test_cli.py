@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rolemodel import sudoku
+from rolemodel import minsum, sudoku
 from rolemodel.cli import build_parser, main
 from rolemodel.rng import make_rng
 
@@ -192,6 +192,24 @@ class TestErrorContract:
     def test_an_snr_without_a_channel_is_named(self, argv, snr, capsys):
         assert run(argv) == 1
         assert capsys.readouterr().err.startswith(f"error: snr {snr} dB gives no valid channel")
+
+    @pytest.mark.parametrize("argv, allocating", [
+        (["train-minsum", "--samples", "100000000000"], "simulate_batch"),
+        (["train-minsum", "--bins", "100000000000"], "new_table"),
+    ])
+    def test_a_request_too_large_for_memory_is_one_error_line(self, argv, allocating, tmp_path,
+                                                               monkeypatch, capsys):
+        # whether a real multi-TiB request fails at once depends on the host's
+        # overcommit setting, so the allocating call raises as numpy's would
+        def allocate(*args, **kwargs):
+            raise MemoryError("Unable to allocate 2.91 TiB for an array")
+
+        monkeypatch.setattr(minsum, allocating, allocate)
+        out = tmp_path / "table.json"
+        assert run(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: out of memory: Unable to allocate 2.91 TiB for an array\n"
+        assert not out.exists()
 
     def test_harvest_shortfall_says_what_it_gathered(self, capsys):
         # at 300 dB, BP decides every cell from the channel alone and never calls a node

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -6,8 +7,9 @@ import numpy as np
 import pytest
 
 from rolemodel import chains, minsum
-from rolemodel.errors import BinOutOfRange
-from rolemodel.probs import DEFAULT_FLOOR, floor_rows
+from rolemodel.cli import main
+from rolemodel.errors import BinOutOfRange, DimensionMismatch, ZeroMassAtTruth
+from rolemodel.probs import DEFAULT_FLOOR, floor_rows, soft_mi
 from rolemodel.rng import make_rng
 from rolemodel.train import PostTable, SampleBatch, empirical_ed
 
@@ -116,7 +118,7 @@ class TestSimulateBatch:
         assert np.array_equal(decided, batch.truths)
 
     def test_memory_is_the_draws_and_the_batch(self):
-        # blocked work adds at most 4 MiB to the (n, d) draws and the
+        # blocked work adds at most 4 MiB to the (n, d) uint8 bits and the
         # 40 bytes per sample of the returned arrays
         d, n = 6, 200_000
         sigmas = [0.6, 0.8, 1.0, 1.2, 1.4, 1.6]
@@ -128,7 +130,24 @@ class TestSimulateBatch:
         finally:
             tracemalloc.stop()
         assert len(batch) == n
-        assert peak <= 2 * n * d * 8 + 40 * n + 4 * 2**20
+        assert peak <= n * d + 40 * n + 4 * 2**20
+
+    def test_training_and_scoring_add_one_column_per_sample(self):
+        # ingest_batch and evaluate_table hold at most one 8-byte value per
+        # sample at a time beyond the batch, plus 4 MiB; at this n a gathered
+        # (n, 2) copy of the table rows would break the bound
+        d, n = 6, 500_000
+        batch = minsum.simulate_batch(d, [0.6, 0.8, 1.0, 1.2, 1.4, 1.6], n, seed=3)
+        table = minsum.new_table(minsum.ZQuantizer())
+        tracemalloc.start()
+        try:
+            table.ingest_batch(batch)
+            report = minsum.evaluate_table(table, batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.count == n
+        assert peak <= 8 * n + 4 * 2**20
 
     def test_seed_stability_of_training(self):
         # same-batch empirical ED agrees across seeds within 3 standard errors
@@ -145,6 +164,38 @@ class TestSimulateBatch:
         ed1, se1 = ed_and_se(101)
         ed2, se2 = ed_and_se(202)
         assert abs(ed1 - ed2) <= 3.0 * math.hypot(se1, se2)
+
+
+class TestMinsumBitsArePinned:
+    """sha256 of the ``train-minsum --out`` JSON and the ``eval-minsum --out``
+    CSV, over more than two blocks of samples. A change to the draw order,
+    the blocked arithmetic or the table's persistence that moves any bit of
+    either file fails here. The stdout summary is not pinned."""
+
+    SAMPLES = 2 * minsum.BLOCK + 7  # n*d is odd at d = 3
+    SIGMAS = {3: "1.0,1.0,1.0", 6: "0.6,0.8,1.0,1.2,1.4,1.6"}
+    DIGESTS = {
+        (3, 0): ("1da0d76558f8d626466bc064886d0ab3b6865c843eb95f9562658f50a09fcdac",
+                 "cfb092de3129f7cf21537f954c2c692fb612333dc0adbcd1b6dc35d852925368"),
+        (3, 11): ("fd677940768ba5bbe0cc4485841868420f3287ce6678c21ac4f291c55cc0b502",
+                  "a75bd8cf1c0a7dfb2af87ad24a1ebe75821cd6d49745040bd0cb5bbe5bfecba1"),
+        (6, 0): ("78e45cda35893969502e88c81198bb483ebe797f2bf3619555b9fa9b013aebff",
+                 "e9356437a77153e03c0684b25c388cc9736edb86da119541841a75b68f057459"),
+        (6, 11): ("968aaea38c7191a0e4d2b76129c11d311c20e6e913fd3d2e63b9c723cf847e61",
+                  "f835d6f0fab405b11df122fdb5f379304dc78838ec50571377351d32ab0a9338"),
+    }
+
+    @pytest.mark.parametrize("d, seed", sorted(DIGESTS))
+    def test_out_files(self, d, seed, tmp_path):
+        table, evaluated = tmp_path / "table.json", tmp_path / "eval.csv"
+        shape = ["--degree", str(d), "--sigmas", self.SIGMAS[d], "--samples", str(self.SAMPLES)]
+        assert main(["train-minsum", *shape, "--seed", str(seed), "--out", str(table),
+                     "--quiet"]) == 0
+        assert main(["eval-minsum", "--table", str(table), *shape, "--seed", str(seed + 1),
+                     "--out", str(evaluated), "--quiet"]) == 0
+        digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
+                        for path in (table, evaluated))
+        assert digests == self.DIGESTS[d, seed]
 
 
 class TestEvaluateTable:
@@ -178,6 +229,38 @@ class TestEvaluateTable:
             assert abs(report.empirical_ed - ed) <= 1e-12
             assert abs(report.baseline_ed - baseline) <= 1e-12
             assert report.count == n
+
+    def test_soft_mi_from_counts_is_the_per_sample_score(self):
+        # 1e-12 relative to soft_mi over the gathered per-sample rows
+        table = minsum.new_table(minsum.ZQuantizer())
+        table.ingest_batch(minsum.simulate_batch(3, [0.6, 1.0, 1.6], 50_000, seed=20))
+        batch = minsum.simulate_batch(3, [0.6, 1.0, 1.6], 50_000, seed=21)
+        per_sample = soft_mi(batch.truths, table.finalize()[batch.bins])
+        assert per_sample > 0.0
+        assert minsum.evaluate_table(table, batch).soft_mi == pytest.approx(per_sample, rel=1e-12)
+
+    def test_zero_mass_at_truth_names_the_first_sample(self):
+        # one-hot posteriors that disagree with their truths: bins 0 and 1
+        # train to (1, 0), so samples 3 (bin 1) and 5 (bin 0) have zero mass at
+        # their truth 1. The error names sample 3, as a per-sample call would,
+        # though pair (0, 1) comes first in the table.
+        bins = np.array([0, 1, 0, 1, 2, 0])
+        truths = np.array([0, 0, 0, 1, 0, 1])
+        posteriors = np.array([[1.0, 0.0]] * 4 + [[0.5, 0.5], [1.0, 0.0]])
+        batch = minsum.MinsumBatch(posteriors, bins, truths, np.zeros(6))
+        table = PostTable(3, 2)
+        table.ingest_batch(batch)
+        with pytest.raises(ZeroMassAtTruth) as err:
+            minsum.evaluate_table(table, batch)
+        assert err.value.index == 3
+
+    def test_truth_outside_the_alphabet_rejected(self):
+        # a truth of 2 in bin 0 would otherwise count as truth 0 in bin 1
+        batch = minsum.MinsumBatch([[0.5, 0.5]] * 2, [0, 1], [2, 0], [0.0, 0.0])
+        table = PostTable(2, 2)
+        table.ingest_batch(batch)
+        with pytest.raises(DimensionMismatch):
+            minsum.evaluate_table(table, batch)
 
     def test_untrained_fallback_is_worse_on_held_out(self):
         quant = minsum.ZQuantizer()

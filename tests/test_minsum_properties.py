@@ -1,14 +1,14 @@
 """Property tests of the blocked min-sum pipeline against its one-shot formula.
 
-``simulate_batch`` runs ``BLOCK`` rows at a time; these tests hold every
-returned array bitwise equal to the whole-array formula in ``oracles``, for
-batch sizes on both sides of the block boundaries. That equality is what
-keeps ``train-minsum --out`` byte-identical. Runs are derandomized, so
-every run checks the same examples.
+``simulate_batch`` draws and works ``BLOCK`` rows at a time; these tests
+hold every returned array bitwise equal to the whole-array formula in
+``oracles``, for batch sizes on both sides of the block boundaries. That
+equality is what keeps ``train-minsum --out`` byte-identical. Runs are
+derandomized, so every run checks the same examples.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -36,8 +36,17 @@ def assert_bitwise(got: np.ndarray, want: np.ndarray) -> None:
     assert got.tobytes() == want.tobytes()
 
 
+QUANTIZERS = [(64, 25.0), (16, 8.0)]
+
+
+# n*d odd at each example: Philox carries half a word from the last chunk of
+# bits into the normals
 @PROPERTY
-@given(shapes(), st.sampled_from([(64, 25.0), (16, 8.0)]))
+@example((3, [0.6, 1.0, 1.6], BLOCK + 1, 23), QUANTIZERS[0])
+@example((3, [0.6, 1.0, 1.6], BLOCK + 1, 23), QUANTIZERS[1])
+@example((5, [1.0] * 5, 2 * BLOCK + 7, 24), QUANTIZERS[0])
+@example((5, [1.0] * 5, 2 * BLOCK + 7, 24), QUANTIZERS[1])
+@given(shapes(), st.sampled_from(QUANTIZERS))
 def test_blocked_batch_is_bitwise_the_one_shot_formula(shape, quantizer):
     d, sigmas, n, seed = shape
     num_bins, max_magnitude = quantizer

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rolemodel.errors import ZeroMassAtTruth
+from rolemodel.errors import DimensionMismatch, ZeroMassAtTruth
 from rolemodel.probs import (divergence_rows, entropy_rows, floor_rows, llrs_to_dists, log2_masked,
                              soft_mi)
 from rolemodel.rng import make_rng
@@ -145,6 +145,40 @@ class TestSoftMi:
         with pytest.raises(ZeroMassAtTruth) as err:
             soft_mi([0, 1, 1], msgs)
         assert err.value.index == 1
+
+    def test_weights_count_repeated_rows(self):
+        # 1e-12 relative to the unweighted call on each row repeated weight times
+        rng = make_rng(105)
+        truths = rng.integers(0, 4, size=60)
+        msgs = rng.dirichlet(np.ones(4), size=60)
+        msgs[np.arange(60), truths] += 1.0  # informative, so the MI is not clamped to 0
+        msgs /= msgs.sum(axis=1, keepdims=True)
+        weights = rng.integers(0, 6, size=60)
+        weights[0] = 0
+        repeated = soft_mi(np.repeat(truths, weights), np.repeat(msgs, weights, axis=0))
+        assert repeated > 0.1
+        assert soft_mi(truths, msgs, weights=weights) == pytest.approx(repeated, rel=1e-12)
+
+    def test_zero_at_truth_with_positive_weight_raises(self):
+        msgs = np.array([[0.5, 0.5], [1.0, 0.0], [0.4, 0.6], [1.0, 0.0]])
+        with pytest.raises(ZeroMassAtTruth) as err:
+            soft_mi([0, 1, 1, 1], msgs, weights=[1, 0, 2, 3])
+        assert err.value.index == 3
+
+    def test_zero_weight_rows_are_not_scored(self):
+        msgs = np.array([[0.9, 0.1], [1.0, 0.0], [0.2, 0.8]])
+        assert soft_mi([0, 1, 1], msgs, weights=[2, 0, 1]) == pytest.approx(
+            soft_mi([0, 0, 1], msgs[[0, 0, 2]]), rel=1e-12)
+
+    @pytest.mark.parametrize("weights", [[1, -1, 1], [1, math.nan, 1], [0, 0, 0],
+                                         [1, math.inf, 1]])
+    def test_weights_must_be_finite_non_negative_and_not_all_zero(self, weights):
+        with pytest.raises(ValueError):
+            soft_mi([0, 1, 1], np.full((3, 2), 0.5), weights=weights)
+
+    def test_one_weight_per_row(self):
+        with pytest.raises(DimensionMismatch):
+            soft_mi([0, 1, 1], np.full((3, 2), 0.5), weights=[1, 1])
 
 
 class TestDistribution:
