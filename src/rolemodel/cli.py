@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__, chains, minsum, sudoku
 from .errors import RoleModelError
 from .rng import make_rng
-from .train import ParametricCorrector, PostTable, _is_int, _is_number
+from .train import ParametricCorrector, PostTable, _finite_row, _is_int
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,6 +81,16 @@ def _save_json(path: str, doc: dict) -> None:
         f.write("\n")
 
 
+def _load(path: str, parse, *args):
+    """``parse(text, *args)`` of the file at ``path``; its ValueError names the file."""
+    with open(path) as f:
+        text = f.read()
+    try:
+        return parse(text, *args)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def _say(args, message: str) -> None:
     if not args.quiet:
         print(message)
@@ -134,8 +144,7 @@ def _run_train_minsum(args) -> int:
 
 
 def _run_eval_minsum(args) -> int:
-    with open(args.table) as f:
-        table = PostTable.from_json(f.read())
+    table = _load(args.table, PostTable.from_json)
     quant = minsum.ZQuantizer.from_table(table)
     sigmas = _csv_float(args.sigmas)
     if len(sigmas) != args.degree:
@@ -155,19 +164,14 @@ def _run_eval_minsum(args) -> int:
 ALPHA_FORMAT_VERSION = 1
 
 
-def _load_alphas(path: str, n: int) -> np.ndarray:
-    with open(path) as f:
-        doc = json.load(f)
+def _alphas_from_json(text: str, n: int) -> np.ndarray:
+    doc = json.loads(text)
     version = doc.get("version") if isinstance(doc, dict) else None
     if not _is_int(version) or version != ALPHA_FORMAT_VERSION:
         raise ValueError(f"unsupported alpha table version {version!r}")
     if not _is_int(doc.get("n")) or doc["n"] != n:
         raise ValueError(f"alpha table is for n={doc.get('n')}, puzzle is n={n}")
-    alphas = doc.get("alphas")
-    if not (isinstance(alphas, list) and len(alphas) == n
-            and all(_is_number(a) for a in alphas)):
-        raise ValueError(f"alpha table needs an 'alphas' list of {n} numbers")
-    return ParametricCorrector(alphas).alphas
+    return ParametricCorrector(_finite_row(doc.get("alphas"), n, "alphas")).alphas
 
 
 def _run_solve(args) -> int:
@@ -178,7 +182,8 @@ def _run_solve(args) -> int:
         puzzle = sudoku.random_puzzle(args.size, make_rng(args.seed, 11))
     classic = puzzle.givens is not None
     channel = None if classic else sudoku.ChannelModel.from_snr_db(args.snr_db, q=args.size)
-    alphas = _load_alphas(args.alpha_table, args.size) if args.alpha_table is not None else None
+    alphas = (_load(args.alpha_table, _alphas_from_json, args.size)
+              if args.alpha_table is not None else None)
     result = sudoku.bp_solve(puzzle, channel, node=args.node, alphas=alphas,
                              max_iters=args.iters, damping=args.damping, seed=args.seed)
     ser = None if math.isnan(result.symbol_error_rate) else result.symbol_error_rate
@@ -203,7 +208,8 @@ def _run_exit_chart(args) -> int:
     nodes = [tok.strip() for tok in args.node.split(",") if tok.strip()]
     # the default grid spans the a-priori range of the size, [0, log2(n)]
     grid = args.mi_grid if args.mi_grid is not None else _grid(f"0:{math.log2(args.size)}:0.25")
-    alphas = _load_alphas(args.alpha_table, args.size) if args.alpha_table is not None else None
+    alphas = (_load(args.alpha_table, _alphas_from_json, args.size)
+              if args.alpha_table is not None else None)
     points = sudoku.exit_curve(nodes, grid, args.trials, args.seed, n=args.size,
                                snr_db_list=_csv_float(args.snr_list), alphas=alphas)
     rows = [[p.node, "" if p.snr_db is None else repr(p.snr_db),
@@ -315,7 +321,7 @@ def main(argv=None) -> int:
     except RoleModelError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 2
-    except (ValueError, OSError) as exc:  # flag values and input files
+    except (ValueError, OverflowError, OSError) as exc:  # flag values and input files
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except MemoryError as exc:  # a count of samples or bins too large to hold

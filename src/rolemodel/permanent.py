@@ -12,8 +12,10 @@ batch of matrices at once by forward/backward subset dynamic programming:
 That is O(n^2 2^n) work per matrix (n = 20 at most) in about 10n numpy
 calls per batch, over two column-set-major (2^n - 1, B) tables, one for f
 and one for b: one row per column set, the batch innermost, so every gather
-index copies a contiguous B-long row. The minors are read off one row i at
-a time. The gather indices depend only on n and are built once per n.
+index copies a contiguous B-long row. Each level f_k or b_{n-k} sums its k
+terms per column set over axis 0, as k whole-row adds in sequence. The
+minors are read off one row i at a time. The gather indices depend only on
+n and are built once per n.
 For non-negative input every step adds non-negative products, so (unlike
 inclusion-exclusion) tiny minors of near-decided probability matrices keep
 full relative accuracy, and a minor without a perfect matching comes out as
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,24 +50,20 @@ def _as_square(m) -> np.ndarray:
 # -- batched minors ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _MinorPlan:
-    """Gather indices of the subset DP for one n.
+@functools.lru_cache(maxsize=None)
+def _minor_plan(n: int) -> tuple[tuple, tuple]:
+    """Gather indices of the subset DP for one n: ``(levels, readout)``.
 
     Subsets of the n columns are numbered by (size, bitmask); a table holds
     every subset but the full set, in that order, one row per subset. The
     forward table holds the values f, the backward table the values b.
+    ``levels`` holds, per level k = 1..n-1, ``(lo, hi, parents, members)``:
+    the table rows of the C subsets of size k, and (k, C) arrays of each
+    subset's parents (the subset less one member) and of those members.
+    ``readout`` holds, per minor row i, ``(head, tail, starts)``: the table
+    index of S with |S| = i and of full - S - {j}, ordered by (j, S), and
+    the first term of each j.
     """
-
-    # per level k = 1..n-1: (lo, hi, f row, b row, parents, members), indices (k, C)
-    levels: tuple
-    # per minor row i: (head, tail, starts): the table index of S with |S| = i
-    # and of full - S - {j}, ordered by (j, S), and the first term of each j
-    readout: tuple
-
-
-@functools.lru_cache(maxsize=None)
-def _minor_plan(n: int) -> _MinorPlan:
     masks = np.arange(1 << n)
     sizes = np.zeros_like(masks)
     for c in range(n):
@@ -85,9 +82,7 @@ def _minor_plan(n: int) -> _MinorPlan:
         subsets = level(k)
         members = np.nonzero((subsets[:, None] >> columns) & 1)[1].reshape(-1, k)
         parents = pos[subsets[:, None] ^ (1 << members)]
-        # f_k adds row k-1, b_{n-k} adds row n-k
-        levels.append((offsets[k], offsets[k + 1], k - 1, n - k,
-                       parents.T.copy(), members.T.copy()))
+        levels.append((offsets[k], offsets[k + 1], parents.T.copy(), members.T.copy()))
 
     full = (1 << n) - 1
     readout = []
@@ -96,7 +91,7 @@ def _minor_plan(n: int) -> _MinorPlan:
         j, s = np.nonzero(((subsets[None, :] >> columns[:, None]) & 1) == 0)
         readout.append((pos[subsets[s]], pos[full ^ subsets[s] ^ (1 << j)],
                         columns * math.comb(n - 1, i)))
-    return _MinorPlan(levels=tuple(levels), readout=tuple(readout))
+    return tuple(levels), tuple(readout)
 
 
 @functools.lru_cache(maxsize=1)
@@ -130,7 +125,7 @@ def minor_permanents(m) -> np.ndarray:
         raise ValueError("minors need n >= 2")
     if n > MINORS_MAX_N:
         raise DimensionTooLarge(f"subset DP capped at n={MINORS_MAX_N}")
-    plan = _minor_plan(n)
+    levels, readout = _minor_plan(n)
     batch = a.reshape(-1, n, n)
     width = batch.shape[0]
     rows = np.ascontiguousarray(batch.transpose(1, 2, 0))  # rows[i, j]: entry (i, j), all of B
@@ -138,28 +133,18 @@ def minor_permanents(m) -> np.ndarray:
     f[0] = b[0] = 1.0  # f_0 and b_n: the empty set
     # take writes straight into out= only in "clip" mode ("raise" buffers it);
     # every plan index is in range, so clipping changes no value
-    for lo, hi, f_row, b_row, parents, members in plan.levels:
+    for lo, hi, parents, members in levels:
         k, count = parents.shape
-        for table, row in ((f, f_row), (b, b_row)):
+        for table, row in ((f, k - 1), (b, n - k)):  # f_k adds row k-1, b_{n-k} row n-k
             terms = table.take(parents, axis=0, out=work[:k * count].reshape(k, count, width),
                                mode="clip")
             terms *= rows[row].take(members, axis=0,
                                     out=spare[:k * count].reshape(k, count, width), mode="clip")
-            # The k terms are summed in the order numpy gives a contiguous last
-            # axis: in sequence below 8 terms, which is the axis-0 sum of whole
-            # rows; pairwise from 8 on (the last levels at n >= 9, where C is
-            # small), which needs the contiguous (C, B, k) copy, as a strided
-            # view would be summed in sequence.
-            if k < 8:
-                terms.sum(axis=0, out=table[lo:hi])
-            else:
-                by_set = spare[:k * count].reshape(count, width, k)
-                np.copyto(by_set, terms.transpose(1, 2, 0))
-                by_set.sum(axis=-1, out=table[lo:hi])
+            terms.sum(axis=0, out=table[lo:hi])  # k whole-row adds, in sequence
     # One minor row at a time: each read-out holds at most binomial(n - 1, n // 2) n
     # rows, not 2^(n-1) n, and fits a term buffer.
     minors = np.empty((n, n, width))
-    for i, (head, tail, starts) in enumerate(plan.readout):
+    for i, (head, tail, starts) in enumerate(readout):
         terms = f.take(head, axis=0, out=work[:head.size], mode="clip")
         terms *= b.take(tail, axis=0, out=spare[:tail.size], mode="clip")
         np.add.reduceat(terms, starts, axis=0, out=minors[i])

@@ -94,10 +94,10 @@ def soft_mi(truths, messages, weights=None) -> float:
 
     ``log2 q - mean_k(-log2 m_k(x_k))``, clamped below at 0. Equals the true
     conditional mutual information when the messages are calibrated
-    posteriors. ``weights``, if given, holds one non-negative count per row
-    and makes the mean a weighted one: a row of weight w stands for w
-    samples, so per-(bin, truth) counts score a whole batch in one row per
-    pair. A row of weight 0 is not scored.
+    posteriors. ``weights`` (all ones if not given) holds one non-negative
+    count per row and makes the mean a weighted one: a row of weight w
+    stands for w samples, so per-(bin, truth) counts score a whole batch in
+    one row per pair. A row of weight 0 is not scored.
     """
     t = np.asarray(truths, dtype=int)
     m = np.asarray(messages, dtype=float)
@@ -106,19 +106,16 @@ def soft_mi(truths, messages, weights=None) -> float:
     if m.ndim != 2 or m.shape[0] != t.size:
         raise DimensionMismatch("need one message row per truth symbol")
     at_truth = m[np.arange(t.size), t]
-    if weights is None:
-        scored = np.ones(t.size, dtype=bool)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != t.shape:
-            raise DimensionMismatch("need one weight per truth symbol")
-        total = float(w.sum())
-        if not (np.all(w >= 0) and 0 < total < math.inf):
-            raise ValueError("weights must be finite, non-negative, and not all zero")
-        scored = w > 0
+    w = np.ones(t.shape) if weights is None else np.asarray(weights, dtype=float)
+    if w.shape != t.shape:
+        raise DimensionMismatch("need one weight per truth symbol")
+    total = float(w.sum())
+    if not (np.all(w >= 0) and 0 < total < math.inf):
+        raise ValueError("weights must be finite, non-negative, and not all zero")
+    scored = w > 0
     zero = np.flatnonzero(scored & (at_truth == 0))
     if zero.size:
         raise ZeroMassAtTruth(int(zero[0]))
     logs = -np.log2(at_truth[scored])
-    mean = float(np.mean(logs)) if weights is None else float(np.dot(w[scored], logs)) / total
+    mean = float((w[scored] * logs).sum()) / total
     return max(math.log2(m.shape[1]) - mean, 0.0)

@@ -63,16 +63,17 @@ def _is_number(value) -> bool:
 def _finite_row(values, q: int, name: str) -> np.ndarray:
     """``values`` as a length-q float row; ValueError unless every entry is a finite number.
 
-    A bool is not a number here, though JSON true and false load as Python ints.
+    Each entry must pass :func:`_is_number`, so neither a bool nor a numeric
+    string counts, though numpy would convert both.
     """
     try:
-        row = np.asarray(values, dtype=float)
-        has_bool = any(isinstance(v, bool) for v in values)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{name} must be {q} finite numbers") from exc
-    if has_bool or row.shape != (q,) or not np.all(np.isfinite(row)):
-        raise ValueError(f"{name} must be {q} finite numbers")
-    return row
+        if all(_is_number(v) for v in values):
+            row = np.asarray(values, dtype=float)
+            if row.shape == (q,) and np.all(np.isfinite(row)):
+                return row
+    except (TypeError, OverflowError):  # not a sequence; an int past the float range
+        pass
+    raise ValueError(f"{name} must be {q} finite numbers")
 
 
 def _fallback_row(values, q: int) -> np.ndarray:

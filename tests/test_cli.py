@@ -74,6 +74,14 @@ INPUT_FILES = {
     "boolfallback.json": {"version": 1, "q": 2, "fallback": [True, False],
                           "bin_spec": {"kind": "minsum", "num_bins": 1, "max_magnitude": 25.0},
                           "bins": [{"sum": [0.0, 0.0], "count": 0}] * 2},
+    # numeric strings, which numpy would parse as numbers
+    "strsum.json": {"version": 1, "q": 2, "fallback": [0.5, 0.5],
+                    "bin_spec": {"kind": "minsum", "num_bins": 1, "max_magnitude": 25.0},
+                    "bins": [{"sum": ["0.5", "0.5"], "count": 1},
+                             {"sum": [0.0, 0.0], "count": 0}]},
+    "strfallback.json": {"version": 1, "q": 2, "fallback": ["0.5", "0.5"],
+                         "bin_spec": {"kind": "minsum", "num_bins": 1, "max_magnitude": 25.0},
+                         "bins": [{"sum": [0.0, 0.0], "count": 0}] * 2},
     "booltable.json": {"version": True, "q": 2, "fallback": [0.5, 0.5],
                        "bin_spec": {"kind": "minsum", "num_bins": 1, "max_magnitude": 25.0},
                        "bins": [{"sum": [0.0, 0.0], "count": 0}] * 2},
@@ -146,6 +154,8 @@ class TestErrorContract:
         ["eval-minsum", "--table", "@boolbins.json", "--samples", "10"],
         ["eval-minsum", "--table", "@boolfallback.json", "--samples", "10"],
         ["eval-minsum", "--table", "@booltable.json", "--samples", "10"],
+        ["eval-minsum", "--table", "@strsum.json", "--samples", "10"],
+        ["eval-minsum", "--table", "@strfallback.json", "--samples", "10"],
         # counts past what the command can do, and lists that name nothing
         ["verify-theorem", "--max-alphabet", "101"],
         ["exit-chart", "--node", "", "--mi-grid", "0:0:1"],
@@ -168,6 +178,9 @@ class TestErrorContract:
         ["solve", "--size", "4", "--seed", "-1"],
         ["solve", "--size", "4", "--seed", "18446744073709551616"],
         ["verify-theorem", "--trials", "2", "--seed", "-1"],
+        # counts past numpy's integer range
+        ["train-minsum", "--bins", "9223372036854775808", "--samples", "10"],
+        ["exit-chart", "--size", "4", "--trials", "100000000000000000000", "--mi-grid", "1:1:1"],
     ], ids=" ".join)
     @pytest.mark.filterwarnings("error")  # a numpy warning is not an error line
     def test_bad_input_is_one_error_line(self, argv, tmp_path, capsys):
@@ -210,6 +223,17 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert err == "error: out of memory: Unable to allocate 2.91 TiB for an array\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["eval-minsum", "--samples", "10", "--table"],
+        ["solve", "--size", "4", "--node", "corrected", "--alpha-table"],
+    ], ids=" ".join)
+    def test_a_malformed_input_file_is_named(self, argv, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{bad")
+        assert run(argv + [str(bad)]) == 1
+        assert capsys.readouterr().err == (f"error: {bad}: Expecting property name enclosed in "
+                                           f"double quotes: line 1 column 2 (char 1)\n")
 
     def test_harvest_shortfall_says_what_it_gathered(self, capsys):
         # at 300 dB, BP decides every cell from the channel alone and never calls a node

@@ -125,25 +125,26 @@ class TestBatchedMinors:
     # sha256 of the little-endian float64 bytes of minor_permanents on a fixed
     # row-normalised (B, n, n) batch or its head_tail_split head. The kernel only
     # adds and multiplies, so the digests hold on every IEEE-754 platform; a
-    # change to them is a numerical change and must state its bound.
+    # change to them is a numerical change and must state its bound. The n = 9
+    # and 12 digests were recorded when every DP level first summed over axis 0.
     MINOR_DIGESTS = {
         (4, 1, "dense"): "181b30ddd6e0f6fa2f32b6c3b14175e7e88ce0953dbcd5ee7564f14de6a2bb98",
         (4, 1, "head"): "7b7b93af83c8d7e8dce3c556ab8726a1ad755ab7659cb2452066e4c7c3208393",
         (4, 27, "dense"): "0e3f118f8c232eeb13d1b56e75d1e509641644ffa8ca25cc402274ec8e4bbdf1",
         (4, 27, "head"): "764c857573c8cecef879d40eb8f1bb83115859ccdad3d59a2f1eaa4d2351e9ee",
-        (9, 1, "dense"): "27af9e47b6e5f2e9f90010f28d6a911a050a901ca3e6812c970bd229c7ead27d",
+        (9, 1, "dense"): "b4fb647bb94cd1a3d044c8d732e2349460d8c5f92123931ec415d0a8cac4d94d",
         (9, 1, "head"): "9ae4da00aa82fb0790cba5a9058435d8a15ce6c6c7e475897a75dbb50a920a15",
-        (9, 27, "dense"): "e84641925c4c43c7d4d57404bca0b9795326fc9dc3b3523e21666ef929980412",
-        (9, 27, "head"): "9585f7a0a67a0366340e40a5525c52ac55945acdd1553ee41a5b167ecaf425f2",
-        (12, 1, "dense"): "0fc5d6a1dd6ed25240ccae73b0e552c1037e1df1761339456dc17d05063b6c52",
+        (9, 27, "dense"): "da338c33c83c759bf59f582d70a378b8f81edfcfb78c1a3b6c1a6b834f194fe9",
+        (9, 27, "head"): "000a0a65afff721dba4f1cdbb8d4e001c748a8c2f9e981457607a5ee58c5e10a",
+        (12, 1, "dense"): "908a555188c60a6d03e9cd4e50017b5999d8b60b3c33606fcd5e67ccc778c216",
         (12, 1, "head"): "c66e5aa137f8c8a9c82855b9cf8c8a1ff2ae140901c1553599e515f90f676b4d",
-        (12, 27, "dense"): "ca79bc04f841074ac0c41b050c16ad476511673e0b926eda02f2a1327c309566",
-        (12, 27, "head"): "d04658263935c015ab861ca62380e444486064bb4b449cc22d3bdd6864e59828",
+        (12, 27, "dense"): "e5b5c3a8cfdabaad65a080a256d72c89886af16faba96d16ed23426bd61b7ef0",
+        (12, 27, "head"): "d75e5647a54eee081985ba5443404083531d14ea43183e556de38277bb3b4f10",
         # the batch sizes of an EXIT point (40 trials) and of an alpha-training harvest
-        (9, 40, "dense"): "05f0d287f1763b2fe7d815bc08369bc7a3901861b5aec85b5a2f9bf075f035db",
-        (9, 40, "head"): "c41061a0a0f13923b11df637edc86d01846e533c347a6ec6abd48b360d9567b6",
-        (9, 64, "dense"): "9c476f752f0d2a95a18ee1335d4d794ff589e08fa2024813d06db9fe4188ca4a",
-        (9, 64, "head"): "1928888ad162c142de559f6bf97f5d699a61c2859bfdb87846294d801d85ab5e",
+        (9, 40, "dense"): "d75637becf4e84714590c2644d52e76e52da874fcb85a67aefdae46d78713420",
+        (9, 40, "head"): "e660bca9097e9a3a3878c525a7fcb72d2f7cb95eaffff077bfe7b159e403e220",
+        (9, 64, "dense"): "92aa9b47f4e771464aec15291d64233f82886219a7cc9ca5a33c583e5e952932",
+        (9, 64, "head"): "0fce55f10cf00768754df3f01ea2aa88709c38a6da795a8a471a28573a067482",
     }
 
     @pytest.mark.parametrize("n,batch,kind", sorted(MINOR_DIGESTS))
