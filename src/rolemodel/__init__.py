@@ -10,28 +10,3 @@ permanents.
 """
 
 __version__ = "0.1.0"
-
-from .errors import (
-    AbsoluteContinuityViolation,
-    BinOutOfRange,
-    BisectionFailure,
-    DegenerateRow,
-    DimensionMismatch,
-    DimensionTooLarge,
-    RoleModelError,
-    ZeroMassAtTruth,
-)
-from .probs import soft_mi
-
-__all__ = [
-    "AbsoluteContinuityViolation",
-    "BinOutOfRange",
-    "BisectionFailure",
-    "DegenerateRow",
-    "DimensionMismatch",
-    "DimensionTooLarge",
-    "RoleModelError",
-    "ZeroMassAtTruth",
-    "soft_mi",
-    "__version__",
-]

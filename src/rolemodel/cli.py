@@ -47,6 +47,18 @@ def _csv_float(text: str) -> list[float]:
 _MAX_GRID_POINTS = 10_000
 
 
+def _count(low: int):
+    """The argparse type of a count flag: an integer in [low, 2^63), numpy's int64 range."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if not low <= value < 2**63:
+            raise argparse.ArgumentTypeError(f"{value} is outside [{low}, 2^63)")
+        return value
+
+    return count
+
+
 def _grid(text: str) -> list[float]:
     """start:stop:step, stop inclusive when it lands on the lattice."""
     try:
@@ -100,8 +112,6 @@ def _say(args, message: str) -> None:
 
 
 def _run_verify_theorem(args) -> int:
-    if args.trials < 1:
-        raise ValueError("--trials must be at least 1")
     if args.max_alphabet < 2 or args.max_alphabet**3 > chains.MAX_CELLS:
         raise ValueError(f"--max-alphabet must be at least 2, and its cube at most "
                          f"the {chains.MAX_CELLS}-cell enumeration cap")
@@ -126,10 +136,8 @@ def _run_verify_theorem(args) -> int:
 
 
 def _run_train_minsum(args) -> int:
-    sigmas = _csv_float(args.sigmas)
-    if len(sigmas) != args.degree:
-        raise ValueError(f"need {args.degree} sigmas, got {len(sigmas)}")
     quant = minsum.ZQuantizer(num_bins=args.bins)
+    sigmas = _csv_float(args.sigmas)
     batch = minsum.simulate_batch(args.degree, sigmas, args.samples, args.seed, quant)
     table = minsum.new_table(quant)
     table.ingest_batch(batch)
@@ -147,8 +155,6 @@ def _run_eval_minsum(args) -> int:
     table = _load(args.table, PostTable.from_json)
     quant = minsum.ZQuantizer.from_table(table)
     sigmas = _csv_float(args.sigmas)
-    if len(sigmas) != args.degree:
-        raise ValueError(f"need {args.degree} sigmas, got {len(sigmas)}")
     batch = minsum.simulate_batch(args.degree, sigmas, args.samples, args.seed, quant)
     report = minsum.evaluate_table(table, batch)
     if args.out:
@@ -254,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--quiet", action="store_true", help="suppress the stdout summary")
 
     p = sub.add_parser("verify-theorem", help="randomized check of the divergence identities")
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--trials", type=_count(1), default=50)
     p.add_argument("--max-alphabet", type=int, default=5)
     common(p)
     p.set_defaults(run=_run_verify_theorem)
@@ -262,8 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-minsum", help="train the check-node post-processing table")
     p.add_argument("--degree", type=int, default=3)
     p.add_argument("--sigmas", type=str, default="1.0,1.0,1.0")
-    p.add_argument("--samples", type=int, default=100000)
-    p.add_argument("--bins", type=int, default=64)
+    p.add_argument("--samples", type=_count(1), default=100000)
+    p.add_argument("--bins", type=_count(1), default=64)
     common(p)
     p.set_defaults(run=_run_train_minsum)
 
@@ -271,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", type=str, required=True)
     p.add_argument("--degree", type=int, default=3)
     p.add_argument("--sigmas", type=str, default="1.0,1.0,1.0")
-    p.add_argument("--samples", type=int, default=100000)
+    p.add_argument("--samples", type=_count(1), default=100000)
     common(p)
     p.set_defaults(run=_run_eval_minsum)
 
@@ -280,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snr-db", type=float, default=8.0)
     p.add_argument("--node", type=str, default="exact", choices=sudoku.NODE_KINDS)
     p.add_argument("--alpha-table", type=str, default=None)
-    p.add_argument("--iters", type=int, default=30)
+    p.add_argument("--iters", type=_count(0), default=30)
     p.add_argument("--damping", type=float, default=0.9)
     p.add_argument("--puzzle", type=str, default=None,
                    help="grid file (row-major digits, 0 = unknown)")
@@ -295,16 +301,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="channel snrs (dB); used by the variable node")
     p.add_argument("--mi-grid", type=_grid, default=None,
                    help="a-priori MI grid start:stop:step in bits (default 0:log2(size):0.25)")
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_count(1), default=200)
     p.add_argument("--alpha-table", type=str, default=None)
     common(p)
     p.set_defaults(run=_run_exit_chart)
 
     p = sub.add_parser("train-sudoku-alpha", help="train corrected-node weights")
     p.add_argument("--size", type=int, default=9, choices=sorted(sudoku.BOX_SIDE))
-    p.add_argument("--batch", type=int, default=64)
+    p.add_argument("--batch", type=_count(1), default=64)
     p.add_argument("--snr-list", type=str, default="6,8,10")
-    p.add_argument("--budget", type=int, default=4000)
+    p.add_argument("--budget", type=_count(1), default=4000)
     common(p)
     p.set_defaults(run=_run_train_sudoku_alpha)
 

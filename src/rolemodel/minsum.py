@@ -125,7 +125,9 @@ def simulate_batch(d: int, sigmas, n: int, seed: int,
     if n < 1:
         raise ValueError("need at least one trial")
     sig = np.asarray(sigmas, dtype=float)
-    if d < 1 or sig.shape != (d,) or not np.all(square_is_normal(sig)):
+    if sig.shape != (d,):
+        raise ValueError(f"need {d} sigmas, got {sig.size}")
+    if d < 1 or not np.all(square_is_normal(sig)):
         raise ValueError("need one positive sigma per branch, its square a finite normal float")
     quantizer = quantizer or ZQuantizer()
     rng = make_rng(seed, 1)

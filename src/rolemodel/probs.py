@@ -25,8 +25,8 @@ MESSAGE_FLOOR = 1e-30
 GIVEN_FLOOR = 1e-9
 
 
-def floor_rows(rows: np.ndarray, eps: float = DEFAULT_FLOOR) -> np.ndarray:
-    """Row-wise floor-and-renormalize for a matrix whose rows are pmfs."""
+def floor_rows(rows: np.ndarray, eps: float) -> np.ndarray:
+    """Row-wise floor-and-renormalize at ``eps`` (one of the floors above) for pmf rows."""
     r = np.maximum(np.asarray(rows, dtype=float), eps)
     return r / r.sum(axis=-1, keepdims=True)
 

@@ -383,14 +383,20 @@ class ExitPoint:
     fallback_rows: int
 
 
-def _apriori_rows(truths: np.ndarray, sigma: float | None, q: int,
+def _apriori_rows(truths: np.ndarray, ia_bits: float, n: int, seed: int,
                   noise: np.ndarray) -> np.ndarray:
-    """A-priori rows about ``truths`` at noise ``sigma``: uniform at None, one-hot at 0.0."""
-    if sigma is None:
-        return np.full(truths.shape + (q,), 1.0 / q)
-    if sigma == 0.0:
-        return np.eye(q)[truths]
-    ch = ChannelModel(sigma=sigma, q=q)
+    """A-priori rows about ``truths`` carrying ``ia_bits``, one block per noise block.
+
+    ``noise`` has shape (blocks, *truths.shape, n). Within 1e-9 of 0 bits
+    the rows are uniform, within 1e-9 of log2(n) one-hot, and otherwise the
+    channel posteriors at the sigma that :func:`calibrate_sigma` gives.
+    """
+    if ia_bits <= 1e-9:
+        return np.full(noise.shape, 1.0 / n)
+    truths = np.broadcast_to(truths, noise.shape[:-1])
+    if ia_bits >= math.log2(n) - 1e-9:
+        return np.eye(n)[truths]
+    ch = ChannelModel(sigma=calibrate_sigma(ia_bits, n, seed), q=n)
     return ch.posterior(ch.receive(truths, noise))
 
 
@@ -478,28 +484,22 @@ def exit_point_trials(nodes, ia_bits: float, trials: int, seed: int, *,
     Every curve reads one draw on stream (seed, 7, point), so the curves
     are paired trial by trial: the truths, (trials, n) random permutations,
     then normal noise blocks of shape (trials, n, n), one block or, with
-    ``variable``, three. Block 0 gives the a-priori rows, synthesized at the
-    sigma calibrated to ``ia_bits``, that every constraint node is called on
-    as one stack. The ``variable`` curves multiply those rows by a second
-    a-priori message from block 1 and by a channel observation at their snr
-    from block 2.
+    ``variable``, three. Block 0 gives the a-priori rows carrying
+    ``ia_bits`` (by :func:`_apriori_rows`'s rule) that every constraint
+    node is called on as one stack. The ``variable`` curves multiply those
+    rows by a second a-priori message from block 1 and by a channel
+    observation at their snr from block 2.
     """
     apply_node, channels = _exit_checks(nodes, [ia_bits], trials, n, snr_db_list, alphas)
     max_mi = math.log2(n)
-    if ia_bits >= max_mi - 1e-9:
-        sigma_a = 0.0
-    elif ia_bits <= 1e-9:
-        sigma_a = None
-    else:
-        sigma_a = calibrate_sigma(ia_bits, n, seed)
-    # blocks 0 and 1 are drawn even where sigma_a is None or 0.0 and go
-    # unread, so every block keeps its place in the stream at every I_A
+    # blocks 0 and 1 are drawn at every I_A, uniform and one-hot too, so
+    # every block keeps its place in the stream
     rng = make_rng(seed, 7, point)
     truths = rng.permuted(np.tile(np.arange(n), (trials, 1)), axis=1)
     noise = rng.standard_normal((3 if "variable" in nodes else 1, trials, n, n))
-    apriori = _apriori_rows(truths, sigma_a, n, noise[0])
+    apriori = _apriori_rows(truths, ia_bits, n, seed, noise[:2])
     if "variable" in nodes:
-        both = apriori * _apriori_rows(truths, sigma_a, n, noise[1])
+        both = apriori[0] * apriori[1]
     values = []
     fallback_rows = []
     for kind, snr in _exit_curves(nodes, snr_db_list):
@@ -508,7 +508,7 @@ def exit_point_trials(nodes, ia_bits: float, trials: int, seed: int, *,
             msg = channel.posterior(channel.receive(truths, noise[2])) * both
             out, fallback = floor_rows(msg, MESSAGE_FLOOR), 0
         else:
-            out, fallback = apply_node[kind](apriori)
+            out, fallback = apply_node[kind](apriori[0])
         at_truth = np.take_along_axis(floor_rows(out, DEFAULT_FLOOR), truths[..., None], axis=-1)
         values.append(max_mi - np.mean(-np.log2(at_truth[..., 0]), axis=-1))
         fallback_rows.append(fallback)
@@ -531,7 +531,10 @@ def exit_curve(nodes, ia_grid, trials: int, seed: int, *,
                                 snr_db_list=snr_db_list) for p, ia in enumerate(grid)]
 
     def stderr(vals: np.ndarray) -> float:
-        return float(vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+        # trials that agree to within 4 ulps (or one trial) differ only by rounding: no spread
+        if np.ptp(vals) <= 4 * np.spacing(np.abs(vals).max()):
+            return 0.0
+        return float(vals.std(ddof=1) / math.sqrt(trials))
 
     return [ExitPoint(node=kind, snr_db=snr, ia_bits=float(ia),
                       ie_bits=max(float(values[c].mean()), 0.0), stderr=stderr(values[c]),
@@ -543,6 +546,10 @@ def exit_curve(nodes, ia_grid, trials: int, seed: int, *,
 # -- alpha training ------------------------------------------------------
 
 
+#: The harvest's cap on BP runs, and the iterations of each run whose node inputs it keeps.
+_HARVEST_RUNS, _HARVEST_ITERS = 64, 5
+
+
 def harvest_constraint_inputs(n: int, snr_db_list, count: int, seed: int) -> list[np.ndarray]:
     """Constraint-node input matrices from live exact-node BP runs.
 
@@ -550,18 +557,24 @@ def harvest_constraint_inputs(n: int, snr_db_list, count: int, seed: int) -> lis
     the first run; matrices are the node inputs of BP iterations 1-5
     (``BpResult.node_inputs``), subsampled to ``count`` with a fixed stream
     so the batch is reproducible. The matrices are views of those stacks.
+    ``count`` must lie in [1, 960n], the 3n matrices of each of 5
+    iterations of at most 64 runs, and is checked before the first run.
     """
-    if count < 1:
-        raise ValueError("need at least one matrix")
+    most = _HARVEST_RUNS * _HARVEST_ITERS * 3 * n
+    if not 1 <= count <= most:
+        raise ValueError(f"need at least one matrix and at most {most}, all that {_HARVEST_RUNS} "
+                         f"BP runs of {_HARVEST_ITERS} iterations hold at n = {n}; got {count} "
+                         f"(--batch)")
     if not snr_db_list:
         raise ValueError("need at least one snr")
     channels = [ChannelModel.from_snr_db(snr, q=n) for snr in snr_db_list]
     pool: list[np.ndarray] = []
     run = 0
-    while len(pool) < count * 2 and run < 64:
+    while len(pool) < count * 2 and run < _HARVEST_RUNS:
         puzzle = random_puzzle(n, make_rng(seed, 8, run))
         channel = channels[run % len(channels)]
-        result = bp_solve(puzzle, channel, node="exact", seed=seed, stream=run, max_iters=5)
+        result = bp_solve(puzzle, channel, node="exact", seed=seed, stream=run,
+                          max_iters=_HARVEST_ITERS)
         for inputs in result.node_inputs:
             pool.extend(inputs)
         run += 1

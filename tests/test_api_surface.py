@@ -11,6 +11,10 @@ string constant, so a dead method or field that shares its name with a live
 variable is flagged. A definition is not a use of itself, and a re-export in
 ``rolemodel/__init__.py`` is not a use.
 
+Package root: every name that ``rolemodel/__init__.py`` binds, dunders such
+as ``__version__`` aside, must be imported from the root by a package,
+perfbench or test file, so the root holds no re-export that nothing reads.
+
 Stream labels: every ``make_rng`` call in the package passes a literal first
 stream label that no other call site uses, so no two purposes share a
 random stream.
@@ -19,8 +23,6 @@ random stream.
 import ast
 from collections import Counter
 from pathlib import Path
-
-import rolemodel
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "rolemodel"
@@ -109,9 +111,30 @@ def test_allowlist_names_only_definitions_without_a_caller():
     assert not stale, f"allowlisted, but used in src/rolemodel or perfbench: {stale}"
 
 
-def test_every_public_name_resolves():
-    missing = [name for name in rolemodel.__all__ if not hasattr(rolemodel, name)]
-    assert not missing
+def _root_names() -> set[str]:
+    """The names that ``rolemodel/__init__.py`` binds at top level, dunders left out."""
+    bound = set()
+    for node in ast.parse((PACKAGE / "__init__.py").read_text()).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((alias.asname or alias.name).partition(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        else:
+            bound.update(n.id for n in ast.walk(node)
+                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store))
+    return {name for name in bound if not name.startswith("__")}
+
+
+def test_every_root_name_is_imported_from_the_root():
+    imported = set()
+    for path in [*PACKAGE.glob("*.py"), *ROOT.glob("perfbench/*.py"), *ROOT.glob("tests/*.py")]:
+        # the root is "rolemodel" from outside the package and "." inside it
+        root = (1, None) if path.parent == PACKAGE else (0, "rolemodel")
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level, node.module) == root:
+                imported.update(alias.name for alias in node.names)
+    unread = sorted(_root_names() - imported)
+    assert not unread, f"bound in rolemodel/__init__.py, but never imported from the root: {unread}"
 
 
 def test_each_make_rng_call_has_its_own_literal_first_label():

@@ -243,6 +243,38 @@ class TestErrorContract:
         assert err == ("error: harvest gathered 0 of the 4 matrices needed in 64 BP runs, "
                        "its cap: BP solved too early at these snrs, or --batch is too large\n")
 
+    def test_an_unfillable_batch_fails_before_the_first_bp_run(self, monkeypatch, capsys):
+        # 64 runs of 5 iterations hold 3n = 12 matrices an iteration: 3840 at n = 4
+        calls = []
+        solve = sudoku.bp_solve
+
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(sudoku, "bp_solve", recording)
+        assert run(["train-sudoku-alpha", "--size", "4", "--snr-list", "8", "--batch", "3841"]) == 1
+        assert "at most 3840, all that 64 BP runs" in capsys.readouterr().err
+        assert calls == []
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-theorem", "--trials"],
+        ["exit-chart", "--trials"],
+        ["train-minsum", "--samples"],
+        ["train-minsum", "--bins"],
+        ["eval-minsum", "--table", "t.json", "--samples"],
+        ["solve", "--iters"],
+        ["train-sudoku-alpha", "--batch"],
+        ["train-sudoku-alpha", "--budget"],
+    ], ids=" ".join)
+    def test_a_count_past_int64_names_its_flag(self, argv, capsys):
+        # parsed, not run: a parser that let 2^63 through would start a run
+        # of 2^63 trials, samples or iterations
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv + [str(2**63)])
+        assert exc.value.code == 1
+        assert f"rolemodel {argv[0]}: error: argument {argv[-1]}: " in capsys.readouterr().err
+
     def test_zero_iterations_leave_the_channel_decisions(self, tmp_path):
         out = tmp_path / "solve.json"
         assert run(["solve", "--size", "4", "--iters", "0", "--out", str(out), "--quiet"]) == 0
@@ -280,9 +312,6 @@ GRAMMAR = {
 }
 #: Commands whose --out is a CSV file with a header line.
 CSV_OUT = {"verify-theorem", "eval-minsum", "exit-chart"}
-#: Flags that set how many samples, trials or iterations a run does: a huge
-#: value would allocate or run for minutes, so they draw none.
-COUNT_FLAGS = {"--samples", "--trials", "--batch", "--budget", "--iters", "--bins"}
 #: Bad values by the kind of value a flag takes: nan, +-inf, 0, -1, empty,
 #: malformed lists, three-element lists with one bad element (the base runs
 #: have three branches), and JSON files of the wrong kind (an n = 9 alpha
@@ -316,8 +345,7 @@ def bad_argv(draw):
     base, flags = GRAMMAR[command]
     flag = draw(st.sampled_from(flags))
     kind = FLAG_KINDS.get(flag, "number")
-    values = BAD_VALUES[kind] + ([] if flag in COUNT_FLAGS else HUGE_VALUES[kind])
-    return [command, *base, flag, draw(st.sampled_from(values))]
+    return [command, *base, flag, draw(st.sampled_from(BAD_VALUES[kind] + HUGE_VALUES[kind]))]
 
 
 @pytest.fixture(scope="module")
@@ -518,6 +546,17 @@ class TestExitChart:
                     "--out", str(out), "--quiet"]) == 0
         body = [l for l in out.read_text().splitlines()[1:] if not l.startswith("#")]
         assert [float(l.split(",")[2]) for l in body] == [0.25 * k for k in range(9)]
+
+    def test_trials_that_agree_to_rounding_have_no_stderr(self, tmp_path):
+        # at I_A = log2(4) = 2 the a-priori rows are one-hot, and every trial
+        # gives the floor-limited value up to its last bits
+        out = tmp_path / "exit.csv"
+        assert run(["exit-chart", "--size", "4", "--node", "variable", "--snr-list", "3",
+                    "--trials", "200", "--seed", "0", "--out", str(out), "--quiet"]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:-1]]
+        stderr = {float(row[2]): float(row[4]) for row in rows}
+        assert stderr.pop(2.0) == 0.0
+        assert len(stderr) == 8 and all(v > 0.0 for v in stderr.values())
 
     def test_grid_parsing(self, tmp_path):
         assert run(["exit-chart", "--size", "4", "--mi-grid", "nonsense",

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from rolemodel.errors import DimensionMismatch, ZeroMassAtTruth
-from rolemodel.probs import (divergence_rows, entropy_rows, floor_rows, llrs_to_dists, log2_masked,
-                             soft_mi)
+from rolemodel.probs import (DEFAULT_FLOOR, divergence_rows, entropy_rows, floor_rows,
+                             llrs_to_dists, log2_masked, soft_mi)
 from rolemodel.rng import make_rng
 from rolemodel.train import PostTable
 
@@ -57,7 +57,7 @@ class TestRowKernels:
         p = rng.dirichlet(np.ones(9), size=(6, 9))
         p[p < 0.05] = 0.0
         for _ in range(20):
-            q = floor_rows(rng.dirichlet(np.ones(9), size=(6, 9)))
+            q = floor_rows(rng.dirichlet(np.ones(9), size=(6, 9)), DEFAULT_FLOOR)
             got = divergence_rows(p, q, _log_p=(log2_masked(p), p > 0))
             assert got.tobytes() == divergence_rows(p, q).tobytes()
 
