@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__, chains, minsum, sudoku
 from .errors import RoleModelError
 from .rng import make_rng
-from .train import ParametricCorrector, PostTable, _finite_row, _is_int
+from .train import ParametricCorrector, PostTable
 
 
 class _Parser(argparse.ArgumentParser):
@@ -39,8 +39,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _csv_float(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _float_list(text: str) -> list[float]:
+    """The argparse type of a list flag: comma-separated numbers; an empty text is no number."""
+    try:
+        return [float(item) for item in text.split(",")] if text else []
+    except ValueError as exc:  # an empty item too
+        raise argparse.ArgumentTypeError(f"{text!r} is not a comma list of numbers") from exc
 
 
 #: Most points a --mi-grid may hold; an a-priori grid spans at most log2(n) bits.
@@ -89,8 +93,7 @@ def _save_csv(path: str, header: list[str], rows: list[list], seed: int) -> None
 
 def _save_json(path: str, doc: dict) -> None:
     with open(path, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _load(path: str, parse, *args):
@@ -101,6 +104,46 @@ def _load(path: str, parse, *args):
         return parse(text, *args)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A JSON number: true and false load as Python ints, but are not numbers."""
+    return _is_int(value) or isinstance(value, float)
+
+
+def _finite_row(values, q: int, name: str) -> np.ndarray:
+    """``values`` as a length-q float row; ValueError unless every entry is a finite number.
+
+    Each entry must pass :func:`_is_number`, so neither a bool nor a numeric
+    string counts, though numpy would convert both.
+    """
+    try:
+        if all(_is_number(v) for v in values):
+            row = np.asarray(values, dtype=float)
+            if row.shape == (q,) and np.all(np.isfinite(row)):
+                return row
+    except (TypeError, OverflowError):  # not a sequence; an int past the float range
+        pass
+    raise ValueError(f"{name} must be {q} finite numbers")
+
+
+def _versioned(text: str, version: int, what: str) -> dict:
+    """The JSON object in ``text``; ValueError unless its ``version`` is the integer ``version``."""
+    doc = json.loads(text)
+    found = doc.get("version") if isinstance(doc, dict) else None
+    if not _is_int(found) or found != version:
+        raise ValueError(f"unsupported {what} version {found!r}")
+    return doc
+
+
+def _addressable(flag: str, count: int, nbytes: int) -> None:
+    """ValueError naming ``flag`` when the ``nbytes`` of its first array are past numpy's range."""
+    if nbytes > np.iinfo(np.intp).max:
+        raise ValueError(f"{flag} {count} needs {nbytes} bytes, more than numpy can index")
 
 
 def _say(args, message: str) -> None:
@@ -135,16 +178,60 @@ def _run_verify_theorem(args) -> int:
     return 0 if verdict == "PASS" else 2
 
 
+#: The ``version`` of the min-sum tables that train-minsum writes and eval-minsum reads.
+TABLE_FORMAT_VERSION = 1
+
+
+def _table_doc(table: PostTable, quant: minsum.ZQuantizer) -> dict:
+    """The JSON document of a trained min-sum table: its sums, counts and bins."""
+    return {
+        "version": TABLE_FORMAT_VERSION,
+        "q": table.alphabet_size,
+        "bin_spec": {"kind": "minsum", "num_bins": quant.num_bins,
+                     "max_magnitude": quant.max_magnitude},
+        "fallback": table.fallback.tolist(),
+        "bins": [{"sum": row, "count": count}
+                 for row, count in zip(table.sums.tolist(), table.counts.tolist())],
+    }
+
+
+def _table_from_json(text: str) -> tuple[PostTable, minsum.ZQuantizer]:
+    """The table and quantizer that :func:`_table_doc` wrote; ValueError on any schema violation."""
+    doc = _versioned(text, TABLE_FORMAT_VERSION, "table")
+    q, bins, spec = doc.get("q"), doc.get("bins"), doc.get("bin_spec")
+    if not (_is_int(q) and isinstance(bins, list) and bins and isinstance(spec, dict)
+            and all(isinstance(e, dict) and _is_int(e.get("count"))
+                    and 0 <= e["count"] < 2**63 for e in bins)):
+        raise ValueError("table needs an integer 'q', a 'bin_spec' object and a non-empty "
+                         "'bins' list of objects with a non-negative integer 'count'")
+    # check every row against q before building any q-sized array
+    sums = [_finite_row(e.get("sum"), q, f"sum of bin {b}") for b, e in enumerate(bins)]
+    fallback = doc.get("fallback")  # none: uniform
+    table = PostTable(num_bins=len(bins), alphabet_size=q,
+                      fallback=None if fallback is None else _finite_row(fallback, q, "fallback"))
+    table.sums[:] = sums
+    table.counts[:] = [e["count"] for e in bins]
+    if np.any(table.sums < 0) or np.any((table.counts > 0) & (table.sums.sum(axis=1) <= 0)):
+        raise ValueError("table bin sums must be non-negative, and positive where the count is")
+    if spec.get("kind") != "minsum" or q != 2:
+        raise ValueError(f"not a binary min-sum table: bin_spec kind {spec.get('kind')!r}, q={q}")
+    num_bins, max_magnitude = spec.get("num_bins"), spec.get("max_magnitude")
+    if not (_is_int(num_bins) and 2 * num_bins == len(bins) and _is_number(max_magnitude)):
+        raise ValueError("minsum bin_spec needs an integer 'num_bins', half the table's bins, "
+                         "and a number 'max_magnitude'")
+    return table, minsum.ZQuantizer(num_bins=num_bins, max_magnitude=max_magnitude)
+
+
 def _run_train_minsum(args) -> int:
     quant = minsum.ZQuantizer(num_bins=args.bins)
-    sigmas = _csv_float(args.sigmas)
-    batch = minsum.simulate_batch(args.degree, sigmas, args.samples, args.seed, quant)
+    _addressable("--bins", args.bins, quant.total_bins * 2 * 8)  # the (2b, 2) float64 sums
+    # a batch's first array, its bits, and the returned arrays: d + 40 bytes a sample
+    _addressable("--samples", args.samples, args.samples * (args.degree + 40))
+    batch = minsum.simulate_batch(args.degree, args.sigmas, args.samples, args.seed, quant)
     table = minsum.new_table(quant)
     table.ingest_batch(batch)
     if args.out:
-        with open(args.out, "w") as f:
-            f.write(table.to_json())
-            f.write("\n")
+        _save_json(args.out, _table_doc(table, quant))
     report = minsum.evaluate_table(table, batch)
     _say(args, f"trained {table.count_total} samples into {quant.total_bins} bins; "
                f"training-batch {report.summary()}")
@@ -152,10 +239,9 @@ def _run_train_minsum(args) -> int:
 
 
 def _run_eval_minsum(args) -> int:
-    table = _load(args.table, PostTable.from_json)
-    quant = minsum.ZQuantizer.from_table(table)
-    sigmas = _csv_float(args.sigmas)
-    batch = minsum.simulate_batch(args.degree, sigmas, args.samples, args.seed, quant)
+    table, quant = _load(args.table, _table_from_json)
+    _addressable("--samples", args.samples, args.samples * (args.degree + 40))
+    batch = minsum.simulate_batch(args.degree, args.sigmas, args.samples, args.seed, quant)
     report = minsum.evaluate_table(table, batch)
     if args.out:
         final = table.finalize()
@@ -171,10 +257,7 @@ ALPHA_FORMAT_VERSION = 1
 
 
 def _alphas_from_json(text: str, n: int) -> np.ndarray:
-    doc = json.loads(text)
-    version = doc.get("version") if isinstance(doc, dict) else None
-    if not _is_int(version) or version != ALPHA_FORMAT_VERSION:
-        raise ValueError(f"unsupported alpha table version {version!r}")
+    doc = _versioned(text, ALPHA_FORMAT_VERSION, "alpha table")
     if not _is_int(doc.get("n")) or doc["n"] != n:
         raise ValueError(f"alpha table is for n={doc.get('n')}, puzzle is n={n}")
     return ParametricCorrector(_finite_row(doc.get("alphas"), n, "alphas")).alphas
@@ -182,8 +265,7 @@ def _alphas_from_json(text: str, n: int) -> np.ndarray:
 
 def _run_solve(args) -> int:
     if args.puzzle is not None:
-        with open(args.puzzle) as f:
-            puzzle = sudoku.parse_grid(f.read(), args.size)
+        puzzle = _load(args.puzzle, sudoku.parse_grid, args.size)
     else:
         puzzle = sudoku.random_puzzle(args.size, make_rng(args.seed, 11))
     classic = puzzle.givens is not None
@@ -214,10 +296,13 @@ def _run_exit_chart(args) -> int:
     nodes = [tok.strip() for tok in args.node.split(",") if tok.strip()]
     # the default grid spans the a-priori range of the size, [0, log2(n)]
     grid = args.mi_grid if args.mi_grid is not None else _grid(f"0:{math.log2(args.size)}:0.25")
+    # each point draws (blocks, trials, n, n) float64 noise, 3 blocks with variable
+    noise_bytes = (3 if "variable" in nodes else 1) * args.trials * args.size**2 * 8
+    _addressable("--trials", args.trials, noise_bytes)
     alphas = (_load(args.alpha_table, _alphas_from_json, args.size)
               if args.alpha_table is not None else None)
     points = sudoku.exit_curve(nodes, grid, args.trials, args.seed, n=args.size,
-                               snr_db_list=_csv_float(args.snr_list), alphas=alphas)
+                               snr_db_list=args.snr_list, alphas=alphas)
     rows = [[p.node, "" if p.snr_db is None else repr(p.snr_db),
              repr(p.ia_bits), repr(p.ie_bits), repr(p.stderr)] for p in points]
     if args.out:
@@ -228,8 +313,7 @@ def _run_exit_chart(args) -> int:
 
 
 def _run_train_sudoku_alpha(args) -> int:
-    mix = _csv_float(args.snr_list)
-    result = sudoku.train_alpha(n=args.size, snr_db_list=mix, batch=args.batch,
+    result = sudoku.train_alpha(n=args.size, snr_db_list=args.snr_list, batch=args.batch,
                                 seed=args.seed, budget=args.budget)
     if args.out:
         _save_json(args.out, {
@@ -267,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-minsum", help="train the check-node post-processing table")
     p.add_argument("--degree", type=int, default=3)
-    p.add_argument("--sigmas", type=str, default="1.0,1.0,1.0")
+    p.add_argument("--sigmas", type=_float_list, default="1.0,1.0,1.0")
     p.add_argument("--samples", type=_count(1), default=100000)
     p.add_argument("--bins", type=_count(1), default=64)
     common(p)
@@ -276,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-minsum", help="evaluate a trained table on a fresh batch")
     p.add_argument("--table", type=str, required=True)
     p.add_argument("--degree", type=int, default=3)
-    p.add_argument("--sigmas", type=str, default="1.0,1.0,1.0")
+    p.add_argument("--sigmas", type=_float_list, default="1.0,1.0,1.0")
     p.add_argument("--samples", type=_count(1), default=100000)
     common(p)
     p.set_defaults(run=_run_eval_minsum)
@@ -297,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--node", type=str, default="exact,approx",
                    help="comma list of exact|approx|corrected|variable")
     p.add_argument("--size", type=int, default=9, choices=sorted(sudoku.BOX_SIDE))
-    p.add_argument("--snr-list", type=str, default="",
+    p.add_argument("--snr-list", type=_float_list, default="",
                    help="channel snrs (dB); used by the variable node")
     p.add_argument("--mi-grid", type=_grid, default=None,
                    help="a-priori MI grid start:stop:step in bits (default 0:log2(size):0.25)")
@@ -309,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-sudoku-alpha", help="train corrected-node weights")
     p.add_argument("--size", type=int, default=9, choices=sorted(sudoku.BOX_SIDE))
     p.add_argument("--batch", type=_count(1), default=64)
-    p.add_argument("--snr-list", type=str, default="6,8,10")
+    p.add_argument("--snr-list", type=_float_list, default="6,8,10")
     p.add_argument("--budget", type=_count(1), default=4000)
     common(p)
     p.set_defaults(run=_run_train_sudoku_alpha)

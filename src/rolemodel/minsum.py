@@ -18,8 +18,7 @@ import numpy as np
 from .errors import BinOutOfRange, DimensionMismatch, ZeroMassAtTruth
 from .probs import DEFAULT_FLOOR, floor_rows, llrs_to_dists, soft_mi, square_is_normal
 from .rng import make_rng
-from .train import (BLOCK, PostTable, SampleBatch, _is_int, _is_number, empirical_ed,
-                    plogp_sum)
+from .train import BLOCK, PostTable, SampleBatch, empirical_ed, plogp_sum
 
 #: Finite LLRs saturate here before entering tanh; tanh(38/2) is still
 #: strictly below 1 in double precision, keeping atanh finite.
@@ -76,26 +75,6 @@ class ZQuantizer:
         idx = np.minimum(np.minimum(mag, self.max_magnitude) / width, self.num_bins - 1)
         idx = idx.astype(int)
         return idx + self.num_bins * (np.asarray(signs) < 0)
-
-    def spec(self) -> dict:
-        return {
-            "kind": "minsum",
-            "num_bins": self.num_bins,
-            "max_magnitude": self.max_magnitude,
-        }
-
-    @classmethod
-    def from_table(cls, table: PostTable) -> "ZQuantizer":
-        """A binary min-sum table's quantizer, from the ``bin_spec`` that :meth:`spec` wrote."""
-        spec = table.bin_spec
-        if spec.get("kind") != "minsum" or table.alphabet_size != 2:
-            raise ValueError(f"not a binary min-sum table: bin_spec kind {spec.get('kind')!r}, "
-                             f"q={table.alphabet_size}")
-        num_bins, max_magnitude = spec.get("num_bins"), spec.get("max_magnitude")
-        if not (_is_int(num_bins) and 2 * num_bins == table.num_bins and _is_number(max_magnitude)):
-            raise ValueError("minsum bin_spec needs an integer 'num_bins', half the table's bins, "
-                             "and a number 'max_magnitude'")
-        return cls(num_bins=num_bins, max_magnitude=max_magnitude)
 
 
 class MinsumBatch(SampleBatch):
@@ -177,8 +156,7 @@ def simulate_batch(d: int, sigmas, n: int, seed: int,
 
 
 def new_table(quantizer: ZQuantizer) -> PostTable:
-    return PostTable(num_bins=quantizer.total_bins, alphabet_size=2,
-                     bin_spec=quantizer.spec())
+    return PostTable(num_bins=quantizer.total_bins, alphabet_size=2)
 
 
 @dataclass(frozen=True)
@@ -196,20 +174,22 @@ class EvalReport:
 
 
 def _soft_mi_from_counts(q: np.ndarray, bins: np.ndarray, truths: np.ndarray) -> float:
-    """``soft_mi(truths, q[bins])``, from the count of each (bin, truth) pair."""
+    """``soft_mi(truths, q[bins])``, from (bin, truth) pair counts taken a block at a time."""
     num_bins, alphabet = q.shape
     if truths.min() < 0 or truths.max() >= alphabet:  # would alias another bin's pair
         raise DimensionMismatch(f"truths must lie in [0, {alphabet})")
-    pair = bins * alphabet
-    pair += truths
-    counts = np.bincount(pair, minlength=num_bins * alphabet)
+    counts = np.zeros(num_bins * alphabet, dtype=np.int64)
+    for start in range(0, bins.size, BLOCK):
+        pair = bins[start:start + BLOCK] * alphabet
+        pair += truths[start:start + BLOCK]
+        counts += np.bincount(pair, minlength=counts.size)
     try:
         return soft_mi(np.tile(np.arange(alphabet), num_bins), np.repeat(q, alphabet, axis=0),
                        weights=counts)
     except ZeroMassAtTruth as exc:
         # name the first sample whose pair has zero mass, as a per-sample call would
         bad = (counts > 0) & (q.ravel() == 0)
-        raise ZeroMassAtTruth(int(np.flatnonzero(bad[pair])[0])) from exc
+        raise ZeroMassAtTruth(int(np.flatnonzero(bad[bins * alphabet + truths])[0])) from exc
 
 
 def evaluate_table(table: PostTable, batch: MinsumBatch) -> EvalReport:

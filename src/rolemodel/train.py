@@ -9,7 +9,6 @@ frozen empirical objective that scores each weight on its own.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -17,9 +16,6 @@ import numpy as np
 
 from .errors import AbsoluteContinuityViolation, BinOutOfRange, DimensionMismatch
 from .probs import log2_masked
-
-TABLE_FORMAT_VERSION = 1
-
 
 #: Rows per block where a batch is processed piecewise: 2^14 rows of a few
 #: float64 columns stay in cache between the element-wise passes.
@@ -46,43 +42,11 @@ class SampleBatch:
 
 
 def _bin_sums(bins: np.ndarray, posteriors: np.ndarray, num_bins: int) -> np.ndarray:
-    """(num_bins, q) sums of the posterior rows that fall in each bin."""
-    return np.stack([np.bincount(bins, weights=posteriors[:, x], minlength=num_bins)
-                     for x in range(posteriors.shape[1])], axis=1)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    """A JSON number: true and false load as Python ints, but are not numbers."""
-    return _is_int(value) or isinstance(value, float)
-
-
-def _finite_row(values, q: int, name: str) -> np.ndarray:
-    """``values`` as a length-q float row; ValueError unless every entry is a finite number.
-
-    Each entry must pass :func:`_is_number`, so neither a bool nor a numeric
-    string counts, though numpy would convert both.
-    """
-    try:
-        if all(_is_number(v) for v in values):
-            row = np.asarray(values, dtype=float)
-            if row.shape == (q,) and np.all(np.isfinite(row)):
-                return row
-    except (TypeError, OverflowError):  # not a sequence; an int past the float range
-        pass
-    raise ValueError(f"{name} must be {q} finite numbers")
-
-
-def _fallback_row(values, q: int) -> np.ndarray:
-    """A table's fallback pmf, divided by its sum; it must be non-negative and sum to 1 within 1e-8."""
-    p = _finite_row(values, q, "fallback")
-    total = p.sum()
-    if np.any(p < 0) or abs(total - 1.0) > 1e-8:
-        raise ValueError(f"fallback must be non-negative and sum to 1, got sum {total}")
-    return p / total
+    """(num_bins, q) sums of the posterior rows in each bin, added in place in sample order."""
+    sums = np.zeros((posteriors.shape[1], num_bins))
+    for x, row in enumerate(sums):
+        np.add.at(row, bins, posteriors[:, x])
+    return sums.T
 
 
 def plogp_sum(posteriors: np.ndarray) -> float:
@@ -103,20 +67,26 @@ class PostTable:
     ``ingest_batch`` calls give the table of their concatenated batch, up
     to the order of the floating-point additions; ``finalize`` turns each
     non-empty bin into the average posterior and fills empty bins with the
-    fallback row. Single-writer.
+    fallback row: q finite numbers >= 0 that sum to 1 within 1e-8, divided
+    by their sum (uniform by default). Single-writer.
     """
 
-    def __init__(self, num_bins: int, alphabet_size: int, fallback=None, bin_spec=None):
+    def __init__(self, num_bins: int, alphabet_size: int, fallback=None):
         if num_bins < 1 or alphabet_size < 2:
             raise ValueError("need at least one bin and a binary alphabet")
         if fallback is None:
             fallback = np.full(alphabet_size, 1.0 / alphabet_size)
-        self.fallback = _fallback_row(fallback, alphabet_size)
+        p = np.asarray(fallback, dtype=float)
+        if p.shape != (alphabet_size,) or not np.all(np.isfinite(p)):
+            raise ValueError(f"fallback must be {alphabet_size} finite numbers")
+        total = p.sum()
+        if np.any(p < 0) or abs(total - 1.0) > 1e-8:
+            raise ValueError(f"fallback must be non-negative and sum to 1, got sum {total}")
+        self.fallback = p / total
         self.num_bins = num_bins
         self.alphabet_size = alphabet_size
         self.sums = np.zeros((num_bins, alphabet_size))
         self.counts = np.zeros(num_bins, dtype=np.int64)
-        self.bin_spec = dict(bin_spec) if bin_spec else {"kind": "index", "num_bins": num_bins}
 
     @property
     def count_total(self) -> int:
@@ -139,44 +109,6 @@ class PostTable:
         rows = self.sums[filled] / self.counts[filled, None]
         out[filled] = rows / rows.sum(axis=1, keepdims=True)
         return out
-
-    # -- persistence ---------------------------------------------------
-
-    def to_json(self) -> str:
-        doc = {
-            "version": TABLE_FORMAT_VERSION,
-            "q": self.alphabet_size,
-            "bin_spec": self.bin_spec,
-            "fallback": list(self.fallback),
-            "bins": [
-                {"sum": list(self.sums[b]), "count": int(self.counts[b])}
-                for b in range(self.num_bins)
-            ],
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PostTable":
-        """Rebuild a table written by :meth:`to_json`; ValueError on any schema violation."""
-        doc = json.loads(text)
-        version = doc.get("version") if isinstance(doc, dict) else None
-        if not _is_int(version) or version != TABLE_FORMAT_VERSION:
-            raise ValueError(f"unsupported table version {version!r}")
-        q, bins, spec = doc.get("q"), doc.get("bins"), doc.get("bin_spec")
-        if not (_is_int(q) and isinstance(bins, list) and bins and isinstance(spec, dict)
-                and all(isinstance(e, dict) and _is_int(e.get("count"))
-                        and 0 <= e["count"] < 2**63 for e in bins)):
-            raise ValueError("table needs an integer 'q', a 'bin_spec' object and a non-empty "
-                             "'bins' list of objects with a non-negative integer 'count'")
-        # check every row against q before building any q-sized array
-        sums = [_finite_row(e.get("sum"), q, f"sum of bin {b}") for b, e in enumerate(bins)]
-        table = cls(num_bins=len(bins), alphabet_size=q, fallback=doc.get("fallback"),
-                    bin_spec=spec)
-        table.sums[:] = sums
-        table.counts[:] = [e["count"] for e in bins]
-        if np.any(table.sums < 0) or np.any((table.counts > 0) & (table.sums.sum(axis=1) <= 0)):
-            raise ValueError("table bin sums must be non-negative, and positive where the count is")
-        return table
 
 
 def empirical_ed(batch: SampleBatch, q: np.ndarray, plogp: float | None = None) -> float:

@@ -18,6 +18,11 @@ perfbench or test file, so the root holds no re-export that nothing reads.
 Stream labels: every ``make_rng`` call in the package passes a literal first
 stream label that no other call site uses, so no two purposes share a
 random stream.
+
+Files: ``cli`` is the only module that imports ``json`` or calls ``open``,
+and it calls ``open`` only in its three file helpers, so every input file is
+read through ``_load`` and every load error names its file. No module
+imports an underscore name from another package module.
 """
 
 import ast
@@ -152,3 +157,44 @@ def test_each_make_rng_call_has_its_own_literal_first_label():
     assert labels, "found no make_rng call"
     shared = sorted(label for label, count in Counter(labels).items() if count > 1)
     assert not shared, f"stream labels used by more than one make_rng call: {shared}"
+
+
+def _opens(tree: ast.AST) -> list[ast.Call]:
+    """The calls of ``open`` in ``tree``, bare or as an attribute (``io.open``)."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and "open" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
+def test_only_cli_touches_json_or_files():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "cli":
+            continue
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) and any(a.name.partition(".")[0] == "json"
+                                                    for a in node.names):
+                found.append(f"{path.stem}: import json")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "json":
+                found.append(f"{path.stem}: from json import")
+        found += [f"{path.stem}: open at {call.lineno}" for call in _opens(tree)]
+    assert not found, f"only cli may read or write files and JSON: {found}"
+
+
+def test_cli_opens_files_only_in_its_file_helpers():
+    helpers = {"_load", "_save_json", "_save_csv"}
+    found = []
+    for node in ast.parse((PACKAGE / "cli.py").read_text()).body:
+        if not (isinstance(node, ast.FunctionDef) and node.name in helpers):
+            found += [f"{getattr(node, 'name', '?')}:{call.lineno}" for call in _opens(node)]
+    assert not found, f"cli calls open outside {sorted(helpers)}: {found}"
+
+
+def test_no_module_imports_another_modules_private_names():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module == "rolemodel"):
+                found += [f"{path.stem} imports {node.module}.{a.name}" for a in node.names
+                          if a.name.startswith("_") and not a.name.startswith("__")]
+    assert not found, f"private names imported across modules: {found}"

@@ -224,16 +224,50 @@ class TestErrorContract:
         assert err == "error: out of memory: Unable to allocate 2.91 TiB for an array\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv", [
-        ["eval-minsum", "--samples", "10", "--table"],
-        ["solve", "--size", "4", "--node", "corrected", "--alpha-table"],
-    ], ids=" ".join)
-    def test_a_malformed_input_file_is_named(self, argv, tmp_path, capsys):
+    @pytest.mark.parametrize("argv, text, message", [
+        (["eval-minsum", "--samples", "10", "--table"], "{bad",
+         "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        (["solve", "--size", "4", "--node", "corrected", "--alpha-table"], "{bad",
+         "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        (["solve", "--size", "4", "--puzzle"], "123", "expected 4x4 grid, got 3 symbols"),
+        (["eval-minsum", "--samples", "10", "--table"], json.dumps(INPUT_FILES["nospec.json"]),
+         "minsum bin_spec needs an integer 'num_bins', half the table's bins, "
+         "and a number 'max_magnitude'"),
+    ], ids=["eval-minsum --samples 10 --table", "solve --size 4 --node corrected --alpha-table",
+            "solve --size 4 --puzzle", "eval-minsum --table nospec.json"])
+    def test_a_malformed_input_file_is_named(self, argv, text, message, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text("{bad")
+        bad.write_text(text)
         assert run(argv + [str(bad)]) == 1
-        assert capsys.readouterr().err == (f"error: {bad}: Expecting property name enclosed in "
-                                           f"double quotes: line 1 column 2 (char 1)\n")
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["train-minsum", "--samples", "10", "--sigmas", "1,,1,1"],
+        ["train-minsum", "--samples", "10", "--sigmas", "1, 1 ,1,"],
+        ["exit-chart", "--size", "4", "--node", "exact", "--mi-grid", "0:1:1", "--trials", "2",
+         "--snr-list", "8,,10"],
+        ["train-sudoku-alpha", "--size", "4", "--batch", "2", "--budget", "20",
+         "--snr-list", "8,,10"],
+    ], ids=" ".join)
+    def test_an_empty_list_item_names_its_flag(self, argv, capsys):
+        # an empty item is not dropped: "1,,1,1" is no list of three sigmas
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert f"rolemodel {argv[0]}: error: argument {argv[-2]}: {argv[-1]!r} is not a " in err
+
+    @pytest.mark.parametrize("argv", [
+        ["train-minsum", "--samples", str(2**63 - 1)],
+        ["eval-minsum", "--table", "@table.json", "--samples", str(2**63 - 1)],
+        ["train-minsum", "--bins", str(2**63 - 1), "--samples", "10"],
+        ["exit-chart", "--size", "4", "--node", "exact", "--trials", str(2**63 - 1),
+         "--mi-grid", "1:1:1"],
+    ], ids=" ".join)
+    def test_a_count_no_array_can_hold_names_its_flag(self, argv, flag_dir, capsys):
+        # in [1, 2^63), but the flag's first array would need 2^63 bytes or more
+        flag = argv[argv.index(str(2**63 - 1)) - 1]
+        argv = [str(flag_dir / a[1:]) if a.startswith("@") else a for a in argv]
+        assert run(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {flag} {2**63 - 1} needs ")
 
     def test_harvest_shortfall_says_what_it_gathered(self, capsys):
         # at 300 dB, BP decides every cell from the channel alone and never calls a node

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from rolemodel import chains
+from rolemodel.cli import _table_doc, _table_from_json
 from rolemodel.errors import AbsoluteContinuityViolation, BinOutOfRange, DimensionMismatch
+from rolemodel.minsum import ZQuantizer, new_table
 from rolemodel.rng import make_rng
 from rolemodel.train import (
     BLOCK,
@@ -202,39 +204,50 @@ class TestEmpiricalEd:
 
 
 class TestSerialization:
+    """The min-sum table format of ``train-minsum --out`` and ``eval-minsum --table``."""
+
+    QUANT = ZQuantizer(num_bins=1)
+
+    def doc(self):
+        return _table_doc(new_table(self.QUANT), self.QUANT)
+
     def test_json_round_trip(self):
         rng = make_rng(209)
-        t = PostTable(num_bins=4, alphabet_size=2, bin_spec={"kind": "minsum", "num_bins": 4, "max_magnitude": 25.0})
-        t.ingest_batch(SampleBatch(rng.dirichlet(np.ones(2), size=30), rng.integers(0, 4, 30)))
-        back = PostTable.from_json(t.to_json())
+        t = new_table(self.QUANT)
+        t.ingest_batch(SampleBatch(rng.dirichlet(np.ones(2), size=30), rng.integers(0, 2, 30)))
+        back, quant = _table_from_json(json.dumps(_table_doc(t, self.QUANT)))
         assert np.array_equal(back.counts, t.counts)
         assert np.array_equal(back.sums, t.sums)
-        assert back.bin_spec == t.bin_spec
+        assert quant == self.QUANT
         assert np.allclose(back.finalize(), t.finalize())
 
     def test_json_version_guard(self):
-        doc = json.loads(PostTable(1, 2).to_json())
+        doc = self.doc()
         doc["version"] = 99
-        with pytest.raises(ValueError):
-            PostTable.from_json(json.dumps(doc))
+        with pytest.raises(ValueError, match="unsupported table version 99"):
+            _table_from_json(json.dumps(doc))
 
     def test_alpha_json_is_not_a_table(self):
         # an alpha table from train-sudoku-alpha carries the same version field
         doc = {"version": 1, "n": 9, "alphas": [0.5] * 9}
         with pytest.raises(ValueError, match="'bins'"):
-            PostTable.from_json(json.dumps(doc))
+            _table_from_json(json.dumps(doc))
 
+    # each bad bins list has the two bins that num_bins = 1 asks for, so only
+    # the violation itself can fail the load
     @pytest.mark.parametrize("key, value", [
         ("q", "2"), ("bins", []), ("bin_spec", None), ("fallback", [0.5, float("nan")]),
-        ("bins", [{"sum": [0.5, 0.5]}]), ("bins", [{"sum": [0.5], "count": 1}]),
-        ("bins", [{"sum": [-0.5, 1.5], "count": 1}]), ("bins", [{"sum": [0.0, 0.0], "count": 1}]),
+        ("bins", [{"sum": [0.5, 0.5]}] * 2), ("bins", [{"sum": [0.5], "count": 1}] * 2),
+        ("bins", [{"sum": [-0.5, 1.5], "count": 1}] * 2),
+        ("bins", [{"sum": [0.0, 0.0], "count": 1}] * 2),
     ], ids=["q-string", "bins-empty", "bin_spec-null", "fallback-nan", "bin-no-count",
             "bin-short-sum", "bin-negative-sum", "bin-count-without-mass"])
     def test_json_schema_violations(self, key, value):
-        doc = json.loads(PostTable(1, 2).to_json())
+        doc = self.doc()
+        _table_from_json(json.dumps(doc))  # the unaltered document loads
         doc[key] = value
         with pytest.raises(ValueError):
-            PostTable.from_json(json.dumps(doc))
+            _table_from_json(json.dumps(doc))
 
 
 class TestTrainParametric:
