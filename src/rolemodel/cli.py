@@ -39,12 +39,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _float_list(text: str) -> list[float]:
-    """The argparse type of a list flag: comma-separated numbers; an empty text is no number."""
-    try:
-        return [float(item) for item in text.split(",")] if text else []
-    except ValueError as exc:  # an empty item too
-        raise argparse.ArgumentTypeError(f"{text!r} is not a comma list of numbers") from exc
+def _comma_list(item, what: str):
+    """The argparse type of a list flag: ``item`` of each comma-separated text ("" is [])."""
+
+    def parse(text: str) -> list:
+        items = text.split(",") if text else []
+        try:
+            if all(tok.strip() for tok in items):  # an empty or blank item is no item
+                return [item(tok) for tok in items]
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not a comma list of {what}")
+
+    return parse
 
 
 #: Most points a --mi-grid may hold; an a-priori grid spans at most log2(n) bits.
@@ -97,11 +104,10 @@ def _save_json(path: str, doc: dict) -> None:
 
 
 def _load(path: str, parse, *args):
-    """``parse(text, *args)`` of the file at ``path``; its ValueError names the file."""
-    with open(path) as f:
-        text = f.read()
+    """``parse(text, *args)`` of the file at ``path``; a ValueError, bad UTF-8 too, names it."""
     try:
-        return parse(text, *args)
+        with open(path, encoding="utf-8") as f:
+            return parse(f.read(), *args)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
@@ -179,68 +185,55 @@ def _run_verify_theorem(args) -> int:
 
 
 #: The ``version`` of the min-sum tables that train-minsum writes and eval-minsum reads.
-TABLE_FORMAT_VERSION = 1
+TABLE_FORMAT_VERSION = 2
 
 
-def _table_doc(table: PostTable, quant: minsum.ZQuantizer) -> dict:
-    """The JSON document of a trained min-sum table: its sums, counts and bins."""
+def _table_doc(table: PostTable) -> dict:
+    """The JSON document of a trained min-sum table: each bin's count and posterior sum."""
     return {
         "version": TABLE_FORMAT_VERSION,
-        "q": table.alphabet_size,
-        "bin_spec": {"kind": "minsum", "num_bins": quant.num_bins,
-                     "max_magnitude": quant.max_magnitude},
-        "fallback": table.fallback.tolist(),
         "bins": [{"sum": row, "count": count}
                  for row, count in zip(table.sums.tolist(), table.counts.tolist())],
     }
 
 
 def _table_from_json(text: str) -> tuple[PostTable, minsum.ZQuantizer]:
-    """The table and quantizer that :func:`_table_doc` wrote; ValueError on any schema violation."""
+    """The table that :func:`_table_doc` wrote, and its quantizer; ValueError on a bad schema."""
     doc = _versioned(text, TABLE_FORMAT_VERSION, "table")
-    q, bins, spec = doc.get("q"), doc.get("bins"), doc.get("bin_spec")
-    if not (_is_int(q) and isinstance(bins, list) and bins and isinstance(spec, dict)
+    bins = doc.get("bins")
+    if not (isinstance(bins, list) and bins and len(bins) % 2 == 0
             and all(isinstance(e, dict) and _is_int(e.get("count"))
                     and 0 <= e["count"] < 2**63 for e in bins)):
-        raise ValueError("table needs an integer 'q', a 'bin_spec' object and a non-empty "
-                         "'bins' list of objects with a non-negative integer 'count'")
-    # check every row against q before building any q-sized array
-    sums = [_finite_row(e.get("sum"), q, f"sum of bin {b}") for b, e in enumerate(bins)]
-    fallback = doc.get("fallback")  # none: uniform
-    table = PostTable(num_bins=len(bins), alphabet_size=q,
-                      fallback=None if fallback is None else _finite_row(fallback, q, "fallback"))
-    table.sums[:] = sums
+        raise ValueError("table needs a non-empty, even-length 'bins' list of objects "
+                         "with a non-negative integer 'count'")
+    quant = minsum.ZQuantizer(num_bins=len(bins) // 2)
+    table = minsum.new_table(quant)
+    table.sums[:] = [_finite_row(e.get("sum"), 2, f"sum of bin {b}") for b, e in enumerate(bins)]
     table.counts[:] = [e["count"] for e in bins]
     if np.any(table.sums < 0) or np.any((table.counts > 0) & (table.sums.sum(axis=1) <= 0)):
         raise ValueError("table bin sums must be non-negative, and positive where the count is")
-    if spec.get("kind") != "minsum" or q != 2:
-        raise ValueError(f"not a binary min-sum table: bin_spec kind {spec.get('kind')!r}, q={q}")
-    num_bins, max_magnitude = spec.get("num_bins"), spec.get("max_magnitude")
-    if not (_is_int(num_bins) and 2 * num_bins == len(bins) and _is_number(max_magnitude)):
-        raise ValueError("minsum bin_spec needs an integer 'num_bins', half the table's bins, "
-                         "and a number 'max_magnitude'")
-    return table, minsum.ZQuantizer(num_bins=num_bins, max_magnitude=max_magnitude)
+    return table, quant
 
 
 def _run_train_minsum(args) -> int:
     quant = minsum.ZQuantizer(num_bins=args.bins)
     _addressable("--bins", args.bins, quant.total_bins * 2 * 8)  # the (2b, 2) float64 sums
-    # a batch's first array, its bits, and the returned arrays: d + 40 bytes a sample
-    _addressable("--samples", args.samples, args.samples * (args.degree + 40))
+    # the batch's bits and arrays, d + 40 bytes a sample; d is the sigma count (checked first)
+    _addressable("--samples", args.samples, args.samples * (len(args.sigmas) + 40))
     batch = minsum.simulate_batch(args.degree, args.sigmas, args.samples, args.seed, quant)
     table = minsum.new_table(quant)
     table.ingest_batch(batch)
     if args.out:
-        _save_json(args.out, _table_doc(table, quant))
+        _save_json(args.out, _table_doc(table))
     report = minsum.evaluate_table(table, batch)
-    _say(args, f"trained {table.count_total} samples into {quant.total_bins} bins; "
+    _say(args, f"trained {len(batch)} samples into {quant.total_bins} bins; "
                f"training-batch {report.summary()}")
     return 0
 
 
 def _run_eval_minsum(args) -> int:
     table, quant = _load(args.table, _table_from_json)
-    _addressable("--samples", args.samples, args.samples * (args.degree + 40))
+    _addressable("--samples", args.samples, args.samples * (len(args.sigmas) + 40))
     batch = minsum.simulate_batch(args.degree, args.sigmas, args.samples, args.seed, quant)
     report = minsum.evaluate_table(table, batch)
     if args.out:
@@ -293,21 +286,20 @@ def _run_solve(args) -> int:
 
 
 def _run_exit_chart(args) -> int:
-    nodes = [tok.strip() for tok in args.node.split(",") if tok.strip()]
     # the default grid spans the a-priori range of the size, [0, log2(n)]
     grid = args.mi_grid if args.mi_grid is not None else _grid(f"0:{math.log2(args.size)}:0.25")
     # each point draws (blocks, trials, n, n) float64 noise, 3 blocks with variable
-    noise_bytes = (3 if "variable" in nodes else 1) * args.trials * args.size**2 * 8
+    noise_bytes = (3 if "variable" in args.node else 1) * args.trials * args.size**2 * 8
     _addressable("--trials", args.trials, noise_bytes)
     alphas = (_load(args.alpha_table, _alphas_from_json, args.size)
               if args.alpha_table is not None else None)
-    points = sudoku.exit_curve(nodes, grid, args.trials, args.seed, n=args.size,
+    points = sudoku.exit_curve(args.node, grid, args.trials, args.seed, n=args.size,
                                snr_db_list=args.snr_list, alphas=alphas)
     rows = [[p.node, "" if p.snr_db is None else repr(p.snr_db),
              repr(p.ia_bits), repr(p.ie_bits), repr(p.stderr)] for p in points]
     if args.out:
         _save_csv(args.out, ["node", "snr_db", "ia_bits", "ie_bits", "stderr"], rows, args.seed)
-    _say(args, f"{len(rows)} exit points over nodes {','.join(nodes)} at {args.trials} trials, "
+    _say(args, f"{len(rows)} exit points over nodes {','.join(args.node)} at {args.trials} trials, "
                f"fallback_rows={sum(p.fallback_rows for p in points)}")
     return 0
 
@@ -350,8 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_run_verify_theorem)
 
     p = sub.add_parser("train-minsum", help="train the check-node post-processing table")
-    p.add_argument("--degree", type=int, default=3)
-    p.add_argument("--sigmas", type=_float_list, default="1.0,1.0,1.0")
+    p.add_argument("--degree", type=_count(1), default=3)
+    p.add_argument("--sigmas", type=_comma_list(float, "numbers"), default="1.0,1.0,1.0")
     p.add_argument("--samples", type=_count(1), default=100000)
     p.add_argument("--bins", type=_count(1), default=64)
     common(p)
@@ -359,8 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval-minsum", help="evaluate a trained table on a fresh batch")
     p.add_argument("--table", type=str, required=True)
-    p.add_argument("--degree", type=int, default=3)
-    p.add_argument("--sigmas", type=_float_list, default="1.0,1.0,1.0")
+    p.add_argument("--degree", type=_count(1), default=3)
+    p.add_argument("--sigmas", type=_comma_list(float, "numbers"), default="1.0,1.0,1.0")
     p.add_argument("--samples", type=_count(1), default=100000)
     common(p)
     p.set_defaults(run=_run_eval_minsum)
@@ -378,10 +370,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_run_solve)
 
     p = sub.add_parser("exit-chart", help="extrinsic information transfer sweep")
-    p.add_argument("--node", type=str, default="exact,approx",
+    p.add_argument("--node", type=_comma_list(str.strip, "node kinds"), default="exact,approx",
                    help="comma list of exact|approx|corrected|variable")
     p.add_argument("--size", type=int, default=9, choices=sorted(sudoku.BOX_SIDE))
-    p.add_argument("--snr-list", type=_float_list, default="",
+    p.add_argument("--snr-list", type=_comma_list(float, "numbers"), default="",
                    help="channel snrs (dB); used by the variable node")
     p.add_argument("--mi-grid", type=_grid, default=None,
                    help="a-priori MI grid start:stop:step in bits (default 0:log2(size):0.25)")
@@ -393,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-sudoku-alpha", help="train corrected-node weights")
     p.add_argument("--size", type=int, default=9, choices=sorted(sudoku.BOX_SIDE))
     p.add_argument("--batch", type=_count(1), default=64)
-    p.add_argument("--snr-list", type=_float_list, default="6,8,10")
+    p.add_argument("--snr-list", type=_comma_list(float, "numbers"), default="6,8,10")
     p.add_argument("--budget", type=_count(1), default=4000)
     common(p)
     p.set_defaults(run=_run_train_sudoku_alpha)

@@ -47,20 +47,24 @@ def tanh_rule_rows(llrs: np.ndarray) -> np.ndarray:
     return prod
 
 
+#: Min-sum magnitudes at or above this clamp into the top bin. Table files do
+#: not record it, so a new value needs a new table format version.
+MAX_MAGNITUDE = 25.0
+
+
 @dataclass(frozen=True)
 class ZQuantizer:
-    """Uniform magnitude bins composed with the sign branch.
+    """Uniform magnitude bins over [0, ``MAX_MAGNITUDE``) composed with the sign branch.
 
     Bin layout: [0, num_bins) for sign +1, [num_bins, 2*num_bins) for -1;
-    magnitudes at or above ``max_magnitude`` clamp into the top bin.
+    magnitudes at or above ``MAX_MAGNITUDE`` clamp into the top bin.
     """
 
     num_bins: int = 64
-    max_magnitude: float = 25.0
 
     def __post_init__(self):
-        if self.num_bins < 1 or not 0 < self.max_magnitude < math.inf:
-            raise ValueError("need a positive bin count and a finite positive magnitude range")
+        if self.num_bins < 1:
+            raise ValueError("need a positive bin count")
 
     @property
     def total_bins(self) -> int:
@@ -70,9 +74,9 @@ class ZQuantizer:
         mag = np.asarray(magnitudes, dtype=float)
         if np.any(mag < 0):
             raise BinOutOfRange("negative magnitude")
-        width = self.max_magnitude / self.num_bins
+        width = MAX_MAGNITUDE / self.num_bins
         # clamp before the divide (no overflow) and before the cast
-        idx = np.minimum(np.minimum(mag, self.max_magnitude) / width, self.num_bins - 1)
+        idx = np.minimum(np.minimum(mag, MAX_MAGNITUDE) / width, self.num_bins - 1)
         idx = idx.astype(int)
         return idx + self.num_bins * (np.asarray(signs) < 0)
 

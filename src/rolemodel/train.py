@@ -67,30 +67,16 @@ class PostTable:
     ``ingest_batch`` calls give the table of their concatenated batch, up
     to the order of the floating-point additions; ``finalize`` turns each
     non-empty bin into the average posterior and fills empty bins with the
-    fallback row: q finite numbers >= 0 that sum to 1 within 1e-8, divided
-    by their sum (uniform by default). Single-writer.
+    uniform row. Single-writer.
     """
 
-    def __init__(self, num_bins: int, alphabet_size: int, fallback=None):
+    def __init__(self, num_bins: int, alphabet_size: int):
         if num_bins < 1 or alphabet_size < 2:
             raise ValueError("need at least one bin and a binary alphabet")
-        if fallback is None:
-            fallback = np.full(alphabet_size, 1.0 / alphabet_size)
-        p = np.asarray(fallback, dtype=float)
-        if p.shape != (alphabet_size,) or not np.all(np.isfinite(p)):
-            raise ValueError(f"fallback must be {alphabet_size} finite numbers")
-        total = p.sum()
-        if np.any(p < 0) or abs(total - 1.0) > 1e-8:
-            raise ValueError(f"fallback must be non-negative and sum to 1, got sum {total}")
-        self.fallback = p / total
         self.num_bins = num_bins
         self.alphabet_size = alphabet_size
         self.sums = np.zeros((num_bins, alphabet_size))
         self.counts = np.zeros(num_bins, dtype=np.int64)
-
-    @property
-    def count_total(self) -> int:
-        return int(self.counts.sum())
 
     def ingest_batch(self, batch: SampleBatch) -> None:
         """Order-independent bulk accumulation of a whole batch."""
@@ -103,8 +89,8 @@ class PostTable:
         self.counts += np.bincount(batch.bins, minlength=self.num_bins)
 
     def finalize(self) -> np.ndarray:
-        """Conditional table, one pmf row per bin (fallback where count = 0)."""
-        out = np.tile(self.fallback, (self.num_bins, 1))
+        """Conditional table, one pmf row per bin (uniform where count = 0)."""
+        out = np.full((self.num_bins, self.alphabet_size), 1.0 / self.alphabet_size)
         filled = self.counts > 0
         rows = self.sums[filled] / self.counts[filled, None]
         out[filled] = rows / rows.sum(axis=1, keepdims=True)

@@ -51,49 +51,34 @@ class TestDispatch:
         assert set(GRAMMAR) == set(sub.choices)
 
 
+#: The bytes ff fe 7b: a UTF-16 byte-order mark and "{", which is no UTF-8 text.
+NOT_UTF8 = b"\xff\xfe{"
 #: JSON inputs that the argv lists below name as "@<file name>".
 INPUT_FILES = {
     "alphas.json": {"version": 1, "n": 9, "alphas": [0.5] * 9},  # not a min-sum table
     "n4.json": {"n": 4},  # the right n, but no alphas
     "v99.json": {"version": 99, "n": 4, "alphas": [0.5] * 4},  # a version this CLI cannot read
     "unversioned.json": {"n": 4, "alphas": [0.5] * 4},
-    "nospec.json": {"version": 1, "q": 2, "bin_spec": {"kind": "minsum"},  # no num_bins
-                    "fallback": [0.5, 0.5], "bins": [{"sum": [0.0, 0.0], "count": 0}] * 2},
+    # an odd bin count, which no pair of sign branches has
+    "nospec.json": {"version": 2, "bins": [{"sum": [0.0, 0.0], "count": 0}] * 3},
+    # a min-sum table of the format before the current one
+    "v1table.json": {"version": 1, "q": 2, "fallback": [0.5, 0.5],
+                     "bin_spec": {"kind": "minsum", "num_bins": 1, "max_magnitude": 25.0},
+                     "bins": [{"sum": [0.0, 0.0], "count": 0}] * 2},
     # JSON true and false load as Python ints, but are not numbers
     "boolalphas.json": {"version": 1, "n": 4, "alphas": [True, False, True, 1]},
     "boolversion.json": {"version": True, "n": 4, "alphas": [0.5] * 4},
     # the integer fields of an alpha table, typed as floats
     "floatversion.json": {"version": 1.0, "n": 4, "alphas": [0.5] * 4},
     "floatn.json": {"version": 1, "n": 4.0, "alphas": [0.5] * 4},
-    "boolsum.json": {"version": 1, "q": 2, "fallback": [0.5, 0.5],
-                     "bin_spec": {"kind": "minsum", "num_bins": 1, "max_magnitude": 25.0},
+    "boolsum.json": {"version": 2,
                      "bins": [{"sum": [True, True], "count": 1}, {"sum": [0.0, 0.0], "count": 0}]},
-    "boolbins.json": {"version": 1, "q": 2, "fallback": [0.5, 0.5],
-                      "bin_spec": {"kind": "minsum", "num_bins": True, "max_magnitude": 25.0},
-                      "bins": [{"sum": [0.0, 0.0], "count": 0}] * 2},
-    "boolfallback.json": {"version": 1, "q": 2, "fallback": [True, False],
-                          "bin_spec": {"kind": "minsum", "num_bins": 1, "max_magnitude": 25.0},
-                          "bins": [{"sum": [0.0, 0.0], "count": 0}] * 2},
     # numeric strings, which numpy would parse as numbers
-    "strsum.json": {"version": 1, "q": 2, "fallback": [0.5, 0.5],
-                    "bin_spec": {"kind": "minsum", "num_bins": 1, "max_magnitude": 25.0},
-                    "bins": [{"sum": ["0.5", "0.5"], "count": 1},
-                             {"sum": [0.0, 0.0], "count": 0}]},
-    "strfallback.json": {"version": 1, "q": 2, "fallback": ["0.5", "0.5"],
-                         "bin_spec": {"kind": "minsum", "num_bins": 1, "max_magnitude": 25.0},
-                         "bins": [{"sum": [0.0, 0.0], "count": 0}] * 2},
-    "booltable.json": {"version": True, "q": 2, "fallback": [0.5, 0.5],
-                       "bin_spec": {"kind": "minsum", "num_bins": 1, "max_magnitude": 25.0},
-                       "bins": [{"sum": [0.0, 0.0], "count": 0}] * 2},
-    # a valid table schema, but min-sum tables are binary
-    "ternary.json": {"version": 1, "q": 3, "fallback": [0.25, 0.25, 0.5],
-                     "bin_spec": {"kind": "minsum", "num_bins": 1, "max_magnitude": 25.0},
-                     "bins": [{"sum": [0.0, 0.0, 0.0], "count": 0}] * 2},
-    # a q far past memory, with 2-entry bin sums and no fallback: the loader
-    # must check the rows before it builds any q-sized array
-    "hugeq.json": {"version": 1, "q": 10**11,
-                   "bin_spec": {"kind": "minsum", "num_bins": 1, "max_magnitude": 25.0},
-                   "bins": [{"sum": [0.0, 0.0], "count": 0}] * 2},
+    "strsum.json": {"version": 2,
+                    "bins": [{"sum": ["0.5", "0.5"], "count": 1}, {"sum": [0.0, 0.0], "count": 0}]},
+    "booltable.json": {"version": True, "bins": [{"sum": [0.0, 0.0], "count": 0}] * 2},
+    # a valid table but for its three-entry sums: min-sum tables are binary
+    "ternary.json": {"version": 2, "bins": [{"sum": [0.0, 0.0, 0.0], "count": 0}] * 2},
 }
 
 
@@ -119,7 +104,7 @@ class TestErrorContract:
         ["eval-minsum", "--table", "@alphas.json", "--samples", "10"],
         ["eval-minsum", "--table", "@nospec.json", "--samples", "10"],
         ["eval-minsum", "--table", "@ternary.json", "--samples", "10"],
-        ["eval-minsum", "--table", "@hugeq.json", "--samples", "10"],
+        ["eval-minsum", "--table", "@v1table.json", "--samples", "10"],
         ["solve", "--size", "4", "--node", "corrected", "--alpha-table", "@n4.json"],
         # the corrected node without its alpha table
         ["solve", "--size", "4", "--node", "corrected"],
@@ -151,11 +136,8 @@ class TestErrorContract:
         ["solve", "--size", "4", "--node", "corrected", "--alpha-table", "@floatversion.json"],
         ["solve", "--size", "4", "--node", "corrected", "--alpha-table", "@floatn.json"],
         ["eval-minsum", "--table", "@boolsum.json", "--samples", "10"],
-        ["eval-minsum", "--table", "@boolbins.json", "--samples", "10"],
-        ["eval-minsum", "--table", "@boolfallback.json", "--samples", "10"],
         ["eval-minsum", "--table", "@booltable.json", "--samples", "10"],
         ["eval-minsum", "--table", "@strsum.json", "--samples", "10"],
-        ["eval-minsum", "--table", "@strfallback.json", "--samples", "10"],
         # counts past what the command can do, and lists that name nothing
         ["verify-theorem", "--max-alphabet", "101"],
         ["exit-chart", "--node", "", "--mi-grid", "0:0:1"],
@@ -181,6 +163,9 @@ class TestErrorContract:
         # counts past numpy's integer range
         ["train-minsum", "--bins", "9223372036854775808", "--samples", "10"],
         ["exit-chart", "--size", "4", "--trials", "100000000000000000000", "--mi-grid", "1:1:1"],
+        ["train-minsum", "--degree", "100000000000000000000", "--sigmas", "1", "--samples", "10"],
+        # a branch count below one
+        ["train-minsum", "--degree", "0", "--sigmas", "1", "--samples", "10"],
     ], ids=" ".join)
     @pytest.mark.filterwarnings("error")  # a numpy warning is not an error line
     def test_bad_input_is_one_error_line(self, argv, tmp_path, capsys):
@@ -231,13 +216,21 @@ class TestErrorContract:
          "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
         (["solve", "--size", "4", "--puzzle"], "123", "expected 4x4 grid, got 3 symbols"),
         (["eval-minsum", "--samples", "10", "--table"], json.dumps(INPUT_FILES["nospec.json"]),
-         "minsum bin_spec needs an integer 'num_bins', half the table's bins, "
-         "and a number 'max_magnitude'"),
+         "table needs a non-empty, even-length 'bins' list of objects "
+         "with a non-negative integer 'count'"),
+        (["eval-minsum", "--samples", "10", "--table"], json.dumps(INPUT_FILES["v1table.json"]),
+         "unsupported table version 1"),
+        *[(argv, NOT_UTF8, "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte")
+          for argv in (["eval-minsum", "--samples", "10", "--table"],
+                       ["solve", "--size", "4", "--node", "corrected", "--alpha-table"],
+                       ["solve", "--size", "4", "--puzzle"])],
     ], ids=["eval-minsum --samples 10 --table", "solve --size 4 --node corrected --alpha-table",
-            "solve --size 4 --puzzle", "eval-minsum --table nospec.json"])
+            "solve --size 4 --puzzle", "eval-minsum --table nospec.json",
+            "eval-minsum --table v1table.json", "eval-minsum --table not-utf-8",
+            "solve --alpha-table not-utf-8", "solve --puzzle not-utf-8"])
     def test_a_malformed_input_file_is_named(self, argv, text, message, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text(text)
+        bad.write_bytes(text if isinstance(text, bytes) else text.encode())
         assert run(argv + [str(bad)]) == 1
         assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
@@ -248,6 +241,9 @@ class TestErrorContract:
          "--snr-list", "8,,10"],
         ["train-sudoku-alpha", "--size", "4", "--batch", "2", "--budget", "20",
          "--snr-list", "8,,10"],
+        ["exit-chart", "--size", "4", "--mi-grid", "1:1:1", "--trials", "2",
+         "--node", "exact,,approx"],
+        ["exit-chart", "--size", "4", "--mi-grid", "1:1:1", "--trials", "2", "--node", "exact,"],
     ], ids=" ".join)
     def test_an_empty_list_item_names_its_flag(self, argv, capsys):
         # an empty item is not dropped: "1,,1,1" is no list of three sigmas
@@ -296,7 +292,9 @@ class TestErrorContract:
         ["exit-chart", "--trials"],
         ["train-minsum", "--samples"],
         ["train-minsum", "--bins"],
+        ["train-minsum", "--degree"],
         ["eval-minsum", "--table", "t.json", "--samples"],
+        ["eval-minsum", "--table", "t.json", "--degree"],
         ["solve", "--iters"],
         ["train-sudoku-alpha", "--batch"],
         ["train-sudoku-alpha", "--budget"],
@@ -308,6 +306,16 @@ class TestErrorContract:
             build_parser().parse_args(argv + [str(2**63)])
         assert exc.value.code == 1
         assert f"rolemodel {argv[0]}: error: argument {argv[-1]}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["train-minsum"], ["eval-minsum", "--table", "@table.json"],
+    ], ids=" ".join)
+    def test_a_degree_past_the_sigmas_fails_on_their_count(self, argv, flag_dir, capsys):
+        # the sigma count bounds the batch's size check, and simulate_batch
+        # rejects the mismatch before it allocates anything
+        argv = [str(flag_dir / a[1:]) if a.startswith("@") else a for a in argv]
+        assert run(argv + ["--degree", str(2**62), "--sigmas", "1", "--samples", "10"]) == 1
+        assert capsys.readouterr().err == f"error: need {2**62} sigmas, got 1\n"
 
     def test_zero_iterations_leave_the_channel_decisions(self, tmp_path):
         out = tmp_path / "solve.json"
@@ -348,22 +356,24 @@ GRAMMAR = {
 CSV_OUT = {"verify-theorem", "eval-minsum", "exit-chart"}
 #: Bad values by the kind of value a flag takes: nan, +-inf, 0, -1, empty,
 #: malformed lists, three-element lists with one bad element (the base runs
-#: have three branches), and JSON files of the wrong kind (an n = 9 alpha
-#: table, an n = 4 one without alphas, a bare list, and the min-sum table
-#: off its flag).
+#: have three branches), and files of the wrong kind (an n = 9 alpha table,
+#: an n = 4 one without alphas, a bare list, the min-sum table off its flag,
+#: a min-sum table of format version 1, and bytes that are not UTF-8).
 SCALAR = ["nan", "inf", "-inf", "0", "-1", ""]
 BAD_VALUES = {
     "number": SCALAR,
     "list": SCALAR + [",", "1,,x", "1:2"] + [f"{v},1,1" for v in SCALAR if v],
     "grid": SCALAR + ["1:2", "nan:1:1", "0:1:0"],
-    "file": ["", "nan", "@alphas9.json", "@n4.json", "@list.json", "@table.json"],
+    "file": ["", "nan", "@alphas9.json", "@n4.json", "@list.json", "@table.json",
+             "@v1table.json", "@latin.json"],
 }
 HUGE_VALUES = {"number": ["1e308", "9" * 30], "list": ["1e308", "1e308,1,1"],
                "grid": ["0:1e308:1"], "file": []}
 FLAG_KINDS = {"--sigmas": "list", "--snr-list": "list", "--node": "list", "--mi-grid": "grid",
               "--table": "file", "--alpha-table": "file", "--puzzle": "file"}
 FLAG_FILES = {"alphas9.json": {"version": 1, "n": 9, "alphas": [0.5] * 9},
-              "n4.json": {"n": 4}, "list.json": [1, 2, 3]}
+              "n4.json": {"n": 4}, "list.json": [1, 2, 3],
+              "v1table.json": INPUT_FILES["v1table.json"], "latin.json": NOT_UTF8}
 NON_FINITE = re.compile(r"\b(nan|-?inf(inity)?)\b", re.IGNORECASE)
 
 
@@ -386,7 +396,7 @@ def bad_argv(draw):
 def flag_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("flags")
     for name, doc in FLAG_FILES.items():
-        (root / name).write_text(json.dumps(doc))
+        (root / name).write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
     assert main(["train-minsum", "--samples", "50", "--bins", "4", "--quiet",
                  "--out", str(root / "table.json")]) == 0
     return root
@@ -478,8 +488,8 @@ class TestMinsumCommands:
         assert run(["train-minsum", "--samples", "4000", "--bins", "16",
                     "--seed", "2", "--out", str(table), "--quiet"]) == 0
         doc = json.loads(table.read_text())
-        assert doc["version"] == 1
-        assert doc["q"] == 2
+        assert set(doc) == {"version", "bins"}
+        assert doc["version"] == 2
         assert len(doc["bins"]) == 32
         assert sum(b["count"] for b in doc["bins"]) == 4000
 

@@ -7,7 +7,6 @@ from rolemodel.errors import DimensionMismatch, ZeroMassAtTruth
 from rolemodel.probs import (DEFAULT_FLOOR, divergence_rows, entropy_rows, floor_rows,
                              llrs_to_dists, log2_masked, soft_mi)
 from rolemodel.rng import make_rng
-from rolemodel.train import PostTable
 
 from oracles import divergence_row
 
@@ -182,22 +181,7 @@ class TestSoftMi:
 
 
 class TestDistribution:
-    """Checks on one pmf row: the fallback validation of PostTable, and floor_rows."""
-
-    def test_normalize_idempotent(self):
-        # the fallback is divided by its sum, and a second pass changes no bit
-        rng = make_rng(105)
-        w = rng.random(6)
-        once = PostTable(1, 6, fallback=w / w.sum()).fallback
-        assert np.array_equal(PostTable(1, 6, fallback=once).fallback, once)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            PostTable(1, 2, fallback=np.array([-0.1, 1.1]))
-
-    def test_rejects_bad_sum(self):
-        with pytest.raises(ValueError):
-            PostTable(1, 2, fallback=np.array([0.5, 0.6]))
+    """Checks on one pmf row: floor_rows."""
 
     def test_floor_keeps_normalization(self):
         d = floor_rows(np.eye(4)[2], 1e-9)

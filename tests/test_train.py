@@ -64,20 +64,13 @@ class TestIngestFinalize:
             t.ingest_batch(sample([0.25, 0.75], 0))
         assert np.allclose(t.finalize()[0], [0.25, 0.75], atol=1e-14)
 
-    def test_empty_table_returns_fallback(self):
-        t = PostTable(num_bins=3, alphabet_size=4, fallback=[0.1, 0.2, 0.3, 0.4])
-        out = t.finalize()
-        assert np.allclose(out, np.tile([0.1, 0.2, 0.3, 0.4], (3, 1)))
-
-    def test_default_fallback_uniform(self):
-        t = PostTable(num_bins=2, alphabet_size=5)
-        assert np.allclose(t.finalize(), 0.2)
-
-    @pytest.mark.parametrize("fallback", [[0.5, np.nan], [0.5, np.inf], [1.0], [[0.5, 0.5]]],
-                             ids=["nan", "inf", "short", "2-d"])
-    def test_fallback_must_be_a_finite_row_of_q(self, fallback):
-        with pytest.raises(ValueError):
-            PostTable(num_bins=2, alphabet_size=2, fallback=fallback)
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_default_fallback_uniform(self, q):
+        # the empty bins 0 and 2 finalize to the uniform row, bitwise
+        t = PostTable(num_bins=3, alphabet_size=q)
+        t.ingest_batch(sample(np.eye(q)[0], 1))
+        assert np.array_equal(t.finalize(), np.stack([np.full(q, 1 / q), np.eye(q)[0],
+                                                      np.full(q, 1 / q)]))
 
     def test_bin_out_of_range(self):
         t = PostTable(num_bins=2, alphabet_size=2)
@@ -209,39 +202,46 @@ class TestSerialization:
     QUANT = ZQuantizer(num_bins=1)
 
     def doc(self):
-        return _table_doc(new_table(self.QUANT), self.QUANT)
+        return _table_doc(new_table(self.QUANT))
 
     def test_json_round_trip(self):
         rng = make_rng(209)
         t = new_table(self.QUANT)
         t.ingest_batch(SampleBatch(rng.dirichlet(np.ones(2), size=30), rng.integers(0, 2, 30)))
-        back, quant = _table_from_json(json.dumps(_table_doc(t, self.QUANT)))
+        back, quant = _table_from_json(json.dumps(_table_doc(t)))
         assert np.array_equal(back.counts, t.counts)
         assert np.array_equal(back.sums, t.sums)
         assert quant == self.QUANT
         assert np.allclose(back.finalize(), t.finalize())
 
-    def test_json_version_guard(self):
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_json_version_guard(self, version):
+        # version 1 carried q, a bin spec and a fallback row; this reader takes none
         doc = self.doc()
-        doc["version"] = 99
-        with pytest.raises(ValueError, match="unsupported table version 99"):
+        doc["version"] = version
+        with pytest.raises(ValueError, match=f"unsupported table version {version}"):
             _table_from_json(json.dumps(doc))
 
+    def test_the_document_is_its_bins(self):
+        assert self.doc() == {"version": 2, "bins": [{"count": 0, "sum": [0.0, 0.0]}] * 2}
+
     def test_alpha_json_is_not_a_table(self):
-        # an alpha table from train-sudoku-alpha carries the same version field
-        doc = {"version": 1, "n": 9, "alphas": [0.5] * 9}
+        # an alpha table of a later format may carry the table's version number
+        doc = {"version": 2, "n": 9, "alphas": [0.5] * 9}
         with pytest.raises(ValueError, match="'bins'"):
             _table_from_json(json.dumps(doc))
 
-    # each bad bins list has the two bins that num_bins = 1 asks for, so only
-    # the violation itself can fail the load
+    # each bad bins list but the first two has an even length, so only the
+    # violation itself can fail the load
     @pytest.mark.parametrize("key, value", [
-        ("q", "2"), ("bins", []), ("bin_spec", None), ("fallback", [0.5, float("nan")]),
+        ("bins", []), ("bins", [{"sum": [0.5, 0.5], "count": 1}] * 3),
         ("bins", [{"sum": [0.5, 0.5]}] * 2), ("bins", [{"sum": [0.5], "count": 1}] * 2),
+        ("bins", [{"sum": [0.5, 0.5, 0.0], "count": 1}] * 2),
+        ("bins", [{"sum": [0.5, float("nan")], "count": 1}] * 2),
         ("bins", [{"sum": [-0.5, 1.5], "count": 1}] * 2),
         ("bins", [{"sum": [0.0, 0.0], "count": 1}] * 2),
-    ], ids=["q-string", "bins-empty", "bin_spec-null", "fallback-nan", "bin-no-count",
-            "bin-short-sum", "bin-negative-sum", "bin-count-without-mass"])
+    ], ids=["bins-empty", "bins-odd", "bin-no-count", "bin-short-sum", "bin-ternary-sum",
+            "bin-nan-sum", "bin-negative-sum", "bin-count-without-mass"])
     def test_json_schema_violations(self, key, value):
         doc = self.doc()
         _table_from_json(json.dumps(doc))  # the unaltered document loads
