@@ -210,34 +210,44 @@ def _table_from_json(text: str) -> tuple[PostTable, minsum.ZQuantizer]:
     table = minsum.new_table(quant)
     table.sums[:] = [_finite_row(e.get("sum"), 2, f"sum of bin {b}") for b, e in enumerate(bins)]
     table.counts[:] = [e["count"] for e in bins]
-    if np.any(table.sums < 0) or np.any((table.counts > 0) & (table.sums.sum(axis=1) <= 0)):
-        raise ValueError("table bin sums must be non-negative, and positive where the count is")
+    # each posterior entry is at most 1, so a trained sum never passes its count
+    if (np.any(table.sums < 0) or np.any(table.sums > table.counts[:, None])
+            or np.any((table.counts > 0) & (table.sums.sum(axis=1) <= 0))):
+        raise ValueError("table bin sums must lie in [0, count], and be positive where the count is")
     return table, quant
+
+
+def _draw_minsum(args, quant: minsum.ZQuantizer) -> minsum.BatchSums:
+    """The sums of the run's draws, added up one block at a time as they are drawn.
+
+    The sums, their table too, are allocated before the first draw. The
+    run's one array of n rows is the (n, d) uint8 bits, so --samples needs
+    n * d bytes; d is the sigma count, checked against --degree first.
+    """
+    _addressable("--samples", args.samples, args.samples * len(args.sigmas))
+    sums = minsum.BatchSums(quant.total_bins)
+    for block in minsum.simulate_blocks(args.degree, args.sigmas, args.samples, args.seed, quant):
+        sums.add(block)
+    return sums
 
 
 def _run_train_minsum(args) -> int:
     quant = minsum.ZQuantizer(num_bins=args.bins)
     _addressable("--bins", args.bins, quant.total_bins * 2 * 8)  # the (2b, 2) float64 sums
-    # the batch's bits and arrays, d + 40 bytes a sample; d is the sigma count (checked first)
-    _addressable("--samples", args.samples, args.samples * (len(args.sigmas) + 40))
-    batch = minsum.simulate_batch(args.degree, args.sigmas, args.samples, args.seed, quant)
-    table = minsum.new_table(quant)
-    table.ingest_batch(batch)
+    sums = _draw_minsum(args, quant)
     if args.out:
-        _save_json(args.out, _table_doc(table))
-    report = minsum.evaluate_table(table, batch)
-    _say(args, f"trained {len(batch)} samples into {quant.total_bins} bins; "
+        _save_json(args.out, _table_doc(sums.table))
+    report = sums.report(sums.table.finalize())
+    _say(args, f"trained {report.count} samples into {quant.total_bins} bins; "
                f"training-batch {report.summary()}")
     return 0
 
 
 def _run_eval_minsum(args) -> int:
     table, quant = _load(args.table, _table_from_json)
-    _addressable("--samples", args.samples, args.samples * (len(args.sigmas) + 40))
-    batch = minsum.simulate_batch(args.degree, args.sigmas, args.samples, args.seed, quant)
-    report = minsum.evaluate_table(table, batch)
+    final = table.finalize()
+    report = _draw_minsum(args, quant).report(final)
     if args.out:
-        final = table.finalize()
         rows = [[b, int(table.counts[b])] + [repr(float(v)) for v in final[b]]
                 for b in range(table.num_bins)]
         _save_csv(args.out, ["bin", "count", "q0", "q1"], rows, args.seed)

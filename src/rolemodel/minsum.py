@@ -5,20 +5,24 @@ estimated is the XOR of the branch bits. The reference estimator combines
 exact branch LLRs with the tanh rule; the estimator in training sees only
 the min-sum statistic (min magnitude, sign product), quantized into bins.
 Training data comes from BPSK over AWGN with per-branch noise levels, so
-the unequal-variance case is a first-class input.
+the unequal-variance case is a first-class input. It is drawn one block at
+a time (``simulate_blocks``), and ``BatchSums`` adds up each block's share
+of a table and its scores as it is drawn.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BinOutOfRange, DimensionMismatch, ZeroMassAtTruth
+from .errors import AbsoluteContinuityViolation, BinOutOfRange, DimensionMismatch, ZeroMassAtTruth
 from .probs import DEFAULT_FLOOR, floor_rows, llrs_to_dists, soft_mi, square_is_normal
 from .rng import make_rng
-from .train import BLOCK, PostTable, SampleBatch, empirical_ed, plogp_sum
+# empirical_ed is not called here: perfbench/spans.py traces it under this module's name
+from .train import BLOCK, PostTable, SampleBatch, ed_from_sums, empirical_ed, plogp_sum  # noqa: F401
 
 #: Finite LLRs saturate here before entering tanh; tanh(38/2) is still
 #: strictly below 1 in double precision, keeping atanh finite.
@@ -75,9 +79,10 @@ class ZQuantizer:
         if np.any(mag < 0):
             raise BinOutOfRange("negative magnitude")
         width = MAX_MAGNITUDE / self.num_bins
-        # clamp before the divide (no overflow) and before the cast
-        idx = np.minimum(np.minimum(mag, MAX_MAGNITUDE) / width, self.num_bins - 1)
-        idx = idx.astype(int)
+        # clamp the magnitude before the divide (no overflow) and before the
+        # cast; clamp the index in integers, where num_bins - 1 is exact
+        idx = (np.minimum(mag, MAX_MAGNITUDE) / width).astype(int)
+        np.minimum(idx, self.num_bins - 1, out=idx)
         return idx + self.num_bins * (np.asarray(signs) < 0)
 
 
@@ -89,9 +94,9 @@ class MinsumBatch(SampleBatch):
         self.minsum_llrs = np.asarray(minsum_llrs, dtype=float)
 
 
-def simulate_batch(d: int, sigmas, n: int, seed: int,
-                   quantizer: ZQuantizer | None = None) -> MinsumBatch:
-    """Draw n check-node trials and pair reference posteriors with Z bins.
+def simulate_blocks(d: int, sigmas, n: int, seed: int,
+                    quantizer: ZQuantizer | None = None) -> Iterator[MinsumBatch]:
+    """Draw n check-node trials, ``BLOCK`` at a time, pairing reference posteriors with Z bins.
 
     Each trial draws d independent branch bits, observes them over BPSK/AWGN
     with the given per-branch sigmas (exact branch LLR 2y/sigma^2), and
@@ -99,11 +104,11 @@ def simulate_batch(d: int, sigmas, n: int, seed: int,
     min-sum statistic. Deterministic for a given seed: all n*d bits come
     first and then all n*d normals, from ``make_rng(seed, 1)``. The bits are
     drawn ``BLOCK`` rows at a time into one (n, d) uint8 array; then each
-    block draws its normals into one (``BLOCK``, d) buffer and runs column
-    by column, writing into the returned arrays. Chunked draws advance the
-    stream exactly as the whole-array calls would, so the batch is bitwise
-    the same; it needs n*d bytes of bits, 40 bytes per sample of returned
-    arrays, and the block buffers.
+    block draws its normals into one (``BLOCK``, d) buffer, runs column by
+    column and is yielded as a MinsumBatch of views into block buffers, which
+    the next block overwrites. Chunked draws advance the stream exactly as
+    the whole-array calls would. A pass needs the n*d bytes of bits and the
+    block buffers. The arguments are checked here, before any draw.
     """
     if n < 1:
         raise ValueError("need at least one trial")
@@ -112,18 +117,23 @@ def simulate_batch(d: int, sigmas, n: int, seed: int,
         raise ValueError(f"need {d} sigmas, got {sig.size}")
     if d < 1 or not np.all(square_is_normal(sig)):
         raise ValueError("need one positive sigma per branch, its square a finite normal float")
-    quantizer = quantizer or ZQuantizer()
+    return _draw_blocks(sig, n, seed, quantizer or ZQuantizer())
+
+
+def _draw_blocks(sig: np.ndarray, n: int, seed: int,
+                 quantizer: ZQuantizer) -> Iterator[MinsumBatch]:
+    d = sig.size
     rng = make_rng(seed, 1)
     bits = np.empty((n, d), dtype=np.uint8)
     for start in range(0, n, BLOCK):
         stop = min(start + BLOCK, n)
         bits[start:stop] = rng.integers(0, 2, size=(stop - start, d))
     sig2 = sig**2
-    posteriors = np.empty((n, 2))
-    bins = np.empty(n, dtype=int)
-    truths = np.empty(n, dtype=np.int64)
-    minsum_llrs = np.empty(n)
     rows = min(n, BLOCK)
+    posteriors = np.empty((rows, 2))
+    bins = np.empty(rows, dtype=int)
+    truths = np.empty(rows, dtype=np.int64)
+    minsum_llrs = np.empty(rows)
     noise_rows = np.empty((rows, d))
     llrs = np.empty((d, rows))  # one block of LLRs, branch j contiguous in llrs[j]
     tmp_rows = np.empty(rows)
@@ -132,7 +142,7 @@ def simulate_batch(d: int, sigmas, n: int, seed: int,
         stop = min(start + BLOCK, n)
         m = stop - start
         noise = rng.standard_normal(out=noise_rows[:m])
-        mins, parity = minsum_llrs[start:stop], truths[start:stop]
+        mins, parity = minsum_llrs[:m], truths[:m]
         tmp, odd = tmp_rows[:m], odd_rows[:m]
         mins.fill(np.inf)
         parity.fill(0)
@@ -151,12 +161,30 @@ def simulate_batch(d: int, sigmas, n: int, seed: int,
             np.minimum(mins, tmp, out=mins)
             odd ^= col < 0.0
             parity ^= bits[start:stop, j]
-        llrs_to_dists(tanh_rule_rows(llrs[:, :m].T), out=posteriors[start:stop])
+        llrs_to_dists(tanh_rule_rows(llrs[:, :m].T), out=posteriors[:m])
         signs = 1.0 - 2.0 * odd
-        bins[start:stop] = quantizer.bin_indices(mins, signs)
+        bins[:m] = quantizer.bin_indices(mins, signs)
         mins *= signs
-    return MinsumBatch(posteriors=posteriors, bins=bins, truths=truths,
-                       minsum_llrs=minsum_llrs)
+        yield MinsumBatch(posteriors[:m], bins[:m], parity, mins)
+
+
+def simulate_batch(d: int, sigmas, n: int, seed: int,
+                   quantizer: ZQuantizer | None = None) -> MinsumBatch:
+    """The n trials of :func:`simulate_blocks`, copied into one batch.
+
+    Needs the n*d bytes of bits, 40 bytes per sample of returned arrays,
+    and the block buffers.
+    """
+    blocks = simulate_blocks(d, sigmas, n, seed, quantizer)
+    batch = MinsumBatch(np.empty((n, 2)), np.empty(n, dtype=int), np.empty(n, dtype=np.int64),
+                        np.empty(n))
+    for start, block in zip(range(0, n, BLOCK), blocks):
+        rows = slice(start, start + len(block))
+        batch.posteriors[rows] = block.posteriors
+        batch.bins[rows] = block.bins
+        batch.truths[rows] = block.truths
+        batch.minsum_llrs[rows] = block.minsum_llrs
+    return batch
 
 
 def new_table(quantizer: ZQuantizer) -> PostTable:
@@ -177,47 +205,124 @@ class EvalReport:
         )
 
 
-def _soft_mi_from_counts(q: np.ndarray, bins: np.ndarray, truths: np.ndarray) -> float:
-    """``soft_mi(truths, q[bins])``, from (bin, truth) pair counts taken a block at a time."""
-    num_bins, alphabet = q.shape
-    if truths.min() < 0 or truths.max() >= alphabet:  # would alias another bin's pair
-        raise DimensionMismatch(f"truths must lie in [0, {alphabet})")
-    counts = np.zeros(num_bins * alphabet, dtype=np.int64)
-    for start in range(0, bins.size, BLOCK):
-        pair = bins[start:start + BLOCK] * alphabet
-        pair += truths[start:start + BLOCK]
-        counts += np.bincount(pair, minlength=counts.size)
-    try:
-        return soft_mi(np.tile(np.arange(alphabet), num_bins), np.repeat(q, alphabet, axis=0),
-                       weights=counts)
-    except ZeroMassAtTruth as exc:
-        # name the first sample whose pair has zero mass, as a per-sample call would
-        bad = (counts > 0) & (q.ravel() == 0)
-        raise ZeroMassAtTruth(int(np.flatnonzero(bad[bins * alphabet + truths])[0])) from exc
+#: The first-sample index of a key that no sample has had yet.
+_UNSEEN = np.iinfo(np.int64).max
+
+
+def _note_first(first: np.ndarray, keys: np.ndarray, hit, offset: int) -> None:
+    """For each key ``first`` holds no row of yet, record ``offset`` plus its first row where ``hit`` holds."""
+    new = hit & (first[keys] == _UNSEEN)
+    if new.any():
+        rows = np.flatnonzero(new)
+        np.minimum.at(first, keys[rows], offset + rows)
+
+
+class BatchSums:
+    """What an :class:`EvalReport` needs of a min-sum batch, added up one block at a time.
+
+    ``add`` takes the batch's blocks in order, all but the last of exactly
+    ``BLOCK`` rows, so each sum is taken on the block boundaries of a
+    whole-batch pass and keeps its bits: ``table``, the batch's own
+    PostTable (per-bin posterior sums, added in place in sample order, and
+    counts); sum p log2 p; the baseline's cross term; and the (bin, truth)
+    pair counts. To name the first sample of a failed score, it keeps for
+    each (bin, symbol) with posterior mass, and for each (bin, truth) pair
+    seen, the index of the first sample that has it. Nothing is kept per
+    sample. Posteriors are pmf rows, so a bin's sum has mass at a symbol
+    exactly where one of its rows does.
+    """
+
+    def __init__(self, num_bins: int):
+        self.table = PostTable(num_bins, 2)
+        self.count = 0
+        self.plogp = 0.0
+        self.cross = 0.0
+        self.pairs = np.zeros(self.table.sums.size, dtype=np.int64)
+        self.first_mass = np.full((2, num_bins), _UNSEEN)  # a row per symbol: 1-D gathers
+        self.first_pair = np.full(self.table.sums.size, _UNSEEN)
+        self.massed = self.paired = 0  # (bin, symbol) entries with mass; (bin, truth) pairs seen
+        self.truths_in_range = True
+        self.scored_truths = True
+
+    def add(self, block: MinsumBatch) -> None:
+        """Add the batch's next block: its next ``BLOCK`` rows, or all that are left."""
+        post, bins = block.posteriors, block.bins
+        if not len(block):
+            return
+        if post.shape[1] != 2:
+            raise DimensionMismatch("table alphabet differs from sample alphabet")
+        if bins.min() < 0 or bins.max() >= self.table.num_bins:
+            raise BinOutOfRange("sample statistic not covered by the table")
+        self.table.ingest_batch(block)
+        massed = np.count_nonzero(self.table.sums)
+        if massed > self.massed:  # some (bin, symbol) has its first mass in this block
+            self.massed = massed
+            for x, first in enumerate(self.first_mass):
+                _note_first(first, bins, post[:, x] > 0, self.count)
+        self.plogp += plogp_sum(post)
+        baseline = floor_rows(llrs_to_dists(block.minsum_llrs), DEFAULT_FLOOR)
+        np.log2(baseline, out=baseline)
+        baseline *= post
+        self.cross += float(baseline.sum())
+        truths = block.truths
+        self.scored_truths &= truths is not None
+        if truths is not None and (truths.min() < 0 or truths.max() >= 2):
+            self.truths_in_range = False  # would alias another bin's pair
+        if self.scored_truths and self.truths_in_range:
+            pair = bins * 2
+            pair += truths
+            np.add.at(self.pairs, pair, 1)
+            paired = np.count_nonzero(self.pairs)
+            if paired > self.paired:  # some (bin, truth) pair is first seen in this block
+                self.paired = paired
+                _note_first(self.first_pair, pair, True, self.count)
+        self.count += len(block)
+
+    def report(self, q: np.ndarray) -> EvalReport:
+        """Score the batch on table rows q, one per bin, against the naive min-sum baseline.
+
+        The baseline treats the raw min-sum LLR as if it were the true LLR;
+        its rows are floored before the divergence, since extreme LLRs
+        produce exact zeros that the reference posteriors never have. Both
+        divergences share one sum p log2 p. Soft MI is scored from the
+        (bin, truth) pair counts, one weighted row per pair.
+        """
+        if not self.count:
+            raise ValueError("empty sample sequence")
+        q = np.asarray(q, dtype=float)
+        if q.ndim != 2 or q.shape[1] != 2:
+            raise DimensionMismatch("table alphabet differs from sample alphabet")
+        if q.shape[0] != self.table.num_bins:
+            raise DimensionMismatch(f"need {self.table.num_bins} table rows, got {q.shape[0]}")
+        sums = self.table.sums
+        bad = (sums > 0) & (q == 0)
+        if np.any(bad):
+            k = int(self.first_mass.T[bad].min())
+            raise AbsoluteContinuityViolation(f"sample {k}: table row is zero where posterior has mass")
+        ed = ed_from_sums(sums, q, self.plogp, self.count)
+        baseline = (self.plogp - self.cross) / self.count
+        return EvalReport(empirical_ed=ed, soft_mi=self._soft_mi(q) if self.scored_truths else math.nan,
+                          baseline_ed=baseline, count=self.count)
+
+    def _soft_mi(self, q: np.ndarray) -> float:
+        """``soft_mi(truths, q[bins])`` over the batch, from its (bin, truth) pair counts."""
+        if not self.truths_in_range:
+            raise DimensionMismatch("truths must lie in [0, 2)")
+        try:
+            return soft_mi(np.tile(np.arange(2), q.shape[0]), np.repeat(q, 2, axis=0),
+                           weights=self.pairs)
+        except ZeroMassAtTruth as exc:
+            # name the first sample whose pair has zero mass, as a per-sample call would
+            bad = (self.pairs > 0) & (q.ravel() == 0)
+            raise ZeroMassAtTruth(int(self.first_pair[bad].min())) from exc
 
 
 def evaluate_table(table: PostTable, batch: MinsumBatch) -> EvalReport:
-    """Score a trained table on a batch, against the naive min-sum baseline.
-
-    The baseline treats the raw min-sum LLR as if it were the true LLR; its
-    output rows are floored before the divergence since extreme LLRs
-    produce exact zeros that the reference posteriors never have. Both
-    divergences share one ``sum p log2 p`` over the batch; the baseline's
-    rows are built one block at a time. Soft MI is scored from the batch's
-    per-(bin, truth) counts, one row per pair, not from a per-sample gather.
-    """
-    q = table.finalize()
-    post = batch.posteriors
-    plogp = plogp_sum(post)
-    ed = empirical_ed(batch, q, plogp)
-    cross = 0.0
-    for start in range(0, post.shape[0], BLOCK):
-        stop = start + BLOCK
-        rows = floor_rows(llrs_to_dists(batch.minsum_llrs[start:stop]), DEFAULT_FLOOR)
-        np.log2(rows, out=rows)
-        rows *= post[start:stop]
-        cross += float(rows.sum())
-    baseline = (plogp - cross) / post.shape[0]
-    mi = math.nan if batch.truths is None else _soft_mi_from_counts(q, batch.bins, batch.truths)
-    return EvalReport(empirical_ed=ed, soft_mi=mi, baseline_ed=baseline, count=len(batch))
-
+    """Score a trained table on a batch: :class:`BatchSums` over its blocks, reported on the table."""
+    sums = BatchSums(table.num_bins)
+    for start in range(0, len(batch), BLOCK):
+        rows = slice(start, start + BLOCK)
+        sums.add(MinsumBatch(batch.posteriors[rows], batch.bins[rows],
+                             None if batch.truths is None else batch.truths[rows],
+                             batch.minsum_llrs[rows]))
+    return sums.report(table.finalize())

@@ -41,12 +41,10 @@ class SampleBatch:
         return self.bins.size
 
 
-def _bin_sums(bins: np.ndarray, posteriors: np.ndarray, num_bins: int) -> np.ndarray:
-    """(num_bins, q) sums of the posterior rows in each bin, added in place in sample order."""
-    sums = np.zeros((posteriors.shape[1], num_bins))
-    for x, row in enumerate(sums):
-        np.add.at(row, bins, posteriors[:, x])
-    return sums.T
+def _add_rows(sums: np.ndarray, bins: np.ndarray, posteriors: np.ndarray) -> None:
+    """Add each posterior row into ``sums[bin]``, in place and in sample order, a column at a time."""
+    for x in range(posteriors.shape[1]):
+        np.add.at(sums[:, x], bins, posteriors[:, x])
 
 
 def plogp_sum(posteriors: np.ndarray) -> float:
@@ -63,9 +61,9 @@ def plogp_sum(posteriors: np.ndarray) -> float:
 class PostTable:
     """Per-bin accumulator of reference posteriors.
 
-    Stores plain sums and counts (never running means), so successive
-    ``ingest_batch`` calls give the table of their concatenated batch, up
-    to the order of the floating-point additions; ``finalize`` turns each
+    Stores plain sums and counts (never running means), each sum added to
+    in sample order, so successive ``ingest_batch`` calls give bitwise the
+    table of their concatenated batch; ``finalize`` turns each
     non-empty bin into the average posterior and fills empty bins with the
     uniform row. Single-writer.
     """
@@ -79,14 +77,14 @@ class PostTable:
         self.counts = np.zeros(num_bins, dtype=np.int64)
 
     def ingest_batch(self, batch: SampleBatch) -> None:
-        """Order-independent bulk accumulation of a whole batch."""
+        """Add a batch's posterior rows to the sums, in place in sample order, and its bins to the counts."""
         if batch.posteriors.shape[1] != self.alphabet_size:
             raise DimensionMismatch("batch alphabet differs from table alphabet")
         if batch.bins.size and (batch.bins.min() < 0 or batch.bins.max() >= self.num_bins):
             bad = batch.bins[(batch.bins < 0) | (batch.bins >= self.num_bins)][0]
             raise BinOutOfRange(f"bin {bad} outside [0, {self.num_bins})")
-        self.sums += _bin_sums(batch.bins, batch.posteriors, self.num_bins)
-        self.counts += np.bincount(batch.bins, minlength=self.num_bins)
+        _add_rows(self.sums, batch.bins, batch.posteriors)
+        np.add.at(self.counts, batch.bins, 1)
 
     def finalize(self) -> np.ndarray:
         """Conditional table, one pmf row per bin (uniform where count = 0)."""
@@ -97,15 +95,14 @@ class PostTable:
         return out
 
 
-def empirical_ed(batch: SampleBatch, q: np.ndarray, plogp: float | None = None) -> float:
+def empirical_ed(batch: SampleBatch, q: np.ndarray) -> float:
     """Time-averaged divergence (bits) of sample posteriors from table rows q.
 
     (1/N) sum_k D(posterior_k || q[statistic_k]); the finite-N approximation
     of the expected divergence being minimized. Evaluated as
     (1/N) [sum_k sum_x p log2 p - sum_b sum_x S[b,x] log2 q[b,x]], where S
     holds the per-bin posterior sums, so the table term takes one log per
-    table entry. ``plogp`` is the first sum (:func:`plogp_sum`) when the
-    caller already has it.
+    table entry (:func:`ed_from_sums`).
     """
     q = np.asarray(q, dtype=float)
     post, bins = batch.posteriors, batch.bins
@@ -115,15 +112,23 @@ def empirical_ed(batch: SampleBatch, q: np.ndarray, plogp: float | None = None) 
         raise DimensionMismatch("table alphabet differs from sample alphabet")
     if bins.min() < 0 or bins.max() >= q.shape[0]:
         raise BinOutOfRange("sample statistic not covered by the table")
-    sums = _bin_sums(bins, post, q.shape[0])
-    mass = sums > 0
-    bad = mass & (q == 0)
+    sums = np.zeros(q.shape)
+    _add_rows(sums, bins, post)
+    bad = (sums > 0) & (q == 0)
     if np.any(bad):
         k = int(np.nonzero(((post > 0) & bad[bins]).any(axis=1))[0][0])
         raise AbsoluteContinuityViolation(f"sample {k}: table row is zero where posterior has mass")
-    if plogp is None:
-        plogp = plogp_sum(post)
-    return (plogp - float(np.sum(sums[mass] * np.log2(q[mass])))) / post.shape[0]
+    return ed_from_sums(sums, q, plogp_sum(post), post.shape[0])
+
+
+def ed_from_sums(sums: np.ndarray, q: np.ndarray, plogp: float, count: int) -> float:
+    """The empirical ED of ``count`` samples whose per-bin posterior sums are ``sums``.
+
+    (1/N) [``plogp`` - sum_b sum_x S[b,x] log2 q[b,x]], the table term over
+    the entries where S > 0; the caller has checked that q is positive there.
+    """
+    mass = sums > 0
+    return (plogp - float(np.sum(sums[mass] * np.log2(q[mass])))) / count
 
 
 @dataclass(frozen=True)

@@ -79,6 +79,9 @@ INPUT_FILES = {
     "booltable.json": {"version": True, "bins": [{"sum": [0.0, 0.0], "count": 0}] * 2},
     # a valid table but for its three-entry sums: min-sum tables are binary
     "ternary.json": {"version": 2, "bins": [{"sum": [0.0, 0.0, 0.0], "count": 0}] * 2},
+    # sums past their count, whose row sum overflows
+    "hugesum.json": {"version": 2, "bins": [{"count": 1, "sum": [1e308, 1e308]},
+                                            {"count": 0, "sum": [0, 0]}]},
 }
 
 
@@ -138,6 +141,7 @@ class TestErrorContract:
         ["eval-minsum", "--table", "@boolsum.json", "--samples", "10"],
         ["eval-minsum", "--table", "@booltable.json", "--samples", "10"],
         ["eval-minsum", "--table", "@strsum.json", "--samples", "10"],
+        ["eval-minsum", "--table", "@hugesum.json", "--samples", "10"],
         # counts past what the command can do, and lists that name nothing
         ["verify-theorem", "--max-alphabet", "101"],
         ["exit-chart", "--node", "", "--mi-grid", "0:0:1"],
@@ -192,22 +196,27 @@ class TestErrorContract:
         assert capsys.readouterr().err.startswith(f"error: snr {snr} dB gives no valid channel")
 
     @pytest.mark.parametrize("argv, allocating", [
-        (["train-minsum", "--samples", "100000000000"], "simulate_batch"),
-        (["train-minsum", "--bins", "100000000000"], "new_table"),
+        (["train-minsum", "--samples", "100000000000"], "simulate_blocks"),
+        (["train-minsum", "--bins", "100000000000"], "BatchSums"),
     ])
     def test_a_request_too_large_for_memory_is_one_error_line(self, argv, allocating, tmp_path,
                                                                monkeypatch, capsys):
         # whether a real multi-TiB request fails at once depends on the host's
-        # overcommit setting, so the allocating call raises as numpy's would
+        # overcommit setting, so the allocating call raises as numpy's would:
+        # simulate_blocks holds the bits, BatchSums the table. The table is
+        # allocated before the first draw, so neither request draws anything.
         def allocate(*args, **kwargs):
             raise MemoryError("Unable to allocate 2.91 TiB for an array")
 
+        draws = []
         monkeypatch.setattr(minsum, allocating, allocate)
+        monkeypatch.setattr(minsum, "make_rng", lambda *a: draws.append(a))
         out = tmp_path / "table.json"
         assert run(argv + ["--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err == "error: out of memory: Unable to allocate 2.91 TiB for an array\n"
         assert not out.exists()
+        assert draws == []
 
     @pytest.mark.parametrize("argv, text, message", [
         (["eval-minsum", "--samples", "10", "--table"], "{bad",
@@ -220,13 +229,16 @@ class TestErrorContract:
          "with a non-negative integer 'count'"),
         (["eval-minsum", "--samples", "10", "--table"], json.dumps(INPUT_FILES["v1table.json"]),
          "unsupported table version 1"),
+        (["eval-minsum", "--samples", "10", "--table"], json.dumps(INPUT_FILES["hugesum.json"]),
+         "table bin sums must lie in [0, count], and be positive where the count is"),
         *[(argv, NOT_UTF8, "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte")
           for argv in (["eval-minsum", "--samples", "10", "--table"],
                        ["solve", "--size", "4", "--node", "corrected", "--alpha-table"],
                        ["solve", "--size", "4", "--puzzle"])],
     ], ids=["eval-minsum --samples 10 --table", "solve --size 4 --node corrected --alpha-table",
             "solve --size 4 --puzzle", "eval-minsum --table nospec.json",
-            "eval-minsum --table v1table.json", "eval-minsum --table not-utf-8",
+            "eval-minsum --table v1table.json", "eval-minsum --table hugesum.json",
+            "eval-minsum --table not-utf-8",
             "solve --alpha-table not-utf-8", "solve --puzzle not-utf-8"])
     def test_a_malformed_input_file_is_named(self, argv, text, message, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -70,6 +70,12 @@ class TestQuantizer:
             bins = q.bin_indices(np.array([1e308, 0.0]), np.array([1.0, -1.0]))
         assert bins.tolist() == [2**40 - 1, 2**40]
 
+    def test_huge_bin_counts_clamp_in_integers(self):
+        # 2^62 - 1 is no float64; a float clamp would give the next sign's first bin
+        q = minsum.ZQuantizer(num_bins=2**62)
+        assert q.bin_indices([100.0], [1.0]).tolist() == [2**62 - 1]
+        assert q.bin_indices([100.0], [-1.0]).tolist() == [2**63 - 1]
+
     def test_negative_magnitude_rejected(self):
         q = minsum.ZQuantizer()
         with pytest.raises(BinOutOfRange):
@@ -146,6 +152,25 @@ class TestSimulateBatch:
         assert report.count == n
         assert peak <= 4 * 2**20
 
+    def test_commands_hold_the_bits_and_block_buffers(self, tmp_path):
+        # train-minsum and eval-minsum score each block as it is drawn: a run
+        # holds the (n, d) uint8 bits and at most 4 MiB beside them, where a
+        # whole batch would add 40 bytes a sample (24 MB at this n)
+        d, n = 6, 600_000
+        shape = ["--degree", str(d), "--sigmas", "0.6,0.8,1.0,1.2,1.4,1.6", "--quiet"]
+        table = tmp_path / "table.json"
+        assert main(["train-minsum", *shape, "--samples", "100", "--out", str(table)]) == 0
+        runs = [["train-minsum", "--out", str(table)],
+                ["eval-minsum", "--table", str(table), "--out", str(tmp_path / "eval.csv")]]
+        for argv in runs:
+            tracemalloc.start()
+            try:
+                assert main([*argv, *shape, "--samples", str(n)]) == 0
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= n * d + 4 * 2**20, argv[0]
+
     def test_seed_stability_of_training(self):
         # same-batch empirical ED agrees across seeds within 3 standard errors
         def ed_and_se(seed):
@@ -167,7 +192,8 @@ class TestMinsumBitsArePinned:
     """sha256 of the ``train-minsum --out`` JSON and the ``eval-minsum --out``
     CSV, over more than two blocks of samples. A change to the draw order,
     the blocked arithmetic or the table's persistence that moves any bit of
-    either file fails here. The stdout summary is not pinned."""
+    either file fails here. Each run's stdout summary, scored block by block
+    as the samples are drawn, must be the whole batch's ``evaluate_table``."""
 
     SAMPLES = 2 * minsum.BLOCK + 7  # n*d is odd at d = 3
     SIGMAS = {3: "1.0,1.0,1.0", 6: "0.6,0.8,1.0,1.2,1.4,1.6"}
@@ -183,16 +209,25 @@ class TestMinsumBitsArePinned:
     }
 
     @pytest.mark.parametrize("d, seed", sorted(DIGESTS))
-    def test_out_files(self, d, seed, tmp_path):
+    def test_out_files(self, d, seed, tmp_path, capsys):
         table, evaluated = tmp_path / "table.json", tmp_path / "eval.csv"
         shape = ["--degree", str(d), "--sigmas", self.SIGMAS[d], "--samples", str(self.SAMPLES)]
-        assert main(["train-minsum", *shape, "--seed", str(seed), "--out", str(table),
-                     "--quiet"]) == 0
+        assert main(["train-minsum", *shape, "--seed", str(seed), "--out", str(table)]) == 0
+        trained = capsys.readouterr().out
         assert main(["eval-minsum", "--table", str(table), *shape, "--seed", str(seed + 1),
-                     "--out", str(evaluated), "--quiet"]) == 0
+                     "--out", str(evaluated)]) == 0
+        scored = capsys.readouterr().out
         digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
                         for path in (table, evaluated))
         assert digests == self.DIGESTS[d, seed]
+        sigmas = [float(s) for s in self.SIGMAS[d].split(",")]
+        batch = minsum.simulate_batch(d, sigmas, self.SAMPLES, seed)
+        fit = minsum.new_table(minsum.ZQuantizer())
+        fit.ingest_batch(batch)
+        assert trained == (f"trained {self.SAMPLES} samples into 128 bins; training-batch "
+                           f"{minsum.evaluate_table(fit, batch).summary()}\n")
+        held = minsum.simulate_batch(d, sigmas, self.SAMPLES, seed + 1)
+        assert scored == minsum.evaluate_table(fit, held).summary() + "\n"
 
 
 class TestEvaluateTable:

@@ -1,10 +1,11 @@
 """Property tests of the blocked min-sum pipeline against its one-shot formula.
 
-``simulate_batch`` draws and works ``BLOCK`` rows at a time; these tests
-hold every returned array bitwise equal to the whole-array formula in
-``oracles``, for batch sizes on both sides of the block boundaries. That
-equality is what keeps ``train-minsum --out`` byte-identical. Runs are
-derandomized, so every run checks the same examples.
+``simulate_blocks`` draws and works ``BLOCK`` rows at a time, and
+``simulate_batch`` copies its blocks into one batch; these tests hold every
+array of both bitwise equal to the whole-array formula in ``oracles``, for
+batch sizes on both sides of the block boundaries. That equality is what
+keeps ``train-minsum --out`` byte-identical. Runs are derandomized, so every
+run checks the same examples.
 """
 
 import numpy as np
@@ -56,6 +57,23 @@ def test_blocked_batch_is_bitwise_the_one_shot_formula(shape, num_bins):
     assert_bitwise(batch.bins, bins)
     assert_bitwise(batch.truths, truths)
     assert_bitwise(batch.minsum_llrs, minsum_llrs)
+
+
+FIELDS = ("posteriors", "bins", "truths", "minsum_llrs")
+
+
+@PROPERTY
+@given(st.integers(1, 6), st.sampled_from([1, BLOCK - 1, BLOCK, 2 * BLOCK + 7]),
+       st.integers(0, 2**32 - 1), st.sampled_from(NUM_BINS))
+def test_concatenated_blocks_are_bitwise_the_batch(d, n, seed, num_bins):
+    sigmas = np.linspace(0.6, 1.6, d)
+    quantizer = minsum.ZQuantizer(num_bins)
+    blocks = [{name: getattr(block, name).copy() for name in FIELDS}  # the next block overwrites
+              for block in minsum.simulate_blocks(d, sigmas, n, seed, quantizer)]
+    assert [len(b["bins"]) for b in blocks] == [min(BLOCK, n - s) for s in range(0, n, BLOCK)]
+    batch = minsum.simulate_batch(d, sigmas, n, seed, quantizer)
+    for name in FIELDS:
+        assert_bitwise(np.concatenate([b[name] for b in blocks]), getattr(batch, name))
 
 
 @PROPERTY
