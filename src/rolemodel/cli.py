@@ -217,36 +217,42 @@ def _table_from_json(text: str) -> tuple[PostTable, minsum.ZQuantizer]:
     return table, quant
 
 
-def _draw_minsum(args, quant: minsum.ZQuantizer) -> minsum.BatchSums:
-    """The sums of the run's draws, added up one block at a time as they are drawn.
+def _draw_minsum(args, quant: minsum.ZQuantizer, scored: bool):
+    """The run's draws, added up one block at a time as they are drawn.
 
-    The sums, their table too, are allocated before the first draw. The
-    run's one array of n rows is the (n, d) uint8 bits, so --samples needs
-    n * d bytes; d is the sigma count, checked against --degree first.
+    Into a BatchSums if ``scored``, else into a bare table by
+    ``ingest_batch``, the call ``BatchSums.add`` makes; either is allocated
+    after the --samples check and before the first draw. The run's one
+    array of n rows is the (n, d) uint8 bits, so --samples needs n * d
+    bytes; d is the sigma count, checked against --degree first.
     """
     _addressable("--samples", args.samples, args.samples * len(args.sigmas))
-    sums = minsum.BatchSums(quant.total_bins)
+    sums = minsum.BatchSums(quant.total_bins) if scored else minsum.new_table(quant)
+    add = sums.add if scored else sums.ingest_batch
     for block in minsum.simulate_blocks(args.degree, args.sigmas, args.samples, args.seed, quant):
-        sums.add(block)
+        add(block)
     return sums
 
 
 def _run_train_minsum(args) -> int:
+    _addressable("--bins", args.bins, 2 * args.bins * 2 * 8)  # the (2b, 2) float64 sums
     quant = minsum.ZQuantizer(num_bins=args.bins)
-    _addressable("--bins", args.bins, quant.total_bins * 2 * 8)  # the (2b, 2) float64 sums
-    sums = _draw_minsum(args, quant)
+    # the training-batch scores are only printed, so a quiet run sums the table alone
+    sums = _draw_minsum(args, quant, scored=not args.quiet)
+    table = sums if args.quiet else sums.table
     if args.out:
-        _save_json(args.out, _table_doc(sums.table))
-    report = sums.report(sums.table.finalize())
-    _say(args, f"trained {report.count} samples into {quant.total_bins} bins; "
-               f"training-batch {report.summary()}")
+        _save_json(args.out, _table_doc(table))
+    if not args.quiet:
+        report = sums.report(table.finalize())
+        print(f"trained {report.count} samples into {quant.total_bins} bins; "
+              f"training-batch {report.summary()}")
     return 0
 
 
 def _run_eval_minsum(args) -> int:
     table, quant = _load(args.table, _table_from_json)
     final = table.finalize()
-    report = _draw_minsum(args, quant).report(final)
+    report = _draw_minsum(args, quant, scored=True).report(final)
     if args.out:
         rows = [[b, int(table.counts[b])] + [repr(float(v)) for v in final[b]]
                 for b in range(table.num_bins)]

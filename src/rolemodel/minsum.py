@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AbsoluteContinuityViolation, BinOutOfRange, DimensionMismatch, ZeroMassAtTruth
-from .probs import DEFAULT_FLOOR, floor_rows, llrs_to_dists, soft_mi, square_is_normal
+from .probs import DEFAULT_FLOOR, llrs_to_dists, soft_mi, square_is_normal
 from .rng import make_rng
 # empirical_ed is not called here: perfbench/spans.py traces it under this module's name
 from .train import BLOCK, PostTable, SampleBatch, ed_from_sums, empirical_ed, plogp_sum  # noqa: F401
@@ -69,6 +69,8 @@ class ZQuantizer:
     def __post_init__(self):
         if self.num_bins < 1:
             raise ValueError("need a positive bin count")
+        if self.num_bins > 2**62:  # the top bin index, 2 * num_bins - 1, must fit int64
+            raise ValueError(f"need at most 2^62 bins per sign, got {self.num_bins}")
 
     @property
     def total_bins(self) -> int:
@@ -217,6 +219,34 @@ def _note_first(first: np.ndarray, keys: np.ndarray, hit, offset: int) -> None:
         np.minimum.at(first, keys[rows], offset + rows)
 
 
+def _baseline_cross(llrs: np.ndarray, post: np.ndarray) -> float:
+    """sum_k sum_x p_k[x] log2 b_k[x] over a block, b_k the floored pmf row of min-sum LLR k.
+
+    Bitwise ``float((np.log2(floor_rows(llrs_to_dists(llrs), DEFAULT_FLOOR)) * post).sum())``
+    on two contiguous columns: each row's larger and smaller entry is floored,
+    divided by their sum (a 2-entry row's sum) and logged apart, then set in
+    (p0, p1) order, so the one sum over the (m, 2) block adds the same terms
+    in the same order.
+    """
+    lo = np.exp(-np.abs(llrs))
+    hi = 1.0 + lo
+    lo /= hi
+    np.divide(1.0, hi, out=hi)
+    np.maximum(hi, DEFAULT_FLOOR, out=hi)
+    np.maximum(lo, DEFAULT_FLOOR, out=lo)
+    tot = lo + hi
+    hi /= tot
+    lo /= tot
+    np.log2(hi, out=hi)
+    np.log2(lo, out=lo)
+    pos = llrs >= 0  # llrs_to_dists puts the larger entry at symbol 0 here
+    logs = np.empty(post.shape)
+    logs[:, 0] = np.where(pos, hi, lo)
+    logs[:, 1] = np.where(pos, lo, hi)
+    logs *= post
+    return float(logs.sum())
+
+
 class BatchSums:
     """What an :class:`EvalReport` needs of a min-sum batch, added up one block at a time.
 
@@ -260,10 +290,7 @@ class BatchSums:
             for x, first in enumerate(self.first_mass):
                 _note_first(first, bins, post[:, x] > 0, self.count)
         self.plogp += plogp_sum(post)
-        baseline = floor_rows(llrs_to_dists(block.minsum_llrs), DEFAULT_FLOOR)
-        np.log2(baseline, out=baseline)
-        baseline *= post
-        self.cross += float(baseline.sum())
+        self.cross += _baseline_cross(block.minsum_llrs, post)
         truths = block.truths
         self.scored_truths &= truths is not None
         if truths is not None and (truths.min() < 0 or truths.max() >= 2):

@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, ZeroMassAtTruth
 
-#: Floors, each applied by floor_rows (raise to the floor, renormalize):
+#: Floors, each applied by floor_rows (raise to the floor, renormalize),
+#: bitwise alike on the min-sum baseline's two columns:
 #: DEFAULT_FLOOR on rows that a divergence or soft MI scores (min-sum
 #: baseline, calibrate_sigma, EXIT mass at the truth, alpha objective);
 #: MESSAGE_FLOOR on sudoku BP and EXIT variable-node messages, so products

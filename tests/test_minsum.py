@@ -76,6 +76,13 @@ class TestQuantizer:
         assert q.bin_indices([100.0], [1.0]).tolist() == [2**62 - 1]
         assert q.bin_indices([100.0], [-1.0]).tolist() == [2**63 - 1]
 
+    def test_bin_counts_past_2_62_are_rejected(self):
+        # the top bin index, 2 * num_bins - 1, must be an int64
+        assert minsum.ZQuantizer(num_bins=2**62).total_bins == 2**63
+        for num_bins in (2**62 + 1, 2**63 - 1):
+            with pytest.raises(ValueError, match=r"need at most 2\^62 bins per sign"):
+                minsum.ZQuantizer(num_bins=num_bins)
+
     def test_negative_magnitude_rejected(self):
         q = minsum.ZQuantizer()
         with pytest.raises(BinOutOfRange):
@@ -228,6 +235,21 @@ class TestMinsumBitsArePinned:
                            f"{minsum.evaluate_table(fit, batch).summary()}\n")
         held = minsum.simulate_batch(d, sigmas, self.SAMPLES, seed + 1)
         assert scored == minsum.evaluate_table(fit, held).summary() + "\n"
+
+    @pytest.mark.parametrize("d, seed", sorted(DIGESTS))
+    def test_quiet_training_writes_the_table_unscored(self, d, seed, tmp_path, monkeypatch, capsys):
+        # --quiet prints no training-batch report, so the run never scores one
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a quiet train-minsum run scored its batch")
+
+        monkeypatch.setattr(minsum.BatchSums, "report", unreachable)
+        monkeypatch.setattr(minsum, "plogp_sum", unreachable)
+        table = tmp_path / "table.json"
+        assert main(["train-minsum", "--degree", str(d), "--sigmas", self.SIGMAS[d],
+                     "--samples", str(self.SAMPLES), "--seed", str(seed), "--out", str(table),
+                     "--quiet"]) == 0
+        assert capsys.readouterr().out == ""
+        assert hashlib.sha256(table.read_bytes()).hexdigest() == self.DIGESTS[d, seed][0]
 
 
 class TestEvaluateTable:

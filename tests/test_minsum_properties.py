@@ -4,8 +4,10 @@
 ``simulate_batch`` copies its blocks into one batch; these tests hold every
 array of both bitwise equal to the whole-array formula in ``oracles``, for
 batch sizes on both sides of the block boundaries. That equality is what
-keeps ``train-minsum --out`` byte-identical. Runs are derandomized, so every
-run checks the same examples.
+keeps ``train-minsum --out`` byte-identical. ``BatchSums`` scores the naive
+baseline on two columns, and its cross term is held bitwise equal to the
+row-wise floor of whole pmf rows. Runs are derandomized, so every run checks
+the same examples.
 """
 
 import numpy as np
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rolemodel import minsum
+from rolemodel.probs import DEFAULT_FLOOR, floor_rows, llrs_to_dists
 
 import oracles
 
@@ -82,3 +85,30 @@ def test_concatenated_blocks_are_bitwise_the_batch(d, n, seed, num_bins):
     elements=st.floats(min_value=-100.0, max_value=100.0))))
 def test_column_loop_tanh_rule_is_bitwise_the_row_reduction(llrs):
     assert_bitwise(minsum.tanh_rule_rows(llrs), oracles.tanh_rule_rows(llrs))
+
+
+#: LLRs at the edges of the baseline's rows: signed zeros, a pmf entry near
+#: the floor (27.6), an exact zero entry (745), and infinite LLRs, which
+#: tiny sigmas give.
+EDGE_LLRS = [0.0, -0.0, 27.6, -27.6, 745.0, -745.0, 1e20, -1e20, np.inf, -np.inf]
+
+
+@PROPERTY
+@example(BLOCK, 0.5, 0)
+@example(2 * BLOCK + 7, 0.01, 1)
+@given(st.sampled_from([1, 2, 7, 129, BLOCK - 1, BLOCK, 2 * BLOCK + 7]), st.floats(0.0, 1.0),
+       st.integers(0, 2**32 - 1))
+def test_baseline_cross_term_is_bitwise_the_floored_rows(n, edge_share, seed):
+    rng = np.random.default_rng(seed)
+    llrs = rng.normal(0.0, 8.0, n)
+    edge = rng.random(n) < edge_share
+    llrs[edge] = rng.choice(EDGE_LLRS, int(edge.sum()))
+    posteriors = llrs_to_dists(rng.normal(0.0, 8.0, n))
+    sums = minsum.BatchSums(1)
+    want = 0.0
+    for start in range(0, n, BLOCK):
+        rows = slice(start, start + BLOCK)
+        l, p = llrs[rows], posteriors[rows]
+        sums.add(minsum.MinsumBatch(p, np.zeros(len(l), dtype=int), None, l))
+        want += float((np.log2(floor_rows(llrs_to_dists(l), DEFAULT_FLOOR)) * p).sum())
+    assert_bitwise(np.float64(sums.cross), np.float64(want))
