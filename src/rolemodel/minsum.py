@@ -5,9 +5,12 @@ estimated is the XOR of the branch bits. The reference estimator combines
 exact branch LLRs with the tanh rule; the estimator in training sees only
 the min-sum statistic (min magnitude, sign product), quantized into bins.
 Training data comes from BPSK over AWGN with per-branch noise levels, so
-the unequal-variance case is a first-class input. It is drawn one block at
-a time (``simulate_blocks``), and ``BatchSums`` adds up each block's share
-of a table and its scores as it is drawn.
+the unequal-variance case is a first-class input. Both outputs depend on
+the branch bits only through their XOR, so a trial draws that one bit and
+works its branches in the all-+1 frame. It is drawn one block at a time
+(``simulate_blocks``), and ``BatchSums`` adds up each block's share of a
+table and its scores as it is drawn. Binary log-likelihood ratios are in
+natural-log units, ``llr = ln(p0 / p1)`` (positive favors symbol 0).
 """
 
 from __future__ import annotations
@@ -19,35 +22,37 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AbsoluteContinuityViolation, BinOutOfRange, DimensionMismatch, ZeroMassAtTruth
-from .probs import DEFAULT_FLOOR, llrs_to_dists, soft_mi, square_is_normal
+from .probs import DEFAULT_FLOOR, soft_mi, square_is_normal
 from .rng import make_rng
 # empirical_ed is not called here: perfbench/spans.py traces it under this module's name
 from .train import BLOCK, PostTable, SampleBatch, ed_from_sums, empirical_ed, plogp_sum  # noqa: F401
 
 #: Finite LLRs saturate here before entering tanh; tanh(38/2) is still
-#: strictly below 1 in double precision, keeping atanh finite.
+#: strictly below 1 in double precision.
 LLR_SATURATION = 38.0
-#: Largest double below 1; keeps atanh finite when saturated tanh rounds to 1.
+#: Largest double below 1: the tanh product is clipped to it, so both
+#: posterior entries (1 +- P) / 2 stay positive, the smaller at least 2^-54.
 _TANH_CEIL = math.nextafter(1.0, 0.0)
 
 
 def tanh_rule_rows(llrs: np.ndarray) -> np.ndarray:
-    """Vectorized tanh rule over finite LLR rows, shape (N, d) -> (N,).
+    """The tanh rule's product over finite LLR rows, shape (N, d) -> (N,).
 
-    Runs over the d columns, so its temporaries are (N,) vectors; the
-    product accumulates left to right, column 0 first.
+    P = prod_j tanh(l_j / 2), each l_j saturated at ``LLR_SATURATION`` and P
+    clipped to ``_TANH_CEIL`` in magnitude. The posterior of the XOR bit is
+    ((1 + P) / 2, (1 - P) / 2), its LLR 2 atanh P. Runs over the d columns,
+    so its temporaries are (N,) vectors; the product accumulates left to
+    right, column 0 first.
     """
     l = np.asarray(llrs, dtype=float)
     prod = np.ones(l.shape[0])
     t = np.empty(l.shape[0])
     for j in range(l.shape[1]):
         np.clip(l[:, j], -LLR_SATURATION, LLR_SATURATION, out=t)
-        t /= 2.0
+        t *= 0.5
         np.tanh(t, out=t)
         prod *= t
     np.clip(prod, -_TANH_CEIL, _TANH_CEIL, out=prod)
-    np.arctanh(prod, out=prod)
-    prod *= 2.0
     return prod
 
 
@@ -100,17 +105,20 @@ def simulate_blocks(d: int, sigmas, n: int, seed: int,
                     quantizer: ZQuantizer | None = None) -> Iterator[MinsumBatch]:
     """Draw n check-node trials, ``BLOCK`` at a time, pairing reference posteriors with Z bins.
 
-    Each trial draws d independent branch bits, observes them over BPSK/AWGN
-    with the given per-branch sigmas (exact branch LLR 2y/sigma^2), and
-    emits the tanh-rule posterior for the XOR bit alongside the quantized
-    min-sum statistic. Deterministic for a given seed: all n*d bits come
-    first and then all n*d normals, from ``make_rng(seed, 1)``. The bits are
-    drawn ``BLOCK`` rows at a time into one (n, d) uint8 array; then each
-    block draws its normals into one (``BLOCK``, d) buffer, runs column by
-    column and is yielded as a MinsumBatch of views into block buffers, which
-    the next block overwrites. Chunked draws advance the stream exactly as
-    the whole-array calls would. A pass needs the n*d bytes of bits and the
-    block buffers. The arguments are checked here, before any draw.
+    Each trial observes d branch bits over BPSK/AWGN with the given
+    per-branch sigmas (exact branch LLR 2y/sigma^2), and emits the tanh-rule
+    posterior for the XOR bit alongside the quantized min-sum statistic.
+    Both see the bits only through that XOR, the truth: flipping a bit and
+    its branch's noise negates that branch's LLR, and the noise law is
+    symmetric. So a trial draws its truth as one parity bit, and d normals.
+
+    Deterministic for a given seed. The normals are all n*d of
+    ``make_rng(seed, 1)`` in (n, d) row order. Parity k is bit k % 64, least
+    significant first, of raw word k // 64 of ``make_rng(seed, 1, 1)``,
+    whose counter differs in word 1, 2^64 Philox blocks away. Each block
+    draws its rows' normals and its ``BLOCK / 64`` words, so neither stream
+    depends on ``BLOCK``, and is yielded as a MinsumBatch of its own; a pass
+    holds no array of n rows. The arguments are checked here, before any draw.
     """
     if n < 1:
         raise ValueError("need at least one trial")
@@ -124,58 +132,60 @@ def simulate_blocks(d: int, sigmas, n: int, seed: int,
 
 def _draw_blocks(sig: np.ndarray, n: int, seed: int,
                  quantizer: ZQuantizer) -> Iterator[MinsumBatch]:
-    d = sig.size
-    rng = make_rng(seed, 1)
-    bits = np.empty((n, d), dtype=np.uint8)
+    normals, parity = (make_rng(seed, 1, word) for word in (0, 1))
     for start in range(0, n, BLOCK):
-        stop = min(start + BLOCK, n)
-        bits[start:stop] = rng.integers(0, 2, size=(stop - start, d))
-    sig2 = sig**2
-    rows = min(n, BLOCK)
-    posteriors = np.empty((rows, 2))
-    bins = np.empty(rows, dtype=int)
-    truths = np.empty(rows, dtype=np.int64)
-    minsum_llrs = np.empty(rows)
-    noise_rows = np.empty((rows, d))
-    llrs = np.empty((d, rows))  # one block of LLRs, branch j contiguous in llrs[j]
-    tmp_rows = np.empty(rows)
-    odd_rows = np.empty(rows, dtype=bool)
-    for start in range(0, n, BLOCK):
-        stop = min(start + BLOCK, n)
-        m = stop - start
-        noise = rng.standard_normal(out=noise_rows[:m])
-        mins, parity = minsum_llrs[:m], truths[:m]
-        tmp, odd = tmp_rows[:m], odd_rows[:m]
-        mins.fill(np.inf)
-        parity.fill(0)
-        odd.fill(False)
-        for j in range(d):
-            # llr = 2 * ((1 - 2 * bit) + sigma * noise) / sigma^2, one operation
-            # at a time in the order of the whole-array formula, so the bits agree
-            col = llrs[j, :m]
-            np.multiply(bits[start:stop, j], 2.0, out=col)
-            np.subtract(1.0, col, out=col)
-            np.multiply(noise[:, j], sig[j], out=tmp)
-            col += tmp
-            col *= 2.0
-            col /= sig2[j]
-            np.abs(col, out=tmp)
-            np.minimum(mins, tmp, out=mins)
-            odd ^= col < 0.0
-            parity ^= bits[start:stop, j]
-        llrs_to_dists(tanh_rule_rows(llrs[:, :m].T), out=posteriors[:m])
-        signs = 1.0 - 2.0 * odd
-        bins[:m] = quantizer.bin_indices(mins, signs)
-        mins *= signs
-        yield MinsumBatch(posteriors[:m], bins[:m], parity, mins)
+        m = min(BLOCK, n - start)  # BLOCK is a multiple of 64: only the last block ends mid-word
+        words = parity.bit_generator.random_raw(-(-m // 64)).astype("<u8", copy=False)
+        flips = np.unpackbits(words.view(np.uint8), count=m, bitorder="little")
+        yield _trials(sig, flips, normals.standard_normal((m, sig.size)), quantizer)
+
+
+def _trials(sig: np.ndarray, flips: np.ndarray, noise: np.ndarray,
+            quantizer: ZQuantizer) -> MinsumBatch:
+    """The trials of truths ``flips`` (m,), each 0 or 1, and branch noise ``noise`` (m, d).
+
+    Every branch is worked in the all-+1 frame, LLR 2 * (1 + sigma_j * n_j)
+    / sigma_j^2, one column and operation at a time in that order; the
+    truth then negates the tanh product P and the min-sum sign, and the
+    posterior is ((1 + P) / 2, (1 - P) / 2). On (XOR of the bits, noise
+    times each branch's 1 - 2 * bit) this is bitwise the per-branch formula
+    on (bits, noise), since IEEE sign flips are exact, wherever no branch's
+    (1 - 2 * bit) + sigma * noise is exactly 0 (an LLR of +0 counts as
+    positive there, but its bit still flips the sign here).
+    """
+    m = flips.size
+    llrs = np.empty((sig.size, m))  # branch j contiguous in llrs[j]
+    tmp = np.empty(m)
+    mins = np.full(m, np.inf)
+    flip = flips.astype(bool)
+    odd = flip.copy()
+    for j, s in enumerate(sig):
+        col = llrs[j]
+        np.multiply(noise[:, j], s, out=col)
+        col += 1.0
+        col *= 2.0
+        col /= s * s
+        np.abs(col, out=tmp)
+        np.minimum(mins, tmp, out=mins)
+        odd ^= col < 0.0
+    prod = tanh_rule_rows(llrs.T)
+    np.negative(prod, out=prod, where=flip)
+    posteriors = np.empty((m, 2))
+    posteriors[:, 0] = prod
+    np.negative(prod, out=posteriors[:, 1])
+    posteriors += 1.0
+    posteriors *= 0.5
+    signs = 1.0 - 2.0 * odd
+    bins = quantizer.bin_indices(mins, signs)
+    mins *= signs
+    return MinsumBatch(posteriors, bins, flips, mins)
 
 
 def simulate_batch(d: int, sigmas, n: int, seed: int,
                    quantizer: ZQuantizer | None = None) -> MinsumBatch:
     """The n trials of :func:`simulate_blocks`, copied into one batch.
 
-    Needs the n*d bytes of bits, 40 bytes per sample of returned arrays,
-    and the block buffers.
+    Needs the 40 bytes per sample of the returned arrays and one block's arrays.
     """
     blocks = simulate_blocks(d, sigmas, n, seed, quantizer)
     batch = MinsumBatch(np.empty((n, 2)), np.empty(n, dtype=int), np.empty(n, dtype=np.int64),
@@ -222,8 +232,10 @@ def _note_first(first: np.ndarray, keys: np.ndarray, hit, offset: int) -> None:
 def _baseline_cross(llrs: np.ndarray, post: np.ndarray) -> float:
     """sum_k sum_x p_k[x] log2 b_k[x] over a block, b_k the floored pmf row of min-sum LLR k.
 
-    Bitwise ``float((np.log2(floor_rows(llrs_to_dists(llrs), DEFAULT_FLOOR)) * post).sum())``
-    on two contiguous columns: each row's larger and smaller entry is floored,
+    The row of LLR l has the larger entry 1 / (1 + e^-|l|) and the smaller
+    e^-|l| / (1 + e^-|l|), the larger at symbol 0 where l >= 0. Bitwise
+    ``float((np.log2(floor_rows(rows, DEFAULT_FLOOR)) * post).sum())`` on two
+    contiguous columns: each row's larger and smaller entry is floored,
     divided by their sum (a 2-entry row's sum) and logged apart, then set in
     (p0, p1) order, so the one sum over the (m, 2) block adds the same terms
     in the same order.
@@ -239,7 +251,7 @@ def _baseline_cross(llrs: np.ndarray, post: np.ndarray) -> float:
     lo /= tot
     np.log2(hi, out=hi)
     np.log2(lo, out=lo)
-    pos = llrs >= 0  # llrs_to_dists puts the larger entry at symbol 0 here
+    pos = llrs >= 0  # the larger entry is at symbol 0 here
     logs = np.empty(post.shape)
     logs[:, 0] = np.where(pos, hi, lo)
     logs[:, 1] = np.where(pos, lo, hi)

@@ -2,9 +2,7 @@
 
 A pmf over symbol indices 0..q-1 is a numpy row; every kernel here works
 row-wise along the last axis, so one call covers a whole batch. All
-information quantities are in bits (log base 2). Binary log-likelihood
-ratios are finite floats in natural-log units with the convention
-``llr = ln(p0 / p1)`` (positive favors symbol 0).
+information quantities are in bits (log base 2).
 """
 
 from __future__ import annotations
@@ -67,27 +65,6 @@ def divergence_rows(p, q, *, _log_p=None) -> np.ndarray:
     log_p, support = (log2_masked(p), p > 0) if _log_p is None else _log_p
     logq = np.log2(q, out=np.zeros(np.broadcast_shapes(p.shape, np.shape(q))), where=support)
     return (p * (log_p - logq)).sum(axis=-1)
-
-
-def llrs_to_dists(llrs, out: np.ndarray | None = None) -> np.ndarray:
-    """Binary pmf rows (p0, p1) for finite ``llr = ln(p0/p1)``: (N,) -> (N, 2).
-
-    Writes the rows into ``out`` (shape (N, 2)) when it is given.
-    """
-    l = np.asarray(llrs, dtype=float)
-    if out is None:
-        out = np.empty(l.shape + (2,))
-    small = np.exp(-np.abs(l))
-    big = 1.0 + small
-    small /= big
-    np.divide(1.0, big, out=big)
-    pos = l >= 0
-    p0, p1 = out[..., 0], out[..., 1]
-    np.copyto(p0, small)
-    np.copyto(p0, big, where=pos)
-    np.copyto(p1, big)
-    np.copyto(p1, small, where=pos)
-    return out
 
 
 def soft_mi(truths, messages, weights=None) -> float:

@@ -4,7 +4,8 @@ Nothing here may share code with the paths under test: the convex solver
 re-derives the per-bin optimum by projected gradient descent, the
 permanent and constraint-node oracles enumerate permutations explicitly
 (and import nothing from ``rolemodel``), the min-sum
-batch oracle evaluates the whole-array formula in one shot, and the
+oracles evaluate the whole-array formulas in one shot, in the all-+1 frame
+and branch by branch, and the
 divergence oracles sum per-sample terms exactly with ``math.fsum``.
 """
 
@@ -85,38 +86,76 @@ def divergence_row(p, q) -> float:
 
 
 def tanh_rule_rows(llrs: np.ndarray, saturation: float = 38.0) -> np.ndarray:
-    """Row-wise tanh rule as one reduction over axis 1, shape (N, d) -> (N,)."""
+    """Row-wise tanh-rule product as one reduction over axis 1, shape (N, d) -> (N,)."""
     ceil = np.nextafter(1.0, 0.0)
     l = np.clip(np.asarray(llrs, dtype=float), -saturation, saturation)
-    prod = np.clip(np.prod(np.tanh(l / 2.0), axis=1), -ceil, ceil)
-    return 2.0 * np.arctanh(prod)
+    return np.clip(np.prod(np.tanh(l / 2.0), axis=1), -ceil, ceil)
+
+
+def llrs_to_dists(llrs) -> np.ndarray:
+    """Binary pmf rows (p0, p1) for finite ``llr = ln(p0/p1)``: (N,) -> (N, 2).
+
+    The larger entry is 1 / (1 + e^-|l|), the smaller e^-|l| / (1 + e^-|l|);
+    symbol 0 gets the larger where l >= 0.
+    """
+    l = np.asarray(llrs, dtype=float)
+    small = np.exp(-np.abs(l))
+    big = 1.0 + small
+    small /= big
+    np.divide(1.0, big, out=big)
+    pos = l >= 0
+    return np.stack([np.where(pos, big, small), np.where(pos, small, big)], axis=-1)
+
+
+def _check_node_rows(llrs, flips, truths, num_bins, max_magnitude):
+    """(posteriors, bins, truths, minsum_llrs) of LLR rows (n, d) whose tanh
+    product and min-sum sign are negated where ``flips`` is 1.
+
+    The posterior is ((1 + P) / 2, (1 - P) / 2) of the clipped product P.
+    """
+    product = (1 - 2 * flips) * tanh_rule_rows(llrs)
+    posteriors = np.stack([(1.0 + product) / 2.0, (1.0 - product) / 2.0], axis=-1)
+    mags = np.min(np.abs(llrs), axis=1)
+    signs = np.where((np.sum(llrs < 0, axis=1) + flips) % 2 == 1, -1, 1)
+    idx = np.minimum(mags / (max_magnitude / num_bins), num_bins - 1).astype(int)
+    bins = np.where(signs < 0, idx + num_bins, idx)
+    return posteriors, bins, truths, signs * mags
 
 
 def minsum_batch(d: int, sigmas, n: int, seed: int, num_bins: int = 64,
                  max_magnitude: float = 25.0):
-    """Check-node training batch from whole (n, d) arrays in one shot.
+    """Check-node training batch from whole arrays in one shot.
 
-    Draws every branch bit, then every noise sample, from the Philox stream
-    keyed by ``seed`` with counter labels (1, 0); returns
-    (posteriors, bins, truths, minsum_llrs).
+    Draws all n*d normals from the Philox stream keyed by ``seed`` with
+    counter labels (1, 0), and the n parity bits, bit k % 64 of word k // 64
+    (least significant first), from the raw words of labels (1, 1). Every
+    branch LLR is taken in the all-+1 frame, 2 * (1 + sigma n) / sigma^2,
+    and each parity bit, the truth, negates its trial's tanh product and
+    min-sum sign. Returns (posteriors, bins, truths, minsum_llrs).
     """
     sig = np.asarray(sigmas, dtype=float)
-    rng = np.random.Generator(np.random.Philox(counter=[1, 0, 0, 0], key=seed))
-    bits = rng.integers(0, 2, size=(n, d))
-    symbols = 1.0 - 2.0 * bits
-    y = symbols + sig * rng.standard_normal((n, d))
-    llrs = 2.0 * y / sig**2
-    ref_llr = tanh_rule_rows(llrs)
+    normals = np.random.Generator(np.random.Philox(counter=[1, 0, 0, 0], key=seed))
+    noise = normals.standard_normal((n, d))
+    words = np.random.Philox(counter=[1, 1, 0, 0], key=seed).random_raw(-(-n // 64)).tolist()
+    truths = np.array([(words[k // 64] >> (k % 64)) & 1 for k in range(n)], dtype=np.int64)
+    llrs = 2.0 * (1.0 + sig * noise) / sig**2
+    return _check_node_rows(llrs, truths, truths, num_bins, max_magnitude)
+
+
+def minsum_branch_rows(bits, noise, sigmas, num_bins: int = 64, max_magnitude: float = 25.0):
+    """The trials of branch bits ``bits`` (n, d) and branch noise ``noise`` (n, d),
+    by the per-branch formula.
+
+    Branch j is sent as 1 - 2 * bit and received as y = (1 - 2 * bit) +
+    sigma_j * noise, with LLR 2 * y / sigma_j^2; the truth is the XOR of the
+    bits. Returns (posteriors, bins, truths, minsum_llrs), the posterior
+    taken from the tanh product as in :func:`minsum_batch`.
+    """
+    sig = np.asarray(sigmas, dtype=float)
+    bits = np.asarray(bits, dtype=np.int64)
+    llrs = 2.0 * ((1.0 - 2.0 * bits) + sig * noise) / sig**2
     truths = np.bitwise_xor.reduce(bits, axis=1)
-    mags = np.min(np.abs(llrs), axis=1)
-    signs = np.where(np.sum(llrs < 0, axis=1) % 2 == 1, -1, 1)
-    idx = np.minimum(mags / (max_magnitude / num_bins), num_bins - 1).astype(int)
-    bins = np.where(signs < 0, idx + num_bins, idx)
-    z = np.exp(-np.abs(ref_llr))
-    big, small = 1.0 / (1.0 + z), z / (1.0 + z)
-    posteriors = np.stack([np.where(ref_llr >= 0, big, small),
-                           np.where(ref_llr >= 0, small, big)], axis=-1)
-    return posteriors, bins, truths, signs * mags
+    return _check_node_rows(llrs, np.zeros_like(truths), truths, num_bins, max_magnitude)
 
 
 #: Largest n the brute-force permanent takes: its n! x n permutation table is 26 MB at n = 9.

@@ -204,7 +204,7 @@ class TestErrorContract:
                                                                monkeypatch, capsys):
         # whether a real multi-TiB request fails at once depends on the host's
         # overcommit setting, so the allocating call raises as numpy's would:
-        # simulate_blocks holds the bits, BatchSums the table, and a quiet
+        # simulate_blocks allocates each block's arrays, BatchSums the table, and a quiet
         # training run, which sums the table alone, allocates it by new_table.
         # The table is allocated before the first draw, so no request draws anything.
         def allocate(*args, **kwargs):
@@ -266,16 +266,14 @@ class TestErrorContract:
         assert f"rolemodel {argv[0]}: error: argument {argv[-2]}: {argv[-1]!r} is not a " in err
 
     @pytest.mark.parametrize("argv", [
-        ["train-minsum", "--samples", str(2**63 - 1)],
-        ["eval-minsum", "--table", "@table.json", "--samples", str(2**63 - 1)],
         ["train-minsum", "--bins", str(2**63 - 1), "--samples", "10"],
         ["exit-chart", "--size", "4", "--node", "exact", "--trials", str(2**63 - 1),
          "--mi-grid", "1:1:1"],
     ], ids=" ".join)
-    def test_a_count_no_array_can_hold_names_its_flag(self, argv, flag_dir, capsys):
-        # in [1, 2^63), but the flag's first array would need 2^63 bytes or more
+    def test_a_count_no_array_can_hold_names_its_flag(self, argv, capsys):
+        # in [1, 2^63), but the flag's first array would need 2^63 bytes or more;
+        # --samples sizes no array, since a min-sum run streams its samples
         flag = argv[argv.index(str(2**63 - 1)) - 1]
-        argv = [str(flag_dir / a[1:]) if a.startswith("@") else a for a in argv]
         assert run(argv) == 1
         assert capsys.readouterr().err.startswith(f"error: {flag} {2**63 - 1} needs ")
 
@@ -325,8 +323,7 @@ class TestErrorContract:
         ["train-minsum"], ["eval-minsum", "--table", "@table.json"],
     ], ids=" ".join)
     def test_a_degree_past_the_sigmas_fails_on_their_count(self, argv, flag_dir, capsys):
-        # the sigma count bounds the batch's size check, and simulate_batch
-        # rejects the mismatch before it allocates anything
+        # simulate_blocks rejects the mismatch before it allocates or draws anything
         argv = [str(flag_dir / a[1:]) if a.startswith("@") else a for a in argv]
         assert run(argv + ["--degree", str(2**62), "--sigmas", "1", "--samples", "10"]) == 1
         assert capsys.readouterr().err == f"error: need {2**62} sigmas, got 1\n"

@@ -21,10 +21,9 @@ class TestTanhRule:
         assert minsum.tanh_rule_rows(np.array([[0.0, 5.0]]))[0] == 0.0
 
     def test_frozen_high_precision_value(self):
-        # 2*atanh(tanh(1/2)^2), evaluated at 50 digits
-        assert minsum.tanh_rule_rows(np.array([[1.0, 1.0]]))[0] == pytest.approx(
-            0.43378083048302718703, rel=1e-14
-        )
+        # the product tanh(1/2)^2, as its LLR 2*atanh(tanh(1/2)^2) evaluated at 50 digits
+        product = minsum.tanh_rule_rows(np.array([[1.0, 1.0]]))[0]
+        assert 2.0 * math.atanh(product) == pytest.approx(0.43378083048302718703, rel=1e-14)
 
     def test_symmetric_under_permutation(self):
         rng = make_rng(401)
@@ -122,14 +121,19 @@ class TestSimulateBatch:
         assert np.max(np.abs(batch.posteriors - 0.5)) <= 0.1
 
     def test_truths_follow_branch_xor(self):
-        batch = minsum.simulate_batch(2, [1e-3, 1e-3], 2000, seed=9)
+        # a trial draws the XOR of its branch bits as one parity bit: bit k % 64
+        # of raw word k // 64 of make_rng(seed, 1, 1), least significant first
+        n = 2000
+        batch = minsum.simulate_batch(2, [1e-3, 1e-3], n, seed=9)
+        words = make_rng(9, 1, 1).bit_generator.random_raw(-(-n // 64)).tolist()
+        assert batch.truths.tolist() == [(words[k // 64] >> (k % 64)) & 1 for k in range(n)]
         # at vanishing noise the reference posterior decides the XOR bit exactly
         decided = (batch.posteriors[:, 1] > 0.5).astype(int)
         assert np.array_equal(decided, batch.truths)
 
     def test_memory_is_the_draws_and_the_batch(self):
-        # blocked work adds at most 4 MiB to the (n, d) uint8 bits and the
-        # 40 bytes per sample of the returned arrays
+        # the block draws and work add at most 4 MiB to the 40 bytes per
+        # sample of the returned arrays
         d, n = 6, 200_000
         sigmas = [0.6, 0.8, 1.0, 1.2, 1.4, 1.6]
         minsum.simulate_batch(d, sigmas, 100, seed=3)
@@ -140,7 +144,7 @@ class TestSimulateBatch:
         finally:
             tracemalloc.stop()
         assert len(batch) == n
-        assert peak <= n * d + 40 * n + 4 * 2**20
+        assert peak <= 40 * n + 4 * 2**20
 
     def test_training_and_scoring_add_one_column_per_sample(self):
         # ingest_batch and evaluate_table hold no per-sample temporary beyond
@@ -159,10 +163,10 @@ class TestSimulateBatch:
         assert report.count == n
         assert peak <= 4 * 2**20
 
-    def test_commands_hold_the_bits_and_block_buffers(self, tmp_path):
+    def test_commands_hold_only_block_buffers(self, tmp_path):
         # train-minsum and eval-minsum score each block as it is drawn: a run
-        # holds the (n, d) uint8 bits and at most 4 MiB beside them, where a
-        # whole batch would add 40 bytes a sample (24 MB at this n)
+        # holds at most 4 MiB, where one byte a sample would add 0.6 MB at
+        # this n and a whole batch 40 bytes a sample (24 MB)
         d, n = 6, 600_000
         shape = ["--degree", str(d), "--sigmas", "0.6,0.8,1.0,1.2,1.4,1.6", "--quiet"]
         table = tmp_path / "table.json"
@@ -176,7 +180,7 @@ class TestSimulateBatch:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak <= n * d + 4 * 2**20, argv[0]
+            assert peak <= 4 * 2**20, argv[0]
 
     def test_seed_stability_of_training(self):
         # same-batch empirical ED agrees across seeds within 3 standard errors
@@ -202,17 +206,17 @@ class TestMinsumBitsArePinned:
     either file fails here. Each run's stdout summary, scored block by block
     as the samples are drawn, must be the whole batch's ``evaluate_table``."""
 
-    SAMPLES = 2 * minsum.BLOCK + 7  # n*d is odd at d = 3
+    SAMPLES = 2 * minsum.BLOCK + 7  # the last block takes 7 bits of a parity word
     SIGMAS = {3: "1.0,1.0,1.0", 6: "0.6,0.8,1.0,1.2,1.4,1.6"}
     DIGESTS = {
-        (3, 0): ("4fb9f9717667187aec1c3f0ca833405d82eaffb87241ff23318112c019157998",
-                 "cfb092de3129f7cf21537f954c2c692fb612333dc0adbcd1b6dc35d852925368"),
-        (3, 11): ("b09571615d77de3fc93dac189887e4206506cc08a5adfb8ff42911a0992f12c3",
-                  "a75bd8cf1c0a7dfb2af87ad24a1ebe75821cd6d49745040bd0cb5bbe5bfecba1"),
-        (6, 0): ("51e96f622b46138a4049f06eb3b8dd608609d84c98580375337bbb4c3a2d89b5",
-                 "e9356437a77153e03c0684b25c388cc9736edb86da119541841a75b68f057459"),
-        (6, 11): ("d89f85927d51e83ef7e0570c6783aa29a3cdb3a90a1fe1595a871f6bea39e3d2",
-                  "f835d6f0fab405b11df122fdb5f379304dc78838ec50571377351d32ab0a9338"),
+        (3, 0): ("9b031591ae9f0f05e7ffb461db1dfa2a66e028e1dedfd2ce7abe1249b6393820",
+                 "e15fd265d1c0eba9be58bc90804063c4e465bb99233843eb4180d9b818e9a6de"),
+        (3, 11): ("565990030e5b3d2378052c39a4a4a1e6b53b14593b2b707742da41abe36a78a2",
+                  "f4b168e4bd61f62dc9c570b2158cd413191edc8f7f9531c4f9282ff445dd7f36"),
+        (6, 0): ("b3fa3e06cb0a5abca52de5af37dc3acc70fa2cbf0a376ae9bbee9cc266116b98",
+                 "fd04c9b817a7e78d6d18fbc12d0c01f28602c56bd6cc5061ad48dc7fc4459a98"),
+        (6, 11): ("6982e2a93288921c044935fbe7570853090f9eed02410d83227e609110a33748",
+                  "5f8909c817dfcd16299aad6647b518b65aeacda5e6a41d9fa4b6907403e9fe15"),
     }
 
     @pytest.mark.parametrize("d, seed", sorted(DIGESTS))

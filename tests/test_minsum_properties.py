@@ -1,13 +1,15 @@
-"""Property tests of the blocked min-sum pipeline against its one-shot formula.
+"""Property tests of the blocked min-sum pipeline against its one-shot formulas.
 
 ``simulate_blocks`` draws and works ``BLOCK`` rows at a time, and
 ``simulate_batch`` copies its blocks into one batch; these tests hold every
 array of both bitwise equal to the whole-array formula in ``oracles``, for
 batch sizes on both sides of the block boundaries. That equality is what
-keeps ``train-minsum --out`` byte-identical. ``BatchSums`` scores the naive
-baseline on two columns, and its cross term is held bitwise equal to the
-row-wise floor of whole pmf rows. Runs are derandomized, so every run checks
-the same examples.
+keeps ``train-minsum --out`` byte-identical. The block kernel works every
+branch in the all-+1 frame from one parity bit a trial; it is held bitwise
+equal to the per-branch formula on the bits and noise that the frame
+stands for. ``BatchSums`` scores the naive baseline on two columns, and its
+cross term is held bitwise equal to the row-wise floor of whole pmf rows.
+Runs are derandomized, so every run checks the same examples.
 """
 
 import numpy as np
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rolemodel import minsum
-from rolemodel.probs import DEFAULT_FLOOR, floor_rows, llrs_to_dists
+from rolemodel.probs import DEFAULT_FLOOR, floor_rows
 
 import oracles
 
@@ -44,8 +46,8 @@ def assert_bitwise(got: np.ndarray, want: np.ndarray) -> None:
 NUM_BINS = [64, 16]
 
 
-# n*d odd at each example: Philox carries half a word from the last chunk of
-# bits into the normals
+# n is no multiple of 64 at each example: the last block uses only part of
+# its last parity word
 @PROPERTY
 @example((3, [0.6, 1.0, 1.6], BLOCK + 1, 23), NUM_BINS[0])
 @example((3, [0.6, 1.0, 1.6], BLOCK + 1, 23), NUM_BINS[1])
@@ -65,18 +67,39 @@ def test_blocked_batch_is_bitwise_the_one_shot_formula(shape, num_bins):
 FIELDS = ("posteriors", "bins", "truths", "minsum_llrs")
 
 
+# Normals from a seeded generator: no branch sum (1 - 2 * bit) + sigma * noise
+# is exactly 0, where the per-branch formula counts the LLR +0 as positive but
+# the frame gives the branch its bit's sign.
+@PROPERTY
+@example((1, [1e-3]), BLOCK + 1, 25, NUM_BINS[0])
+@example((6, [30.0] * 6), 2 * BLOCK + 7, 26, NUM_BINS[1])
+@given(st.integers(1, 6).flatmap(lambda d: st.tuples(
+    st.just(d), st.one_of(SIGMA.map(lambda s: [s] * d), st.lists(SIGMA, min_size=d, max_size=d)))),
+       SIZES, st.integers(0, 2**32 - 1), st.sampled_from(NUM_BINS))
+def test_kernel_in_the_all_plus_frame_is_bitwise_the_per_branch_formula(shape, n, seed, num_bins):
+    d, sigmas = shape
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2, size=(n, d))
+    noise = rng.standard_normal((n, d))
+    flips = np.bitwise_xor.reduce(bits, axis=1).astype(np.uint8)
+    out = minsum._trials(np.asarray(sigmas, dtype=float), flips, noise * (1.0 - 2.0 * bits),
+                         minsum.ZQuantizer(num_bins))
+    for name, want in zip(FIELDS, oracles.minsum_branch_rows(bits, noise, sigmas, num_bins)):
+        assert_bitwise(getattr(out, name), want)
+    assert out.posteriors.min() >= 2.0**-54
+
+
 @PROPERTY
 @given(st.integers(1, 6), st.sampled_from([1, BLOCK - 1, BLOCK, 2 * BLOCK + 7]),
        st.integers(0, 2**32 - 1), st.sampled_from(NUM_BINS))
 def test_concatenated_blocks_are_bitwise_the_batch(d, n, seed, num_bins):
     sigmas = np.linspace(0.6, 1.6, d)
     quantizer = minsum.ZQuantizer(num_bins)
-    blocks = [{name: getattr(block, name).copy() for name in FIELDS}  # the next block overwrites
-              for block in minsum.simulate_blocks(d, sigmas, n, seed, quantizer)]
-    assert [len(b["bins"]) for b in blocks] == [min(BLOCK, n - s) for s in range(0, n, BLOCK)]
+    blocks = list(minsum.simulate_blocks(d, sigmas, n, seed, quantizer))  # each its own arrays
+    assert [len(b) for b in blocks] == [min(BLOCK, n - s) for s in range(0, n, BLOCK)]
     batch = minsum.simulate_batch(d, sigmas, n, seed, quantizer)
     for name in FIELDS:
-        assert_bitwise(np.concatenate([b[name] for b in blocks]), getattr(batch, name))
+        assert_bitwise(np.concatenate([getattr(b, name) for b in blocks]), getattr(batch, name))
 
 
 @PROPERTY
@@ -103,12 +126,12 @@ def test_baseline_cross_term_is_bitwise_the_floored_rows(n, edge_share, seed):
     llrs = rng.normal(0.0, 8.0, n)
     edge = rng.random(n) < edge_share
     llrs[edge] = rng.choice(EDGE_LLRS, int(edge.sum()))
-    posteriors = llrs_to_dists(rng.normal(0.0, 8.0, n))
+    posteriors = oracles.llrs_to_dists(rng.normal(0.0, 8.0, n))
     sums = minsum.BatchSums(1)
     want = 0.0
     for start in range(0, n, BLOCK):
         rows = slice(start, start + BLOCK)
         l, p = llrs[rows], posteriors[rows]
         sums.add(minsum.MinsumBatch(p, np.zeros(len(l), dtype=int), None, l))
-        want += float((np.log2(floor_rows(llrs_to_dists(l), DEFAULT_FLOOR)) * p).sum())
+        want += float((np.log2(floor_rows(oracles.llrs_to_dists(l), DEFAULT_FLOOR)) * p).sum())
     assert_bitwise(np.float64(sums.cross), np.float64(want))

@@ -5,10 +5,10 @@ import pytest
 
 from rolemodel.errors import DimensionMismatch, ZeroMassAtTruth
 from rolemodel.probs import (DEFAULT_FLOOR, divergence_rows, entropy_rows, floor_rows,
-                             llrs_to_dists, log2_masked, soft_mi)
+                             log2_masked, soft_mi)
 from rolemodel.rng import make_rng
 
-from oracles import divergence_row
+from oracles import divergence_row, llrs_to_dists
 
 LOG2_9 = math.log2(9)
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from rolemodel import chains
-from rolemodel.cli import _table_doc, _table_from_json
+from rolemodel.cli import _table_doc, _table_from_json, main
 from rolemodel.errors import AbsoluteContinuityViolation, BinOutOfRange, DimensionMismatch
-from rolemodel.minsum import ZQuantizer, new_table
+from rolemodel.minsum import ZQuantizer, new_table, simulate_blocks
 from rolemodel.rng import make_rng
 from rolemodel.train import (
     BLOCK,
@@ -214,6 +214,22 @@ class TestSerialization:
         assert np.array_equal(back.sums, t.sums)
         assert quant == self.QUANT
         assert np.allclose(back.finalize(), t.finalize())
+
+    def test_a_large_table_file_round_trips_one_bin_per_line(self, tmp_path):
+        # train-minsum --out writes each bin on its own line through the C encoder
+        path = tmp_path / "table.json"
+        assert main(["train-minsum", "--bins", "65536", "--samples", "20000", "--seed", "3",
+                     "--quiet", "--out", str(path)]) == 0
+        text = path.read_text()
+        assert len(text.splitlines()) == 2 * 65536 + 2
+        quant = ZQuantizer(num_bins=65536)
+        trained = new_table(quant)
+        for block in simulate_blocks(3, [1.0] * 3, 20000, 3, quant):
+            trained.ingest_batch(block)
+        back, back_quant = _table_from_json(text)
+        assert back_quant == quant
+        assert np.array_equal(back.counts, trained.counts)
+        assert np.array_equal(back.sums, trained.sums)
 
     @pytest.mark.parametrize("version", [1, 99])
     def test_json_version_guard(self, version):
