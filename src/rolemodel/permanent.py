@@ -163,20 +163,28 @@ def head_tail_split(m, h: int) -> tuple[np.ndarray, np.ndarray]:
     constant; ``tails``, shape (..., n), holds those constants, so
     ``head + tails[..., None]`` has the input's row sums.
 
-    Ties in the selection break by (value desc, column asc). Head entries
-    are clamped at 0; the h largest entries can never fall strictly below
-    the mean of the remaining ones, so the clamp only absorbs rounding.
+    Ties in the selection break by (value desc, column asc): the head keeps
+    every entry above the row's h-th largest value, then the first entries
+    equal to it by column. The tail is summed in descending order. Head
+    entries are clamped at 0; the h largest entries can never fall strictly
+    below the mean of the remaining ones, so the clamp only absorbs
+    rounding.
     """
     a = _as_square(m)
     n = a.shape[-1]
     if not 0 < h < n:
         raise ValueError(f"head size must be in (0, {n})")
-    order = np.argsort(-a, axis=-1, kind="stable")
-    kept, rest = order[..., :h], order[..., h:]
-    tails = np.take_along_axis(a, rest, axis=-1).sum(axis=-1) / (n - h)
-    head = np.zeros_like(a)
-    top = np.take_along_axis(a, kept, axis=-1)
-    np.put_along_axis(head, kept, np.maximum(top - tails[..., None], 0.0), axis=-1)
+    desc = -np.sort(-a, axis=-1)  # each row's values, largest first, contiguous
+    tails = desc[..., h:].sum(axis=-1) / (n - h)
+    cut = desc[..., h - 1, None]
+    kept = a >= cut
+    tied = kept.sum(axis=-1) > h  # rows where entries equal to the cut overflow the head
+    if tied.any():
+        rows, cuts = a[tied], cut[tied]
+        above, equal = rows > cuts, rows == cuts
+        room = h - above.sum(axis=-1, keepdims=True)
+        kept[tied] = above | (equal & (np.cumsum(equal, axis=-1) <= room))
+    head = np.where(kept, np.maximum(a - tails[..., None], 0.0), 0.0)
     return head, tails
 
 

@@ -24,10 +24,14 @@ MESSAGE_FLOOR = 1e-30
 GIVEN_FLOOR = 1e-9
 
 
-def floor_rows(rows: np.ndarray, eps: float) -> np.ndarray:
-    """Row-wise floor-and-renormalize at ``eps`` (one of the floors above) for pmf rows."""
-    r = np.maximum(np.asarray(rows, dtype=float), eps)
-    return r / r.sum(axis=-1, keepdims=True)
+def floor_rows(rows: np.ndarray, eps: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise floor-and-renormalize at ``eps`` (one of the floors above) for pmf rows.
+
+    ``out``, if given, receives the result; it may be ``rows`` itself.
+    """
+    r = np.maximum(np.asarray(rows, dtype=float), eps, out=out)
+    r /= r.sum(axis=-1, keepdims=True)
+    return r
 
 
 def square_is_normal(x) -> np.ndarray:
@@ -55,16 +59,22 @@ def entropy_rows(rows) -> np.ndarray:
     return -(p * log2_masked(p)).sum(axis=-1)
 
 
-def divergence_rows(p, q, *, _log_p=None) -> np.ndarray:
+def divergence_rows(p, q, *, _log_p=None, _work=None) -> np.ndarray:
     """Row-wise D(p || q) in bits; log2 q is taken only where p > 0, so a zero there gives inf.
 
-    ``_log_p``, if given, is ``(log2_masked(p), p > 0)``, computed once by a
-    caller that scores the same p against many q.
+    A caller that scores the same p against many q computes ``_log_p`` once:
+    ``(log2_masked(p), p > 0)``, or ``(log2 p, True)`` when every entry of
+    p is positive, which takes log2 q unmasked. ``_work``, if given, is a
+    zero-filled array of the broadcast shape that holds the terms, so the
+    caller's next q allocates nothing; its entries where p = 0 stay 0.
     """
     p = np.asarray(p, dtype=float)
     log_p, support = (log2_masked(p), p > 0) if _log_p is None else _log_p
-    logq = np.log2(q, out=np.zeros(np.broadcast_shapes(p.shape, np.shape(q))), where=support)
-    return (p * (log_p - logq)).sum(axis=-1)
+    terms = np.zeros(np.broadcast_shapes(p.shape, np.shape(q))) if _work is None else _work
+    np.log2(q, out=terms, where=support)
+    np.subtract(log_p, terms, out=terms)
+    terms *= p
+    return terms.sum(axis=-1)
 
 
 def soft_mi(truths, messages, weights=None) -> float:

@@ -209,21 +209,24 @@ def constraint_exact(m: np.ndarray) -> np.ndarray:
     return perms / sums[..., None]
 
 
-def _alpha_mix(alphas, ph: np.ndarray, pt: np.ndarray) -> tuple[np.ndarray, int]:
+def _alpha_mix(alphas, ph: np.ndarray, pt: np.ndarray,
+               out: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """Row-normalized alpha_i PH + (1 - alpha_i) PT, and how many zero-sum rows went uniform.
 
     ``alphas`` is one weight for every row or one per row; ``pt`` holds one
-    tail-minor value per row.
+    tail-minor value per row. ``out``, if given, receives the rows.
     """
     a = np.asarray(alphas, dtype=float)[..., None]
-    combined = a * ph + (1.0 - a) * pt[..., None]
+    combined = np.multiply(a, ph, out=out)
+    combined += (1.0 - a) * pt[..., None]
     sums = combined.sum(axis=-1)
     dead = sums <= 0
     fallback_rows = int(dead.sum())
     if fallback_rows:
         combined[dead] = 1.0
         sums = combined.sum(axis=-1)
-    return combined / sums[..., None], fallback_rows
+    combined /= sums[..., None]
+    return combined, fallback_rows
 
 
 def constraint_approx(m: np.ndarray, alphas) -> tuple[np.ndarray, int]:
@@ -269,6 +272,8 @@ class BpResult:
     degenerate_rows: int = 0
     #: per iteration, the constraint nodes' (3n, n, q) input stack
     node_inputs: list = field(default_factory=list, repr=False)
+    #: per iteration, the node's (3n, n, q) output rows for that stack, before the message floor
+    node_outputs: list = field(default_factory=list, repr=False)
 
 
 def observation_messages(puzzle: Puzzle, channel: ChannelModel | None,
@@ -298,7 +303,9 @@ def bp_solve(puzzle: Puzzle, channel: ChannelModel | None, node: str = "exact", 
     stream (seed, stream), so paired-seed runs of different node variants
     see identical inputs. ``node_inputs`` on the result lists every
     iteration's constraint-node input, one (3n, n, q) stack per iteration
-    in constraint order; BP never writes to a stack after the node call.
+    in constraint order, and ``node_outputs`` the node's rows for each
+    stack (17.5 KB an iteration at n = 9); BP never writes to either after
+    the node call.
     ``degenerate_rows`` sums the node calls' fallback rows. ``max_iters``
     may be 0, which leaves the channel's decisions.
     """
@@ -323,6 +330,7 @@ def bp_solve(puzzle: Puzzle, channel: ChannelModel | None, node: str = "exact", 
     v2c = np.stack([floor_rows(channel_post, MESSAGE_FLOOR)] * 3, axis=1)
     c2v = np.full_like(v2c, 1.0 / n)
     node_inputs: list[np.ndarray] = []
+    node_outputs: list[np.ndarray] = []
 
     beliefs = channel_post.copy()
     decisions = beliefs.argmax(axis=1)
@@ -336,6 +344,7 @@ def bp_solve(puzzle: Puzzle, channel: ChannelModel | None, node: str = "exact", 
         inputs = v2c.reshape(-1, n).take(slots, axis=0).reshape(3 * n, n, n)
         node_inputs.append(inputs)
         rows, fallback_rows = apply_node(inputs)
+        node_outputs.append(rows)
         degenerate_rows += fallback_rows
         fresh = floor_rows(rows, MESSAGE_FLOOR)
         fresh = fresh.reshape(-1, n).take(back, axis=0).reshape(c2v.shape)
@@ -366,6 +375,7 @@ def bp_solve(puzzle: Puzzle, channel: ChannelModel | None, node: str = "exact", 
         symbol_error_rate=ser,
         degenerate_rows=degenerate_rows,
         node_inputs=node_inputs,
+        node_outputs=node_outputs,
     )
 
 
@@ -550,15 +560,13 @@ def exit_curve(nodes, ia_grid, trials: int, seed: int, *,
 _HARVEST_RUNS, _HARVEST_ITERS = 64, 5
 
 
-def harvest_constraint_inputs(n: int, snr_db_list, count: int, seed: int) -> list[np.ndarray]:
-    """Constraint-node input matrices from live exact-node BP runs.
+def _harvest(n: int, snr_db_list, count: int, seed: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """The matrices of :func:`harvest_constraint_inputs`, and their exact-node rows.
 
-    Runs cycle through the snr mix, every snr of which is checked before
-    the first run; matrices are the node inputs of BP iterations 1-5
-    (``BpResult.node_inputs``), subsampled to ``count`` with a fixed stream
-    so the batch is reproducible. The matrices are views of those stacks.
-    ``count`` must lie in [1, 960n], the 3n matrices of each of 5
-    iterations of at most 64 runs, and is checked before the first run.
+    The rows, one (count, n, n) array, are the ones BP's exact node computed
+    for those matrices (``BpResult.node_outputs``): bitwise the rows of
+    ``constraint_exact`` on the stacked matrices, since each matrix's rows
+    are the same whatever batch it is in.
     """
     most = _HARVEST_RUNS * _HARVEST_ITERS * 3 * n
     if not 1 <= count <= most:
@@ -569,21 +577,36 @@ def harvest_constraint_inputs(n: int, snr_db_list, count: int, seed: int) -> lis
         raise ValueError("need at least one snr")
     channels = [ChannelModel.from_snr_db(snr, q=n) for snr in snr_db_list]
     pool: list[np.ndarray] = []
+    rows: list[np.ndarray] = []
     run = 0
     while len(pool) < count * 2 and run < _HARVEST_RUNS:
         puzzle = random_puzzle(n, make_rng(seed, 8, run))
         channel = channels[run % len(channels)]
         result = bp_solve(puzzle, channel, node="exact", seed=seed, stream=run,
                           max_iters=_HARVEST_ITERS)
-        for inputs in result.node_inputs:
+        for inputs, outputs in zip(result.node_inputs, result.node_outputs):
             pool.extend(inputs)
+            rows.extend(outputs)
         run += 1
     if len(pool) < count:
         raise ValueError(f"harvest gathered {len(pool)} of the {count} matrices needed in "
                          f"{run} BP runs, its cap: BP solved too early at these snrs, "
                          f"or --batch is too large")
-    pick = make_rng(seed, 9).choice(len(pool), size=count, replace=False)
-    return [pool[i] for i in sorted(pick)]
+    pick = sorted(make_rng(seed, 9).choice(len(pool), size=count, replace=False))
+    return [pool[i] for i in pick], np.array([rows[i] for i in pick])
+
+
+def harvest_constraint_inputs(n: int, snr_db_list, count: int, seed: int) -> list[np.ndarray]:
+    """Constraint-node input matrices from live exact-node BP runs.
+
+    Runs cycle through the snr mix, every snr of which is checked before
+    the first run; matrices are the node inputs of BP iterations 1-5
+    (``BpResult.node_inputs``), subsampled to ``count`` with a fixed stream
+    so the batch is reproducible. The matrices are views of those stacks.
+    ``count`` must lie in [1, 960n], the 3n matrices of each of 5
+    iterations of at most 64 runs, and is checked before the first run.
+    """
+    return _harvest(n, snr_db_list, count, seed)[0]
 
 
 @dataclass
@@ -595,30 +618,34 @@ class AlphaTrainResult:
     search: TrainResult
 
 
-def _alpha_divergences(matrices: list[np.ndarray]):
-    """Frozen batch -> corrector -> (B, n) divergences of exact rows from corrected rows.
+def _alpha_divergences(matrices, exact: np.ndarray):
+    """Frozen batch, its exact rows -> corrector -> (B, n) divergences of exact from corrected rows.
 
     Minor permanents of both split parts are precomputed once for the
-    stacked batch, so each call is one alpha-weighted broadcast. Row i of
-    every matrix depends on alpha_i alone. Corrected rows are floored at
-    ``DEFAULT_FLOOR``, since a sparse head leaves zeros where the exact
-    node has mass.
+    stacked batch, and each call scores a corrector in buffers built here:
+    alpha-weighted mix, floor, log2 (unmasked when every exact entry is
+    positive), divergence. Row i of every matrix depends on alpha_i alone.
+    Corrected rows are floored at ``DEFAULT_FLOOR``, since a sparse head
+    leaves zeros where the exact node has mass.
     """
     stack = np.asarray(matrices, dtype=float)
-    exact = constraint_exact(stack)
-    exact_log = (log2_masked(exact), exact > 0)
     ph, pt = minor_permanents_split(*head_tail_split(stack, HEAD_SIZE))
+    support = exact > 0
+    log_p = (log2_masked(exact), True if support.all() else support)
+    corrected, terms = np.empty_like(ph), np.zeros_like(ph)
 
     def rows(corrector: ParametricCorrector) -> np.ndarray:
-        corrected = floor_rows(_alpha_mix(corrector.alphas, ph, pt)[0], DEFAULT_FLOOR)
-        return divergence_rows(exact, corrected, _log_p=exact_log)
+        _alpha_mix(corrector.alphas, ph, pt, out=corrected)
+        floor_rows(corrected, DEFAULT_FLOOR, out=corrected)
+        return divergence_rows(exact, corrected, _log_p=log_p, _work=terms)
 
     return rows
 
 
 def alpha_objective(matrices: list[np.ndarray]):
     """Frozen-batch objective: the mean divergence over rows per matrix, then over matrices."""
-    rows = _alpha_divergences(matrices)
+    stack = np.asarray(matrices, dtype=float)
+    rows = _alpha_divergences(stack, constraint_exact(stack))
     return lambda corrector: float(rows(corrector).mean(axis=-1).mean())
 
 
@@ -633,7 +660,7 @@ def train_alpha(n: int = 9, snr_db_list=(6.0, 8.0, 10.0), batch: int = 64,
     point, alpha = 0.5 and alpha = 1, so it never loses to those baselines
     on the frozen batch.
     """
-    rows = _alpha_divergences(harvest_constraint_inputs(n, list(snr_db_list), batch, seed))
+    rows = _alpha_divergences(*_harvest(n, list(snr_db_list), batch, seed))
     result = train_parametric(lambda c: rows(c).mean(axis=0), slots=n, budget=budget)
     candidates = (result.corrector, ParametricCorrector(np.full(n, 0.5)),
                   ParametricCorrector(np.ones(n)))

@@ -189,6 +189,28 @@ def minor_permanents(m) -> np.ndarray:
                      for i in range(n)])
 
 
+def head_tail_split(m, h: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(head, tails)`` of an (n, n) or (B, n, n) input, by a Python sort of each row.
+
+    A row's columns are ordered by (-value, column). The tail constant is
+    the sum of the last n - h values in that order, over n - h; the sum is
+    numpy's over a 1-D array, since its grouping of more than 7 terms is
+    part of the bits. The first h columns keep max(value - tail, 0), the
+    others 0.
+    """
+    a = np.asarray(m, dtype=float)
+    n = a.shape[-1]
+    rows = a.reshape(-1, n).tolist()
+    head = np.zeros((len(rows), n))
+    tails = np.empty(len(rows))
+    for r, row in enumerate(rows):
+        order = sorted(range(n), key=lambda j: (-row[j], j))
+        tails[r] = np.sum(np.array([row[j] for j in order[h:]])) / (n - h)
+        for j in order[:h]:
+            head[r, j] = max(row[j] - tails[r], 0.0)
+    return head.reshape(a.shape), tails.reshape(a.shape[:-1])
+
+
 def constraint_marginals(m: np.ndarray) -> np.ndarray:
     """Extrinsic symbol marginals of one all-different constraint.
 

@@ -1,4 +1,4 @@
-"""Property tests of the batched minor-permanent kernel and the nodes built on it.
+"""Property tests of the minor-permanent kernel, the head/tail split and the nodes on them.
 
 Runs are derandomized, so every run checks the same examples.
 """
@@ -12,6 +12,7 @@ from rolemodel import sudoku
 from rolemodel.permanent import head_tail_split, minor_permanents, minor_permanents_split
 from rolemodel.rng import make_rng
 
+from oracles import head_tail_split as sorted_split
 from oracles import minor_permanents as brute_minors
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -111,3 +112,42 @@ def test_each_matrix_gives_the_same_bits_in_any_batch(n, b, seed):
             assert np.array_equal(approx[k], sudoku.constraint_approx(stack[k], 0.5)[0])
         single = minor_permanents_split(*head_tail_split(stack[k], h))
         assert np.array_equal(ph[k], single[0]) and np.array_equal(pt[k], single[1])
+
+
+#: Entries with ties and zeros: a few repeated values, besides any float in [0, 1].
+SPLIT_ENTRIES = st.one_of(st.sampled_from([0.0, 1 / 9, 0.25, 0.5]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def split_inputs(draw):
+    """``(m, h)``: one (n, n) matrix or a (B, n, n) batch, n = 2..9, h = 1..n-1.
+
+    Each row is as drawn (ties and zeros), uniform, or near one-hot.
+    """
+    n = draw(st.integers(2, 9))
+    h = draw(st.integers(1, n - 1))
+    shape = draw(st.sampled_from([(n, n), (draw(st.integers(1, 4)), n, n)]))
+    m = draw(arrays(float, shape, elements=SPLIT_ENTRIES))
+    rows = m.reshape(-1, n)
+    for r in range(rows.shape[0]):
+        kind = draw(st.sampled_from(["drawn", "uniform", "one-hot"]))
+        if kind == "uniform":
+            rows[r] = 1.0 / n
+        elif kind == "one-hot":
+            eps = draw(st.floats(min_value=1e-15, max_value=1e-3))
+            rows[r] = eps * rows[r]
+            rows[r, draw(st.integers(0, n - 1))] = 1.0 - eps
+    return m, h
+
+
+@PROPERTY
+@given(split_inputs())
+@example((np.full((9, 9), 1 / 9), 1))
+@example((np.tile([0.5, 0.25, 0.25, 0.0, 0.0], (5, 1)), 2))
+def test_split_matches_the_sorted_rows_oracle(case):
+    m, h = case
+    head, tails = head_tail_split(m, h)
+    ref_head, ref_tails = sorted_split(m, h)
+    assert head.shape == m.shape and tails.shape == m.shape[:-1]
+    assert head.tobytes() == ref_head.tobytes()
+    assert tails.tobytes() == ref_tails.tobytes()

@@ -250,6 +250,10 @@ class TestBpSolve:
         assert res.iterations == 5 and len(res.node_inputs) == 5
         assert all(inputs.shape == (12, 4, 4) for inputs in res.node_inputs)
         assert np.allclose(np.stack(res.node_inputs).sum(axis=-1), 1.0, atol=1e-12)
+        # beside each input stack, the node's rows for it, before the message floor
+        assert len(res.node_outputs) == 5
+        for inputs, outputs in zip(res.node_inputs, res.node_outputs):
+            assert outputs.tobytes() == sudoku.constraint_exact(inputs).tobytes()
 
 
 class TestBpBitsArePinned:
@@ -610,7 +614,7 @@ class TestAlphaTraining:
         # uniform matrices make the objective constant in alpha (up to
         # rounding ripple): training gains nothing over the initialization
         flat = [np.full((9, 9), 1 / 9) for _ in range(4)]
-        rows = sudoku._alpha_divergences(flat)
+        rows = sudoku._alpha_divergences(flat, sudoku.constraint_exact(np.asarray(flat)))
         objective = sudoku.alpha_objective(flat)
         trace = []
 
@@ -629,7 +633,7 @@ class TestAlphaTraining:
         # the invariant the per-slot search relies on
         mats = sudoku.harvest_constraint_inputs(9, [6.0, 8.0], 12, seed=31)
         mats.append(np.full((9, 9), 1 / 9))  # head-only rows vanish: uniform fallback
-        rows = sudoku._alpha_divergences(mats)
+        rows = sudoku._alpha_divergences(mats, sudoku.constraint_exact(np.asarray(mats)))
         rng = make_rng(32)
         for a in [np.ones(9)] + [rng.uniform(0.0, 1.0, 9) for _ in range(3)]:
             base = rows(ParametricCorrector(a))
@@ -638,6 +642,35 @@ class TestAlphaTraining:
                 moved[j] = rng.uniform(0.0, 1.0)
                 diff = rows(ParametricCorrector(moved)) != base
                 assert not np.delete(diff, j, axis=1).any()
+
+    def test_training_calls_the_exact_node_only_inside_bp(self, monkeypatch):
+        # the harvest's BP runs computed every exact row the objective scores against
+        calls = {"in bp": 0, "outside bp": 0}
+        depth = []
+        bp_solve, constraint_exact = sudoku.bp_solve, sudoku.constraint_exact
+
+        def counted_bp(*args, **kwargs):
+            depth.append(1)
+            try:
+                return bp_solve(*args, **kwargs)
+            finally:
+                depth.pop()
+
+        def counted_exact(m):
+            calls["in bp" if depth else "outside bp"] += 1
+            return constraint_exact(m)
+
+        monkeypatch.setattr(sudoku, "bp_solve", counted_bp)
+        monkeypatch.setattr(sudoku, "constraint_exact", counted_exact)
+        sudoku.train_alpha(n=4, snr_db_list=[3.0], batch=16, seed=0)
+        assert calls["in bp"] > 0 and calls["outside bp"] == 0
+
+    @pytest.mark.parametrize("n, snrs, count", [(4, [3.0], 16), (9, [6.0, 8.0, 10.0], 64)])
+    def test_harvest_rows_are_the_exact_node_of_its_matrices(self, n, snrs, count):
+        matrices, rows = sudoku._harvest(n, snrs, count, seed=0)
+        assert rows.tobytes() == sudoku.constraint_exact(np.asarray(matrices)).tobytes()
+        inputs = sudoku.harvest_constraint_inputs(n, snrs, count, seed=0)
+        assert all(np.array_equal(a, b) for a, b in zip(matrices, inputs, strict=True))
 
     def test_harvest_rejects_empty_requests(self):
         with pytest.raises(ValueError, match="at least one matrix"):
