@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import itertools
 import json
 import math
 import re
@@ -138,24 +137,6 @@ def _finite_row(values, q: int, name: str) -> np.ndarray:
     raise ValueError(f"{name} must be {q} finite numbers")
 
 
-def _finite_rows(rows: list, q: int, name: str) -> np.ndarray:
-    """``rows`` as an (N, q) float array; ValueError unless each row passes :func:`_finite_row`.
-
-    One type check, one conversion and one finiteness test cover every
-    row. Only when one fails are the rows checked one at a time, so the
-    error names the first bad row: ``name`` formatted with its index.
-    """
-    try:
-        if (all(type(row) is list and len(row) == q for row in rows)
-                and set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}):
-            out = np.asarray(rows, dtype=float)
-            if np.all(np.isfinite(out)):
-                return out
-    except OverflowError:  # an int past the float range
-        pass
-    return np.array([_finite_row(row, q, name.format(b)) for b, row in enumerate(rows)])
-
-
 def _versioned(text: str, version: int, what: str) -> dict:
     """The JSON object in ``text``; ValueError unless its ``version`` is the integer ``version``."""
     doc = json.loads(text)
@@ -232,17 +213,15 @@ def _table_from_json(text: str) -> tuple[PostTable, minsum.ZQuantizer]:
     """The table that :func:`_save_table` wrote, and its quantizer; ValueError on a bad schema."""
     doc = _versioned(text, TABLE_FORMAT_VERSION, "table")
     bins = doc.get("bins")
-    counts = ([e.get("count") for e in bins]
-              if isinstance(bins, list) and all(isinstance(e, dict) for e in bins) else [])
-    # JSON numbers load as int or float, and true and false as bool
-    if not (counts and len(counts) % 2 == 0 and set(map(type, counts)) == {int}
-            and min(counts) >= 0 and max(counts) < 2**63):
+    if not (isinstance(bins, list) and bins and len(bins) % 2 == 0
+            and all(isinstance(e, dict) and _is_int(e.get("count"))
+                    and 0 <= e["count"] < 2**63 for e in bins)):
         raise ValueError("table needs a non-empty, even-length 'bins' list of objects "
                          "with a non-negative integer 'count'")
     quant = minsum.ZQuantizer(num_bins=len(bins) // 2)
     table = minsum.new_table(quant)
-    table.sums[:] = _finite_rows([e.get("sum") for e in bins], 2, "sum of bin {}")
-    table.counts[:] = counts
+    table.sums[:] = [_finite_row(e.get("sum"), 2, f"sum of bin {b}") for b, e in enumerate(bins)]
+    table.counts[:] = [e["count"] for e in bins]
     # each posterior entry is at most 1, so a trained sum never passes its count
     if (np.any(table.sums < 0) or np.any(table.sums > table.counts[:, None])
             or np.any((table.counts > 0) & (table.sums.sum(axis=1) <= 0))):
@@ -285,8 +264,8 @@ def _run_eval_minsum(args) -> int:
     final = table.finalize()
     report = _draw_minsum(args, quant, scored=True).report(final)
     if args.out:
-        rows = [[b, count, *map(repr, row)]
-                for b, (count, row) in enumerate(zip(table.counts.tolist(), final.tolist()))]
+        rows = [[b, int(table.counts[b])] + [repr(float(v)) for v in final[b]]
+                for b in range(table.num_bins)]
         _save_csv(args.out, ["bin", "count", "q0", "q1"], rows, args.seed)
     _say(args, report.summary())
     return 0

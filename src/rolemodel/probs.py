@@ -63,10 +63,10 @@ def divergence_rows(p, q, *, _log_p=None, _work=None) -> np.ndarray:
     """Row-wise D(p || q) in bits; log2 q is taken only where p > 0, so a zero there gives inf.
 
     A caller that scores the same p against many q computes ``_log_p`` once:
-    ``(log2_masked(p), p > 0)``, or ``(log2 p, True)`` when every entry of
-    p is positive, which takes log2 q unmasked. ``_work``, if given, is a
-    zero-filled array of the broadcast shape that holds the terms, so the
-    caller's next q allocates nothing; its entries where p = 0 stay 0.
+    ``(log2_masked(p), where)``, with where ``p > 0``, or True for q that
+    are positive pmf rows, since where p = 0 both give a +0.0 term.
+    ``_work``, if given, is a zero-filled array of the broadcast shape that
+    holds the terms, so the caller's next q allocates nothing.
     """
     p = np.asarray(p, dtype=float)
     log_p, support = (log2_masked(p), p > 0) if _log_p is None else _log_p

@@ -272,7 +272,7 @@ class BpResult:
     degenerate_rows: int = 0
     #: per iteration, the constraint nodes' (3n, n, q) input stack
     node_inputs: list = field(default_factory=list, repr=False)
-    #: per iteration, the node's (3n, n, q) output rows for that stack, before the message floor
+    #: per iteration, the node's (3n, n, q) rows for that stack (``keep_outputs`` only)
     node_outputs: list = field(default_factory=list, repr=False)
 
 
@@ -294,7 +294,7 @@ def observation_messages(puzzle: Puzzle, channel: ChannelModel | None,
 
 def bp_solve(puzzle: Puzzle, channel: ChannelModel | None, node: str = "exact", *,
              alphas=None, max_iters: int = 30, damping: float = 0.9,
-             seed: int = 0, stream: int = 0) -> BpResult:
+             seed: int = 0, stream: int = 0, keep_outputs: bool = False) -> BpResult:
     """Flooding-schedule BP over the sudoku factor graph.
 
     ``damping`` is the weight of the new constraint-to-variable message
@@ -303,9 +303,10 @@ def bp_solve(puzzle: Puzzle, channel: ChannelModel | None, node: str = "exact", 
     stream (seed, stream), so paired-seed runs of different node variants
     see identical inputs. ``node_inputs`` on the result lists every
     iteration's constraint-node input, one (3n, n, q) stack per iteration
-    in constraint order, and ``node_outputs`` the node's rows for each
-    stack (17.5 KB an iteration at n = 9); BP never writes to either after
-    the node call.
+    in constraint order. With ``keep_outputs``, ``node_outputs`` holds the
+    node's rows for each stack (17.5 KB an iteration at n = 9); without, it
+    stays empty, so a solve frees each iteration's rows. BP never writes to
+    either after the node call.
     ``degenerate_rows`` sums the node calls' fallback rows. ``max_iters``
     may be 0, which leaves the channel's decisions.
     """
@@ -344,7 +345,8 @@ def bp_solve(puzzle: Puzzle, channel: ChannelModel | None, node: str = "exact", 
         inputs = v2c.reshape(-1, n).take(slots, axis=0).reshape(3 * n, n, n)
         node_inputs.append(inputs)
         rows, fallback_rows = apply_node(inputs)
-        node_outputs.append(rows)
+        if keep_outputs:
+            node_outputs.append(rows)
         degenerate_rows += fallback_rows
         fresh = floor_rows(rows, MESSAGE_FLOOR)
         fresh = fresh.reshape(-1, n).take(back, axis=0).reshape(c2v.shape)
@@ -583,7 +585,7 @@ def _harvest(n: int, snr_db_list, count: int, seed: int) -> tuple[list[np.ndarra
         puzzle = random_puzzle(n, make_rng(seed, 8, run))
         channel = channels[run % len(channels)]
         result = bp_solve(puzzle, channel, node="exact", seed=seed, stream=run,
-                          max_iters=_HARVEST_ITERS)
+                          max_iters=_HARVEST_ITERS, keep_outputs=True)
         for inputs, outputs in zip(result.node_inputs, result.node_outputs):
             pool.extend(inputs)
             rows.extend(outputs)
@@ -623,15 +625,16 @@ def _alpha_divergences(matrices, exact: np.ndarray):
 
     Minor permanents of both split parts are precomputed once for the
     stacked batch, and each call scores a corrector in buffers built here:
-    alpha-weighted mix, floor, log2 (unmasked when every exact entry is
-    positive), divergence. Row i of every matrix depends on alpha_i alone.
+    alpha-weighted mix, floor, log2, divergence. Row i of every matrix
+    depends on alpha_i alone.
     Corrected rows are floored at ``DEFAULT_FLOOR``, since a sparse head
     leaves zeros where the exact node has mass.
     """
     stack = np.asarray(matrices, dtype=float)
     ph, pt = minor_permanents_split(*head_tail_split(stack, HEAD_SIZE))
-    support = exact > 0
-    log_p = (log2_masked(exact), True if support.all() else support)
+    # log2 q unmasked: the floored rows are positive pmfs, so where p = 0
+    # the term (0 - log2 q) * 0 is +0.0, the bits of the masked one
+    log_p = (log2_masked(exact), True)
     corrected, terms = np.empty_like(ph), np.zeros_like(ph)
 
     def rows(corrector: ParametricCorrector) -> np.ndarray:

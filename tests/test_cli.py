@@ -252,12 +252,12 @@ class TestErrorContract:
                                       [float("inf"), 0.0]],
                              ids=["string", "bool", "one entry", "null", "past float", "inf"])
     def test_a_bad_sum_in_the_last_bin_of_a_large_table_is_named(self, last, tmp_path, capsys):
-        # the whole sum column is checked at once; the bad bin is named only after that fails
-        bins = [{"sum": [0.5, 0.5], "count": 1}] * (2**15 - 1) + [{"sum": last, "count": 1}]
+        # the error names the bad bin however far into the table it sits
+        bins = [{"sum": [0.5, 0.5], "count": 1}] * (2**12 - 1) + [{"sum": last, "count": 1}]
         bad = tmp_path / "table.json"
         bad.write_text(json.dumps({"version": 2, "bins": bins}))
         assert run(["eval-minsum", "--samples", "10", "--table", str(bad)]) == 1
-        assert capsys.readouterr().err == (f"error: {bad}: sum of bin {2**15 - 1} "
+        assert capsys.readouterr().err == (f"error: {bad}: sum of bin {2**12 - 1} "
                                            f"must be 2 finite numbers\n")
 
     @pytest.mark.parametrize("argv", [

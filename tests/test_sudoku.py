@@ -250,9 +250,12 @@ class TestBpSolve:
         assert res.iterations == 5 and len(res.node_inputs) == 5
         assert all(inputs.shape == (12, 4, 4) for inputs in res.node_inputs)
         assert np.allclose(np.stack(res.node_inputs).sum(axis=-1), 1.0, atol=1e-12)
-        # beside each input stack, the node's rows for it, before the message floor
-        assert len(res.node_outputs) == 5
-        for inputs, outputs in zip(res.node_inputs, res.node_outputs):
+        # kept on request only: beside each input stack, the node's rows for
+        # it, before the message floor, and the run itself unchanged
+        assert res.node_outputs == []
+        kept = sudoku.bp_solve(p, ch, seed=614, max_iters=5, keep_outputs=True)
+        assert kept.beliefs.tobytes() == res.beliefs.tobytes() and len(kept.node_outputs) == 5
+        for inputs, outputs in zip(kept.node_inputs, kept.node_outputs):
             assert outputs.tobytes() == sudoku.constraint_exact(inputs).tobytes()
 
 
