@@ -209,8 +209,12 @@ def _save_table(path: str, doc: dict) -> None:
         f.write(f'{{"bins": [\n{bins}\n], "version": {encode(doc["version"])}}}\n')
 
 
-def _table_from_json(text: str) -> tuple[PostTable, minsum.ZQuantizer]:
-    """The table that :func:`_save_table` wrote, and its quantizer; ValueError on a bad schema."""
+def _table_from_json(text: str) -> tuple[PostTable, np.ndarray, minsum.ZQuantizer]:
+    """The table that :func:`_save_table` wrote, its finalized rows and its quantizer.
+
+    ValueError on a bad schema, or where a finalized row holds a zero, which
+    no trained row does: each tanh-rule posterior entry is at least 2^-54.
+    """
     doc = _versioned(text, TABLE_FORMAT_VERSION, "table")
     bins = doc.get("bins")
     if not (isinstance(bins, list) and bins and len(bins) % 2 == 0
@@ -226,7 +230,12 @@ def _table_from_json(text: str) -> tuple[PostTable, minsum.ZQuantizer]:
     if (np.any(table.sums < 0) or np.any(table.sums > table.counts[:, None])
             or np.any((table.counts > 0) & (table.sums.sum(axis=1) <= 0))):
         raise ValueError("table bin sums must lie in [0, count], and be positive where the count is")
-    return table, quant
+    with np.errstate(invalid="ignore"):  # a sum that underflows by its count finalizes to NaN
+        final = table.finalize()
+    zero = np.flatnonzero(~np.all(final > 0, axis=1))
+    if zero.size:
+        raise ValueError(f"bin {zero[0]} finalizes to a zero entry, which no trained table has")
+    return table, final, quant
 
 
 def _draw_minsum(args, quant: minsum.ZQuantizer, scored: bool):
@@ -260,8 +269,7 @@ def _run_train_minsum(args) -> int:
 
 
 def _run_eval_minsum(args) -> int:
-    table, quant = _load(args.table, _table_from_json)
-    final = table.finalize()
+    table, final, quant = _load(args.table, _table_from_json)
     report = _draw_minsum(args, quant, scored=True).report(final)
     if args.out:
         rows = [[b, int(table.counts[b])] + [repr(float(v)) for v in final[b]]

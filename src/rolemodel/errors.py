@@ -20,8 +20,9 @@ class AbsoluteContinuityViolation(RoleModelError):
 class ZeroMassAtTruth(RoleModelError):
     """A message assigns zero probability to the true symbol.
 
-    Carries ``index`` (position in the batch) so callers can locate the
-    offending sample and, typically, floor their messages first.
+    Carries ``index``, the row of the messages passed to ``soft_mi``; from
+    ``minsum.BatchSums`` that is the (bin, truth) pair row 2 * bin + truth.
+    Callers typically floor their messages first.
     """
 
     def __init__(self, index: int, message: str | None = None):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AbsoluteContinuityViolation, BinOutOfRange, DimensionMismatch, ZeroMassAtTruth
+from .errors import AbsoluteContinuityViolation, BinOutOfRange, DimensionMismatch
 from .probs import DEFAULT_FLOOR, soft_mi, square_is_normal
 from .rng import make_rng
 # empirical_ed is not called here: perfbench/spans.py traces it under this module's name
@@ -217,18 +217,6 @@ class EvalReport:
         )
 
 
-#: The first-sample index of a key that no sample has had yet.
-_UNSEEN = np.iinfo(np.int64).max
-
-
-def _note_first(first: np.ndarray, keys: np.ndarray, hit, offset: int) -> None:
-    """For each key ``first`` holds no row of yet, record ``offset`` plus its first row where ``hit`` holds."""
-    new = hit & (first[keys] == _UNSEEN)
-    if new.any():
-        rows = np.flatnonzero(new)
-        np.minimum.at(first, keys[rows], offset + rows)
-
-
 def _baseline_cross(llrs: np.ndarray, post: np.ndarray) -> float:
     """sum_k sum_x p_k[x] log2 b_k[x] over a block, b_k the floored pmf row of min-sum LLR k.
 
@@ -267,11 +255,8 @@ class BatchSums:
     whole-batch pass and keeps its bits: ``table``, the batch's own
     PostTable (per-bin posterior sums, added in place in sample order, and
     counts); sum p log2 p; the baseline's cross term; and the (bin, truth)
-    pair counts. To name the first sample of a failed score, it keeps for
-    each (bin, symbol) with posterior mass, and for each (bin, truth) pair
-    seen, the index of the first sample that has it. Nothing is kept per
-    sample. Posteriors are pmf rows, so a bin's sum has mass at a symbol
-    exactly where one of its rows does.
+    pair counts, row 2 * bin + truth. Nothing is kept per sample. Truths
+    are bits, as ``simulate_blocks`` draws them.
     """
 
     def __init__(self, num_bins: int):
@@ -280,41 +265,16 @@ class BatchSums:
         self.plogp = 0.0
         self.cross = 0.0
         self.pairs = np.zeros(self.table.sums.size, dtype=np.int64)
-        self.first_mass = np.full((2, num_bins), _UNSEEN)  # a row per symbol: 1-D gathers
-        self.first_pair = np.full(self.table.sums.size, _UNSEEN)
-        self.massed = self.paired = 0  # (bin, symbol) entries with mass; (bin, truth) pairs seen
-        self.truths_in_range = True
-        self.scored_truths = True
 
     def add(self, block: MinsumBatch) -> None:
         """Add the batch's next block: its next ``BLOCK`` rows, or all that are left."""
-        post, bins = block.posteriors, block.bins
-        if not len(block):
-            return
-        if post.shape[1] != 2:
-            raise DimensionMismatch("table alphabet differs from sample alphabet")
-        if bins.min() < 0 or bins.max() >= self.table.num_bins:
-            raise BinOutOfRange("sample statistic not covered by the table")
-        self.table.ingest_batch(block)
-        massed = np.count_nonzero(self.table.sums)
-        if massed > self.massed:  # some (bin, symbol) has its first mass in this block
-            self.massed = massed
-            for x, first in enumerate(self.first_mass):
-                _note_first(first, bins, post[:, x] > 0, self.count)
+        post = block.posteriors
+        self.table.ingest_batch(block)  # checks the alphabet and the bins
         self.plogp += plogp_sum(post)
         self.cross += _baseline_cross(block.minsum_llrs, post)
-        truths = block.truths
-        self.scored_truths &= truths is not None
-        if truths is not None and (truths.min() < 0 or truths.max() >= 2):
-            self.truths_in_range = False  # would alias another bin's pair
-        if self.scored_truths and self.truths_in_range:
-            pair = bins * 2
-            pair += truths
-            np.add.at(self.pairs, pair, 1)
-            paired = np.count_nonzero(self.pairs)
-            if paired > self.paired:  # some (bin, truth) pair is first seen in this block
-                self.paired = paired
-                _note_first(self.first_pair, pair, True, self.count)
+        pair = block.bins * 2
+        pair += block.truths
+        np.add.at(self.pairs, pair, 1)
         self.count += len(block)
 
     def report(self, q: np.ndarray) -> EvalReport:
@@ -324,36 +284,22 @@ class BatchSums:
         its rows are floored before the divergence, since extreme LLRs
         produce exact zeros that the reference posteriors never have. Both
         divergences share one sum p log2 p. Soft MI is scored from the
-        (bin, truth) pair counts, one weighted row per pair.
+        (bin, truth) pair counts, one weighted row per pair, so a
+        ``ZeroMassAtTruth`` from it names a pair row.
         """
         if not self.count:
             raise ValueError("empty sample sequence")
         q = np.asarray(q, dtype=float)
-        if q.ndim != 2 or q.shape[1] != 2:
-            raise DimensionMismatch("table alphabet differs from sample alphabet")
-        if q.shape[0] != self.table.num_bins:
-            raise DimensionMismatch(f"need {self.table.num_bins} table rows, got {q.shape[0]}")
+        if q.shape != self.table.sums.shape:
+            raise DimensionMismatch(f"need {self.table.num_bins} rows of 2, got shape {q.shape}")
         sums = self.table.sums
-        bad = (sums > 0) & (q == 0)
-        if np.any(bad):
-            k = int(self.first_mass.T[bad].min())
-            raise AbsoluteContinuityViolation(f"sample {k}: table row is zero where posterior has mass")
-        ed = ed_from_sums(sums, q, self.plogp, self.count)
-        baseline = (self.plogp - self.cross) / self.count
-        return EvalReport(empirical_ed=ed, soft_mi=self._soft_mi(q) if self.scored_truths else math.nan,
-                          baseline_ed=baseline, count=self.count)
-
-    def _soft_mi(self, q: np.ndarray) -> float:
-        """``soft_mi(truths, q[bins])`` over the batch, from its (bin, truth) pair counts."""
-        if not self.truths_in_range:
-            raise DimensionMismatch("truths must lie in [0, 2)")
-        try:
-            return soft_mi(np.tile(np.arange(2), q.shape[0]), np.repeat(q, 2, axis=0),
-                           weights=self.pairs)
-        except ZeroMassAtTruth as exc:
-            # name the first sample whose pair has zero mass, as a per-sample call would
-            bad = (self.pairs > 0) & (q.ravel() == 0)
-            raise ZeroMassAtTruth(int(self.first_pair[bad].min())) from exc
+        bad = np.flatnonzero(((sums > 0) & (q == 0)).any(axis=1))
+        if bad.size:
+            raise AbsoluteContinuityViolation(f"bin {bad[0]}: table row is zero where "
+                                              f"posterior has mass")
+        mi = soft_mi(np.tile(np.arange(2), q.shape[0]), np.repeat(q, 2, axis=0), weights=self.pairs)
+        return EvalReport(empirical_ed=ed_from_sums(sums, q, self.plogp, self.count), soft_mi=mi,
+                          baseline_ed=(self.plogp - self.cross) / self.count, count=self.count)
 
 
 def evaluate_table(table: PostTable, batch: MinsumBatch) -> EvalReport:
@@ -361,7 +307,6 @@ def evaluate_table(table: PostTable, batch: MinsumBatch) -> EvalReport:
     sums = BatchSums(table.num_bins)
     for start in range(0, len(batch), BLOCK):
         rows = slice(start, start + BLOCK)
-        sums.add(MinsumBatch(batch.posteriors[rows], batch.bins[rows],
-                             None if batch.truths is None else batch.truths[rows],
+        sums.add(MinsumBatch(batch.posteriors[rows], batch.bins[rows], batch.truths[rows],
                              batch.minsum_llrs[rows]))
     return sums.report(table.finalize())

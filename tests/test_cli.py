@@ -82,6 +82,15 @@ INPUT_FILES = {
     # sums past their count, whose row sum overflows
     "hugesum.json": {"version": 2, "bins": [{"count": 1, "sum": [1e308, 1e308]},
                                             {"count": 0, "sum": [0, 0]}]},
+    # rows that pass the sum checks but finalize to a zero entry, which no
+    # trained row has: a zero sum entry, one that underflows by its count,
+    # and a whole sum that does, whose row would be 0 / 0
+    "zerorow.json": {"version": 2, "bins": [{"count": 0, "sum": [0.0, 0.0]},
+                                            {"count": 1, "sum": [1.0, 0.0]}]},
+    "underflow.json": {"version": 2, "bins": [{"count": 2**62, "sum": [5e-324, 1.0]},
+                                              {"count": 0, "sum": [0.0, 0.0]}]},
+    "nanrow.json": {"version": 2, "bins": [{"count": 2, "sum": [5e-324, 0.0]},
+                                           {"count": 0, "sum": [0.0, 0.0]}]},
 }
 
 
@@ -142,6 +151,9 @@ class TestErrorContract:
         ["eval-minsum", "--table", "@booltable.json", "--samples", "10"],
         ["eval-minsum", "--table", "@strsum.json", "--samples", "10"],
         ["eval-minsum", "--table", "@hugesum.json", "--samples", "10"],
+        ["eval-minsum", "--table", "@zerorow.json", "--samples", "10"],
+        ["eval-minsum", "--table", "@underflow.json", "--samples", "10"],
+        ["eval-minsum", "--table", "@nanrow.json", "--samples", "10"],
         # counts past what the command can do, and lists that name nothing
         ["verify-theorem", "--max-alphabet", "101"],
         ["exit-chart", "--node", "", "--mi-grid", "0:0:1"],
@@ -233,6 +245,9 @@ class TestErrorContract:
          "unsupported table version 1"),
         (["eval-minsum", "--samples", "10", "--table"], json.dumps(INPUT_FILES["hugesum.json"]),
          "table bin sums must lie in [0, count], and be positive where the count is"),
+        *[(["eval-minsum", "--samples", "10", "--table"], json.dumps(INPUT_FILES[name]),
+           f"bin {b} finalizes to a zero entry, which no trained table has")
+          for name, b in (("zerorow.json", 1), ("underflow.json", 0), ("nanrow.json", 0))],
         *[(argv, NOT_UTF8, "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte")
           for argv in (["eval-minsum", "--samples", "10", "--table"],
                        ["solve", "--size", "4", "--node", "corrected", "--alpha-table"],
@@ -240,6 +255,8 @@ class TestErrorContract:
     ], ids=["eval-minsum --samples 10 --table", "solve --size 4 --node corrected --alpha-table",
             "solve --size 4 --puzzle", "eval-minsum --table nospec.json",
             "eval-minsum --table v1table.json", "eval-minsum --table hugesum.json",
+            "eval-minsum --table zerorow.json", "eval-minsum --table underflow.json",
+            "eval-minsum --table nanrow.json",
             "eval-minsum --table not-utf-8",
             "solve --alpha-table not-utf-8", "solve --puzzle not-utf-8"])
     def test_a_malformed_input_file_is_named(self, argv, text, message, tmp_path, capsys):
@@ -381,14 +398,15 @@ CSV_OUT = {"verify-theorem", "eval-minsum", "exit-chart"}
 #: malformed lists, three-element lists with one bad element (the base runs
 #: have three branches), and files of the wrong kind (an n = 9 alpha table,
 #: an n = 4 one without alphas, a bare list, the min-sum table off its flag,
-#: a min-sum table of format version 1, and bytes that are not UTF-8).
+#: a min-sum table of format version 1, one with a zero entry, and bytes
+#: that are not UTF-8).
 SCALAR = ["nan", "inf", "-inf", "0", "-1", ""]
 BAD_VALUES = {
     "number": SCALAR,
     "list": SCALAR + [",", "1,,x", "1:2"] + [f"{v},1,1" for v in SCALAR if v],
     "grid": SCALAR + ["1:2", "nan:1:1", "0:1:0"],
     "file": ["", "nan", "@alphas9.json", "@n4.json", "@list.json", "@table.json",
-             "@v1table.json", "@latin.json"],
+             "@v1table.json", "@zerorow.json", "@latin.json"],
 }
 HUGE_VALUES = {"number": ["1e308", "9" * 30], "list": ["1e308", "1e308,1,1"],
                "grid": ["0:1e308:1"], "file": []}
@@ -396,7 +414,8 @@ FLAG_KINDS = {"--sigmas": "list", "--snr-list": "list", "--node": "list", "--mi-
               "--table": "file", "--alpha-table": "file", "--puzzle": "file"}
 FLAG_FILES = {"alphas9.json": {"version": 1, "n": 9, "alphas": [0.5] * 9},
               "n4.json": {"n": 4}, "list.json": [1, 2, 3],
-              "v1table.json": INPUT_FILES["v1table.json"], "latin.json": NOT_UTF8}
+              "v1table.json": INPUT_FILES["v1table.json"],
+              "zerorow.json": INPUT_FILES["zerorow.json"], "latin.json": NOT_UTF8}
 NON_FINITE = re.compile(r"\b(nan|-?inf(inity)?)\b", re.IGNORECASE)
 
 

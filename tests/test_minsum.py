@@ -8,7 +8,7 @@ import pytest
 
 from rolemodel import chains, minsum
 from rolemodel.cli import main
-from rolemodel.errors import BinOutOfRange, DimensionMismatch, ZeroMassAtTruth
+from rolemodel.errors import AbsoluteContinuityViolation, BinOutOfRange, ZeroMassAtTruth
 from rolemodel.probs import DEFAULT_FLOOR, floor_rows, soft_mi
 from rolemodel.rng import make_rng
 from rolemodel.train import PostTable, SampleBatch, empirical_ed
@@ -297,11 +297,11 @@ class TestEvaluateTable:
         assert per_sample > 0.0
         assert minsum.evaluate_table(table, batch).soft_mi == pytest.approx(per_sample, rel=1e-12)
 
-    def test_zero_mass_at_truth_names_the_first_sample(self):
+    def test_zero_mass_at_truth_names_the_pair(self):
         # one-hot posteriors that disagree with their truths: bins 0 and 1
         # train to (1, 0), so samples 3 (bin 1) and 5 (bin 0) have zero mass at
-        # their truth 1. The error names sample 3, as a per-sample call would,
-        # though pair (0, 1) comes first in the table.
+        # their truth 1. The error names pair row 2 * bin + truth = 1, bin 0's
+        # truth 1, the first such row of the table.
         bins = np.array([0, 1, 0, 1, 2, 0])
         truths = np.array([0, 0, 0, 1, 0, 1])
         posteriors = np.array([[1.0, 0.0]] * 4 + [[0.5, 0.5], [1.0, 0.0]])
@@ -310,15 +310,25 @@ class TestEvaluateTable:
         table.ingest_batch(batch)
         with pytest.raises(ZeroMassAtTruth) as err:
             minsum.evaluate_table(table, batch)
-        assert err.value.index == 3
+        assert err.value.index == 1
 
-    def test_truth_outside_the_alphabet_rejected(self):
-        # a truth of 2 in bin 0 would otherwise count as truth 0 in bin 1
-        batch = minsum.MinsumBatch([[0.5, 0.5]] * 2, [0, 1], [2, 0], [0.0, 0.0])
-        table = PostTable(2, 2)
-        table.ingest_batch(batch)
-        with pytest.raises(DimensionMismatch):
-            minsum.evaluate_table(table, batch)
+    def test_zero_table_entry_under_mass_names_the_bin(self):
+        sums = minsum.BatchSums(2)
+        sums.add(minsum.MinsumBatch([[0.5, 0.5]], [1], [0], [0.0]))
+        with pytest.raises(AbsoluteContinuityViolation, match="^bin 1: "):
+            sums.report(np.array([[0.5, 0.5], [1.0, 0.0]]))
+
+    @pytest.mark.parametrize("seed", [0, 1, 11, 2**64 - 1])
+    def test_every_block_draws_its_truths_as_bits(self, seed):
+        # BatchSums adds each truth into pair row 2 * bin + truth, so a truth
+        # outside {0, 1} would count in another bin's pair; the last block
+        # here ends mid-word, on 37 bits of its last parity word
+        n = minsum.BLOCK + 37
+        lengths = []
+        for block in minsum.simulate_blocks(3, [0.6, 1.0, 1.6], n, seed):
+            assert np.all((block.truths == 0) | (block.truths == 1))
+            lengths.append(len(block))
+        assert lengths == [minsum.BLOCK, 37]
 
     def test_untrained_fallback_is_worse_on_held_out(self):
         quant = minsum.ZQuantizer()

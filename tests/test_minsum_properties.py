@@ -9,15 +9,18 @@ branch in the all-+1 frame from one parity bit a trial; it is held bitwise
 equal to the per-branch formula on the bits and noise that the frame
 stands for. ``BatchSums`` scores the naive baseline on two columns, and its
 cross term is held bitwise equal to the row-wise floor of whole pmf rows.
+Every table that ``train-minsum`` writes loads back with positive rows.
 Runs are derandomized, so every run checks the same examples.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rolemodel import minsum
+from rolemodel.cli import _load, _table_from_json, main
 from rolemodel.probs import DEFAULT_FLOOR, floor_rows
 
 import oracles
@@ -132,6 +135,36 @@ def test_baseline_cross_term_is_bitwise_the_floored_rows(n, edge_share, seed):
     for start in range(0, n, BLOCK):
         rows = slice(start, start + BLOCK)
         l, p = llrs[rows], posteriors[rows]
-        sums.add(minsum.MinsumBatch(p, np.zeros(len(l), dtype=int), None, l))
+        zeros = np.zeros(len(l), dtype=int)
+        sums.add(minsum.MinsumBatch(p, zeros, zeros, l))
         want += float((np.log2(floor_rows(oracles.llrs_to_dists(l), DEFAULT_FLOOR)) * p).sum())
     assert_bitwise(np.float64(sums.cross), np.float64(want))
+
+
+#: Sigmas out to the ends of the range that ``square_is_normal`` admits.
+WIDE_SIGMA = st.one_of(st.sampled_from([1e-150, 30.0]),
+                       st.floats(min_value=-150.0, max_value=np.log10(30.0)).map(lambda e: 10.0**e))
+
+
+@pytest.fixture(scope="module")
+def table_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("trained") / "table.json"
+
+
+# eval-minsum rejects a table whose finalized rows hold a zero; no trained
+# table has one, since every tanh-rule posterior entry is at least 2^-54
+@PROPERTY
+@example((6, [1e-150] * 6), 256, 2000, 0)
+@example((1, [30.0]), 1, 1, 1)
+@example((3, [1e-150, 30.0, 1e-150]), 64, 500, 2)
+@given(st.integers(1, 6).flatmap(lambda d: st.tuples(
+    st.just(d), st.lists(WIDE_SIGMA, min_size=d, max_size=d))),
+       st.integers(1, 256), st.integers(1, 2000), st.integers(0, 2**32 - 1))
+def test_every_trained_table_loads_with_positive_rows(table_path, shape, bins, n, seed):
+    d, sigmas = shape
+    assert main(["train-minsum", "--degree", str(d), "--sigmas", ",".join(map(repr, sigmas)),
+                 "--bins", str(bins), "--samples", str(n), "--seed", str(seed), "--quiet",
+                 "--out", str(table_path)]) == 0
+    table, final, _ = _load(str(table_path), _table_from_json)
+    assert table.counts.sum() == n
+    assert final.shape == (2 * bins, 2) and np.all(final > 0)
