@@ -299,7 +299,7 @@ def _run_solve(args) -> int:
     channel = None if classic else sudoku.ChannelModel.from_snr_db(args.snr_db, q=args.size)
     alphas = (_load(args.alpha_table, _alphas_from_json, args.size)
               if args.alpha_table is not None else None)
-    result = sudoku.bp_solve(puzzle, channel, node=args.node, alphas=alphas,
+    result = sudoku.bp_solve(puzzle, channel, sudoku.node_function(args.node, alphas=alphas),
                              max_iters=args.iters, damping=args.damping, seed=args.seed)
     ser = None if math.isnan(result.symbol_error_rate) else result.symbol_error_rate
     if args.out:

@@ -25,9 +25,9 @@ class ZeroMassAtTruth(RoleModelError):
     Callers typically floor their messages first.
     """
 
-    def __init__(self, index: int, message: str | None = None):
+    def __init__(self, index: int):
         self.index = index
-        super().__init__(message or f"message {index} has zero mass at the true symbol")
+        super().__init__(f"message {index} has zero mass at the true symbol")
 
 
 class BinOutOfRange(RoleModelError):

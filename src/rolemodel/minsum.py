@@ -94,11 +94,14 @@ class ZQuantizer:
 
 
 class MinsumBatch(SampleBatch):
-    """Training samples plus the raw min-sum LLR each one was binned from."""
+    """Training samples plus each one's truth and the raw min-sum LLR it was binned from."""
 
     def __init__(self, posteriors, bins, truths, minsum_llrs):
-        super().__init__(posteriors, bins, truths)
-        self.minsum_llrs = np.asarray(minsum_llrs, dtype=float)
+        super().__init__(posteriors, bins)
+        truths, self.minsum_llrs = np.asarray(truths), np.asarray(minsum_llrs, dtype=float)
+        if truths.shape != (len(self),) or self.minsum_llrs.shape != (len(self),):
+            raise DimensionMismatch("need one truth and one min-sum LLR per sample")
+        self.truths = truths.astype(int, copy=False)
 
 
 def simulate_blocks(d: int, sigmas, n: int, seed: int,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -270,10 +270,6 @@ class BpResult:
     decisions: np.ndarray  # (n^2,)
     symbol_error_rate: float
     degenerate_rows: int = 0
-    #: per iteration, the constraint nodes' (3n, n, q) input stack
-    node_inputs: list = field(default_factory=list, repr=False)
-    #: per iteration, the node's (3n, n, q) rows for that stack (``keep_outputs`` only)
-    node_outputs: list = field(default_factory=list, repr=False)
 
 
 def observation_messages(puzzle: Puzzle, channel: ChannelModel | None,
@@ -292,21 +288,19 @@ def observation_messages(puzzle: Puzzle, channel: ChannelModel | None,
     return post
 
 
-def bp_solve(puzzle: Puzzle, channel: ChannelModel | None, node: str = "exact", *,
-             alphas=None, max_iters: int = 30, damping: float = 0.9,
-             seed: int = 0, stream: int = 0, keep_outputs: bool = False) -> BpResult:
+def bp_solve(puzzle: Puzzle, channel: ChannelModel | None, node, *, max_iters: int = 30,
+             damping: float = 0.9, seed: int = 0, stream: int = 0) -> BpResult:
     """Flooding-schedule BP over the sudoku factor graph.
 
-    ``damping`` is the weight of the new constraint-to-variable message
-    (1.0 disables damping). Terminates as soon as the per-cell hard
-    decision satisfies every constraint. Observations are drawn from the
-    stream (seed, stream), so paired-seed runs of different node variants
-    see identical inputs. ``node_inputs`` on the result lists every
-    iteration's constraint-node input, one (3n, n, q) stack per iteration
-    in constraint order. With ``keep_outputs``, ``node_outputs`` holds the
-    node's rows for each stack (17.5 KB an iteration at n = 9); without, it
-    stays empty, so a solve frees each iteration's rows. BP never writes to
-    either after the node call.
+    ``node`` is the constraint node, a callable m -> ``(rows, fallback_rows)``
+    such as :func:`node_function` returns. BP calls it once per iteration on
+    a fresh (3n, n, q) stack of the constraint nodes' inputs, in constraint
+    order, and never writes to that stack or the returned rows afterwards,
+    so a node may keep both. ``damping`` is the weight of the new
+    constraint-to-variable message (1.0 disables damping). Terminates as
+    soon as the per-cell hard decision satisfies every constraint.
+    Observations are drawn from the stream (seed, stream), so paired-seed
+    runs of different node variants see identical inputs.
     ``degenerate_rows`` sums the node calls' fallback rows. ``max_iters``
     may be 0, which leaves the channel's decisions.
     """
@@ -319,9 +313,7 @@ def bp_solve(puzzle: Puzzle, channel: ChannelModel | None, node: str = "exact", 
     # times 3 plus its kind; every (cell, kind) slot appears once
     slots = (constraint_cells(n) * 3 + np.arange(3 * n)[:, None] // n).ravel()
     back = np.argsort(slots)  # the inverse permutation, node order -> (cell, kind)
-    rng = make_rng(seed, 5, stream)
-    channel_post = observation_messages(puzzle, channel, rng)
-    apply_node = node_function(node, alphas=alphas)
+    channel_post = observation_messages(puzzle, channel, make_rng(seed, 5, stream))
     degenerate_rows = 0
 
     # messages per (cell, constraint kind): v2c[v, k] goes to, and c2v[v, k]
@@ -330,8 +322,6 @@ def bp_solve(puzzle: Puzzle, channel: ChannelModel | None, node: str = "exact", 
     # and undamped oscillation otherwise produce zero-support products.
     v2c = np.stack([floor_rows(channel_post, MESSAGE_FLOOR)] * 3, axis=1)
     c2v = np.full_like(v2c, 1.0 / n)
-    node_inputs: list[np.ndarray] = []
-    node_outputs: list[np.ndarray] = []
 
     beliefs = channel_post.copy()
     decisions = beliefs.argmax(axis=1)
@@ -343,10 +333,7 @@ def bp_solve(puzzle: Puzzle, channel: ChannelModel | None, node: str = "exact", 
             break
         iterations = it
         inputs = v2c.reshape(-1, n).take(slots, axis=0).reshape(3 * n, n, n)
-        node_inputs.append(inputs)
-        rows, fallback_rows = apply_node(inputs)
-        if keep_outputs:
-            node_outputs.append(rows)
+        rows, fallback_rows = node(inputs)
         degenerate_rows += fallback_rows
         fresh = floor_rows(rows, MESSAGE_FLOOR)
         fresh = fresh.reshape(-1, n).take(back, axis=0).reshape(c2v.shape)
@@ -376,8 +363,6 @@ def bp_solve(puzzle: Puzzle, channel: ChannelModel | None, node: str = "exact", 
         decisions=decisions,
         symbol_error_rate=ser,
         degenerate_rows=degenerate_rows,
-        node_inputs=node_inputs,
-        node_outputs=node_outputs,
     )
 
 
@@ -565,10 +550,10 @@ _HARVEST_RUNS, _HARVEST_ITERS = 64, 5
 def _harvest(n: int, snr_db_list, count: int, seed: int) -> tuple[list[np.ndarray], np.ndarray]:
     """The matrices of :func:`harvest_constraint_inputs`, and their exact-node rows.
 
-    The rows, one (count, n, n) array, are the ones BP's exact node computed
-    for those matrices (``BpResult.node_outputs``): bitwise the rows of
-    ``constraint_exact`` on the stacked matrices, since each matrix's rows
-    are the same whatever batch it is in.
+    The BP runs' exact node keeps each stack it is called on and its rows.
+    So the rows, one (count, n, n) array, are bitwise ``constraint_exact``
+    of the stacked matrices, since each matrix's rows are the same whatever
+    batch it is in.
     """
     most = _HARVEST_RUNS * _HARVEST_ITERS * 3 * n
     if not 1 <= count <= most:
@@ -580,15 +565,18 @@ def _harvest(n: int, snr_db_list, count: int, seed: int) -> tuple[list[np.ndarra
     channels = [ChannelModel.from_snr_db(snr, q=n) for snr in snr_db_list]
     pool: list[np.ndarray] = []
     rows: list[np.ndarray] = []
+
+    def exact(m: np.ndarray) -> tuple[np.ndarray, int]:
+        out = constraint_exact(m)
+        pool.extend(m)
+        rows.extend(out)
+        return out, 0
+
     run = 0
     while len(pool) < count * 2 and run < _HARVEST_RUNS:
         puzzle = random_puzzle(n, make_rng(seed, 8, run))
         channel = channels[run % len(channels)]
-        result = bp_solve(puzzle, channel, node="exact", seed=seed, stream=run,
-                          max_iters=_HARVEST_ITERS, keep_outputs=True)
-        for inputs, outputs in zip(result.node_inputs, result.node_outputs):
-            pool.extend(inputs)
-            rows.extend(outputs)
+        bp_solve(puzzle, channel, exact, seed=seed, stream=run, max_iters=_HARVEST_ITERS)
         run += 1
     if len(pool) < count:
         raise ValueError(f"harvest gathered {len(pool)} of the {count} matrices needed in "
@@ -602,9 +590,9 @@ def harvest_constraint_inputs(n: int, snr_db_list, count: int, seed: int) -> lis
     """Constraint-node input matrices from live exact-node BP runs.
 
     Runs cycle through the snr mix, every snr of which is checked before
-    the first run; matrices are the node inputs of BP iterations 1-5
-    (``BpResult.node_inputs``), subsampled to ``count`` with a fixed stream
-    so the batch is reproducible. The matrices are views of those stacks.
+    the first run; matrices are the exact node's inputs in BP iterations
+    1-5, as the node records them, subsampled to ``count`` with a fixed
+    stream so the batch is reproducible. They are views of those stacks.
     ``count`` must lie in [1, 960n], the 3n matrices of each of 5
     iterations of at most 64 runs, and is checked before the first run.
     """

@@ -25,17 +25,14 @@ BLOCK = 1 << 14
 class SampleBatch:
     """Column-wise batch of training samples.
 
-    Stores posteriors as an (N, q) array plus parallel bin/truth vectors.
+    Stores posteriors as an (N, q) array plus a parallel bin vector.
     """
 
-    def __init__(self, posteriors, bins, truths=None):
+    def __init__(self, posteriors, bins):
         self.posteriors = np.asarray(posteriors, dtype=float)
         self.bins = np.asarray(bins, dtype=int)
-        self.truths = None if truths is None else np.asarray(truths, dtype=int)
         if self.posteriors.ndim != 2 or self.posteriors.shape[0] != self.bins.size:
             raise DimensionMismatch("need one posterior row per bin index")
-        if self.truths is not None and self.truths.size != self.bins.size:
-            raise DimensionMismatch("need one truth per sample")
 
     def __len__(self) -> int:
         return self.bins.size

@@ -77,13 +77,15 @@ def surrogate_chain(sigmas, levels_per_branch: int = 8,
     return model, z_of_y
 
 
-def sample_batch(model: chains.ChainModel, z_of_y: np.ndarray, n: int, seed: int) -> SampleBatch:
-    """n training samples of the chain: P(X|Y=y) rows, Z bins and true bits.
+def sample_batch(model: chains.ChainModel, z_of_y: np.ndarray, n: int,
+                 seed: int) -> tuple[SampleBatch, np.ndarray]:
+    """n training samples of the chain, P(X|Y=y) rows and Z bins, and their true bits.
 
-    Draws from stream (seed, 2): all n y tuples, then n uniforms that pick each x.
+    A SampleBatch holds no truths, so the bits come beside it. Draws from
+    stream (seed, 2): all n y tuples, then n uniforms that pick each x.
     """
     rng = make_rng(seed, 2)
     post_xy = chains.posterior_table_xy(model)
     ys = rng.choice(model.ch1.shape[1], size=n, p=model.py())
     xs = (rng.random(n) >= post_xy[ys, 0]).astype(int)  # binary: P(x=0) first
-    return SampleBatch(posteriors=post_xy[ys], bins=z_of_y[ys], truths=xs)
+    return SampleBatch(posteriors=post_xy[ys], bins=z_of_y[ys]), xs

@@ -126,7 +126,7 @@ def test_6_minsum_training():
     t0 = time.time()
     model, z_of_y = surrogate_chain([1.0, 1.0, 1.0])
     table = PostTable(model.ch2.shape[1], 2)
-    table.ingest_batch(sample_batch(model, z_of_y, 1_000_000, seed=2024))
+    table.ingest_batch(sample_batch(model, z_of_y, 1_000_000, seed=2024)[0])
     gap = chains.expected_divergence(model, table.finalize()) - chains.divergence_floor(model)
 
     wins = 0

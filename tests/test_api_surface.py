@@ -11,6 +11,15 @@ string constant, so a dead method or field that shares its name with a live
 variable is flagged. A definition is not a use of itself, and a re-export in
 ``rolemodel/__init__.py`` is not a use.
 
+Defaulted parameters: every parameter with a default, of a top-level
+function or a method in ``src/rolemodel``, must be passed, by keyword or by
+position, by some call in the package or the non-test ``perfbench`` files,
+so no default is a knob that only tests turn. Calls match by the callee's
+bare name (``f(...)`` and ``obj.f(...)`` alike), and ``__init__`` by its
+class's name; a call with ``*args`` passes every positional parameter and
+one with ``**kwargs`` every parameter. A short allowlist gives a reason per
+entry.
+
 Package root: every name that ``rolemodel/__init__.py`` binds, dunders such
 as ``__version__`` aside, must be imported from the root by a package,
 perfbench or test file, so the root holds no re-export that nothing reads.
@@ -36,6 +45,12 @@ PACKAGE = ROOT / "src" / "rolemodel"
 ALLOWLIST = {
     "sudoku.BpResult.beliefs": "the solver's output to library callers",
     "sudoku.BpResult.decisions": "the solver's output to library callers",
+}
+
+#: Defaulted parameters that no package or perfbench call passes, each kept for the stated reason.
+DEFAULTS_ALLOWLIST = {
+    "minsum.simulate_batch(quantizer)": "simulate_batch is kept because perfbench/spans.py "
+                                        "patches it by name",
 }
 
 
@@ -114,6 +129,75 @@ def test_allowlist_names_only_definitions_without_a_caller():
     stale = sorted(q for q, (name, member) in definitions().items()
                    if name in (members if member else names) and q in ALLOWLIST)
     assert not stale, f"allowlisted, but used in src/rolemodel or perfbench: {stale}"
+
+
+def defaulted_parameters() -> dict[str, tuple[str, int | None, str]]:
+    """"module.function(param)" or "module.Class.method(param)" -> how a call passes it.
+
+    The value is (the bare name a call uses, the parameter's position among
+    the call's positional arguments or None when it is keyword-only, its
+    name). A method's ``self`` or ``cls`` takes no position; dunder methods
+    other than ``__init__`` are left out.
+    """
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            # (qualified name, bare name at a call, def, leading parameters a call does not pass)
+            funcs = []
+            if isinstance(node, ast.FunctionDef):
+                funcs.append((f"{path.stem}.{node.name}", node.name, node, 0))
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if not isinstance(item, ast.FunctionDef):
+                        continue
+                    if item.name != "__init__" and item.name.startswith("__"):
+                        continue
+                    callee = node.name if item.name == "__init__" else item.name
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in item.decorator_list)
+                    funcs.append((f"{path.stem}.{node.name}.{item.name}", callee, item,
+                                  0 if static else 1))
+            for qual, callee, func, bound in funcs:
+                args = func.args
+                positional = (args.posonlyargs + args.args)[bound:]
+                for i, arg in enumerate(positional):
+                    if i >= len(positional) - len(args.defaults):
+                        found[f"{qual}({arg.arg})"] = (callee, i, arg.arg)
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        found[f"{qual}({arg.arg})"] = (callee, None, arg.arg)
+    return found
+
+
+def _passes(call: ast.Call, position: int | None, name: str) -> bool:
+    """Whether ``call`` passes the parameter at ``position`` (None: keyword-only) named ``name``."""
+    if any(kw.arg in (name, None) for kw in call.keywords):  # arg None: a **kwargs
+        return True
+    return position is not None and (position < len(call.args)
+                                     or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def unpassed_defaults() -> list[str]:
+    """The defaulted parameters that no package or non-test perfbench call passes."""
+    calls = {}
+    for path in _sources():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(callee, []).append(node)
+    return sorted(q for q, (callee, position, name) in defaulted_parameters().items()
+                  if not any(_passes(call, position, name) for call in calls.get(callee, ())))
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    unpassed = [q for q in unpassed_defaults() if q not in DEFAULTS_ALLOWLIST]
+    assert not unpassed, f"defaulted parameters that only tests pass, or nothing: {unpassed}"
+
+
+def test_defaults_allowlist_names_only_unpassed_parameters():
+    # an entry whose parameter is gone, or gained a caller outside the tests, is stale
+    stale = sorted(set(DEFAULTS_ALLOWLIST) - set(unpassed_defaults()))
+    assert not stale, f"allowlisted, but gone or passed in src/rolemodel or perfbench: {stale}"
 
 
 def _root_names() -> set[str]:

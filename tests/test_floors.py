@@ -16,6 +16,7 @@ from rolemodel.rng import make_rng
 from rolemodel.train import ParametricCorrector
 
 from oracles import minsum_baseline_objective
+from recording import RecordingNode
 
 CLASSIC_9 = "530070000600195000098000060800060003400803001700020006060000280000419005000080079"
 
@@ -43,9 +44,10 @@ class TestMessageFloor:
         channel = sudoku.ChannelModel.from_snr_db(16.0)
         post = sudoku.observation_messages(puzzle, channel, make_rng(0, 5, 1731))
         assert post.min() < MESSAGE_FLOOR
-        res = sudoku.bp_solve(puzzle, channel, seed=0, stream=1731)
+        node = RecordingNode(sudoku.node_function("exact"))
+        res = sudoku.bp_solve(puzzle, channel, node, seed=0, stream=1731)
         assert res.iterations >= 1
-        assert res.node_inputs[0].min() >= MESSAGE_FLOOR * SLACK
+        assert node.inputs[0].min() >= MESSAGE_FLOOR * SLACK
 
     def test_constraint_messages_are_floored(self):
         # site: the node output in bp_solve. Undamped, each belief is the
@@ -57,8 +59,8 @@ class TestMessageFloor:
             for s in range(6):
                 puzzle = sudoku.random_puzzle(n, make_rng(s, 11))
                 post = sudoku.observation_messages(puzzle, channel, make_rng(s, 5, 0))
-                res = sudoku.bp_solve(puzzle, channel, node="approx", seed=s, damping=1.0,
-                                      max_iters=15)
+                res = sudoku.bp_solve(puzzle, channel, sudoku.node_function("approx"), seed=s,
+                                      damping=1.0, max_iters=15)
                 assert np.all(res.beliefs >= post * MESSAGE_FLOOR**3 * SLACK)
 
     def test_variable_messages_are_floored(self):
@@ -66,14 +68,15 @@ class TestMessageFloor:
         # sharpens the products past MESSAGE_FLOOR by the fourth iteration, and
         # undamped exact BP at 2 dB would otherwise hand the node a row
         # that excludes every configuration.
-        res = sudoku.bp_solve(sudoku.parse_grid(CLASSIC_9, 9), None)
+        node = RecordingNode(sudoku.node_function("exact"))
+        res = sudoku.bp_solve(sudoku.parse_grid(CLASSIC_9, 9), None, node)
         assert res.solved and res.iterations >= 4
-        assert min(inputs.min() for inputs in res.node_inputs) >= MESSAGE_FLOOR * SLACK
+        assert min(inputs.min() for inputs in node.inputs) >= MESSAGE_FLOOR * SLACK
         channel = sudoku.ChannelModel.from_snr_db(2.0)
         for s in range(3):
             try:
-                sudoku.bp_solve(sudoku.random_puzzle(9, make_rng(s, 11)), channel, seed=s,
-                                damping=1.0)
+                sudoku.bp_solve(sudoku.random_puzzle(9, make_rng(s, 11)), channel,
+                                sudoku.node_function("exact"), seed=s, damping=1.0)
             except RoleModelError as exc:
                 raise AssertionError(f"seed {s}: {exc}") from exc
 

@@ -8,7 +8,8 @@ import pytest
 
 from rolemodel import chains, minsum
 from rolemodel.cli import main
-from rolemodel.errors import AbsoluteContinuityViolation, BinOutOfRange, ZeroMassAtTruth
+from rolemodel.errors import (AbsoluteContinuityViolation, BinOutOfRange, DimensionMismatch,
+                              ZeroMassAtTruth)
 from rolemodel.probs import DEFAULT_FLOOR, floor_rows, soft_mi
 from rolemodel.rng import make_rng
 from rolemodel.train import PostTable, SampleBatch, empirical_ed
@@ -312,6 +313,23 @@ class TestEvaluateTable:
             minsum.evaluate_table(table, batch)
         assert err.value.index == 1
 
+    def test_batch_columns(self):
+        # a min-sum batch is a SampleBatch plus one truth and one min-sum LLR per sample
+        batch = minsum.MinsumBatch([[0.6, 0.4], [0.1, 0.9]], [1, 0], np.array([0, 1], np.uint8),
+                                   [0.5, -2.0])
+        assert len(batch) == 2 and batch.truths[1] == 1 and batch.minsum_llrs[1] == -2.0
+        assert batch.truths.dtype == np.int_ and batch.minsum_llrs.dtype == np.float64
+        for truths, llrs in (([0], [0.5, -2.0]), ([0, 1, 1], [0.5, -2.0]), ([[0, 1]], [0.5, -2.0]),
+                             ([0, 1], [0.5]), ([0, 1], 0.5), (None, [0.5, -2.0])):
+            with pytest.raises(DimensionMismatch, match="one truth and one min-sum LLR"):
+                minsum.MinsumBatch(batch.posteriors, batch.bins, truths, llrs)
+
+    def test_a_batch_without_truths_fails_at_construction(self):
+        # evaluate_table scores soft MI on the truths, so a batch must carry them
+        table = PostTable(2, 2)
+        with pytest.raises(DimensionMismatch):
+            minsum.evaluate_table(table, minsum.MinsumBatch([[0.5, 0.5]], [1], None, [0.0]))
+
     def test_zero_table_entry_under_mass_names_the_bin(self):
         sums = minsum.BatchSums(2)
         sums.add(minsum.MinsumBatch([[0.5, 0.5]], [1], [0], [0.0]))
@@ -389,14 +407,14 @@ class TestSurrogateChain:
     def test_trained_table_reaches_floor(self):
         model, z_of_y = surrogate_chain([1.0] * 3)
         table = PostTable(model.ch2.shape[1], 2)
-        table.ingest_batch(sample_batch(model, z_of_y, 100_000, seed=15))
+        table.ingest_batch(sample_batch(model, z_of_y, 100_000, seed=15)[0])
         gap = chains.expected_divergence(model, table.finalize()) - chains.divergence_floor(model)
         assert 0.0 <= gap <= 0.01
 
     def test_unequal_sigmas_supported(self):
         model, z_of_y = surrogate_chain([0.7, 1.0, 1.4])
         table = PostTable(model.ch2.shape[1], 2)
-        table.ingest_batch(sample_batch(model, z_of_y, 50_000, seed=16))
+        table.ingest_batch(sample_batch(model, z_of_y, 50_000, seed=16)[0])
         gap = chains.expected_divergence(model, table.finalize()) - chains.divergence_floor(model)
         assert 0.0 <= gap <= 0.01
 
@@ -423,10 +441,10 @@ class TestMonteCarloIntegration:
         for n, bound in mean_bound.items():
             role, counts = [], []
             for seed in range(20):
-                batch = sample_batch(model, z_of_y, n, seed)
+                batch, truths = sample_batch(model, z_of_y, n, seed)
                 table, truth_table = PostTable(nz, 2), PostTable(nz, 2)
                 table.ingest_batch(batch)
-                truth_table.ingest_batch(SampleBatch(np.eye(2)[batch.truths], batch.bins))
+                truth_table.ingest_batch(SampleBatch(np.eye(2)[truths], batch.bins))
                 role.append(chains.expected_divergence(model, table.finalize()) - floor)
                 truth_q = floor_rows(truth_table.finalize(), 1e-6)
                 counts.append(chains.expected_divergence(model, truth_q) - floor)
@@ -444,7 +462,7 @@ class TestMonteCarloIntegration:
         sd = np.sqrt(np.maximum(pyz.T @ p0**2 / pz - exact[:, 0] ** 2, 0.0))
         for seed in range(5):
             table = PostTable(model.ch2.shape[1], 2)
-            table.ingest_batch(sample_batch(model, z_of_y, 1_000_000, seed))
+            table.ingest_batch(sample_batch(model, z_of_y, 1_000_000, seed)[0])
             q, filled = table.finalize(), table.counts > 0
             assert np.all(q[~filled] == 0.5) and np.all(pz[~filled] < 1e-5)
             err = np.abs(q[filled, 0] - exact[filled, 0])

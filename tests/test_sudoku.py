@@ -12,6 +12,7 @@ from rolemodel.rng import make_rng
 from rolemodel.train import ParametricCorrector, train_parametric
 
 from oracles import constraint_marginals
+from recording import RecordingNode
 
 
 class TestGraphAndPuzzle:
@@ -199,26 +200,29 @@ class TestConstraintApprox:
 class TestBpSolve:
     def test_noiseless_solves_immediately(self):
         p = sudoku.random_puzzle(9, make_rng(610, 0))
-        res = sudoku.bp_solve(p, sudoku.ChannelModel.from_snr_db(60.0, q=9), seed=1)
+        res = sudoku.bp_solve(p, sudoku.ChannelModel.from_snr_db(60.0, q=9),
+                              sudoku.node_function("exact"), seed=1)
         assert res.solved and res.iterations <= 2
         assert res.symbol_error_rate == 0.0
 
     def test_paired_seed_solve_rates(self):
         ch = sudoku.ChannelModel.from_snr_db(2.0, q=4)
+        exact, approx = sudoku.node_function("exact"), sudoku.node_function("approx")
         solved_exact = solved_approx = 0
         for t in range(200):
             p = sudoku.random_puzzle(4, make_rng(100, t))
-            solved_exact += sudoku.bp_solve(p, ch, node="exact", seed=200, stream=t, max_iters=25).solved
-            solved_approx += sudoku.bp_solve(p, ch, node="approx", seed=200, stream=t, max_iters=25).solved
+            solved_exact += sudoku.bp_solve(p, ch, exact, seed=200, stream=t, max_iters=25).solved
+            solved_approx += sudoku.bp_solve(p, ch, approx, seed=200, stream=t, max_iters=25).solved
         assert solved_exact >= solved_approx
 
     def test_damping_reaches_same_fixed_point(self):
         ch = sudoku.ChannelModel.from_snr_db(5.0, q=4)
+        exact = sudoku.node_function("exact")
         checked = 0
         for t in range(12):
             p = sudoku.random_puzzle(4, make_rng(23, t))
-            r1 = sudoku.bp_solve(p, ch, node="exact", seed=24, stream=t, damping=1.0, max_iters=40)
-            r2 = sudoku.bp_solve(p, ch, node="exact", seed=24, stream=t, damping=0.5, max_iters=40)
+            r1 = sudoku.bp_solve(p, ch, exact, seed=24, stream=t, damping=1.0, max_iters=40)
+            r2 = sudoku.bp_solve(p, ch, exact, seed=24, stream=t, damping=0.5, max_iters=40)
             if r1.solved and r2.solved:
                 checked += 1
                 assert np.array_equal(r1.decisions, r2.decisions)
@@ -230,7 +234,7 @@ class TestBpSolve:
         for idx in (0, 5, 10):
             chars[idx] = "0"
         classic = sudoku.parse_grid("".join(chars), 4)
-        res = sudoku.bp_solve(classic, None, node="exact", seed=27, max_iters=20)
+        res = sudoku.bp_solve(classic, None, sudoku.node_function("exact"), seed=27, max_iters=20)
         assert res.solved
         assert np.array_equal(res.decisions, grid.solution)
         assert math.isnan(res.symbol_error_rate)
@@ -238,31 +242,45 @@ class TestBpSolve:
     def test_deterministic_per_seed(self):
         p = sudoku.random_puzzle(9, make_rng(611, 0))
         ch = sudoku.ChannelModel.from_snr_db(7.0, q=9)
-        r1 = sudoku.bp_solve(p, ch, seed=612, max_iters=8)
-        r2 = sudoku.bp_solve(p, ch, seed=612, max_iters=8)
+        r1 = sudoku.bp_solve(p, ch, sudoku.node_function("exact"), seed=612, max_iters=8)
+        r2 = sudoku.bp_solve(p, ch, sudoku.node_function("exact"), seed=612, max_iters=8)
         assert np.array_equal(r1.beliefs, r2.beliefs)
 
-    def test_node_inputs(self):
-        # one (3n, n, q) stack per iteration, each row a pmf from one cell
-        p = sudoku.random_puzzle(4, make_rng(613, 0))
-        ch = sudoku.ChannelModel.from_snr_db(1.0, q=4)
-        res = sudoku.bp_solve(p, ch, seed=614, max_iters=5)
-        assert res.iterations == 5 and len(res.node_inputs) == 5
-        assert all(inputs.shape == (12, 4, 4) for inputs in res.node_inputs)
-        assert np.allclose(np.stack(res.node_inputs).sum(axis=-1), 1.0, atol=1e-12)
-        # kept on request only: beside each input stack, the node's rows for
-        # it, before the message floor, and the run itself unchanged
-        assert res.node_outputs == []
-        kept = sudoku.bp_solve(p, ch, seed=614, max_iters=5, keep_outputs=True)
-        assert kept.beliefs.tobytes() == res.beliefs.tobytes() and len(kept.node_outputs) == 5
-        for inputs, outputs in zip(kept.node_inputs, kept.node_outputs):
-            assert outputs.tobytes() == sudoku.constraint_exact(inputs).tobytes()
+    @pytest.mark.parametrize("damping", [0.9, 1.0])
+    @pytest.mark.parametrize("kind", ["exact", "approx"])
+    @pytest.mark.parametrize("n", [4, 9])
+    def test_node_inputs(self, n, kind, damping):
+        # the node-call contract: one call per iteration, on a fresh (3n, n, q)
+        # stack of pmf rows, each row from one cell; BP writes to neither
+        # that stack nor the returned rows afterwards, so a node may keep both
+        p = sudoku.random_puzzle(n, make_rng(613, 0))
+        ch = sudoku.ChannelModel.from_snr_db(1.0, q=n)
+        node = RecordingNode(sudoku.node_function(kind))
+        res = sudoku.bp_solve(p, ch, node, seed=614, max_iters=5, damping=damping)
+        assert res.iterations == 5 and len(node.inputs) == 5
+        assert all(inputs.shape == (3 * n, n, n) for inputs in node.inputs)
+        assert np.allclose(np.stack(node.inputs).sum(axis=-1), 1.0, atol=1e-12)
+        # the returned rows are the node's own for each stack, before the
+        # message floor, and recording leaves the run unchanged
+        plain = sudoku.bp_solve(p, ch, sudoku.node_function(kind), seed=614, max_iters=5,
+                                damping=damping)
+        assert res.beliefs.tobytes() == plain.beliefs.tobytes()
+        for inputs, outputs in zip(node.inputs, node.outputs, strict=True):
+            assert outputs.tobytes() == sudoku.node_function(kind)(inputs)[0].tobytes()
+        # after the solve, every kept array still holds its bits at the call
+        for inputs, outputs, (stack, rows) in zip(node.inputs, node.outputs, node.snapshots,
+                                                  strict=True):
+            assert inputs.tobytes() == stack.tobytes() and outputs.tobytes() == rows.tobytes()
+        # and each call got a stack of its own
+        for i, a in enumerate(node.inputs):
+            assert not any(np.shares_memory(a, b) for b in node.inputs[i + 1:])
 
 
 class TestBpBitsArePinned:
     """sha256 of every ``BpResult`` field a run produces: the beliefs bytes,
     iterations, solved flag, degenerate rows and every constraint's node
-    input at iterations 1 and 3, over nine runs per case (damping 0.5, 0.9 and 1.0 at 1, 4 and 8 dB).
+    input at iterations 1 and 3, as a recording node kept them, over nine
+    runs per case (damping 0.5, 0.9 and 1.0 at 1, 4 and 8 dB).
     The n = 9 digests were recorded when every level of the minor kernel
     first summed over axis 0.
     A change to the message layout or the order of the arithmetic in
@@ -281,10 +299,10 @@ class TestBpBitsArePinned:
     @staticmethod
     def digest(runs) -> str:
         h = hashlib.sha256()
-        for res in runs:
+        for res, node in runs:
             h.update(res.beliefs.tobytes())
             h.update(np.array([res.iterations, res.solved, res.degenerate_rows]).tobytes())
-            for it, inputs in enumerate(res.node_inputs, start=1):
+            for it, inputs in enumerate(node.inputs, start=1):
                 if it in (1, 3):
                     for c, m in enumerate(inputs):
                         h.update(np.array([it, c]).tobytes())
@@ -298,18 +316,19 @@ class TestBpBitsArePinned:
         runs = []
         for damping in (0.5, 0.9, 1.0):
             for snr in (1.0, 4.0, 8.0):
-                runs.append(sudoku.bp_solve(
-                    puzzle, sudoku.ChannelModel.from_snr_db(snr, q=n), node=node,
-                    alphas=np.ones(n), max_iters=12, damping=damping, seed=701,
-                    stream=len(runs)))
+                recording = RecordingNode(sudoku.node_function(node, alphas=np.ones(n)))
+                runs.append((sudoku.bp_solve(
+                    puzzle, sudoku.ChannelModel.from_snr_db(snr, q=n), recording,
+                    max_iters=12, damping=damping, seed=701, stream=len(runs)), recording))
         assert self.digest(runs) == self.DIGESTS[n, node]
 
     def test_classic_run(self):
         grid = sudoku.random_puzzle(9, make_rng(702)).solution.copy()
         grid[1::2] = -1
         puzzle = sudoku.Puzzle(n=9, solution=grid, givens=grid >= 0)
-        res = sudoku.bp_solve(puzzle, None, max_iters=12)
-        assert self.digest([res]) == self.DIGESTS["classic"]
+        recording = RecordingNode(sudoku.node_function("exact"))
+        res = sudoku.bp_solve(puzzle, None, recording, max_iters=12)
+        assert self.digest([(res, recording)]) == self.DIGESTS["classic"]
 
 
 class TestExitBitsArePinned:

@@ -332,15 +332,12 @@ class TestTrainParametric:
 
 class TestSampleBatch:
     def test_column_protocol(self):
-        batch = SampleBatch(np.array([[0.6, 0.4], [0.1, 0.9]]), [1, 0], truths=[0, 1])
+        batch = SampleBatch(np.array([[0.6, 0.4], [0.1, 0.9]]), [1, 0])
         assert len(batch) == 2
         assert batch.bins[0] == 1
-        assert batch.truths[1] == 1
         assert batch.bins.dtype == np.int_ and batch.posteriors.dtype == np.float64
         with pytest.raises(DimensionMismatch):
             SampleBatch(batch.posteriors, [1, 0, 1])
-        with pytest.raises(DimensionMismatch):
-            SampleBatch(batch.posteriors, batch.bins, truths=[0])
 
     def test_empirical_ed_on_one_row_batches(self):
         q = np.array([[0.5, 0.5], [0.8, 0.2]])
