@@ -238,26 +238,16 @@ def _table_from_json(text: str) -> tuple[PostTable, np.ndarray, minsum.ZQuantize
     return table, final, quant
 
 
-def _draw_minsum(args, quant: minsum.ZQuantizer, scored: bool):
-    """The run's draws, added up one block at a time as they are drawn.
-
-    Into a BatchSums if ``scored``, else into a bare table by
-    ``ingest_batch``, the call ``BatchSums.add`` makes; either is allocated
-    before the first draw. The run holds no array of n rows, so --samples
-    sizes no array: it sets only how many blocks are drawn.
-    """
-    sums = minsum.BatchSums(quant.total_bins) if scored else minsum.new_table(quant)
-    add = sums.add if scored else sums.ingest_batch
-    for block in minsum.simulate_blocks(args.degree, args.sigmas, args.samples, args.seed, quant):
-        add(block)
-    return sums
-
-
 def _run_train_minsum(args) -> int:
     _addressable("--bins", args.bins, 2 * args.bins * 2 * 8)  # the (2b, 2) float64 sums
     quant = minsum.ZQuantizer(num_bins=args.bins)
-    # the training-batch scores are only printed, so a quiet run sums the table alone
-    sums = _draw_minsum(args, quant, scored=not args.quiet)
+    # the training-batch scores are only printed, so a quiet run sums the table alone, by
+    # ingest_batch, the call BatchSums.add makes. Either is allocated before the first draw,
+    # and the blocks are added up as they are drawn, so --samples sizes no array.
+    sums = minsum.new_table(quant) if args.quiet else minsum.BatchSums(quant.total_bins)
+    add = sums.ingest_batch if args.quiet else sums.add
+    for block in minsum.simulate_blocks(args.degree, args.sigmas, args.samples, args.seed, quant):
+        add(block)
     table = sums if args.quiet else sums.table
     if args.out:
         _save_table(args.out, _table_doc(table))
@@ -270,7 +260,8 @@ def _run_train_minsum(args) -> int:
 
 def _run_eval_minsum(args) -> int:
     table, final, quant = _load(args.table, _table_from_json)
-    report = _draw_minsum(args, quant, scored=True).report(final)
+    report = minsum.evaluate_table(final, minsum.simulate_blocks(args.degree, args.sigmas,
+                                                                args.samples, args.seed, quant))
     if args.out:
         rows = [[b, int(table.counts[b])] + [repr(float(v)) for v in final[b]]
                 for b in range(table.num_bins)]

@@ -7,16 +7,19 @@ the min-sum statistic (min magnitude, sign product), quantized into bins.
 Training data comes from BPSK over AWGN with per-branch noise levels, so
 the unequal-variance case is a first-class input. Both outputs depend on
 the branch bits only through their XOR, so a trial draws that one bit and
-works its branches in the all-+1 frame. It is drawn one block at a time
-(``simulate_blocks``), and ``BatchSums`` adds up each block's share of a
-table and its scores as it is drawn. Binary log-likelihood ratios are in
-natural-log units, ``llr = ln(p0 / p1)`` (positive favors symbol 0).
+works its branches in the all-+1 frame. A run is one pass of three steps:
+``simulate_blocks`` draws it one block at a time, one ``simulate_batch``
+call a block; ``BatchSums`` adds up each block's share of a table and its
+scores as it is drawn; and ``evaluate_table`` reports those sums on a
+trained table, its divergence by ``train.empirical_ed``. Binary
+log-likelihood ratios are in natural-log units, ``llr = ln(p0 / p1)``
+(positive favors symbol 0).
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +27,7 @@ import numpy as np
 from .errors import AbsoluteContinuityViolation, BinOutOfRange, DimensionMismatch
 from .probs import DEFAULT_FLOOR, soft_mi, square_is_normal
 from .rng import make_rng
-# empirical_ed is not called here: perfbench/spans.py traces it under this module's name
-from .train import BLOCK, PostTable, SampleBatch, ed_from_sums, empirical_ed, plogp_sum  # noqa: F401
+from .train import BLOCK, PostTable, SampleBatch, empirical_ed, plogp_sum
 
 #: Finite LLRs saturate here before entering tanh; tanh(38/2) is still
 #: strictly below 1 in double precision.
@@ -105,7 +107,7 @@ class MinsumBatch(SampleBatch):
 
 
 def simulate_blocks(d: int, sigmas, n: int, seed: int,
-                    quantizer: ZQuantizer | None = None) -> Iterator[MinsumBatch]:
+                    quantizer: ZQuantizer) -> Iterator[MinsumBatch]:
     """Draw n check-node trials, ``BLOCK`` at a time, pairing reference posteriors with Z bins.
 
     Each trial observes d branch bits over BPSK/AWGN with the given
@@ -119,9 +121,10 @@ def simulate_blocks(d: int, sigmas, n: int, seed: int,
     ``make_rng(seed, 1)`` in (n, d) row order. Parity k is bit k % 64, least
     significant first, of raw word k // 64 of ``make_rng(seed, 1, 1)``,
     whose counter differs in word 1, 2^64 Philox blocks away. Each block
-    draws its rows' normals and its ``BLOCK / 64`` words, so neither stream
-    depends on ``BLOCK``, and is yielded as a MinsumBatch of its own; a pass
-    holds no array of n rows. The arguments are checked here, before any draw.
+    is one :func:`simulate_batch` call, which draws its rows' normals and
+    its ``BLOCK / 64`` words, so neither stream depends on ``BLOCK``, and is
+    yielded as a MinsumBatch of its own; a pass holds no array of n rows.
+    The arguments are checked here, before any draw.
     """
     if n < 1:
         raise ValueError("need at least one trial")
@@ -130,17 +133,28 @@ def simulate_blocks(d: int, sigmas, n: int, seed: int,
         raise ValueError(f"need {d} sigmas, got {sig.size}")
     if d < 1 or not np.all(square_is_normal(sig)):
         raise ValueError("need one positive sigma per branch, its square a finite normal float")
-    return _draw_blocks(sig, n, seed, quantizer or ZQuantizer())
+    return _draw_blocks(sig, n, seed, quantizer)
 
 
 def _draw_blocks(sig: np.ndarray, n: int, seed: int,
                  quantizer: ZQuantizer) -> Iterator[MinsumBatch]:
     normals, parity = (make_rng(seed, 1, word) for word in (0, 1))
     for start in range(0, n, BLOCK):
-        m = min(BLOCK, n - start)  # BLOCK is a multiple of 64: only the last block ends mid-word
-        words = parity.bit_generator.random_raw(-(-m // 64)).astype("<u8", copy=False)
-        flips = np.unpackbits(words.view(np.uint8), count=m, bitorder="little")
-        yield _trials(sig, flips, normals.standard_normal((m, sig.size)), quantizer)
+        # BLOCK is a multiple of 64: only the last block ends mid-word
+        yield simulate_batch(sig, min(BLOCK, n - start), normals, parity, quantizer)
+
+
+def simulate_batch(sig: np.ndarray, m: int, normals: np.random.Generator,
+                   parity: np.random.Generator, quantizer: ZQuantizer) -> MinsumBatch:
+    """The next m trials of a :func:`simulate_blocks` run, from its two generators.
+
+    Draws m parity bits from the next ``ceil(m / 64)`` raw words of
+    ``parity`` and the (m, d) normals from ``normals``; ``sig`` holds the
+    run's d checked sigmas.
+    """
+    words = parity.bit_generator.random_raw(-(-m // 64)).astype("<u8", copy=False)
+    flips = np.unpackbits(words.view(np.uint8), count=m, bitorder="little")
+    return _trials(sig, flips, normals.standard_normal((m, sig.size)), quantizer)
 
 
 def _trials(sig: np.ndarray, flips: np.ndarray, noise: np.ndarray,
@@ -182,24 +196,6 @@ def _trials(sig: np.ndarray, flips: np.ndarray, noise: np.ndarray,
     bins = quantizer.bin_indices(mins, signs)
     mins *= signs
     return MinsumBatch(posteriors, bins, flips, mins)
-
-
-def simulate_batch(d: int, sigmas, n: int, seed: int,
-                   quantizer: ZQuantizer | None = None) -> MinsumBatch:
-    """The n trials of :func:`simulate_blocks`, copied into one batch.
-
-    Needs the 40 bytes per sample of the returned arrays and one block's arrays.
-    """
-    blocks = simulate_blocks(d, sigmas, n, seed, quantizer)
-    batch = MinsumBatch(np.empty((n, 2)), np.empty(n, dtype=int), np.empty(n, dtype=np.int64),
-                        np.empty(n))
-    for start, block in zip(range(0, n, BLOCK), blocks):
-        rows = slice(start, start + len(block))
-        batch.posteriors[rows] = block.posteriors
-        batch.bins[rows] = block.bins
-        batch.truths[rows] = block.truths
-        batch.minsum_llrs[rows] = block.minsum_llrs
-    return batch
 
 
 def new_table(quantizer: ZQuantizer) -> PostTable:
@@ -301,15 +297,17 @@ class BatchSums:
             raise AbsoluteContinuityViolation(f"bin {bad[0]}: table row is zero where "
                                               f"posterior has mass")
         mi = soft_mi(np.tile(np.arange(2), q.shape[0]), np.repeat(q, 2, axis=0), weights=self.pairs)
-        return EvalReport(empirical_ed=ed_from_sums(sums, q, self.plogp, self.count), soft_mi=mi,
+        return EvalReport(empirical_ed=empirical_ed(sums, q, self.plogp, self.count), soft_mi=mi,
                           baseline_ed=(self.plogp - self.cross) / self.count, count=self.count)
 
 
-def evaluate_table(table: PostTable, batch: MinsumBatch) -> EvalReport:
-    """Score a trained table on a batch: :class:`BatchSums` over its blocks, reported on the table."""
-    sums = BatchSums(table.num_bins)
-    for start in range(0, len(batch), BLOCK):
-        rows = slice(start, start + BLOCK)
-        sums.add(MinsumBatch(batch.posteriors[rows], batch.bins[rows], batch.truths[rows],
-                             batch.minsum_llrs[rows]))
-    return sums.report(table.finalize())
+def evaluate_table(q: np.ndarray, blocks: Iterable[MinsumBatch]) -> EvalReport:
+    """Score table rows q, one per bin, on a batch's blocks: :class:`BatchSums` over them, reported.
+
+    The sums are allocated before the first block is taken, so a lazy
+    ``blocks``, such as a :func:`simulate_blocks` run, draws nothing before them.
+    """
+    sums = BatchSums(len(q))
+    for block in blocks:
+        sums.add(block)
+    return sums.report(q)

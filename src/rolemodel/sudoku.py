@@ -609,10 +609,10 @@ class AlphaTrainResult:
 
 
 def _alpha_divergences(matrices, exact: np.ndarray):
-    """Frozen batch, its exact rows -> corrector -> (B, n) divergences of exact from corrected rows.
+    """Frozen batch, its exact rows -> weights (n,) -> (B, n) divergences of exact from corrected.
 
     Minor permanents of both split parts are precomputed once for the
-    stacked batch, and each call scores a corrector in buffers built here:
+    stacked batch, and each call scores a weight array in buffers built here:
     alpha-weighted mix, floor, log2, divergence. Row i of every matrix
     depends on alpha_i alone.
     Corrected rows are floored at ``DEFAULT_FLOOR``, since a sparse head
@@ -625,8 +625,8 @@ def _alpha_divergences(matrices, exact: np.ndarray):
     log_p = (log2_masked(exact), True)
     corrected, terms = np.empty_like(ph), np.zeros_like(ph)
 
-    def rows(corrector: ParametricCorrector) -> np.ndarray:
-        _alpha_mix(corrector.alphas, ph, pt, out=corrected)
+    def rows(alphas: np.ndarray) -> np.ndarray:
+        _alpha_mix(alphas, ph, pt, out=corrected)
         floor_rows(corrected, DEFAULT_FLOOR, out=corrected)
         return divergence_rows(exact, corrected, _log_p=log_p, _work=terms)
 
@@ -637,7 +637,7 @@ def alpha_objective(matrices: list[np.ndarray]):
     """Frozen-batch objective: the mean divergence over rows per matrix, then over matrices."""
     stack = np.asarray(matrices, dtype=float)
     rows = _alpha_divergences(stack, constraint_exact(stack))
-    return lambda corrector: float(rows(corrector).mean(axis=-1).mean())
+    return lambda corrector: float(rows(corrector.alphas).mean(axis=-1).mean())
 
 
 def train_alpha(n: int = 9, snr_db_list=(6.0, 8.0, 10.0), batch: int = 64,
@@ -652,10 +652,10 @@ def train_alpha(n: int = 9, snr_db_list=(6.0, 8.0, 10.0), batch: int = 64,
     on the frozen batch.
     """
     rows = _alpha_divergences(*_harvest(n, list(snr_db_list), batch, seed))
-    result = train_parametric(lambda c: rows(c).mean(axis=0), slots=n, budget=budget)
+    result = train_parametric(lambda a: rows(a).mean(axis=0), slots=n, budget=budget)
     candidates = (result.corrector, ParametricCorrector(np.full(n, 0.5)),
                   ParametricCorrector(np.ones(n)))
-    values = [float(rows(c).mean(axis=-1).mean()) for c in candidates]
+    values = [float(rows(c.alphas).mean(axis=-1).mean()) for c in candidates]
     best = int(np.argmin(values))  # the first lowest: the search's point wins a tie
     return AlphaTrainResult(corrector=candidates[best], objective_value=values[best],
                             baseline_half=values[1], baseline_ones=values[2], search=result)

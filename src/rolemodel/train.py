@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AbsoluteContinuityViolation, BinOutOfRange, DimensionMismatch
+from .errors import BinOutOfRange, DimensionMismatch
 from .probs import log2_masked
 
 #: Rows per block where a batch is processed piecewise: 2^14 rows of a few
@@ -92,37 +92,15 @@ class PostTable:
         return out
 
 
-def empirical_ed(batch: SampleBatch, q: np.ndarray) -> float:
-    """Time-averaged divergence (bits) of sample posteriors from table rows q.
+def empirical_ed(sums: np.ndarray, q: np.ndarray, plogp: float, count: int) -> float:
+    """Time-averaged divergence (bits) of ``count`` sample posteriors from table rows q.
 
-    (1/N) sum_k D(posterior_k || q[statistic_k]); the finite-N approximation
-    of the expected divergence being minimized. Evaluated as
-    (1/N) [sum_k sum_x p log2 p - sum_b sum_x S[b,x] log2 q[b,x]], where S
-    holds the per-bin posterior sums, so the table term takes one log per
-    table entry (:func:`ed_from_sums`).
-    """
-    q = np.asarray(q, dtype=float)
-    post, bins = batch.posteriors, batch.bins
-    if post.shape[0] == 0:
-        raise ValueError("empty sample sequence")
-    if q.ndim != 2 or q.shape[1] != post.shape[1]:
-        raise DimensionMismatch("table alphabet differs from sample alphabet")
-    if bins.min() < 0 or bins.max() >= q.shape[0]:
-        raise BinOutOfRange("sample statistic not covered by the table")
-    sums = np.zeros(q.shape)
-    _add_rows(sums, bins, post)
-    bad = (sums > 0) & (q == 0)
-    if np.any(bad):
-        k = int(np.nonzero(((post > 0) & bad[bins]).any(axis=1))[0][0])
-        raise AbsoluteContinuityViolation(f"sample {k}: table row is zero where posterior has mass")
-    return ed_from_sums(sums, q, plogp_sum(post), post.shape[0])
-
-
-def ed_from_sums(sums: np.ndarray, q: np.ndarray, plogp: float, count: int) -> float:
-    """The empirical ED of ``count`` samples whose per-bin posterior sums are ``sums``.
-
+    (1/N) sum_k D(posterior_k || q[statistic_k]), the finite-N approximation
+    of the expected divergence being minimized, from the samples' per-bin
+    posterior sums S (``sums``) and their sum p log2 p (``plogp``):
     (1/N) [``plogp`` - sum_b sum_x S[b,x] log2 q[b,x]], the table term over
-    the entries where S > 0; the caller has checked that q is positive there.
+    the entries where S > 0, one log per table entry. The caller has checked
+    that q is positive there.
     """
     mass = sums > 0
     return (plogp - float(np.sum(sums[mass] * np.log2(q[mass])))) / count
@@ -157,15 +135,16 @@ _LINE_TOL = 1e-4
 def train_parametric(objective, slots: int, budget: int = 4000) -> TrainResult:
     """Minimize a slot-separable objective over [0,1]^slots.
 
-    ``objective`` maps a corrector to ``slots`` values, value i depending on
-    alpha_i alone, so every slot is minimized on its own. One golden-section
-    search runs on every slot at once: each call scores one new point per
-    slot, and all brackets shrink by the same factor, so every slot takes
-    the same steps (24 calls at ``_LINE_TOL``: the all-0.5 start, the two
-    first points, 20 steps and the final midpoints). Per slot the result
-    is the first point that scored lowest, so it never loses to 0.5. A call
-    past ``budget`` scores +inf in every slot without calling the
-    objective; ``budget`` must be at least 1.
+    ``objective`` maps a (slots,) weight array, which it must not write to,
+    to ``slots`` values, value i depending on alpha_i alone, so every slot
+    is minimized on its own. One golden-section search runs on every slot
+    at once: each call scores one new point per slot, and all brackets
+    shrink by the same factor, so every slot takes the same steps (24 calls
+    at ``_LINE_TOL``: the all-0.5 start, the two first points, 20 steps and
+    the final midpoints). Per slot the result is the first point that
+    scored lowest, so it never loses to 0.5. A call past ``budget`` scores
+    +inf in every slot without calling the objective; ``budget`` must be
+    at least 1.
     """
     if slots < 1:
         raise ValueError("need at least one slot")
@@ -179,7 +158,7 @@ def train_parametric(objective, slots: int, budget: int = 4000) -> TrainResult:
         if evals >= budget:
             return np.full(slots, math.inf)
         evals += 1
-        f = np.asarray(objective(ParametricCorrector(x)), dtype=float)
+        f = np.asarray(objective(x), dtype=float)
         if f.shape != (slots,):
             raise ValueError(f"the objective must return one value per slot, got shape {f.shape}")
         better = f < best_f

@@ -15,6 +15,7 @@ from rolemodel.permanent import minor_permanents, minor_permanents_split
 from rolemodel.rng import make_rng
 from rolemodel.train import ParametricCorrector, PostTable, SampleBatch
 
+from minsum_batches import QUANT, trained_table
 from oracles import constraint_marginals, joint_expected_divergence, projected_gradient_table
 from oracles import minor_permanents as brute_minors
 from surrogate import sample_batch, surrogate_chain
@@ -131,10 +132,9 @@ def test_6_minsum_training():
 
     wins = 0
     for s in range(10):
-        trained = minsum.new_table(minsum.ZQuantizer())
-        trained.ingest_batch(minsum.simulate_batch(3, [1.0] * 3, 30_000, seed=7000 + s))
-        held = minsum.simulate_batch(3, [1.0] * 3, 30_000, seed=8000 + s)
-        rep = minsum.evaluate_table(trained, held)
+        trained = trained_table(3, [1.0] * 3, 30_000, 7000 + s)
+        held = minsum.simulate_blocks(3, [1.0] * 3, 30_000, 8000 + s, QUANT)
+        rep = minsum.evaluate_table(trained.finalize(), held)
         wins += rep.empirical_ed < rep.baseline_ed
     ok = 0.0 <= gap <= 0.01 and wins >= 9
     report(6, "min-sum training", ok,

@@ -20,6 +20,14 @@ class's name; a call with ``*args`` passes every positional parameter and
 one with ``**kwargs`` every parameter. A short allowlist gives a reason per
 entry.
 
+Traced functions: every function that ``perfbench/spans.py`` patches, by
+each ``(owner, "name", ...)`` tuple there, must be called by that name
+where the patch takes effect: ``owner.name(...)`` anywhere in the package,
+or a bare ``name(...)`` inside the owner module itself; for a class owner,
+any ``.name(...)`` call. A name that only a string or a test mentions is
+no call, and a span that no run enters reads zero. A short allowlist gives
+a reason per entry.
+
 Package root: every name that ``rolemodel/__init__.py`` binds, dunders such
 as ``__version__`` aside, must be imported from the root by a package,
 perfbench or test file, so the root holds no re-export that nothing reads.
@@ -48,9 +56,15 @@ ALLOWLIST = {
 }
 
 #: Defaulted parameters that no package or perfbench call passes, each kept for the stated reason.
-DEFAULTS_ALLOWLIST = {
-    "minsum.simulate_batch(quantizer)": "simulate_batch is kept because perfbench/spans.py "
-                                        "patches it by name",
+DEFAULTS_ALLOWLIST: dict[str, str] = {}
+
+#: Functions that ``perfbench/spans.py`` patches but no package call reaches, each kept for the
+#: stated reason.
+SPANS_ALLOWLIST = {
+    "sudoku.harvest_constraint_inputs": "perfbench's held-out check calls it; train_alpha "
+                                        "harvests through _harvest",
+    "sudoku.alpha_objective": "perfbench's held-out check calls it; train_alpha scores "
+                              "through _alpha_divergences",
 }
 
 
@@ -198,6 +212,64 @@ def test_defaults_allowlist_names_only_unpassed_parameters():
     # an entry whose parameter is gone, or gained a caller outside the tests, is stale
     stale = sorted(set(DEFAULTS_ALLOWLIST) - set(unpassed_defaults()))
     assert not stale, f"allowlisted, but gone or passed in src/rolemodel or perfbench: {stale}"
+
+
+def patched_by_spans() -> set[str]:
+    """"owner.name" for each ``(owner, "name", ...)`` tuple in ``perfbench/spans.py``."""
+    found = set()
+    for node in ast.walk(ast.parse((ROOT / "perfbench" / "spans.py").read_text())):
+        if (isinstance(node, ast.Tuple) and len(node.elts) == 3
+                and isinstance(node.elts[0], (ast.Name, ast.Attribute))
+                and isinstance(node.elts[1], ast.Constant) and isinstance(node.elts[1].value, str)):
+            found.add(f"{ast.unparse(node.elts[0])}.{node.elts[1].value}")
+    return found
+
+
+def traced_calls() -> set[str]:
+    """"module.name" for each call in the package that a patch of ``module.name`` intercepts.
+
+    ``module.name(...)`` anywhere and a bare ``name(...)`` inside the module
+    give "module.name"; any ``x.name(...)`` also gives "*.name", the form a
+    method call takes.
+    """
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Name):
+                found.add(f"{path.stem}.{node.func.id}")
+            elif isinstance(node.func, ast.Attribute):
+                found.add(f"*.{node.func.attr}")
+                if isinstance(node.func.value, ast.Name):
+                    found.add(f"{node.func.value.id}.{node.func.attr}")
+    return found
+
+
+def _uncalled_spans() -> list[str]:
+    """The patched functions that no package call reaches, as :func:`patched_by_spans` names them."""
+    modules = {p.stem for p in PACKAGE.glob("*.py")}
+    calls = traced_calls()
+    uncalled = []
+    for q in patched_by_spans():
+        owner, _, name = q.rpartition(".")
+        if (q if owner in modules else f"*.{name}") not in calls:
+            uncalled.append(q)
+    return sorted(uncalled)
+
+
+def test_every_function_spans_patches_is_called_in_the_package():
+    # the scan finds module, class and alpha_objective's tuples alike
+    assert {"minsum.simulate_batch", "train.PostTable.ingest_batch",
+            "sudoku.alpha_objective"} <= patched_by_spans()
+    uncalled = [q for q in _uncalled_spans() if q not in SPANS_ALLOWLIST]
+    assert not uncalled, f"patched by perfbench/spans.py, but no package call reaches: {uncalled}"
+
+
+def test_spans_allowlist_names_only_patched_functions_without_a_call():
+    # an entry that spans.py no longer patches, or that gained a package call, is stale
+    stale = sorted(set(SPANS_ALLOWLIST) - set(_uncalled_spans()))
+    assert not stale, f"allowlisted, but not patched or called in src/rolemodel: {stale}"
 
 
 def _root_names() -> set[str]:

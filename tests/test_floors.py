@@ -15,6 +15,7 @@ from rolemodel.probs import DEFAULT_FLOOR, GIVEN_FLOOR, MESSAGE_FLOOR, floor_row
 from rolemodel.rng import make_rng
 from rolemodel.train import ParametricCorrector
 
+from minsum_batches import blocks_of, whole_batch
 from oracles import minsum_baseline_objective
 from recording import RecordingNode
 
@@ -115,10 +116,10 @@ class TestDefaultFloor:
     def test_minsum_baseline_scores_saturated_llrs(self):
         # site: the baseline rows in evaluate_table. At sigma 0.05 min-sum
         # LLRs pass 745, where the pmf of an LLR has an exact zero.
-        batch = minsum.simulate_batch(3, [0.05] * 3, 2000, seed=3)
+        batch = whole_batch(3, [0.05] * 3, 2000, 3)
         assert np.abs(batch.minsum_llrs).max() > 745
         table = minsum.new_table(minsum.ZQuantizer())
         table.ingest_batch(batch)
-        report = minsum.evaluate_table(table, batch)
+        report = minsum.evaluate_table(table.finalize(), blocks_of(batch))
         reference = minsum_baseline_objective(batch.posteriors, batch.minsum_llrs, DEFAULT_FLOOR)
         assert abs(report.baseline_ed - reference) <= 1e-12

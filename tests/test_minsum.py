@@ -12,8 +12,9 @@ from rolemodel.errors import (AbsoluteContinuityViolation, BinOutOfRange, Dimens
                               ZeroMassAtTruth)
 from rolemodel.probs import DEFAULT_FLOOR, floor_rows, soft_mi
 from rolemodel.rng import make_rng
-from rolemodel.train import PostTable, SampleBatch, empirical_ed
+from rolemodel.train import PostTable, SampleBatch
 
+from minsum_batches import QUANT, blocks_of, trained_table, whole_batch
 from oracles import empirical_objective, minsum_baseline_objective
 from surrogate import sample_batch, surrogate_chain
 
@@ -42,14 +43,14 @@ class TestMinSum:
         return np.log(batch.posteriors[:, 0]) - np.log(batch.posteriors[:, 1])
 
     def test_sign_matches_tanh_rule(self):
-        batch = minsum.simulate_batch(3, [0.8, 1.0, 1.3], 2000, seed=403)
+        batch = whole_batch(3, [0.8, 1.0, 1.3], 2000, 403)
         t = self.reference_llrs(batch)
         live = t != 0.0
         assert np.array_equal(np.sign(batch.minsum_llrs[live]), np.sign(t[live]))
 
     def test_magnitude_upper_bounds_tanh_rule(self):
         for d in range(2, 6):
-            batch = minsum.simulate_batch(d, np.linspace(0.5, 1.5, d), 2000, seed=404 + d)
+            batch = whole_batch(d, np.linspace(0.5, 1.5, d), 2000, 404 + d)
             t = self.reference_llrs(batch)
             assert np.all(np.abs(t) <= np.abs(batch.minsum_llrs) + 1e-12)
 
@@ -91,15 +92,13 @@ class TestQuantizer:
 
 class TestSimulateBatch:
     def test_deterministic_per_seed(self):
-        a = minsum.simulate_batch(3, [1.0] * 3, 500, seed=5)
-        b = minsum.simulate_batch(3, [1.0] * 3, 500, seed=5)
-        c = minsum.simulate_batch(3, [1.0] * 3, 500, seed=6)
+        a, b, c = (whole_batch(3, [1.0] * 3, 500, seed) for seed in (5, 5, 6))
         assert np.array_equal(a.posteriors, b.posteriors)
         assert np.array_equal(a.bins, b.bins)
         assert not np.array_equal(a.posteriors, c.posteriors)
 
     def test_noiseless_limit(self):
-        batch = minsum.simulate_batch(3, [1e-3] * 3, 300, seed=7)
+        batch = whole_batch(3, [1e-3] * 3, 300, 7)
         one_hot_gap = np.minimum(batch.posteriors[:, 0], batch.posteriors[:, 1])
         assert np.max(one_hot_gap) <= 1e-12  # posteriors are one-hot
         assert set(np.unique(batch.bins)) <= {63, 127}  # magnitudes clamp to top bins
@@ -108,56 +107,41 @@ class TestSimulateBatch:
         # at sigma 1e-10 min-sum magnitudes reach ~1e20, past the int64 range
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            batch = minsum.simulate_batch(3, [1e-10] * 3, 5, seed=0)
+            batch = whole_batch(3, [1e-10] * 3, 5, 0)
         assert np.abs(batch.minsum_llrs).min() > 2.0**63 * 25.0 / 64
         assert set(batch.bins.tolist()) <= {63, 127}
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0, 1e-300, 1e300])
     def test_sigma_must_be_finite_and_positive(self, bad):
         with pytest.raises(ValueError):
-            minsum.simulate_batch(3, [bad, 1.0, 1.0], 10, seed=0)
+            minsum.simulate_blocks(3, [bad, 1.0, 1.0], 10, 0, QUANT)
 
     def test_pure_noise_limit(self):
-        batch = minsum.simulate_batch(3, [30.0] * 3, 300, seed=8)
+        batch = whole_batch(3, [30.0] * 3, 300, 8)
         assert np.max(np.abs(batch.posteriors - 0.5)) <= 0.1
 
     def test_truths_follow_branch_xor(self):
         # a trial draws the XOR of its branch bits as one parity bit: bit k % 64
         # of raw word k // 64 of make_rng(seed, 1, 1), least significant first
         n = 2000
-        batch = minsum.simulate_batch(2, [1e-3, 1e-3], n, seed=9)
+        batch = whole_batch(2, [1e-3, 1e-3], n, 9)
         words = make_rng(9, 1, 1).bit_generator.random_raw(-(-n // 64)).tolist()
         assert batch.truths.tolist() == [(words[k // 64] >> (k % 64)) & 1 for k in range(n)]
         # at vanishing noise the reference posterior decides the XOR bit exactly
         decided = (batch.posteriors[:, 1] > 0.5).astype(int)
         assert np.array_equal(decided, batch.truths)
 
-    def test_memory_is_the_draws_and_the_batch(self):
-        # the block draws and work add at most 4 MiB to the 40 bytes per
-        # sample of the returned arrays
-        d, n = 6, 200_000
-        sigmas = [0.6, 0.8, 1.0, 1.2, 1.4, 1.6]
-        minsum.simulate_batch(d, sigmas, 100, seed=3)
-        tracemalloc.start()
-        try:
-            batch = minsum.simulate_batch(d, sigmas, n, seed=3)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(batch) == n
-        assert peak <= 40 * n + 4 * 2**20
-
     def test_training_and_scoring_add_one_column_per_sample(self):
         # ingest_batch and evaluate_table hold no per-sample temporary beyond
         # the batch, only block buffers within 4 MiB; at this n one 8-byte
         # value per sample (4.8 MB) would break the bound
         d, n = 6, 600_000
-        batch = minsum.simulate_batch(d, [0.6, 0.8, 1.0, 1.2, 1.4, 1.6], n, seed=3)
-        table = minsum.new_table(minsum.ZQuantizer())
+        batch = whole_batch(d, [0.6, 0.8, 1.0, 1.2, 1.4, 1.6], n, 3)
+        table = minsum.new_table(QUANT)
         tracemalloc.start()
         try:
             table.ingest_batch(batch)
-            report = minsum.evaluate_table(table, batch)
+            report = minsum.evaluate_table(table.finalize(), blocks_of(batch))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -186,8 +170,8 @@ class TestSimulateBatch:
     def test_seed_stability_of_training(self):
         # same-batch empirical ED agrees across seeds within 3 standard errors
         def ed_and_se(seed):
-            batch = minsum.simulate_batch(3, [1.0] * 3, 100_000, seed=seed)
-            table = minsum.new_table(minsum.ZQuantizer())
+            batch = whole_batch(3, [1.0] * 3, 100_000, seed)
+            table = minsum.new_table(QUANT)
             table.ingest_batch(batch)
             q = table.finalize()
             rows = q[batch.bins]
@@ -205,7 +189,8 @@ class TestMinsumBitsArePinned:
     CSV, over more than two blocks of samples. A change to the draw order,
     the blocked arithmetic or the table's persistence that moves any bit of
     either file fails here. Each run's stdout summary, scored block by block
-    as the samples are drawn, must be the whole batch's ``evaluate_table``."""
+    as the samples are drawn, must be ``evaluate_table``'s on the whole batch
+    of the same draws."""
 
     SAMPLES = 2 * minsum.BLOCK + 7  # the last block takes 7 bits of a parity word
     SIGMAS = {3: "1.0,1.0,1.0", 6: "0.6,0.8,1.0,1.2,1.4,1.6"}
@@ -233,13 +218,14 @@ class TestMinsumBitsArePinned:
                         for path in (table, evaluated))
         assert digests == self.DIGESTS[d, seed]
         sigmas = [float(s) for s in self.SIGMAS[d].split(",")]
-        batch = minsum.simulate_batch(d, sigmas, self.SAMPLES, seed)
-        fit = minsum.new_table(minsum.ZQuantizer())
+        batch = whole_batch(d, sigmas, self.SAMPLES, seed)
+        fit = minsum.new_table(QUANT)
         fit.ingest_batch(batch)
+        q = fit.finalize()
         assert trained == (f"trained {self.SAMPLES} samples into 128 bins; training-batch "
-                           f"{minsum.evaluate_table(fit, batch).summary()}\n")
-        held = minsum.simulate_batch(d, sigmas, self.SAMPLES, seed + 1)
-        assert scored == minsum.evaluate_table(fit, held).summary() + "\n"
+                           f"{minsum.evaluate_table(q, blocks_of(batch)).summary()}\n")
+        held = whole_batch(d, sigmas, self.SAMPLES, seed + 1)
+        assert scored == minsum.evaluate_table(q, blocks_of(held)).summary() + "\n"
 
     @pytest.mark.parametrize("d, seed", sorted(DIGESTS))
     def test_quiet_training_writes_the_table_unscored(self, d, seed, tmp_path, monkeypatch, capsys):
@@ -259,18 +245,16 @@ class TestMinsumBitsArePinned:
 
 class TestEvaluateTable:
     def test_trained_beats_baseline_on_training_batch(self):
-        batch = minsum.simulate_batch(3, [1.0] * 3, 50_000, seed=10)
-        table = minsum.new_table(minsum.ZQuantizer())
-        table.ingest_batch(batch)
-        report = minsum.evaluate_table(table, batch)
+        table = trained_table(3, [1.0] * 3, 50_000, 10)
+        report = minsum.evaluate_table(table.finalize(),
+                                       minsum.simulate_blocks(3, [1.0] * 3, 50_000, 10, QUANT))
         assert report.empirical_ed <= report.baseline_ed
 
     def test_unequal_variances(self):
         sigmas = [0.6, 1.0, 1.6]
-        table = minsum.new_table(minsum.ZQuantizer())
-        table.ingest_batch(minsum.simulate_batch(3, sigmas, 50_000, seed=11))
-        held = minsum.simulate_batch(3, sigmas, 50_000, seed=12)
-        report = minsum.evaluate_table(table, held)
+        table = trained_table(3, sigmas, 50_000, 11)
+        held = minsum.simulate_blocks(3, sigmas, 50_000, 12, QUANT)
+        report = minsum.evaluate_table(table.finalize(), held)
         assert report.empirical_ed < report.baseline_ed
 
     def test_divergences_match_exact_per_sample_sums(self):
@@ -278,11 +262,10 @@ class TestEvaluateTable:
         # each longer than two blocks
         sigmas = [0.6, 1.0, 1.6]
         n = 2 * minsum.BLOCK + 7
-        table = minsum.new_table(minsum.ZQuantizer())
-        table.ingest_batch(minsum.simulate_batch(3, sigmas, n, seed=18))
+        table = trained_table(3, sigmas, n, 18)
         for seed in (18, 19):
-            batch = minsum.simulate_batch(3, sigmas, n, seed=seed)
-            report = minsum.evaluate_table(table, batch)
+            batch = whole_batch(3, sigmas, n, seed)
+            report = minsum.evaluate_table(table.finalize(), blocks_of(batch))
             ed = empirical_objective(batch.posteriors, batch.bins, table.finalize())
             baseline = minsum_baseline_objective(batch.posteriors, batch.minsum_llrs, DEFAULT_FLOOR)
             assert abs(report.empirical_ed - ed) <= 1e-12
@@ -291,12 +274,12 @@ class TestEvaluateTable:
 
     def test_soft_mi_from_counts_is_the_per_sample_score(self):
         # 1e-12 relative to soft_mi over the gathered per-sample rows
-        table = minsum.new_table(minsum.ZQuantizer())
-        table.ingest_batch(minsum.simulate_batch(3, [0.6, 1.0, 1.6], 50_000, seed=20))
-        batch = minsum.simulate_batch(3, [0.6, 1.0, 1.6], 50_000, seed=21)
-        per_sample = soft_mi(batch.truths, table.finalize()[batch.bins])
+        q = trained_table(3, [0.6, 1.0, 1.6], 50_000, 20).finalize()
+        batch = whole_batch(3, [0.6, 1.0, 1.6], 50_000, 21)
+        per_sample = soft_mi(batch.truths, q[batch.bins])
         assert per_sample > 0.0
-        assert minsum.evaluate_table(table, batch).soft_mi == pytest.approx(per_sample, rel=1e-12)
+        assert minsum.evaluate_table(q, blocks_of(batch)).soft_mi == pytest.approx(per_sample,
+                                                                                  rel=1e-12)
 
     def test_zero_mass_at_truth_names_the_pair(self):
         # one-hot posteriors that disagree with their truths: bins 0 and 1
@@ -310,7 +293,7 @@ class TestEvaluateTable:
         table = PostTable(3, 2)
         table.ingest_batch(batch)
         with pytest.raises(ZeroMassAtTruth) as err:
-            minsum.evaluate_table(table, batch)
+            minsum.evaluate_table(table.finalize(), [batch])
         assert err.value.index == 1
 
     def test_batch_columns(self):
@@ -326,9 +309,9 @@ class TestEvaluateTable:
 
     def test_a_batch_without_truths_fails_at_construction(self):
         # evaluate_table scores soft MI on the truths, so a batch must carry them
-        table = PostTable(2, 2)
         with pytest.raises(DimensionMismatch):
-            minsum.evaluate_table(table, minsum.MinsumBatch([[0.5, 0.5]], [1], None, [0.0]))
+            minsum.evaluate_table(np.full((2, 2), 0.5),
+                                  [minsum.MinsumBatch([[0.5, 0.5]], [1], None, [0.0])])
 
     def test_zero_table_entry_under_mass_names_the_bin(self):
         sums = minsum.BatchSums(2)
@@ -343,22 +326,19 @@ class TestEvaluateTable:
         # here ends mid-word, on 37 bits of its last parity word
         n = minsum.BLOCK + 37
         lengths = []
-        for block in minsum.simulate_blocks(3, [0.6, 1.0, 1.6], n, seed):
+        for block in minsum.simulate_blocks(3, [0.6, 1.0, 1.6], n, seed, QUANT):
             assert np.all((block.truths == 0) | (block.truths == 1))
             lengths.append(len(block))
         assert lengths == [minsum.BLOCK, 37]
 
     def test_untrained_fallback_is_worse_on_held_out(self):
-        quant = minsum.ZQuantizer()
         wins = 0
         for s in range(10):
-            trained = minsum.new_table(quant)
-            trained.ingest_batch(minsum.simulate_batch(3, [1.0] * 3, 20_000, seed=500 + s,
-                                                       quantizer=quant))
-            untrained = minsum.new_table(quant)
-            held = minsum.simulate_batch(3, [1.0] * 3, 20_000, seed=600 + s, quantizer=quant)
-            ed_trained = empirical_ed(held, trained.finalize())
-            ed_untrained = empirical_ed(held, untrained.finalize())
+            trained = trained_table(3, [1.0] * 3, 20_000, 500 + s)
+            untrained = minsum.new_table(QUANT)
+            held = list(minsum.simulate_blocks(3, [1.0] * 3, 20_000, 600 + s, QUANT))
+            ed_trained = minsum.evaluate_table(trained.finalize(), held).empirical_ed
+            ed_untrained = minsum.evaluate_table(untrained.finalize(), held).empirical_ed
             wins += ed_untrained >= ed_trained
         assert wins >= 6  # median over seeds favors the trained table
 
@@ -366,25 +346,20 @@ class TestEvaluateTable:
         # d=2 with one branch noiseless: Z is sufficient, so each bin's
         # trained posterior matches the surviving branch's posterior at the
         # bin center, within quantization spread (slope <= 1/4 per LLR unit)
-        quant = minsum.ZQuantizer()
-        width = minsum.MAX_MAGNITUDE / quant.num_bins
-        batch = minsum.simulate_batch(2, [1.0, 1e-3], 200_000, seed=13, quantizer=quant)
-        table = minsum.new_table(quant)
-        table.ingest_batch(batch)
+        width = minsum.MAX_MAGNITUDE / QUANT.num_bins
+        table = trained_table(2, [1.0, 1e-3], 200_000, 13)
         q = table.finalize()
         checked = 0
-        for b in range(quant.total_bins):
+        for b in range(QUANT.total_bins):
             if table.counts[b] >= 200:
-                center = (b % quant.num_bins + 0.5) * width * (-1 if b >= quant.num_bins else 1)
+                center = (b % QUANT.num_bins + 0.5) * width * (-1 if b >= QUANT.num_bins else 1)
                 expect = 1.0 / (1.0 + math.exp(-center))  # P(bit 0) at the bin-center LLR
                 assert abs(q[b, 0] - expect) <= width / 4 + 0.02
                 checked += 1
         assert checked >= 20
 
     def test_confidence_monotone_in_magnitude(self):
-        batch = minsum.simulate_batch(3, [1.0] * 3, 200_000, seed=14)
-        table = minsum.new_table(minsum.ZQuantizer())
-        table.ingest_batch(batch)
+        table = trained_table(3, [1.0] * 3, 200_000, 14)
         q = table.finalize()
         conf = q.max(axis=1)
         for b in range(1, 64):  # +1 sign branch

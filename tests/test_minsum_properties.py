@@ -1,9 +1,11 @@
 """Property tests of the blocked min-sum pipeline against its one-shot formulas.
 
-``simulate_blocks`` draws and works ``BLOCK`` rows at a time, and
-``simulate_batch`` copies its blocks into one batch; these tests hold every
-array of both bitwise equal to the whole-array formula in ``oracles``, for
-batch sizes on both sides of the block boundaries. That equality is what
+``simulate_blocks`` draws and works ``BLOCK`` rows at a time, one
+``simulate_batch`` call a block; these tests hold every array of its
+blocks, concatenated, bitwise equal to the whole-array formula in
+``oracles``, for batch sizes on both sides of the block boundaries, and
+hold each block to be one call of the module's ``simulate_batch``, so a
+tracer that replaces that name sees every sample. That equality is what
 keeps ``train-minsum --out`` byte-identical. The block kernel works every
 branch in the all-+1 frame from one parity bit a trial; it is held bitwise
 equal to the per-branch formula on the bits and noise that the frame
@@ -12,6 +14,8 @@ cross term is held bitwise equal to the row-wise floor of whole pmf rows.
 Every table that ``train-minsum`` writes loads back with positive rows.
 Runs are derandomized, so every run checks the same examples.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ from rolemodel.cli import _load, _table_from_json, main
 from rolemodel.probs import DEFAULT_FLOOR, floor_rows
 
 import oracles
+from minsum_batches import FIELDS, whole_batch
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -59,15 +64,12 @@ NUM_BINS = [64, 16]
 @given(shapes(), st.sampled_from(NUM_BINS))
 def test_blocked_batch_is_bitwise_the_one_shot_formula(shape, num_bins):
     d, sigmas, n, seed = shape
-    batch = minsum.simulate_batch(d, sigmas, n, seed, minsum.ZQuantizer(num_bins))
+    batch = whole_batch(d, sigmas, n, seed, minsum.ZQuantizer(num_bins))
     posteriors, bins, truths, minsum_llrs = oracles.minsum_batch(d, sigmas, n, seed, num_bins)
     assert_bitwise(batch.posteriors, posteriors)
     assert_bitwise(batch.bins, bins)
     assert_bitwise(batch.truths, truths)
     assert_bitwise(batch.minsum_llrs, minsum_llrs)
-
-
-FIELDS = ("posteriors", "bins", "truths", "minsum_llrs")
 
 
 # Normals from a seeded generator: no branch sum (1 - 2 * bit) + sigma * noise
@@ -95,14 +97,20 @@ def test_kernel_in_the_all_plus_frame_is_bitwise_the_per_branch_formula(shape, n
 @PROPERTY
 @given(st.integers(1, 6), st.sampled_from([1, BLOCK - 1, BLOCK, 2 * BLOCK + 7]),
        st.integers(0, 2**32 - 1), st.sampled_from(NUM_BINS))
-def test_concatenated_blocks_are_bitwise_the_batch(d, n, seed, num_bins):
+def test_each_block_is_one_simulate_batch_call(d, n, seed, num_bins):
     sigmas = np.linspace(0.6, 1.6, d)
     quantizer = minsum.ZQuantizer(num_bins)
-    blocks = list(minsum.simulate_blocks(d, sigmas, n, seed, quantizer))  # each its own arrays
+    steps = []
+    step = minsum.simulate_batch
+
+    def recorded(*args):
+        steps.append(step(*args))
+        return steps[-1]
+
+    with mock.patch.object(minsum, "simulate_batch", recorded):
+        blocks = list(minsum.simulate_blocks(d, sigmas, n, seed, quantizer))
     assert [len(b) for b in blocks] == [min(BLOCK, n - s) for s in range(0, n, BLOCK)]
-    batch = minsum.simulate_batch(d, sigmas, n, seed, quantizer)
-    for name in FIELDS:
-        assert_bitwise(np.concatenate([getattr(b, name) for b in blocks]), getattr(batch, name))
+    assert len(steps) == len(blocks) and all(b is s for b, s in zip(blocks, steps))
 
 
 @PROPERTY

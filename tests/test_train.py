@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from rolemodel import chains
+from rolemodel import chains, minsum
 from rolemodel.cli import _table_doc, _table_from_json, main
 from rolemodel.errors import AbsoluteContinuityViolation, BinOutOfRange, DimensionMismatch
 from rolemodel.minsum import ZQuantizer, new_table, simulate_blocks
@@ -14,6 +14,7 @@ from rolemodel.train import (
     PostTable,
     SampleBatch,
     empirical_ed,
+    plogp_sum,
     train_parametric,
 )
 
@@ -23,6 +24,13 @@ from oracles import empirical_objective, projected_gradient_table
 def sample(p, b):
     """One-row batch: posterior p in bin b."""
     return SampleBatch([p], [b])
+
+
+def batch_ed(batch, q):
+    """``empirical_ed`` of a whole batch, from its per-bin posterior sums and its sum p log2 p."""
+    sums = PostTable(len(q), q.shape[1])
+    sums.ingest_batch(batch)
+    return empirical_ed(sums.sums, q, plogp_sum(batch.posteriors), len(batch))
 
 
 def chain_training_batch(model, n, seed):
@@ -84,8 +92,9 @@ class TestIngestFinalize:
         t = PostTable(num_bins=2, alphabet_size=2)
         with pytest.raises(DimensionMismatch):
             t.ingest_batch(sample([0.2, 0.3, 0.5], 0))
+        three = minsum.MinsumBatch([[0.2, 0.3, 0.5]], [0], [0], [0.0])
         with pytest.raises(DimensionMismatch):
-            empirical_ed(sample([0.2, 0.3, 0.5], 0), t.finalize())
+            minsum.evaluate_table(t.finalize(), [three])
 
     def test_trained_bins_approach_exact_posteriors(self):
         rng = make_rng(201)
@@ -115,7 +124,7 @@ class TestIngestFinalize:
 class TestEmpiricalEd:
     def test_own_posterior_gives_zero(self):
         s = sample([0.3, 0.7], 0)
-        assert empirical_ed(s, np.array([[0.3, 0.7]])) == 0.0
+        assert batch_ed(s, np.array([[0.3, 0.7]])) == 0.0
 
     def test_uniform_q_identity(self):
         # D(p || uniform) = log2 q - H(p), averaged
@@ -125,7 +134,7 @@ class TestEmpiricalEd:
         batch = SampleBatch(post, bins)
         q = np.full((3, 4), 0.25)
         expect = np.mean([2.0 - (-np.sum(p[p > 0] * np.log2(p[p > 0]))) for p in post])
-        assert empirical_ed(batch, q) == pytest.approx(expect, abs=1e-12)
+        assert batch_ed(batch, q) == pytest.approx(expect, abs=1e-12)
 
     def test_matches_exact_expected_divergence(self):
         rng = make_rng(205)
@@ -134,7 +143,7 @@ class TestEmpiricalEd:
         t = PostTable(num_bins=model.ch2.shape[1], alphabet_size=model.px.size)
         t.ingest_batch(batch)
         q = t.finalize()
-        assert empirical_ed(batch, q) == pytest.approx(
+        assert batch_ed(batch, q) == pytest.approx(
             chains.expected_divergence(model, q), abs=0.02
         )
 
@@ -145,10 +154,10 @@ class TestEmpiricalEd:
         batch = SampleBatch(post, bins)
         t = PostTable(num_bins=4, alphabet_size=3)
         t.ingest_batch(batch)
-        best = empirical_ed(batch, t.finalize())
+        best = batch_ed(batch, t.finalize())
         for _ in range(50):
             probe = rng.dirichlet(np.ones(3), size=4)
-            assert best <= empirical_ed(batch, probe) + 1e-12
+            assert best <= batch_ed(batch, probe) + 1e-12
 
     def test_matches_exact_per_sample_sum(self):
         # per-bin sums across block boundaries, posterior zeros, and a table
@@ -166,17 +175,17 @@ class TestEmpiricalEd:
         t = PostTable(num_bins=5, alphabet_size=3)
         t.ingest_batch(batch)
         for table in (q, t.finalize()):
-            assert abs(empirical_ed(batch, table) - empirical_objective(post, bins, table)) <= 1e-12
+            assert abs(batch_ed(batch, table) - empirical_objective(post, bins, table)) <= 1e-12
 
-    def test_absolute_continuity_names_first_offending_sample(self):
+    def test_absolute_continuity_names_first_offending_bin(self):
         # sample 2 puts 5e-324 on symbol 1 of bin 1, whose table row is (1, 0);
         # sample 1 shares the bin without mass there, so the bin's sum is that
-        # one subnormal, and sample 4's violation in bin 2 comes later
+        # one subnormal, and bin 2's violation (sample 4) comes later
         post = np.array([[0.5, 0.5], [1.0, 0.0], [1.0, 5e-324], [0.5, 0.5], [0.0, 1.0]])
-        batch = SampleBatch(post, [0, 1, 1, 0, 2])
+        batch = minsum.MinsumBatch(post, [0, 1, 1, 0, 2], [0, 0, 1, 1, 1], np.zeros(5))
         q = np.array([[0.5, 0.5], [1.0, 0.0], [1.0, 0.0]])
-        with pytest.raises(AbsoluteContinuityViolation, match="sample 2:"):
-            empirical_ed(batch, q)
+        with pytest.raises(AbsoluteContinuityViolation, match="^bin 1: "):
+            minsum.evaluate_table(q, [batch])
 
     def test_consistency_toward_floor(self):
         # exact divergence of the trained table decreases toward the floor
@@ -271,17 +280,17 @@ class TestTrainParametric:
     """The objective returns one value per slot, value i depending on alpha_i alone."""
 
     def test_single_quadratic(self):
-        res = train_parametric(lambda c: (c.alphas - 0.3) ** 2, slots=1)
+        res = train_parametric(lambda a: (a - 0.3) ** 2, slots=1)
         assert abs(res.corrector.alphas[0] - 0.3) <= 1e-3
         assert res.evaluations == 24  # converged inside the default budget
 
     def test_separable_two_slot(self):
         target = np.array([0.2, 0.85])
-        res = train_parametric(lambda c: (c.alphas - target) ** 2, slots=2)
+        res = train_parametric(lambda a: (a - target) ** 2, slots=2)
         assert np.max(np.abs(res.corrector.alphas - target)) <= 1e-3
 
     def test_budget_exhaustion_stops_at_the_budget(self):
-        res = train_parametric(lambda c: (c.alphas - 0.3) ** 2, slots=1, budget=5)
+        res = train_parametric(lambda a: (a - 0.3) ** 2, slots=1, budget=5)
         assert res.evaluations == 5
         assert 0.0 <= res.corrector.alphas[0] <= 1.0
 
@@ -289,9 +298,9 @@ class TestTrainParametric:
     def test_budget_sweep_stops_at_the_budget(self, budget):
         calls = []
 
-        def obj(c):
-            calls.append(c)
-            return (c.alphas - 0.3) ** 2
+        def obj(a):
+            calls.append(a)
+            return (a - 0.3) ** 2
 
         res = train_parametric(obj, slots=2, budget=budget)
         assert len(calls) == res.evaluations == min(budget, 24)
@@ -299,26 +308,26 @@ class TestTrainParametric:
 
     def test_objective_returns_one_value_per_slot(self):
         with pytest.raises(ValueError, match="one value per slot"):
-            train_parametric(lambda c: float(np.sum((c.alphas - 0.3) ** 2)), slots=2)
+            train_parametric(lambda a: float(np.sum((a - 0.3) ** 2)), slots=2)
 
     def test_result_dominates_search_trace(self):
         rng = make_rng(210)
         weights = rng.random(3) + 0.5
 
-        def obj(c):
-            return weights * (c.alphas - 0.4) ** 2 + 0.1 * np.sin(7 * c.alphas)
+        def obj(a):
+            return weights * (a - 0.4) ** 2 + 0.1 * np.sin(7 * a)
 
         trace = []
 
-        def recorded(c):
-            f = obj(c)
+        def recorded(a):
+            f = obj(a)
             trace.append(f)
             return f
 
         res = train_parametric(recorded, slots=3, budget=500)
         assert len(trace) == res.evaluations
         # per slot, the result scores no worse than any point the search scored
-        assert np.all(obj(res.corrector) <= np.min(trace, axis=0))
+        assert np.all(obj(res.corrector.alphas) <= np.min(trace, axis=0))
         assert np.all(res.corrector.alphas >= 0.0) and np.all(res.corrector.alphas <= 1.0)
 
     def test_corrector_bounds_validated(self):
@@ -342,8 +351,8 @@ class TestSampleBatch:
     def test_empirical_ed_on_one_row_batches(self):
         q = np.array([[0.5, 0.5], [0.8, 0.2]])
         for s in (sample([0.5, 0.5], 0), sample([0.8, 0.2], 1)):
-            assert empirical_ed(s, q) == pytest.approx(0.0, abs=1e-12)
+            assert batch_ed(s, q) == pytest.approx(0.0, abs=1e-12)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            empirical_ed(SampleBatch(np.empty((0, 2)), []), np.array([[0.5, 0.5]]))
+        with pytest.raises(ValueError, match="empty sample sequence"):
+            minsum.evaluate_table(np.array([[0.5, 0.5]]), [])
