@@ -49,4 +49,4 @@ class DegenerateRow(RoleModelError):
 
 
 class BisectionFailure(RoleModelError):
-    """Root bracketing failed: the requested target is not reachable."""
+    """A root search failed: its target is outside the range, or the steps ran out before it."""

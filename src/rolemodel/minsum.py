@@ -7,11 +7,11 @@ the min-sum statistic (min magnitude, sign product), quantized into bins.
 Training data comes from BPSK over AWGN with per-branch noise levels, so
 the unequal-variance case is a first-class input. Both outputs depend on
 the branch bits only through their XOR, so a trial draws that one bit and
-works its branches in the all-+1 frame. A run is one pass of three steps:
-``simulate_blocks`` draws it one block at a time, one ``simulate_batch``
-call a block; ``BatchSums`` adds up each block's share of a table and its
-scores as it is drawn; and ``evaluate_table`` reports those sums on a
-trained table, its divergence by ``train.empirical_ed``. Binary
+works its branches in the all-+1 frame. A run is one pass of three steps
+over ``BLOCK``-trial blocks: ``simulate_blocks`` yields them lazily, one
+``simulate_batch`` call a block; ``BatchSums`` adds each block into a table
+and its scores, then drops it; and ``evaluate_table`` reports those sums
+on a trained table, its divergence by ``train.empirical_ed``. Binary
 log-likelihood ratios are in natural-log units, ``llr = ln(p0 / p1)``
 (positive favors symbol 0).
 """
@@ -25,9 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AbsoluteContinuityViolation, BinOutOfRange, DimensionMismatch
-from .probs import DEFAULT_FLOOR, soft_mi, square_is_normal
+from .probs import DEFAULT_FLOOR, log2_masked, soft_mi, square_is_normal
 from .rng import make_rng
-from .train import BLOCK, PostTable, SampleBatch, empirical_ed, plogp_sum
+from .train import PostTable, SampleBatch, empirical_ed
+
+#: Trials per block of a streamed pass: 2^14 rows of a few float64 columns
+#: stay in cache between the element-wise passes. A multiple of 64, so only
+#: a run's last block ends mid-way through a parity word.
+BLOCK = 1 << 14
 
 #: Finite LLRs saturate here before entering tanh; tanh(38/2) is still
 #: strictly below 1 in double precision.
@@ -124,7 +129,7 @@ def simulate_blocks(d: int, sigmas, n: int, seed: int,
     is one :func:`simulate_batch` call, which draws its rows' normals and
     its ``BLOCK / 64`` words, so neither stream depends on ``BLOCK``, and is
     yielded as a MinsumBatch of its own; a pass holds no array of n rows.
-    The arguments are checked here, before any draw.
+    The arguments are checked and the generators built at the call; blocks are drawn as taken.
     """
     if n < 1:
         raise ValueError("need at least one trial")
@@ -133,15 +138,9 @@ def simulate_blocks(d: int, sigmas, n: int, seed: int,
         raise ValueError(f"need {d} sigmas, got {sig.size}")
     if d < 1 or not np.all(square_is_normal(sig)):
         raise ValueError("need one positive sigma per branch, its square a finite normal float")
-    return _draw_blocks(sig, n, seed, quantizer)
-
-
-def _draw_blocks(sig: np.ndarray, n: int, seed: int,
-                 quantizer: ZQuantizer) -> Iterator[MinsumBatch]:
     normals, parity = (make_rng(seed, 1, word) for word in (0, 1))
-    for start in range(0, n, BLOCK):
-        # BLOCK is a multiple of 64: only the last block ends mid-word
-        yield simulate_batch(sig, min(BLOCK, n - start), normals, parity, quantizer)
+    return (simulate_batch(sig, min(BLOCK, n - start), normals, parity, quantizer)
+            for start in range(0, n, BLOCK))
 
 
 def simulate_batch(sig: np.ndarray, m: int, normals: np.random.Generator,
@@ -216,6 +215,13 @@ class EvalReport:
         )
 
 
+def plogp_sum(post: np.ndarray) -> float:
+    """sum_k sum_x p_k[x] log2 p_k[x] over a block of posterior rows (0 log 0 = 0)."""
+    logs = log2_masked(post)
+    logs *= post
+    return float(logs.sum())
+
+
 def _baseline_cross(llrs: np.ndarray, post: np.ndarray) -> float:
     """sum_k sum_x p_k[x] log2 b_k[x] over a block, b_k the floored pmf row of min-sum LLR k.
 
@@ -249,24 +255,23 @@ def _baseline_cross(llrs: np.ndarray, post: np.ndarray) -> float:
 class BatchSums:
     """What an :class:`EvalReport` needs of a min-sum batch, added up one block at a time.
 
-    ``add`` takes the batch's blocks in order, all but the last of exactly
-    ``BLOCK`` rows, so each sum is taken on the block boundaries of a
-    whole-batch pass and keeps its bits: ``table``, the batch's own
+    ``add`` takes the batch's blocks in order: ``table``, the batch's own
     PostTable (per-bin posterior sums, added in place in sample order, and
-    counts); sum p log2 p; the baseline's cross term; and the (bin, truth)
-    pair counts, row 2 * bin + truth. Nothing is kept per sample. Truths
-    are bits, as ``simulate_blocks`` draws them.
+    counts); sum p log2 p and the baseline's cross term, one float each
+    that adds a block's total; and the (bin, truth) pair counts, row
+    2 * bin + truth, which sum to the sample count. The same blocks in the
+    same order give the same bits. Nothing is kept per sample. Truths are
+    bits, as ``simulate_blocks`` draws them.
     """
 
     def __init__(self, num_bins: int):
         self.table = PostTable(num_bins, 2)
-        self.count = 0
         self.plogp = 0.0
         self.cross = 0.0
         self.pairs = np.zeros(self.table.sums.size, dtype=np.int64)
 
     def add(self, block: MinsumBatch) -> None:
-        """Add the batch's next block: its next ``BLOCK`` rows, or all that are left."""
+        """Add the batch's next block, such as one :func:`simulate_batch` call's ``BLOCK`` rows."""
         post = block.posteriors
         self.table.ingest_batch(block)  # checks the alphabet and the bins
         self.plogp += plogp_sum(post)
@@ -274,7 +279,6 @@ class BatchSums:
         pair = block.bins * 2
         pair += block.truths
         np.add.at(self.pairs, pair, 1)
-        self.count += len(block)
 
     def report(self, q: np.ndarray) -> EvalReport:
         """Score the batch on table rows q, one per bin, against the naive min-sum baseline.
@@ -286,7 +290,8 @@ class BatchSums:
         (bin, truth) pair counts, one weighted row per pair, so a
         ``ZeroMassAtTruth`` from it names a pair row.
         """
-        if not self.count:
+        count = int(self.pairs.sum())
+        if not count:
             raise ValueError("empty sample sequence")
         q = np.asarray(q, dtype=float)
         if q.shape != self.table.sums.shape:
@@ -297,8 +302,8 @@ class BatchSums:
             raise AbsoluteContinuityViolation(f"bin {bad[0]}: table row is zero where "
                                               f"posterior has mass")
         mi = soft_mi(np.tile(np.arange(2), q.shape[0]), np.repeat(q, 2, axis=0), weights=self.pairs)
-        return EvalReport(empirical_ed=empirical_ed(sums, q, self.plogp, self.count), soft_mi=mi,
-                          baseline_ed=(self.plogp - self.cross) / self.count, count=self.count)
+        return EvalReport(empirical_ed=empirical_ed(sums, q, self.plogp, count), soft_mi=mi,
+                          baseline_ed=(self.plogp - self.cross) / count, count=count)
 
 
 def evaluate_table(q: np.ndarray, blocks: Iterable[MinsumBatch]) -> EvalReport:

@@ -1,4 +1,4 @@
-"""Trainers for the estimator in training.
+"""The two trainers for the estimator in training; the min-sum pass and its block are in minsum.
 
 Non-parametric path: accumulate reference posteriors per degraded-statistic
 bin and finalize to their per-bin average, which solves the per-bin convex
@@ -15,11 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BinOutOfRange, DimensionMismatch
-from .probs import log2_masked
-
-#: Rows per block where a batch is processed piecewise: 2^14 rows of a few
-#: float64 columns stay in cache between the element-wise passes.
-BLOCK = 1 << 14
 
 
 class SampleBatch:
@@ -36,23 +31,6 @@ class SampleBatch:
 
     def __len__(self) -> int:
         return self.bins.size
-
-
-def _add_rows(sums: np.ndarray, bins: np.ndarray, posteriors: np.ndarray) -> None:
-    """Add each posterior row into ``sums[bin]``, in place and in sample order, a column at a time."""
-    for x in range(posteriors.shape[1]):
-        np.add.at(sums[:, x], bins, posteriors[:, x])
-
-
-def plogp_sum(posteriors: np.ndarray) -> float:
-    """sum_k sum_x p log2 p over posterior rows (0 log 0 = 0), one block at a time."""
-    total = 0.0
-    for start in range(0, posteriors.shape[0], BLOCK):
-        p = posteriors[start:start + BLOCK]
-        logs = log2_masked(p)
-        logs *= p
-        total += float(logs.sum())
-    return total
 
 
 class PostTable:
@@ -80,7 +58,8 @@ class PostTable:
         if batch.bins.size and (batch.bins.min() < 0 or batch.bins.max() >= self.num_bins):
             bad = batch.bins[(batch.bins < 0) | (batch.bins >= self.num_bins)][0]
             raise BinOutOfRange(f"bin {bad} outside [0, {self.num_bins})")
-        _add_rows(self.sums, batch.bins, batch.posteriors)
+        for x in range(self.alphabet_size):
+            np.add.at(self.sums[:, x], batch.bins, batch.posteriors[:, x])
         np.add.at(self.counts, batch.bins, 1)
 
     def finalize(self) -> np.ndarray:

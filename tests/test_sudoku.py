@@ -563,6 +563,20 @@ class TestExit:
         assert sudoku.calibrate_sigma.cache_info().misses == 0
         assert rng_labels == []
 
+    @pytest.mark.parametrize("n", [4, 9])
+    def test_every_target_in_range_calibrates(self, n):
+        # the MI of the calibration draw at the returned sigma is within the
+        # bisection's 0.005 bits of each target, down to 1e-8 bits and up to
+        # 1e-8 bits below log2(n)
+        targets = [*np.logspace(-8, -1, 15), *(math.log2(n) - 10.0**-k for k in range(2, 9))]
+        rng = make_rng(0, 6)
+        truths = rng.integers(0, n, size=16384)
+        noise = rng.standard_normal((16384, n))
+        for target in targets:
+            ch = sudoku.ChannelModel(sigma=sudoku.calibrate_sigma(float(target), n, 0), q=n)
+            mi = soft_mi(truths, floor_rows(ch.posterior(ch.receive(truths, noise)), DEFAULT_FLOOR))
+            assert abs(mi - target) <= 0.005, target
+
     def test_unreachable_target_fails(self):
         with pytest.raises(BisectionFailure):
             sudoku.calibrate_sigma(5.0, 9, seed=621)

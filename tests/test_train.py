@@ -6,15 +6,13 @@ import pytest
 from rolemodel import chains, minsum
 from rolemodel.cli import _table_doc, _table_from_json, main
 from rolemodel.errors import AbsoluteContinuityViolation, BinOutOfRange, DimensionMismatch
-from rolemodel.minsum import ZQuantizer, new_table, simulate_blocks
+from rolemodel.minsum import BLOCK, ZQuantizer, new_table, plogp_sum, simulate_blocks
 from rolemodel.rng import make_rng
 from rolemodel.train import (
-    BLOCK,
     ParametricCorrector,
     PostTable,
     SampleBatch,
     empirical_ed,
-    plogp_sum,
     train_parametric,
 )
 
