@@ -41,7 +41,7 @@ class TestDispatch:
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
 
-    def test_a_target_a_millionth_of_a_bit_above_zero_calibrates(self, tmp_path, capsys):
+    def test_a_target_a_millionth_of_a_bit_above_zero_calibrates(self, tmp_path):
         assert run(["exit-chart", "--size", "9", "--mi-grid", "0.000001:0.000001:1",
                     "--trials", "8", "--out", str(tmp_path / "x.csv"), "--quiet"]) == 0
 
