@@ -241,20 +241,14 @@ def _table_from_json(text: str) -> tuple[PostTable, np.ndarray, minsum.ZQuantize
 def _run_train_minsum(args) -> int:
     _addressable("--bins", args.bins, 2 * args.bins * 2 * 8)  # the (2b, 2) float64 sums
     quant = minsum.ZQuantizer(num_bins=args.bins)
-    # the training-batch scores are only printed, so a quiet run sums the table alone, by
-    # ingest_batch, the call BatchSums.add makes. Either is allocated before the first draw,
-    # and the blocks are added up as they are drawn, so --samples sizes no array.
-    sums = minsum.new_table(quant) if args.quiet else minsum.BatchSums(quant.total_bins)
-    add = sums.ingest_batch if args.quiet else sums.add
+    # the table is allocated before the first draw, and the blocks are added up as they are
+    # drawn, so --samples sizes no array
+    table = minsum.new_table(quant)
     for block in minsum.simulate_blocks(args.degree, args.sigmas, args.samples, args.seed, quant):
-        add(block)
-    table = sums if args.quiet else sums.table
+        table.ingest_batch(block)
     if args.out:
         _save_table(args.out, _table_doc(table))
-    if not args.quiet:
-        report = sums.report(table.finalize())
-        print(f"trained {report.count} samples into {quant.total_bins} bins; "
-              f"training-batch {report.summary()}")
+    _say(args, f"trained {args.samples} samples into {quant.total_bins} bins")
     return 0
 
 
@@ -374,7 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(run=_run_train_minsum)
 
-    p = sub.add_parser("eval-minsum", help="evaluate a trained table on a fresh batch")
+    p = sub.add_parser("eval-minsum", help="score a trained table on a batch (its training "
+                                           "seed and samples give the in-sample score)")
     p.add_argument("--table", type=str, required=True)
     p.add_argument("--degree", type=_count(1), default=3)
     p.add_argument("--sigmas", type=_comma_list(float, "numbers"), default="1.0,1.0,1.0")

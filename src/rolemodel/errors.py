@@ -21,8 +21,8 @@ class ZeroMassAtTruth(RoleModelError):
     """A message assigns zero probability to the true symbol.
 
     Carries ``index``, the row of the messages passed to ``soft_mi``; from
-    ``minsum.BatchSums`` that is the (bin, truth) pair row 2 * bin + truth.
-    Callers typically floor their messages first.
+    ``minsum.evaluate_table`` that is the (bin, truth) pair row 2 * bin +
+    truth. Callers typically floor their messages first.
     """
 
     def __init__(self, index: int):

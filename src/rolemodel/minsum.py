@@ -7,13 +7,14 @@ the min-sum statistic (min magnitude, sign product), quantized into bins.
 Training data comes from BPSK over AWGN with per-branch noise levels, so
 the unequal-variance case is a first-class input. Both outputs depend on
 the branch bits only through their XOR, so a trial draws that one bit and
-works its branches in the all-+1 frame. A run is one pass of three steps
-over ``BLOCK``-trial blocks: ``simulate_blocks`` yields them lazily, one
-``simulate_batch`` call a block; ``BatchSums`` adds each block into a table
-and its scores, then drops it; and ``evaluate_table`` reports those sums
-on a trained table, its divergence by ``train.empirical_ed``. Binary
-log-likelihood ratios are in natural-log units, ``llr = ln(p0 / p1)``
-(positive favors symbol 0).
+works its branches in the all-+1 frame. A run is one pass over
+``BLOCK``-trial blocks: ``simulate_blocks`` yields them lazily, one
+``simulate_batch`` call a block. Training adds each block to a table with
+``PostTable.ingest_batch``; ``evaluate_table`` adds each block into a table
+and its scores, then reports those sums on trained table rows, its
+divergence by ``train.empirical_ed``. Each block is dropped once added.
+Binary log-likelihood ratios are in natural-log units, ``llr = ln(p0 /
+p1)`` (positive favors symbol 0).
 """
 
 from __future__ import annotations
@@ -252,67 +253,44 @@ def _baseline_cross(llrs: np.ndarray, post: np.ndarray) -> float:
     return float(logs.sum())
 
 
-class BatchSums:
-    """What an :class:`EvalReport` needs of a min-sum batch, added up one block at a time.
-
-    ``add`` takes the batch's blocks in order: ``table``, the batch's own
-    PostTable (per-bin posterior sums, added in place in sample order, and
-    counts); sum p log2 p and the baseline's cross term, one float each
-    that adds a block's total; and the (bin, truth) pair counts, row
-    2 * bin + truth, which sum to the sample count. The same blocks in the
-    same order give the same bits. Nothing is kept per sample. Truths are
-    bits, as ``simulate_blocks`` draws them.
-    """
-
-    def __init__(self, num_bins: int):
-        self.table = PostTable(num_bins, 2)
-        self.plogp = 0.0
-        self.cross = 0.0
-        self.pairs = np.zeros(self.table.sums.size, dtype=np.int64)
-
-    def add(self, block: MinsumBatch) -> None:
-        """Add the batch's next block, such as one :func:`simulate_batch` call's ``BLOCK`` rows."""
-        post = block.posteriors
-        self.table.ingest_batch(block)  # checks the alphabet and the bins
-        self.plogp += plogp_sum(post)
-        self.cross += _baseline_cross(block.minsum_llrs, post)
-        pair = block.bins * 2
-        pair += block.truths
-        np.add.at(self.pairs, pair, 1)
-
-    def report(self, q: np.ndarray) -> EvalReport:
-        """Score the batch on table rows q, one per bin, against the naive min-sum baseline.
-
-        The baseline treats the raw min-sum LLR as if it were the true LLR;
-        its rows are floored before the divergence, since extreme LLRs
-        produce exact zeros that the reference posteriors never have. Both
-        divergences share one sum p log2 p. Soft MI is scored from the
-        (bin, truth) pair counts, one weighted row per pair, so a
-        ``ZeroMassAtTruth`` from it names a pair row.
-        """
-        count = int(self.pairs.sum())
-        if not count:
-            raise ValueError("empty sample sequence")
-        q = np.asarray(q, dtype=float)
-        if q.shape != self.table.sums.shape:
-            raise DimensionMismatch(f"need {self.table.num_bins} rows of 2, got shape {q.shape}")
-        sums = self.table.sums
-        bad = np.flatnonzero(((sums > 0) & (q == 0)).any(axis=1))
-        if bad.size:
-            raise AbsoluteContinuityViolation(f"bin {bad[0]}: table row is zero where "
-                                              f"posterior has mass")
-        mi = soft_mi(np.tile(np.arange(2), q.shape[0]), np.repeat(q, 2, axis=0), weights=self.pairs)
-        return EvalReport(empirical_ed=empirical_ed(sums, q, self.plogp, count), soft_mi=mi,
-                          baseline_ed=(self.plogp - self.cross) / count, count=count)
-
-
 def evaluate_table(q: np.ndarray, blocks: Iterable[MinsumBatch]) -> EvalReport:
-    """Score table rows q, one per bin, on a batch's blocks: :class:`BatchSums` over them, reported.
+    """Score table rows q, one per bin, on a batch's blocks, against the naive min-sum baseline.
 
-    The sums are allocated before the first block is taken, so a lazy
-    ``blocks``, such as a :func:`simulate_blocks` run, draws nothing before them.
+    Each block is added up as it is taken, then dropped: into ``table``,
+    the batch's own PostTable (per-bin posterior sums, added in place in
+    sample order, and counts); into sum p log2 p and the baseline's cross
+    term, one float each that adds a block's total; and into the (bin,
+    truth) pair counts, row 2 * bin + truth, which sum to the sample count.
+    The same blocks in the same order give the same bits. The sums are
+    allocated before the first block is taken, so a lazy ``blocks``, such
+    as a :func:`simulate_blocks` run, draws nothing before them. Truths are
+    bits, as ``simulate_blocks`` draws them.
+
+    The baseline treats the raw min-sum LLR as if it were the true LLR;
+    its rows are floored before the divergence, since extreme LLRs
+    produce exact zeros that the reference posteriors never have. Both
+    divergences share one sum p log2 p. Soft MI is scored from the pair
+    counts, one weighted row per pair, so a ``ZeroMassAtTruth`` from it
+    names a pair row.
     """
-    sums = BatchSums(len(q))
+    table = PostTable(len(q), 2)
+    plogp = cross = 0.0
+    pairs = np.zeros(table.sums.size, dtype=np.int64)
     for block in blocks:
-        sums.add(block)
-    return sums.report(q)
+        table.ingest_batch(block)  # checks the alphabet and the bins
+        plogp += plogp_sum(block.posteriors)
+        cross += _baseline_cross(block.minsum_llrs, block.posteriors)
+        np.add.at(pairs, block.bins * 2 + block.truths, 1)
+    count = int(pairs.sum())
+    if not count:
+        raise ValueError("empty sample sequence")
+    q = np.asarray(q, dtype=float)
+    if q.shape != table.sums.shape:
+        raise DimensionMismatch(f"need {table.num_bins} rows of 2, got shape {q.shape}")
+    bad = np.flatnonzero(((table.sums > 0) & (q == 0)).any(axis=1))
+    if bad.size:
+        raise AbsoluteContinuityViolation(f"bin {bad[0]}: table row is zero where "
+                                          f"posterior has mass")
+    mi = soft_mi(np.tile(np.arange(2), q.shape[0]), np.repeat(q, 2, axis=0), weights=pairs)
+    return EvalReport(empirical_ed=empirical_ed(table.sums, q, plogp, count), soft_mi=mi,
+                      baseline_ed=(plogp - cross) / count, count=count)

@@ -40,6 +40,9 @@ Files: ``cli`` is the only module that imports ``json`` or calls ``open``,
 and it calls ``open`` only in its four file helpers, so every input file is
 read through ``_load`` and every load error names its file. No module
 imports an underscore name from another package module.
+
+Quiet: ``cli`` reads ``args.quiet`` only inside ``_say``, so ``--quiet``
+suppresses the stdout summary and selects no computation.
 """
 
 import ast
@@ -354,3 +357,14 @@ def test_no_module_imports_another_modules_private_names():
                 found += [f"{path.stem} imports {node.module}.{a.name}" for a in node.names
                           if a.name.startswith("_") and not a.name.startswith("__")]
     assert not found, f"private names imported across modules: {found}"
+
+
+def test_cli_reads_quiet_only_in_say():
+    reads = {}
+    for node in ast.parse((PACKAGE / "cli.py").read_text()).body:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Attribute) and sub.attr == "quiet":
+                reads.setdefault(getattr(node, "name", "?"), []).append(sub.lineno)
+    assert "_say" in reads, "the scan found no read of args.quiet in _say"
+    elsewhere = {name: lines for name, lines in reads.items() if name != "_say"}
+    assert not elsewhere, f"cli reads args.quiet outside _say: {elsewhere}"

@@ -213,15 +213,15 @@ class TestErrorContract:
 
     @pytest.mark.parametrize("argv, allocating", [
         (["train-minsum", "--samples", "100000000000"], "simulate_blocks"),
-        (["train-minsum", "--bins", "100000000000"], "BatchSums"),
+        (["train-minsum", "--bins", "100000000000"], "new_table"),
         (["train-minsum", "--quiet", "--bins", "100000000000"], "new_table"),
     ])
     def test_a_request_too_large_for_memory_is_one_error_line(self, argv, allocating, tmp_path,
                                                                monkeypatch, capsys):
         # whether a real multi-TiB request fails at once depends on the host's
         # overcommit setting, so the allocating call raises as numpy's would:
-        # simulate_blocks allocates each block's arrays, BatchSums the table, and a quiet
-        # training run, which sums the table alone, allocates it by new_table.
+        # simulate_blocks allocates each block's arrays, and new_table a training run's
+        # table, quiet or not.
         # The table is allocated before the first draw, so no request draws anything.
         def allocate(*args, **kwargs):
             raise MemoryError("Unable to allocate 2.91 TiB for an array")

@@ -188,9 +188,10 @@ class TestMinsumBitsArePinned:
     """sha256 of the ``train-minsum --out`` JSON and the ``eval-minsum --out``
     CSV, over more than two blocks of samples. A change to the draw order,
     the blocked arithmetic or the table's persistence that moves any bit of
-    either file fails here. Each run's stdout summary, scored block by block
-    as the samples are drawn, must be ``evaluate_table``'s on the whole batch
-    of the same draws."""
+    either file fails here. Training prints only its sample and bin counts;
+    each ``eval-minsum`` summary, scored block by block as the samples are
+    drawn, must be ``evaluate_table``'s on the whole batch of the same
+    draws, the training seed's batch included."""
 
     SAMPLES = 2 * minsum.BLOCK + 7  # the last block takes 7 bits of a parity word
     SIGMAS = {3: "1.0,1.0,1.0", 6: "0.6,0.8,1.0,1.2,1.4,1.6"}
@@ -217,29 +218,35 @@ class TestMinsumBitsArePinned:
         digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
                         for path in (table, evaluated))
         assert digests == self.DIGESTS[d, seed]
+        assert trained == f"trained {self.SAMPLES} samples into 128 bins\n"
         sigmas = [float(s) for s in self.SIGMAS[d].split(",")]
         batch = whole_batch(d, sigmas, self.SAMPLES, seed)
         fit = minsum.new_table(QUANT)
         fit.ingest_batch(batch)
         q = fit.finalize()
-        assert trained == (f"trained {self.SAMPLES} samples into 128 bins; training-batch "
-                           f"{minsum.evaluate_table(q, blocks_of(batch)).summary()}\n")
         held = whole_batch(d, sigmas, self.SAMPLES, seed + 1)
         assert scored == minsum.evaluate_table(q, blocks_of(held)).summary() + "\n"
+        # the in-sample score: eval-minsum with the training seed and sample count
+        assert main(["eval-minsum", "--table", str(table), *shape, "--seed", str(seed)]) == 0
+        in_sample = minsum.evaluate_table(q, blocks_of(batch))
+        assert capsys.readouterr().out == in_sample.summary() + "\n"
 
+    @pytest.mark.parametrize("quiet", [[], ["--quiet"]])
     @pytest.mark.parametrize("d, seed", sorted(DIGESTS))
-    def test_quiet_training_writes_the_table_unscored(self, d, seed, tmp_path, monkeypatch, capsys):
-        # --quiet prints no training-batch report, so the run never scores one
+    def test_training_writes_the_table_unscored(self, d, seed, quiet, tmp_path, monkeypatch,
+                                                capsys):
+        # train-minsum only sums the table: no run, quiet or not, scores its batch
         def unreachable(*args, **kwargs):
-            raise AssertionError("a quiet train-minsum run scored its batch")
+            raise AssertionError("a train-minsum run scored its batch")
 
-        monkeypatch.setattr(minsum.BatchSums, "report", unreachable)
-        monkeypatch.setattr(minsum, "plogp_sum", unreachable)
+        for name in ("evaluate_table", "plogp_sum", "_baseline_cross"):
+            monkeypatch.setattr(minsum, name, unreachable)
         table = tmp_path / "table.json"
         assert main(["train-minsum", "--degree", str(d), "--sigmas", self.SIGMAS[d],
                      "--samples", str(self.SAMPLES), "--seed", str(seed), "--out", str(table),
-                     "--quiet"]) == 0
-        assert capsys.readouterr().out == ""
+                     *quiet]) == 0
+        summary = "" if quiet else f"trained {self.SAMPLES} samples into 128 bins\n"
+        assert capsys.readouterr().out == summary
         assert hashlib.sha256(table.read_bytes()).hexdigest() == self.DIGESTS[d, seed][0]
 
 
@@ -314,14 +321,13 @@ class TestEvaluateTable:
                                   [minsum.MinsumBatch([[0.5, 0.5]], [1], None, [0.0])])
 
     def test_zero_table_entry_under_mass_names_the_bin(self):
-        sums = minsum.BatchSums(2)
-        sums.add(minsum.MinsumBatch([[0.5, 0.5]], [1], [0], [0.0]))
         with pytest.raises(AbsoluteContinuityViolation, match="^bin 1: "):
-            sums.report(np.array([[0.5, 0.5], [1.0, 0.0]]))
+            minsum.evaluate_table(np.array([[0.5, 0.5], [1.0, 0.0]]),
+                                  [minsum.MinsumBatch([[0.5, 0.5]], [1], [0], [0.0])])
 
     @pytest.mark.parametrize("seed", [0, 1, 11, 2**64 - 1])
     def test_every_block_draws_its_truths_as_bits(self, seed):
-        # BatchSums adds each truth into pair row 2 * bin + truth, so a truth
+        # evaluate_table adds each truth into pair row 2 * bin + truth, so a truth
         # outside {0, 1} would count in another bin's pair; the last block
         # here ends mid-word, on 37 bits of its last parity word
         n = minsum.BLOCK + 37

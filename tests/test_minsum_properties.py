@@ -9,8 +9,9 @@ tracer that replaces that name sees every sample. That equality is what
 keeps ``train-minsum --out`` byte-identical. The block kernel works every
 branch in the all-+1 frame from one parity bit a trial; it is held bitwise
 equal to the per-branch formula on the bits and noise that the frame
-stands for. ``BatchSums`` scores the naive baseline on two columns, and its
-cross term is held bitwise equal to the row-wise floor of whole pmf rows.
+stands for. ``evaluate_table`` scores the naive baseline on two columns,
+and its cross term, summed block by block, is held bitwise equal to the
+row-wise floor of whole pmf rows.
 Every table that ``train-minsum`` writes loads back with positive rows.
 Runs are derandomized, so every run checks the same examples.
 """
@@ -138,15 +139,13 @@ def test_baseline_cross_term_is_bitwise_the_floored_rows(n, edge_share, seed):
     edge = rng.random(n) < edge_share
     llrs[edge] = rng.choice(EDGE_LLRS, int(edge.sum()))
     posteriors = oracles.llrs_to_dists(rng.normal(0.0, 8.0, n))
-    sums = minsum.BatchSums(1)
-    want = 0.0
+    got = want = 0.0
     for start in range(0, n, BLOCK):
         rows = slice(start, start + BLOCK)
         l, p = llrs[rows], posteriors[rows]
-        zeros = np.zeros(len(l), dtype=int)
-        sums.add(minsum.MinsumBatch(p, zeros, zeros, l))
+        got += minsum._baseline_cross(l, p)
         want += float((np.log2(floor_rows(oracles.llrs_to_dists(l), DEFAULT_FLOOR)) * p).sum())
-    assert_bitwise(np.float64(sums.cross), np.float64(want))
+    assert_bitwise(np.float64(got), np.float64(want))
 
 
 #: Sigmas out to the ends of the range that ``square_is_normal`` admits.
