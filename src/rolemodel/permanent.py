@@ -58,8 +58,10 @@ def _minor_plan(n: int) -> tuple[tuple, tuple]:
     every subset but the full set, in that order, one row per subset. The
     forward table holds the values f, the backward table the values b.
     ``levels`` holds, per level k = 1..n-1, ``(lo, hi, parents, members)``:
-    the table rows of the C subsets of size k, and (k, C) arrays of each
-    subset's parents (the subset less one member) and of those members.
+    the table rows of the C subsets of size k, a (k, C) array of each
+    subset's parents (the subset less one member), and for f_k and
+    b_{n-k} the (k, C) indices of those members' entries in the added row
+    (row k-1 and row n-k) of the (n^2, B) entry rows.
     ``readout`` holds, per minor row i, ``(head, tail, starts)``: the table
     index of S with |S| = i and of full - S - {j}, ordered by (j, S), and
     the first term of each j.
@@ -82,7 +84,9 @@ def _minor_plan(n: int) -> tuple[tuple, tuple]:
         subsets = level(k)
         members = np.nonzero((subsets[:, None] >> columns) & 1)[1].reshape(-1, k)
         parents = pos[subsets[:, None] ^ (1 << members)]
-        levels.append((offsets[k], offsets[k + 1], parents.T.copy(), members.T.copy()))
+        members = members.T.copy()
+        levels.append((offsets[k], offsets[k + 1], parents.T.copy(),
+                       ((k - 1) * n + members, (n - k) * n + members)))
 
     full = (1 << n) - 1
     readout = []
@@ -95,21 +99,40 @@ def _minor_plan(n: int) -> tuple[tuple, tuple]:
 
 
 @functools.lru_cache(maxsize=1)
-def _workspace(n: int, batch: int) -> tuple[np.ndarray, ...]:
-    """Scratch arrays of :func:`minor_permanents` for one (n, B), kept for its next call.
+def _workspace(n: int, batch: int) -> tuple:
+    """Scratch arrays and step plan of :func:`minor_permanents` for one (n, B), kept for its next call.
 
-    The f and b tables, and two term buffers that each hold the largest
-    (k, C, B) level or read-out, k binomial(n, k) rows. Only the last shape
-    is kept. Arrays of this size (110-140 KB at n = 9, B = 27), freed after
-    every call, go back to the system or not depending on the heap's
-    layout; when they do, every call faults their pages in afresh, at
-    about the cost of the arithmetic. Shared arrays make the kernel not
-    re-entrant across threads; the package starts none.
+    Returns ``(f, b, steps, reads)``: the f and b tables, then every step
+    of the DP with its views into two term buffers that each hold the
+    largest (k, C, B) level or read-out, k binomial(n, k) rows. ``steps``
+    holds, per level k = 1..n-1, one step for f_k and then one for
+    b_{n-k}: ``(table, parents, members, terms, factors, table[lo:hi])``,
+    with the plan's indices and the level's (k, C, B) term and factor
+    views. ``reads`` holds, per minor row i, ``(head, tail, starts, terms,
+    factors)``. Building these views once saves the ~50 that a call would
+    otherwise build, about a quarter of a single-matrix call at n = 9.
+    Only the last shape is kept. Arrays of this size (110-140 KB at n = 9,
+    B = 27), freed after every call, go back to the system or not
+    depending on the heap's layout; when they do, every call faults their
+    pages in afresh, at about the cost of the arithmetic. Shared arrays
+    make the kernel not re-entrant across threads; the package starts
+    none.
     """
+    levels, readout = _minor_plan(n)
     size = (1 << n) - 1
     most = max(k * math.comb(n, k) for k in range(1, n + 1))
-    return (np.empty((size, batch)), np.empty((size, batch)),
-            np.empty((most, batch)), np.empty((most, batch)))
+    f, b = np.empty((size, batch)), np.empty((size, batch))
+    work, spare = np.empty((most, batch)), np.empty((most, batch))
+    steps = []
+    for lo, hi, parents, members in levels:
+        k, count = parents.shape
+        terms = work[:k * count].reshape(k, count, batch)
+        factors = spare[:k * count].reshape(k, count, batch)
+        for table, added in zip((f, b), members):
+            steps.append((table, parents, added, terms, factors, table[lo:hi]))
+    reads = [(head, tail, starts, work[:head.size], spare[:tail.size])
+             for head, tail, starts in readout]
+    return f, b, tuple(steps), tuple(reads)
 
 
 def minor_permanents(m) -> np.ndarray:
@@ -117,7 +140,10 @@ def minor_permanents(m) -> np.ndarray:
 
     Returns a new C-contiguous array of the input's shape. Forward/backward
     subset DP (module docstring) over two column-set-major (2^n - 1, B)
-    tables, in arrays that the next call of the same shape reuses.
+    tables, in arrays that the next call of the same shape reuses. The
+    minors are allocated afresh on every call: at B = 1 the final transpose
+    is already contiguous and returns a view, so a kept buffer would alias
+    the previous call's result.
     """
     a = _as_square(m)
     n = a.shape[-1]
@@ -125,28 +151,24 @@ def minor_permanents(m) -> np.ndarray:
         raise ValueError("minors need n >= 2")
     if n > MINORS_MAX_N:
         raise DimensionTooLarge(f"subset DP capped at n={MINORS_MAX_N}")
-    levels, readout = _minor_plan(n)
     batch = a.reshape(-1, n, n)
     width = batch.shape[0]
-    rows = np.ascontiguousarray(batch.transpose(1, 2, 0))  # rows[i, j]: entry (i, j), all of B
-    f, b, work, spare = _workspace(n, width)
+    # entries[i * n + j]: entry (i, j), all of B
+    entries = np.ascontiguousarray(batch.transpose(1, 2, 0)).reshape(n * n, width)
+    f, b, steps, reads = _workspace(n, width)
     f[0] = b[0] = 1.0  # f_0 and b_n: the empty set
     # take writes straight into out= only in "clip" mode ("raise" buffers it);
     # every plan index is in range, so clipping changes no value
-    for lo, hi, parents, members in levels:
-        k, count = parents.shape
-        for table, row in ((f, k - 1), (b, n - k)):  # f_k adds row k-1, b_{n-k} row n-k
-            terms = table.take(parents, axis=0, out=work[:k * count].reshape(k, count, width),
-                               mode="clip")
-            terms *= rows[row].take(members, axis=0,
-                                    out=spare[:k * count].reshape(k, count, width), mode="clip")
-            terms.sum(axis=0, out=table[lo:hi])  # k whole-row adds, in sequence
+    for table, parents, added, terms, factors, dest in steps:
+        table.take(parents, axis=0, out=terms, mode="clip")
+        terms *= entries.take(added, axis=0, out=factors, mode="clip")
+        terms.sum(axis=0, out=dest)  # k whole-row adds, in sequence
     # One minor row at a time: each read-out holds at most binomial(n - 1, n // 2) n
     # rows, not 2^(n-1) n, and fits a term buffer.
     minors = np.empty((n, n, width))
-    for i, (head, tail, starts) in enumerate(readout):
-        terms = f.take(head, axis=0, out=work[:head.size], mode="clip")
-        terms *= b.take(tail, axis=0, out=spare[:tail.size], mode="clip")
+    for i, (head, tail, starts, terms, factors) in enumerate(reads):
+        f.take(head, axis=0, out=terms, mode="clip")
+        terms *= b.take(tail, axis=0, out=factors, mode="clip")
         np.add.reduceat(terms, starts, axis=0, out=minors[i])
     # contiguous, so callers' row sums over j keep the bits of a last-axis sum
     return np.ascontiguousarray(minors.transpose(2, 0, 1)).reshape(a.shape)

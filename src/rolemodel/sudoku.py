@@ -60,6 +60,30 @@ def constraint_cells(n: int) -> np.ndarray:
     return cons
 
 
+@functools.lru_cache(maxsize=None)
+def _node_order(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """BP's node-order permutation ``(slots, back)``, built once per n and read-only.
+
+    ``slots[r]`` is the row of node input r in BP's messages viewed as
+    (3 n^2, n): the constraint's cell times 3 plus its kind, so every
+    (cell, kind) slot appears once; ``back`` is the inverse permutation,
+    node order -> (cell, kind).
+    """
+    slots = (constraint_cells(n) * 3 + np.arange(3 * n)[:, None] // n).ravel()
+    back = np.argsort(slots)
+    slots.flags.writeable = back.flags.writeable = False
+    return slots, back
+
+
+@functools.lru_cache(maxsize=None)
+def _base_grid(n: int) -> np.ndarray:
+    """The solved (n, n) pattern that :func:`random_puzzle` shuffles, built once per n and read-only."""
+    b = _box_side(n)
+    base = np.array([[(r * b + r // b + c) % n for c in range(n)] for r in range(n)])
+    base.flags.writeable = False
+    return base
+
+
 def _sorted_constraint_values(n: int, grid: np.ndarray) -> np.ndarray:
     """The grid's values in each constraint, sorted, shape (3n, n)."""
     return np.sort(grid[constraint_cells(n)], axis=1)
@@ -117,8 +141,8 @@ class Puzzle:
 
 def random_puzzle(n: int, rng: np.random.Generator) -> Puzzle:
     """Seeded random solved grid via symbol/band/stack shuffles of a base pattern."""
-    b = _box_side(n)
-    base = np.array([[(r * b + r // b + c) % n for c in range(n)] for r in range(n)])
+    base = _base_grid(n)
+    b = BOX_SIDE[n]
     symbols = rng.permutation(n)
     grid = symbols[base]
     row_order = np.concatenate([band * b + rng.permutation(b) for band in rng.permutation(b)])
@@ -303,16 +327,19 @@ def bp_solve(puzzle: Puzzle, channel: ChannelModel | None, node, *, max_iters: i
     runs of different node variants see identical inputs.
     ``degenerate_rows`` sums the node calls' fallback rows. ``max_iters``
     may be 0, which leaves the channel's decisions.
+    BP updates its own messages in place: it permutes the node's rows
+    into one copy of its own (node order from :func:`_node_order`, built
+    once per n) and floors and damps that copy, and it writes the variable
+    update into its ``v2c`` buffer, which the next iteration's stack is
+    gathered from. It skips that update after the last iteration, which
+    nothing reads.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must be in (0, 1]")
     if max_iters < 0:
         raise ValueError(f"max_iters must be at least 0, got {max_iters}")
     n = puzzle.n
-    # row of each node input in v2c viewed as (3 n^2, n): the constraint's cells
-    # times 3 plus its kind; every (cell, kind) slot appears once
-    slots = (constraint_cells(n) * 3 + np.arange(3 * n)[:, None] // n).ravel()
-    back = np.argsort(slots)  # the inverse permutation, node order -> (cell, kind)
+    slots, back = _node_order(n)
     channel_post = observation_messages(puzzle, channel, make_rng(seed, 5, stream))
     degenerate_rows = 0
 
@@ -320,38 +347,44 @@ def bp_solve(puzzle: Puzzle, channel: ChannelModel | None, node, *, max_iters: i
     # comes from, the kind-k constraint of cell v; slots gathers them into
     # node order (3n, n, q). Strict positivity throughout; extreme snr
     # and undamped oscillation otherwise produce zero-support products.
+    # v2c is BP's own buffer, rewritten in place by every variable update.
     v2c = np.stack([floor_rows(channel_post, MESSAGE_FLOOR)] * 3, axis=1)
-    c2v = np.full_like(v2c, 1.0 / n)
 
     beliefs = channel_post.copy()
     decisions = beliefs.argmax(axis=1)
     iterations = 0
     solved = _satisfies(n, decisions)
 
-    for it in range(1, max_iters + 1):
-        if solved:
-            break
-        iterations = it
+    while not solved and iterations < max_iters:
+        iterations += 1
         inputs = v2c.reshape(-1, n).take(slots, axis=0).reshape(3 * n, n, n)
         rows, fallback_rows = node(inputs)
         degenerate_rows += fallback_rows
-        fresh = floor_rows(rows, MESSAGE_FLOOR)
-        fresh = fresh.reshape(-1, n).take(back, axis=0).reshape(c2v.shape)
-        if it == 1 or damping == 1.0:
+        # one permuted copy of the node's rows, floored in place (the floor is row-wise)
+        fresh = rows.reshape(-1, n).take(back, axis=0).reshape(v2c.shape)
+        floor_rows(fresh, MESSAGE_FLOOR, out=fresh)
+        if iterations == 1 or damping == 1.0:
             c2v = fresh
         else:
-            c2v = damping * fresh + (1.0 - damping) * c2v
+            fresh *= damping
+            c2v *= 1.0 - damping
+            c2v += fresh
             c2v /= c2v.sum(axis=2, keepdims=True)
 
-        beliefs = channel_post * c2v.prod(axis=1)
+        np.multiply(channel_post, c2v.prod(axis=1), out=beliefs)
         beliefs /= beliefs.sum(axis=1, keepdims=True)
         decisions = beliefs.argmax(axis=1)
         solved = _satisfies(n, decisions)
+        if solved or iterations == max_iters:
+            break  # nothing reads the variable update after the last iteration
 
         # extrinsic variable update: each kind gets the product of the other two
         i0, i1, i2 = c2v[:, 0], c2v[:, 1], c2v[:, 2]
-        others = np.stack([i1 * i2, i0 * i2, i0 * i1], axis=1)
-        v2c = floor_rows(channel_post[:, None] * others, MESSAGE_FLOOR)
+        np.multiply(i1, i2, out=v2c[:, 0])
+        np.multiply(i0, i2, out=v2c[:, 1])
+        np.multiply(i0, i1, out=v2c[:, 2])
+        v2c *= channel_post[:, None]
+        floor_rows(v2c, MESSAGE_FLOOR, out=v2c)
 
     ser = math.nan
     if puzzle.truth_known:

@@ -165,6 +165,18 @@ class TestBatchedMinors:
         assert out.shape == shape
         assert out.flags.c_contiguous
 
+    @pytest.mark.parametrize("shape", [(9, 9), (27, 9, 9)])
+    def test_minors_never_alias_the_workspace(self, shape):
+        # at B = 1 the (n, n, 1) minors transposed to (1, n, n) are already
+        # contiguous, so a kept read-out buffer would come back as a view
+        rng = make_rng(322)
+        kept = minor_permanents(rng.random(shape))
+        bits = kept.tobytes()
+        again = minor_permanents(rng.random(shape))
+        assert kept.tobytes() == bits
+        assert again.tobytes() != bits
+        assert not np.shares_memory(kept, again)
+
     def test_shape_and_size_checks(self):
         with pytest.raises(ValueError):
             minor_permanents(np.ones((1, 1)))

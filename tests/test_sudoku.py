@@ -28,11 +28,20 @@ class TestGraphAndPuzzle:
         assert np.array_equal(cons[:n], np.arange(n * n).reshape(n, n))
         assert np.array_equal(cons[n:2 * n], np.arange(n * n).reshape(n, n).T)
 
-    def test_constraint_cells_are_built_once_and_read_only(self):
-        cons = sudoku.constraint_cells(9)
-        assert sudoku.constraint_cells(9) is cons
+    @pytest.mark.parametrize("plan", [
+        lambda n: sudoku.constraint_cells(n),
+        lambda n: sudoku._node_order(n)[0],
+        lambda n: sudoku._node_order(n)[1],
+        lambda n: sudoku._base_grid(n),
+    ], ids=["constraint_cells", "node_order_slots", "node_order_back", "base_grid"])
+    @pytest.mark.parametrize("n", [4, 9])
+    def test_constraint_cells_are_built_once_and_read_only(self, plan, n):
+        # every per-size plan of the sudoku path: a second call returns the same object
+        cons = plan(n)
+        assert plan(n) is cons
+        assert not cons.flags.writeable
         with pytest.raises(ValueError):
-            cons[0, 0] = 0
+            cons.flat[0] = 0
 
     @pytest.mark.parametrize("n", [4, 9])
     def test_random_puzzles_are_valid(self, n):
@@ -246,24 +255,31 @@ class TestBpSolve:
         r2 = sudoku.bp_solve(p, ch, sudoku.node_function("exact"), seed=612, max_iters=8)
         assert np.array_equal(r1.beliefs, r2.beliefs)
 
+    @pytest.mark.parametrize("snr_db, max_iters, iterations, solved", [
+        (1.0, 5, 5, False),
+        (1.0, 1, 1, False),  # stops at max_iters after one iteration
+        (10.0, 5, 1, True),  # stops on solved at its first iteration
+    ], ids=["five", "max_iters_1", "solved_at_1"])
     @pytest.mark.parametrize("damping", [0.9, 1.0])
     @pytest.mark.parametrize("kind", ["exact", "approx"])
     @pytest.mark.parametrize("n", [4, 9])
-    def test_node_inputs(self, n, kind, damping):
+    def test_node_inputs(self, n, kind, damping, snr_db, max_iters, iterations, solved):
         # the node-call contract: one call per iteration, on a fresh (3n, n, q)
         # stack of pmf rows, each row from one cell; BP writes to neither
-        # that stack nor the returned rows afterwards, so a node may keep both
+        # that stack nor the returned rows afterwards, so a node may keep both.
+        # The last two solves skip the variable update after their one iteration.
         p = sudoku.random_puzzle(n, make_rng(613, 0))
-        ch = sudoku.ChannelModel.from_snr_db(1.0, q=n)
+        ch = sudoku.ChannelModel.from_snr_db(snr_db, q=n)
         node = RecordingNode(sudoku.node_function(kind))
-        res = sudoku.bp_solve(p, ch, node, seed=614, max_iters=5, damping=damping)
-        assert res.iterations == 5 and len(node.inputs) == 5
+        res = sudoku.bp_solve(p, ch, node, seed=614, max_iters=max_iters, damping=damping)
+        assert res.iterations == iterations and len(node.inputs) == iterations
+        assert res.solved == solved
         assert all(inputs.shape == (3 * n, n, n) for inputs in node.inputs)
         assert np.allclose(np.stack(node.inputs).sum(axis=-1), 1.0, atol=1e-12)
         # the returned rows are the node's own for each stack, before the
         # message floor, and recording leaves the run unchanged
-        plain = sudoku.bp_solve(p, ch, sudoku.node_function(kind), seed=614, max_iters=5,
-                                damping=damping)
+        plain = sudoku.bp_solve(p, ch, sudoku.node_function(kind), seed=614,
+                                max_iters=max_iters, damping=damping)
         assert res.beliefs.tobytes() == plain.beliefs.tobytes()
         for inputs, outputs in zip(node.inputs, node.outputs, strict=True):
             assert outputs.tobytes() == sudoku.node_function(kind)(inputs)[0].tobytes()
