@@ -188,25 +188,17 @@ def _run_verify_theorem(args) -> int:
 TABLE_FORMAT_VERSION = 2
 
 
-def _table_doc(table: PostTable) -> dict:
-    """The JSON document of a trained min-sum table: each bin's count and posterior sum."""
-    return {
-        "version": TABLE_FORMAT_VERSION,
-        "bins": [{"sum": row, "count": count}
-                 for row, count in zip(table.sums.tolist(), table.counts.tolist())],
-    }
-
-
-def _save_table(path: str, doc: dict) -> None:
-    """Write a :func:`_table_doc` document with its keys sorted, one bin per line.
+def _save_table(path: str, table: PostTable) -> None:
+    """Write a trained min-sum table as JSON, keys sorted: each bin's count and sum on its own line.
 
     Each line goes through the C encoder; ``_save_json``'s indented layout
     runs the pure-Python one, most of a large table's run.
     """
     encode = json.JSONEncoder(sort_keys=True).encode
-    bins = ",\n".join(map(encode, doc["bins"]))
+    bins = ",\n".join(encode({"count": count, "sum": row})
+                      for row, count in zip(table.sums.tolist(), table.counts.tolist()))
     with open(path, "w") as f:
-        f.write(f'{{"bins": [\n{bins}\n], "version": {encode(doc["version"])}}}\n')
+        f.write(f'{{"bins": [\n{bins}\n], "version": {TABLE_FORMAT_VERSION}}}\n')
 
 
 def _table_from_json(text: str) -> tuple[PostTable, np.ndarray, minsum.ZQuantizer]:
@@ -223,7 +215,7 @@ def _table_from_json(text: str) -> tuple[PostTable, np.ndarray, minsum.ZQuantize
         raise ValueError("table needs a non-empty, even-length 'bins' list of objects "
                          "with a non-negative integer 'count'")
     quant = minsum.ZQuantizer(num_bins=len(bins) // 2)
-    table = minsum.new_table(quant)
+    table = PostTable(quant.total_bins, 2)
     table.sums[:] = [_finite_row(e.get("sum"), 2, f"sum of bin {b}") for b, e in enumerate(bins)]
     table.counts[:] = [e["count"] for e in bins]
     # each posterior entry is at most 1, so a trained sum never passes its count
@@ -243,11 +235,11 @@ def _run_train_minsum(args) -> int:
     quant = minsum.ZQuantizer(num_bins=args.bins)
     # the table is allocated before the first draw, and the blocks are added up as they are
     # drawn, so --samples sizes no array
-    table = minsum.new_table(quant)
+    table = PostTable(quant.total_bins, 2)
     for block in minsum.simulate_blocks(args.degree, args.sigmas, args.samples, args.seed, quant):
-        table.ingest_batch(block)
+        table.ingest_batch(block.posteriors, block.bins)
     if args.out:
-        _save_table(args.out, _table_doc(table))
+        _save_table(args.out, table)
     _say(args, f"trained {args.samples} samples into {quant.total_bins} bins")
     return 0
 

@@ -9,7 +9,8 @@ the unequal-variance case is a first-class input. Both outputs depend on
 the branch bits only through their XOR, so a trial draws that one bit and
 works its branches in the all-+1 frame. A run is one pass over
 ``BLOCK``-trial blocks: ``simulate_blocks`` yields them lazily, one
-``simulate_batch`` call a block. Training adds each block to a table with
+``simulate_batch`` call a block, each a :class:`MinsumBatch`. Training
+adds a block's posterior rows and bins, plain arrays, to a table with
 ``PostTable.ingest_batch``; ``evaluate_table`` adds each block into a table
 and its scores, then reports those sums on trained table rows, its
 divergence by ``train.empirical_ed``. Each block is dropped once added.
@@ -28,7 +29,7 @@ import numpy as np
 from .errors import AbsoluteContinuityViolation, BinOutOfRange, DimensionMismatch
 from .probs import DEFAULT_FLOOR, log2_masked, soft_mi, square_is_normal
 from .rng import make_rng
-from .train import PostTable, SampleBatch, empirical_ed
+from .train import PostTable, empirical_ed
 
 #: Trials per block of a streamed pass: 2^14 rows of a few float64 columns
 #: stay in cache between the element-wise passes. A multiple of 64, so only
@@ -101,15 +102,21 @@ class ZQuantizer:
         return idx + self.num_bins * (np.asarray(signs) < 0)
 
 
-class MinsumBatch(SampleBatch):
-    """Training samples plus each one's truth and the raw min-sum LLR it was binned from."""
+class MinsumBatch:
+    """Trials: reference posterior rows, and each trial's bin, truth and raw min-sum LLR."""
 
     def __init__(self, posteriors, bins, truths, minsum_llrs):
-        super().__init__(posteriors, bins)
-        truths, self.minsum_llrs = np.asarray(truths), np.asarray(minsum_llrs, dtype=float)
-        if truths.shape != (len(self),) or self.minsum_llrs.shape != (len(self),):
-            raise DimensionMismatch("need one truth and one min-sum LLR per sample")
+        self.posteriors = np.asarray(posteriors, dtype=float)
+        self.bins, truths = np.asarray(bins, dtype=int), np.asarray(truths)
+        self.minsum_llrs = np.asarray(minsum_llrs, dtype=float)
+        rows = self.posteriors.shape[:1] if self.posteriors.ndim == 2 else None
+        if not rows == self.bins.shape == truths.shape == self.minsum_llrs.shape:
+            raise DimensionMismatch("need one posterior row, one truth and one min-sum LLR "
+                                    "per bin index")
         self.truths = truths.astype(int, copy=False)
+
+    def __len__(self) -> int:
+        return self.bins.size
 
 
 def simulate_blocks(d: int, sigmas, n: int, seed: int,
@@ -198,10 +205,6 @@ def _trials(sig: np.ndarray, flips: np.ndarray, noise: np.ndarray,
     return MinsumBatch(posteriors, bins, flips, mins)
 
 
-def new_table(quantizer: ZQuantizer) -> PostTable:
-    return PostTable(num_bins=quantizer.total_bins, alphabet_size=2)
-
-
 @dataclass(frozen=True)
 class EvalReport:
     empirical_ed: float
@@ -261,10 +264,11 @@ def evaluate_table(q: np.ndarray, blocks: Iterable[MinsumBatch]) -> EvalReport:
     sample order, and counts); into sum p log2 p and the baseline's cross
     term, one float each that adds a block's total; and into the (bin,
     truth) pair counts, row 2 * bin + truth, which sum to the sample count.
-    The same blocks in the same order give the same bits. The sums are
-    allocated before the first block is taken, so a lazy ``blocks``, such
-    as a :func:`simulate_blocks` run, draws nothing before them. Truths are
-    bits, as ``simulate_blocks`` draws them.
+    The same blocks in the same order give the same bits. The shape of q
+    is checked and the sums allocated before the first block is taken, so
+    a lazy ``blocks``, such as a :func:`simulate_blocks` run, draws nothing
+    for a q of the wrong shape. Truths are bits, as ``simulate_blocks``
+    draws them.
 
     The baseline treats the raw min-sum LLR as if it were the true LLR;
     its rows are floored before the divergence, since extreme LLRs
@@ -274,19 +278,19 @@ def evaluate_table(q: np.ndarray, blocks: Iterable[MinsumBatch]) -> EvalReport:
     names a pair row.
     """
     table = PostTable(len(q), 2)
+    q = np.asarray(q, dtype=float)
+    if q.shape != table.sums.shape:
+        raise DimensionMismatch(f"need {table.num_bins} rows of 2, got shape {q.shape}")
     plogp = cross = 0.0
     pairs = np.zeros(table.sums.size, dtype=np.int64)
     for block in blocks:
-        table.ingest_batch(block)  # checks the alphabet and the bins
+        table.ingest_batch(block.posteriors, block.bins)  # checks the alphabet and the bins
         plogp += plogp_sum(block.posteriors)
         cross += _baseline_cross(block.minsum_llrs, block.posteriors)
         np.add.at(pairs, block.bins * 2 + block.truths, 1)
     count = int(pairs.sum())
     if not count:
         raise ValueError("empty sample sequence")
-    q = np.asarray(q, dtype=float)
-    if q.shape != table.sums.shape:
-        raise DimensionMismatch(f"need {table.num_bins} rows of 2, got shape {q.shape}")
     bad = np.flatnonzero(((table.sums > 0) & (q == 0)).any(axis=1))
     if bad.size:
         raise AbsoluteContinuityViolation(f"bin {bad[0]}: table row is zero where "

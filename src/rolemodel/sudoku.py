@@ -470,17 +470,14 @@ def calibrate_sigma(ia_target: float, q: int, seed: int) -> float:
     raise BisectionFailure(f"bisection did not reach target {ia_target}")
 
 
-def _exit_curves(nodes, snr_db_list) -> list[tuple[str, float | None]]:
-    """Each EXIT curve's ``(kind, snr_db)``: ``variable`` once per snr, other kinds at None."""
-    return [(kind, snr) for kind in nodes
-            for snr in ((snr_db_list or ()) if kind == "variable" else (None,))]
-
-
 def _exit_checks(nodes, ia_grid, trials: int, n: int, snr_db_list, alphas):
-    """Check an EXIT run's arguments before any work: ``(node functions, channels)``.
+    """Check an EXIT run's arguments before any work, and return its curves in curve order.
 
-    The grid, trials, kinds and every snr raise ValueError; an a-priori
-    target outside [0, log2(n)] raises :class:`BisectionFailure`.
+    Each curve is ``(kind, snr_db, apply)``: a constraint kind at snr None
+    with its node function, or ``variable`` once per snr with that snr's
+    :class:`ChannelModel`. The grid, trials, kinds and every snr raise
+    ValueError; an a-priori target outside [0, log2(n)] raises
+    :class:`BisectionFailure`.
     """
     if not ia_grid:
         raise ValueError("empty a-priori grid")
@@ -489,16 +486,17 @@ def _exit_checks(nodes, ia_grid, trials: int, n: int, snr_db_list, alphas):
     if not nodes or not set(nodes) <= set(EXIT_KINDS):  # a bare string's letters are no kinds
         raise ValueError(f"nodes (--node) must be a non-empty sequence of node kinds from "
                          f"{EXIT_KINDS}, got {nodes!r}")
-    apply_node = {kind: node_function(kind, alphas=alphas) for kind in nodes if kind != "variable"}
+    funcs = [None if kind == "variable" else node_function(kind, alphas=alphas) for kind in nodes]
     # every snr given is checked, though constraint-node curves ignore the channel
-    channels = {snr: ChannelModel.from_snr_db(snr, q=n) for snr in snr_db_list or ()}
+    channels = [(snr, ChannelModel.from_snr_db(snr, q=n)) for snr in snr_db_list or ()]
     if "variable" in nodes and not channels:
         raise ValueError("variable-node transfer needs a channel snr (--snr-list)")
     max_mi = math.log2(n)
     for ia in ia_grid:
         if not -1e-9 <= ia <= max_mi + 1e-9:
             raise BisectionFailure(f"a-priori target {ia} outside [0, {max_mi}]")
-    return apply_node, channels
+    return [(kind, snr, apply) for kind, func in zip(nodes, funcs)
+            for snr, apply in (channels if func is None else [(None, func)])]
 
 
 def exit_point_trials(nodes, ia_bits: float, trials: int, seed: int, *,
@@ -522,7 +520,7 @@ def exit_point_trials(nodes, ia_bits: float, trials: int, seed: int, *,
     rows by a second a-priori message from block 1 and by a channel
     observation at their snr from block 2.
     """
-    apply_node, channels = _exit_checks(nodes, [ia_bits], trials, n, snr_db_list, alphas)
+    curves = _exit_checks(nodes, [ia_bits], trials, n, snr_db_list, alphas)
     max_mi = math.log2(n)
     # blocks 0 and 1 are drawn at every I_A, uniform and one-hot too, so
     # every block keeps its place in the stream
@@ -534,13 +532,12 @@ def exit_point_trials(nodes, ia_bits: float, trials: int, seed: int, *,
         both = apriori[0] * apriori[1]
     values = []
     fallback_rows = []
-    for kind, snr in _exit_curves(nodes, snr_db_list):
+    for kind, _, apply in curves:
         if kind == "variable":
-            channel = channels[snr]
-            msg = channel.posterior(channel.receive(truths, noise[2])) * both
+            msg = apply.posterior(apply.receive(truths, noise[2])) * both
             out, fallback = floor_rows(msg, MESSAGE_FLOOR), 0
         else:
-            out, fallback = apply_node[kind](apriori[0])
+            out, fallback = apply(apriori[0])
         at_truth = np.take_along_axis(floor_rows(out, DEFAULT_FLOOR), truths[..., None], axis=-1)
         values.append(max_mi - np.mean(-np.log2(at_truth[..., 0]), axis=-1))
         fallback_rows.append(fallback)
@@ -558,7 +555,7 @@ def exit_curve(nodes, ia_grid, trials: int, seed: int, *,
     order, each in grid order.
     """
     grid = list(ia_grid)
-    _exit_checks(nodes, grid, trials, n, snr_db_list, alphas)
+    curves = _exit_checks(nodes, grid, trials, n, snr_db_list, alphas)
     points = [exit_point_trials(nodes, ia, trials, seed, n=n, point=p, alphas=alphas,
                                 snr_db_list=snr_db_list) for p, ia in enumerate(grid)]
 
@@ -571,7 +568,7 @@ def exit_curve(nodes, ia_grid, trials: int, seed: int, *,
     return [ExitPoint(node=kind, snr_db=snr, ia_bits=float(ia),
                       ie_bits=max(float(values[c].mean()), 0.0), stderr=stderr(values[c]),
                       fallback_rows=fallbacks[c])
-            for c, (kind, snr) in enumerate(_exit_curves(nodes, snr_db_list))
+            for c, (kind, snr, _) in enumerate(curves)
             for ia, (values, fallbacks) in zip(grid, points)]
 
 

@@ -1,10 +1,11 @@
 """The two trainers for the estimator in training; the min-sum pass and its block are in minsum.
 
-Non-parametric path: accumulate reference posteriors per degraded-statistic
-bin and finalize to their per-bin average, which solves the per-bin convex
-program exactly. Parametric path: a golden-section search over a small
-vector of correction weights in [0,1], run on every weight at once, of a
-frozen empirical objective that scores each weight on its own.
+Non-parametric path: accumulate reference posteriors, plain (N, q) rows
+with their (N,) bins, per degraded-statistic bin and finalize to their
+per-bin average, which solves the per-bin convex program exactly.
+Parametric path: a golden-section search over a small vector of
+correction weights in [0,1], run on every weight at once, of a frozen
+empirical objective that scores each weight on its own.
 """
 
 from __future__ import annotations
@@ -17,28 +18,13 @@ import numpy as np
 from .errors import BinOutOfRange, DimensionMismatch
 
 
-class SampleBatch:
-    """Column-wise batch of training samples.
-
-    Stores posteriors as an (N, q) array plus a parallel bin vector.
-    """
-
-    def __init__(self, posteriors, bins):
-        self.posteriors = np.asarray(posteriors, dtype=float)
-        self.bins = np.asarray(bins, dtype=int)
-        if self.posteriors.ndim != 2 or self.posteriors.shape[0] != self.bins.size:
-            raise DimensionMismatch("need one posterior row per bin index")
-
-    def __len__(self) -> int:
-        return self.bins.size
-
-
 class PostTable:
     """Per-bin accumulator of reference posteriors.
 
-    Stores plain sums and counts (never running means), each sum added to
-    in sample order, so successive ``ingest_batch`` calls give bitwise the
-    table of their concatenated batch; ``finalize`` turns each
+    Takes plain arrays: (N, q) posterior rows and their (N,) bins. Stores
+    plain sums and counts (never running means), each sum added to in
+    sample order, so successive ``ingest_batch`` calls give bitwise the
+    table of their concatenated rows; ``finalize`` turns each
     non-empty bin into the average posterior and fills empty bins with the
     uniform row. Single-writer.
     """
@@ -51,16 +37,18 @@ class PostTable:
         self.sums = np.zeros((num_bins, alphabet_size))
         self.counts = np.zeros(num_bins, dtype=np.int64)
 
-    def ingest_batch(self, batch: SampleBatch) -> None:
-        """Add a batch's posterior rows to the sums, in place in sample order, and its bins to the counts."""
-        if batch.posteriors.shape[1] != self.alphabet_size:
-            raise DimensionMismatch("batch alphabet differs from table alphabet")
-        if batch.bins.size and (batch.bins.min() < 0 or batch.bins.max() >= self.num_bins):
-            bad = batch.bins[(batch.bins < 0) | (batch.bins >= self.num_bins)][0]
+    def ingest_batch(self, posteriors, bins) -> None:
+        """Add (N, q) rows to the sums in place, in sample order, and their (N,) bins to counts."""
+        posteriors, bins = np.asarray(posteriors, dtype=float), np.asarray(bins, dtype=int)
+        if posteriors.shape != (bins.size, self.alphabet_size):
+            raise DimensionMismatch(f"need one posterior row of {self.alphabet_size} per bin "
+                                    f"index, got shape {posteriors.shape} for {bins.size} bins")
+        if bins.size and (bins.min() < 0 or bins.max() >= self.num_bins):
+            bad = bins[(bins < 0) | (bins >= self.num_bins)][0]
             raise BinOutOfRange(f"bin {bad} outside [0, {self.num_bins})")
         for x in range(self.alphabet_size):
-            np.add.at(self.sums[:, x], batch.bins, batch.posteriors[:, x])
-        np.add.at(self.counts, batch.bins, 1)
+            np.add.at(self.sums[:, x], bins, posteriors[:, x])
+        np.add.at(self.counts, bins, 1)
 
     def finalize(self) -> np.ndarray:
         """Conditional table, one pmf row per bin (uniform where count = 0)."""

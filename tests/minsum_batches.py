@@ -31,7 +31,7 @@ def blocks_of(batch: minsum.MinsumBatch) -> list[minsum.MinsumBatch]:
 
 def trained_table(d: int, sigmas, n: int, seed: int, quantizer=QUANT) -> PostTable:
     """The table that ``train-minsum`` sums from the same run."""
-    table = minsum.new_table(quantizer)
+    table = PostTable(quantizer.total_bins, 2)
     for block in minsum.simulate_blocks(d, sigmas, n, seed, quantizer):
-        table.ingest_batch(block)
+        table.ingest_batch(block.posteriors, block.bins)
     return table

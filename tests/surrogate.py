@@ -14,7 +14,6 @@ import numpy as np
 
 from rolemodel import chains
 from rolemodel.rng import make_rng
-from rolemodel.train import SampleBatch
 
 
 def _phi(x: float) -> float:
@@ -78,14 +77,14 @@ def surrogate_chain(sigmas, levels_per_branch: int = 8,
 
 
 def sample_batch(model: chains.ChainModel, z_of_y: np.ndarray, n: int,
-                 seed: int) -> tuple[SampleBatch, np.ndarray]:
-    """n training samples of the chain, P(X|Y=y) rows and Z bins, and their true bits.
+                 seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """n training samples of the chain: P(X|Y=y) rows (n, 2), Z bins (n,) and true bits (n,).
 
-    A SampleBatch holds no truths, so the bits come beside it. Draws from
-    stream (seed, 2): all n y tuples, then n uniforms that pick each x.
+    ``PostTable.ingest_batch`` takes the first two. Draws from stream
+    (seed, 2): all n y tuples, then n uniforms that pick each x.
     """
     rng = make_rng(seed, 2)
     post_xy = chains.posterior_table_xy(model)
     ys = rng.choice(model.ch1.shape[1], size=n, p=model.py())
     xs = (rng.random(n) >= post_xy[ys, 0]).astype(int)  # binary: P(x=0) first
-    return SampleBatch(posteriors=post_xy[ys], bins=z_of_y[ys]), xs
+    return post_xy[ys], z_of_y[ys], xs

@@ -13,7 +13,7 @@ from rolemodel import chains, minsum, sudoku
 from rolemodel.cli import main as cli_main
 from rolemodel.permanent import minor_permanents, minor_permanents_split
 from rolemodel.rng import make_rng
-from rolemodel.train import ParametricCorrector, PostTable, SampleBatch
+from rolemodel.train import ParametricCorrector, PostTable
 
 from minsum_batches import QUANT, trained_table
 from oracles import constraint_marginals, joint_expected_divergence, projected_gradient_table
@@ -50,7 +50,7 @@ def test_2_averaging_matches_convex_solver():
     posteriors = rng.dirichlet(np.ones(2), size=12)
     bins = np.array([0, 1, 2] * 4)
     table = PostTable(num_bins=3, alphabet_size=2)
-    table.ingest_batch(SampleBatch(posteriors, bins))
+    table.ingest_batch(posteriors, bins)
     solver = projected_gradient_table(posteriors, bins, 3, iters=100_000)
     gap = float(np.max(np.abs(solver - table.finalize())))
     report(2, "averaging = convex optimum", gap <= 1e-6,
@@ -127,7 +127,7 @@ def test_6_minsum_training():
     t0 = time.time()
     model, z_of_y = surrogate_chain([1.0, 1.0, 1.0])
     table = PostTable(model.ch2.shape[1], 2)
-    table.ingest_batch(sample_batch(model, z_of_y, 1_000_000, seed=2024)[0])
+    table.ingest_batch(*sample_batch(model, z_of_y, 1_000_000, seed=2024)[:2])
     gap = chains.expected_divergence(model, table.finalize()) - chains.divergence_floor(model)
 
     wins = 0

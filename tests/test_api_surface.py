@@ -20,6 +20,12 @@ class's name; a call with ``*args`` passes every positional parameter and
 one with ``**kwargs`` every parameter. A short allowlist gives a reason per
 entry.
 
+Constructed classes: every class in ``src/rolemodel`` must be constructed
+by name, ``Name(...)`` or ``obj.Name(...)``, by some package or non-test
+``perfbench`` call, so no class is a wrapper that only tests build. A raise
+counts, as it calls the exception class. A short allowlist gives a reason
+per entry.
+
 Traced functions: every function that ``perfbench/spans.py`` patches, by
 each ``(owner, "name", ...)`` tuple there, must be called by that name
 where the patch takes effect: ``owner.name(...)`` anywhere in the package,
@@ -60,6 +66,11 @@ ALLOWLIST = {
 
 #: Defaulted parameters that no package or perfbench call passes, each kept for the stated reason.
 DEFAULTS_ALLOWLIST: dict[str, str] = {}
+
+#: Classes that no package or perfbench call constructs, each kept for the stated reason.
+CONSTRUCTED_ALLOWLIST = {
+    "errors.RoleModelError": "cli.main catches it, and the package raises only its subclasses",
+}
 
 #: Functions that ``perfbench/spans.py`` patches but no package call reaches, each kept for the
 #: stated reason.
@@ -194,14 +205,20 @@ def _passes(call: ast.Call, position: int | None, name: str) -> bool:
                                      or any(isinstance(a, ast.Starred) for a in call.args))
 
 
-def unpassed_defaults() -> list[str]:
-    """The defaulted parameters that no package or non-test perfbench call passes."""
+def calls_by_callee() -> dict[str | None, list[ast.Call]]:
+    """Every call in the package and the non-test perfbench files, by the callee's bare name."""
     calls = {}
     for path in _sources():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call):
                 callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
                 calls.setdefault(callee, []).append(node)
+    return calls
+
+
+def unpassed_defaults() -> list[str]:
+    """The defaulted parameters that no package or non-test perfbench call passes."""
+    calls = calls_by_callee()
     return sorted(q for q, (callee, position, name) in defaulted_parameters().items()
                   if not any(_passes(call, position, name) for call in calls.get(callee, ())))
 
@@ -215,6 +232,25 @@ def test_defaults_allowlist_names_only_unpassed_parameters():
     # an entry whose parameter is gone, or gained a caller outside the tests, is stale
     stale = sorted(set(DEFAULTS_ALLOWLIST) - set(unpassed_defaults()))
     assert not stale, f"allowlisted, but gone or passed in src/rolemodel or perfbench: {stale}"
+
+
+def unconstructed_classes() -> list[str]:
+    """"module.Class" for each class in the package that no package or perfbench call constructs."""
+    calls = calls_by_callee()
+    return sorted(f"{path.stem}.{node.name}" for path in PACKAGE.glob("*.py")
+                  for node in ast.parse(path.read_text()).body
+                  if isinstance(node, ast.ClassDef) and node.name not in calls)
+
+
+def test_every_class_is_constructed_outside_the_tests():
+    unbuilt = [q for q in unconstructed_classes() if q not in CONSTRUCTED_ALLOWLIST]
+    assert not unbuilt, f"classes that only tests construct, or nothing: {unbuilt}"
+
+
+def test_constructed_allowlist_names_only_unconstructed_classes():
+    # an entry whose class is gone, or gained a constructor call outside the tests, is stale
+    stale = sorted(set(CONSTRUCTED_ALLOWLIST) - set(unconstructed_classes()))
+    assert not stale, f"allowlisted, but gone or constructed in src/rolemodel or perfbench: {stale}"
 
 
 def patched_by_spans() -> set[str]:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rolemodel import minsum, sudoku
+from rolemodel import cli, minsum, sudoku
 from rolemodel.cli import build_parser, main
 from rolemodel.rng import make_rng
 
@@ -211,23 +211,23 @@ class TestErrorContract:
         assert run(argv) == 1
         assert capsys.readouterr().err.startswith(f"error: snr {snr} dB gives no valid channel")
 
-    @pytest.mark.parametrize("argv, allocating", [
-        (["train-minsum", "--samples", "100000000000"], "simulate_blocks"),
-        (["train-minsum", "--bins", "100000000000"], "new_table"),
-        (["train-minsum", "--quiet", "--bins", "100000000000"], "new_table"),
+    @pytest.mark.parametrize("argv, owner, allocating", [
+        (["train-minsum", "--samples", "100000000000"], minsum, "simulate_blocks"),
+        (["train-minsum", "--bins", "100000000000"], cli, "PostTable"),
+        (["train-minsum", "--quiet", "--bins", "100000000000"], cli, "PostTable"),
     ])
-    def test_a_request_too_large_for_memory_is_one_error_line(self, argv, allocating, tmp_path,
-                                                               monkeypatch, capsys):
+    def test_a_request_too_large_for_memory_is_one_error_line(self, argv, owner, allocating,
+                                                               tmp_path, monkeypatch, capsys):
         # whether a real multi-TiB request fails at once depends on the host's
         # overcommit setting, so the allocating call raises as numpy's would:
-        # simulate_blocks allocates each block's arrays, and new_table a training run's
+        # simulate_blocks allocates each block's arrays, and PostTable a training run's
         # table, quiet or not.
         # The table is allocated before the first draw, so no request draws anything.
         def allocate(*args, **kwargs):
             raise MemoryError("Unable to allocate 2.91 TiB for an array")
 
         draws = []
-        monkeypatch.setattr(minsum, allocating, allocate)
+        monkeypatch.setattr(owner, allocating, allocate)
         monkeypatch.setattr(minsum, "make_rng", lambda *a: draws.append(a))
         out = tmp_path / "table.json"
         assert run(argv + ["--out", str(out)]) == 1

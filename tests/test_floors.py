@@ -13,7 +13,7 @@ from rolemodel.errors import RoleModelError
 from rolemodel.permanent import head_tail_split, minor_permanents_split
 from rolemodel.probs import DEFAULT_FLOOR, GIVEN_FLOOR, MESSAGE_FLOOR, floor_rows
 from rolemodel.rng import make_rng
-from rolemodel.train import ParametricCorrector
+from rolemodel.train import ParametricCorrector, PostTable
 
 from minsum_batches import blocks_of, whole_batch
 from oracles import minsum_baseline_objective
@@ -118,8 +118,8 @@ class TestDefaultFloor:
         # LLRs pass 745, where the pmf of an LLR has an exact zero.
         batch = whole_batch(3, [0.05] * 3, 2000, 3)
         assert np.abs(batch.minsum_llrs).max() > 745
-        table = minsum.new_table(minsum.ZQuantizer())
-        table.ingest_batch(batch)
+        table = PostTable(minsum.ZQuantizer().total_bins, 2)
+        table.ingest_batch(batch.posteriors, batch.bins)
         report = minsum.evaluate_table(table.finalize(), blocks_of(batch))
         reference = minsum_baseline_objective(batch.posteriors, batch.minsum_llrs, DEFAULT_FLOOR)
         assert abs(report.baseline_ed - reference) <= 1e-12

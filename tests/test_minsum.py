@@ -12,7 +12,7 @@ from rolemodel.errors import (AbsoluteContinuityViolation, BinOutOfRange, Dimens
                               ZeroMassAtTruth)
 from rolemodel.probs import DEFAULT_FLOOR, floor_rows, soft_mi
 from rolemodel.rng import make_rng
-from rolemodel.train import PostTable, SampleBatch
+from rolemodel.train import PostTable
 
 from minsum_batches import QUANT, blocks_of, trained_table, whole_batch
 from oracles import empirical_objective, minsum_baseline_objective
@@ -137,10 +137,10 @@ class TestSimulateBatch:
         # value per sample (4.8 MB) would break the bound
         d, n = 6, 600_000
         batch = whole_batch(d, [0.6, 0.8, 1.0, 1.2, 1.4, 1.6], n, 3)
-        table = minsum.new_table(QUANT)
+        table = PostTable(QUANT.total_bins, 2)
         tracemalloc.start()
         try:
-            table.ingest_batch(batch)
+            table.ingest_batch(batch.posteriors, batch.bins)
             report = minsum.evaluate_table(table.finalize(), blocks_of(batch))
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -171,8 +171,8 @@ class TestSimulateBatch:
         # same-batch empirical ED agrees across seeds within 3 standard errors
         def ed_and_se(seed):
             batch = whole_batch(3, [1.0] * 3, 100_000, seed)
-            table = minsum.new_table(QUANT)
-            table.ingest_batch(batch)
+            table = PostTable(QUANT.total_bins, 2)
+            table.ingest_batch(batch.posteriors, batch.bins)
             q = table.finalize()
             rows = q[batch.bins]
             p = batch.posteriors
@@ -221,8 +221,8 @@ class TestMinsumBitsArePinned:
         assert trained == f"trained {self.SAMPLES} samples into 128 bins\n"
         sigmas = [float(s) for s in self.SIGMAS[d].split(",")]
         batch = whole_batch(d, sigmas, self.SAMPLES, seed)
-        fit = minsum.new_table(QUANT)
-        fit.ingest_batch(batch)
+        fit = PostTable(QUANT.total_bins, 2)
+        fit.ingest_batch(batch.posteriors, batch.bins)
         q = fit.finalize()
         held = whole_batch(d, sigmas, self.SAMPLES, seed + 1)
         assert scored == minsum.evaluate_table(q, blocks_of(held)).summary() + "\n"
@@ -298,13 +298,13 @@ class TestEvaluateTable:
         posteriors = np.array([[1.0, 0.0]] * 4 + [[0.5, 0.5], [1.0, 0.0]])
         batch = minsum.MinsumBatch(posteriors, bins, truths, np.zeros(6))
         table = PostTable(3, 2)
-        table.ingest_batch(batch)
+        table.ingest_batch(posteriors, bins)
         with pytest.raises(ZeroMassAtTruth) as err:
             minsum.evaluate_table(table.finalize(), [batch])
         assert err.value.index == 1
 
     def test_batch_columns(self):
-        # a min-sum batch is a SampleBatch plus one truth and one min-sum LLR per sample
+        # a min-sum batch holds one posterior row, bin, truth and min-sum LLR per sample
         batch = minsum.MinsumBatch([[0.6, 0.4], [0.1, 0.9]], [1, 0], np.array([0, 1], np.uint8),
                                    [0.5, -2.0])
         assert len(batch) == 2 and batch.truths[1] == 1 and batch.minsum_llrs[1] == -2.0
@@ -313,12 +313,33 @@ class TestEvaluateTable:
                              ([0, 1], [0.5]), ([0, 1], 0.5), (None, [0.5, -2.0])):
             with pytest.raises(DimensionMismatch, match="one truth and one min-sum LLR"):
                 minsum.MinsumBatch(batch.posteriors, batch.bins, truths, llrs)
+        assert batch.bins.dtype == np.int_ and batch.posteriors.dtype == np.float64
+        # one posterior row per bin index, with truths and LLRs shaped as the bins
+        for posteriors, bins in ((batch.posteriors, [1, 0, 1]), (batch.posteriors[0], [1, 0]),
+                                 (batch.posteriors, [[1, 0]])):
+            same = np.zeros(np.shape(bins))
+            with pytest.raises(DimensionMismatch, match="one posterior row"):
+                minsum.MinsumBatch(posteriors, bins, same, same)
 
     def test_a_batch_without_truths_fails_at_construction(self):
         # evaluate_table scores soft MI on the truths, so a batch must carry them
         with pytest.raises(DimensionMismatch):
             minsum.evaluate_table(np.full((2, 2), 0.5),
                                   [minsum.MinsumBatch([[0.5, 0.5]], [1], None, [0.0])])
+
+    def test_a_table_of_the_wrong_shape_fails_before_the_first_block(self):
+        # q is checked before the blocks are taken, so a lazy run draws nothing for it
+        taken = []
+
+        def recorded():
+            for block in minsum.simulate_blocks(3, [1.0] * 3, 50_000, 0, QUANT):
+                taken.append(len(block))
+                yield block
+
+        for q in (np.full((QUANT.total_bins, 3), 1 / 3), np.full(QUANT.total_bins, 0.5)):
+            with pytest.raises(DimensionMismatch, match=f"need {QUANT.total_bins} rows of 2"):
+                minsum.evaluate_table(q, recorded())
+        assert taken == []
 
     def test_zero_table_entry_under_mass_names_the_bin(self):
         with pytest.raises(AbsoluteContinuityViolation, match="^bin 1: "):
@@ -341,7 +362,7 @@ class TestEvaluateTable:
         wins = 0
         for s in range(10):
             trained = trained_table(3, [1.0] * 3, 20_000, 500 + s)
-            untrained = minsum.new_table(QUANT)
+            untrained = PostTable(QUANT.total_bins, 2)
             held = list(minsum.simulate_blocks(3, [1.0] * 3, 20_000, 600 + s, QUANT))
             ed_trained = minsum.evaluate_table(trained.finalize(), held).empirical_ed
             ed_untrained = minsum.evaluate_table(untrained.finalize(), held).empirical_ed
@@ -388,14 +409,14 @@ class TestSurrogateChain:
     def test_trained_table_reaches_floor(self):
         model, z_of_y = surrogate_chain([1.0] * 3)
         table = PostTable(model.ch2.shape[1], 2)
-        table.ingest_batch(sample_batch(model, z_of_y, 100_000, seed=15)[0])
+        table.ingest_batch(*sample_batch(model, z_of_y, 100_000, seed=15)[:2])
         gap = chains.expected_divergence(model, table.finalize()) - chains.divergence_floor(model)
         assert 0.0 <= gap <= 0.01
 
     def test_unequal_sigmas_supported(self):
         model, z_of_y = surrogate_chain([0.7, 1.0, 1.4])
         table = PostTable(model.ch2.shape[1], 2)
-        table.ingest_batch(sample_batch(model, z_of_y, 50_000, seed=16)[0])
+        table.ingest_batch(*sample_batch(model, z_of_y, 50_000, seed=16)[:2])
         gap = chains.expected_divergence(model, table.finalize()) - chains.divergence_floor(model)
         assert 0.0 <= gap <= 0.01
 
@@ -422,10 +443,10 @@ class TestMonteCarloIntegration:
         for n, bound in mean_bound.items():
             role, counts = [], []
             for seed in range(20):
-                batch, truths = sample_batch(model, z_of_y, n, seed)
+                posteriors, bins, truths = sample_batch(model, z_of_y, n, seed)
                 table, truth_table = PostTable(nz, 2), PostTable(nz, 2)
-                table.ingest_batch(batch)
-                truth_table.ingest_batch(SampleBatch(np.eye(2)[truths], batch.bins))
+                table.ingest_batch(posteriors, bins)
+                truth_table.ingest_batch(np.eye(2)[truths], bins)
                 role.append(chains.expected_divergence(model, table.finalize()) - floor)
                 truth_q = floor_rows(truth_table.finalize(), 1e-6)
                 counts.append(chains.expected_divergence(model, truth_q) - floor)
@@ -443,7 +464,7 @@ class TestMonteCarloIntegration:
         sd = np.sqrt(np.maximum(pyz.T @ p0**2 / pz - exact[:, 0] ** 2, 0.0))
         for seed in range(5):
             table = PostTable(model.ch2.shape[1], 2)
-            table.ingest_batch(sample_batch(model, z_of_y, 1_000_000, seed)[0])
+            table.ingest_batch(*sample_batch(model, z_of_y, 1_000_000, seed)[:2])
             q, filled = table.finalize(), table.counts > 0
             assert np.all(q[~filled] == 0.5) and np.all(pz[~filled] < 1e-5)
             err = np.abs(q[filled, 0] - exact[filled, 0])

@@ -10,21 +10,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rolemodel.rng import make_rng
-from rolemodel.train import PostTable, SampleBatch
+from rolemodel.train import PostTable
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
 
 @st.composite
 def batches(draw, num_bins: int, q: int):
-    """A batch of Dirichlet posteriors (some exact zeros) in random bins."""
+    """A batch of Dirichlet posteriors (some exact zeros) and their random bins."""
     n = draw(st.integers(1, 300))
     rng = make_rng(draw(st.integers(0, 2**32 - 1)))
     post = rng.dirichlet(np.full(q, 0.5), size=n)
     post[rng.random((n, q)) < 0.1] = 0.0
     post[post.sum(axis=1) == 0, 0] = 1.0
     post /= post.sum(axis=1, keepdims=True)
-    return SampleBatch(post, rng.integers(0, num_bins, size=n))
+    return post, rng.integers(0, num_bins, size=n)
 
 
 @st.composite
@@ -32,9 +32,9 @@ def geometries(draw):
     return draw(st.integers(1, 12)), draw(st.integers(2, 4))
 
 
-def table_of(batch: SampleBatch, num_bins: int, q: int) -> PostTable:
+def table_of(batch: tuple[np.ndarray, np.ndarray], num_bins: int, q: int) -> PostTable:
     t = PostTable(num_bins=num_bins, alphabet_size=q)
-    t.ingest_batch(batch)
+    t.ingest_batch(*batch)
     return t
 
 
@@ -47,16 +47,15 @@ def assert_same_table(a: PostTable, b: PostTable) -> None:
 @PROPERTY
 @given(geometries().flatmap(lambda g: st.tuples(st.just(g), batches(*g))), st.data())
 def test_ingest_ignores_order_and_sharding(case, data):
-    (num_bins, q), batch = case
-    whole = table_of(batch, num_bins, q)
-    n = len(batch)
+    (num_bins, q), (post, bins) = case
+    whole = table_of((post, bins), num_bins, q)
+    n = bins.size
     perm = np.asarray(data.draw(st.permutations(range(n))), dtype=int)
-    assert_same_table(whole, table_of(SampleBatch(batch.posteriors[perm], batch.bins[perm]),
-                                      num_bins, q))
+    assert_same_table(whole, table_of((post[perm], bins[perm]), num_bins, q))
     cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=4)))
     sharded = PostTable(num_bins=num_bins, alphabet_size=q)
     for lo, hi in zip([0] + cuts, cuts + [n]):
-        sharded.ingest_batch(SampleBatch(batch.posteriors[perm[lo:hi]], batch.bins[perm[lo:hi]]))
+        sharded.ingest_batch(post[perm[lo:hi]], bins[perm[lo:hi]])
     assert_same_table(whole, sharded)
 
 

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from rolemodel import chains, minsum
-from rolemodel.cli import _table_doc, _table_from_json, main
+from rolemodel.cli import _save_table, _table_from_json, main
 from rolemodel.errors import AbsoluteContinuityViolation, BinOutOfRange, DimensionMismatch
-from rolemodel.minsum import BLOCK, ZQuantizer, new_table, plogp_sum, simulate_blocks
+from rolemodel.minsum import BLOCK, ZQuantizer, plogp_sum, simulate_blocks
 from rolemodel.rng import make_rng
 from rolemodel.train import (
     ParametricCorrector,
     PostTable,
-    SampleBatch,
     empirical_ed,
     train_parametric,
 )
@@ -20,31 +19,31 @@ from oracles import empirical_objective, projected_gradient_table
 
 
 def sample(p, b):
-    """One-row batch: posterior p in bin b."""
-    return SampleBatch([p], [b])
+    """One-row batch: posterior p in bin b, as ``ingest_batch``'s arguments."""
+    return [p], [b]
 
 
-def batch_ed(batch, q):
+def batch_ed(post, bins, q):
     """``empirical_ed`` of a whole batch, from its per-bin posterior sums and its sum p log2 p."""
     sums = PostTable(len(q), q.shape[1])
-    sums.ingest_batch(batch)
-    return empirical_ed(sums.sums, q, plogp_sum(batch.posteriors), len(batch))
+    sums.ingest_batch(post, bins)
+    return empirical_ed(sums.sums, q, plogp_sum(np.asarray(post, dtype=float)), len(bins))
 
 
 def chain_training_batch(model, n, seed):
-    """Samples from a chain with z-identity binning: bin = z symbol."""
+    """Samples from a chain with z-identity binning, (posteriors, bins): bin = z symbol."""
     rng = make_rng(seed)
     ny, nz = model.ch2.shape
     ys, zs = divmod(rng.choice(ny * nz, size=n, p=model.pyz().ravel()), nz)
     post = chains.posterior_table_xy(model)[ys]
-    return SampleBatch(posteriors=post, bins=zs)
+    return post, zs
 
 
 class TestIngestFinalize:
     def test_two_sample_average(self):
         t = PostTable(num_bins=1, alphabet_size=2)
-        t.ingest_batch(sample([0.9, 0.1], 0))
-        t.ingest_batch(sample([0.5, 0.5], 0))
+        t.ingest_batch(*sample([0.9, 0.1], 0))
+        t.ingest_batch(*sample([0.5, 0.5], 0))
         assert np.allclose(t.finalize()[0], [0.7, 0.3], atol=1e-15)
 
     def test_successive_batches_equal_single_pass(self):
@@ -52,44 +51,44 @@ class TestIngestFinalize:
         post = rng.dirichlet(np.ones(3), size=400)
         bins = rng.integers(0, 5, size=400)
         whole = PostTable(num_bins=5, alphabet_size=3)
-        whole.ingest_batch(SampleBatch(post, bins))
+        whole.ingest_batch(post, bins)
         split = PostTable(num_bins=5, alphabet_size=3)
-        split.ingest_batch(SampleBatch(post[:250], bins[:250]))
-        split.ingest_batch(SampleBatch(post[250:], bins[250:]))
+        split.ingest_batch(post[:250], bins[:250])
+        split.ingest_batch(post[250:], bins[250:])
         # each sum is added to in sample order, so the split table is bitwise the whole one
         assert np.array_equal(split.counts, whole.counts)
         assert np.array_equal(split.sums, whole.sums)
 
     def test_single_sample_is_exact(self):
         t = PostTable(num_bins=2, alphabet_size=3)
-        t.ingest_batch(sample([0.2, 0.3, 0.5], 1))
+        t.ingest_batch(*sample([0.2, 0.3, 0.5], 1))
         assert np.allclose(t.finalize()[1], [0.2, 0.3, 0.5], atol=1e-15)
 
     def test_identical_samples_recover_p(self):
         t = PostTable(num_bins=1, alphabet_size=2)
         for _ in range(17):
-            t.ingest_batch(sample([0.25, 0.75], 0))
+            t.ingest_batch(*sample([0.25, 0.75], 0))
         assert np.allclose(t.finalize()[0], [0.25, 0.75], atol=1e-14)
 
     @pytest.mark.parametrize("q", [2, 3, 5])
     def test_default_fallback_uniform(self, q):
         # the empty bins 0 and 2 finalize to the uniform row, bitwise
         t = PostTable(num_bins=3, alphabet_size=q)
-        t.ingest_batch(sample(np.eye(q)[0], 1))
+        t.ingest_batch(*sample(np.eye(q)[0], 1))
         assert np.array_equal(t.finalize(), np.stack([np.full(q, 1 / q), np.eye(q)[0],
                                                       np.full(q, 1 / q)]))
 
     def test_bin_out_of_range(self):
         t = PostTable(num_bins=2, alphabet_size=2)
         with pytest.raises(BinOutOfRange):
-            t.ingest_batch(sample([0.5, 0.5], 2))
+            t.ingest_batch(*sample([0.5, 0.5], 2))
         with pytest.raises(BinOutOfRange):
-            t.ingest_batch(SampleBatch(np.full((1, 2), 0.5), [-1]))
+            t.ingest_batch(np.full((1, 2), 0.5), [-1])
 
     def test_alphabet_mismatch(self):
         t = PostTable(num_bins=2, alphabet_size=2)
         with pytest.raises(DimensionMismatch):
-            t.ingest_batch(sample([0.2, 0.3, 0.5], 0))
+            t.ingest_batch(*sample([0.2, 0.3, 0.5], 0))
         three = minsum.MinsumBatch([[0.2, 0.3, 0.5]], [0], [0], [0.0])
         with pytest.raises(DimensionMismatch):
             minsum.evaluate_table(t.finalize(), [three])
@@ -99,7 +98,7 @@ class TestIngestFinalize:
         model = chains.random_chain(rng, 3, 6, 4)
         batch = chain_training_batch(model, 10_000, seed=202)
         t = PostTable(num_bins=model.ch2.shape[1], alphabet_size=model.px.size)
-        t.ingest_batch(batch)
+        t.ingest_batch(*batch)
         final = t.finalize()
         opt = chains.posterior_table_xz(model)
         pz = model.pz()
@@ -114,34 +113,32 @@ class TestIngestFinalize:
         post = rng.dirichlet(np.ones(2), size=12)
         bins = np.array([0, 1, 2] * 4)
         t = PostTable(num_bins=3, alphabet_size=2)
-        t.ingest_batch(SampleBatch(post, bins))
+        t.ingest_batch(post, bins)
         solver = projected_gradient_table(post, bins, 3, iters=20_000)
         assert np.max(np.abs(solver - t.finalize())) <= 1e-6
 
 
 class TestEmpiricalEd:
     def test_own_posterior_gives_zero(self):
-        s = sample([0.3, 0.7], 0)
-        assert batch_ed(s, np.array([[0.3, 0.7]])) == 0.0
+        assert batch_ed(*sample([0.3, 0.7], 0), np.array([[0.3, 0.7]])) == 0.0
 
     def test_uniform_q_identity(self):
         # D(p || uniform) = log2 q - H(p), averaged
         rng = make_rng(204)
         post = rng.dirichlet(np.ones(4), size=60)
         bins = rng.integers(0, 3, size=60)
-        batch = SampleBatch(post, bins)
         q = np.full((3, 4), 0.25)
         expect = np.mean([2.0 - (-np.sum(p[p > 0] * np.log2(p[p > 0]))) for p in post])
-        assert batch_ed(batch, q) == pytest.approx(expect, abs=1e-12)
+        assert batch_ed(post, bins, q) == pytest.approx(expect, abs=1e-12)
 
     def test_matches_exact_expected_divergence(self):
         rng = make_rng(205)
         model = chains.random_chain(rng, 3, 5, 4)
         batch = chain_training_batch(model, 100_000, seed=206)
         t = PostTable(num_bins=model.ch2.shape[1], alphabet_size=model.px.size)
-        t.ingest_batch(batch)
+        t.ingest_batch(*batch)
         q = t.finalize()
-        assert batch_ed(batch, q) == pytest.approx(
+        assert batch_ed(*batch, q) == pytest.approx(
             chains.expected_divergence(model, q), abs=0.02
         )
 
@@ -149,13 +146,12 @@ class TestEmpiricalEd:
         rng = make_rng(207)
         post = rng.dirichlet(np.ones(3), size=80)
         bins = rng.integers(0, 4, size=80)
-        batch = SampleBatch(post, bins)
         t = PostTable(num_bins=4, alphabet_size=3)
-        t.ingest_batch(batch)
-        best = batch_ed(batch, t.finalize())
+        t.ingest_batch(post, bins)
+        best = batch_ed(post, bins, t.finalize())
         for _ in range(50):
             probe = rng.dirichlet(np.ones(3), size=4)
-            assert best <= batch_ed(batch, probe) + 1e-12
+            assert best <= batch_ed(post, bins, probe) + 1e-12
 
     def test_matches_exact_per_sample_sum(self):
         # per-bin sums across block boundaries, posterior zeros, and a table
@@ -167,13 +163,13 @@ class TestEmpiricalEd:
         bins = rng.integers(0, 5, size=n)
         post[bins == 0, 2] = 0.0
         post /= post.sum(axis=1, keepdims=True)
-        batch = SampleBatch(post, bins)
         q = rng.dirichlet(np.ones(3), size=5)
         q[0] = [0.25, 0.75, 0.0]
         t = PostTable(num_bins=5, alphabet_size=3)
-        t.ingest_batch(batch)
+        t.ingest_batch(post, bins)
         for table in (q, t.finalize()):
-            assert abs(batch_ed(batch, table) - empirical_objective(post, bins, table)) <= 1e-12
+            exact = empirical_objective(post, bins, table)
+            assert abs(batch_ed(post, bins, table) - exact) <= 1e-12
 
     def test_absolute_continuity_names_first_offending_bin(self):
         # sample 2 puts 5e-324 on symbol 1 of bin 1, whose table row is (1, 0);
@@ -196,7 +192,7 @@ class TestEmpiricalEd:
             for s in range(20):
                 batch = chain_training_batch(model, n, seed=300 + 7 * s)
                 t = PostTable(num_bins=model.ch2.shape[1], alphabet_size=model.px.size)
-                t.ingest_batch(batch)
+                t.ingest_batch(*batch)
                 vals.append(chains.expected_divergence(model, t.finalize()))
             medians.append(float(np.median(vals)))
         assert medians[0] >= medians[1] >= medians[2]
@@ -210,13 +206,15 @@ class TestSerialization:
     QUANT = ZQuantizer(num_bins=1)
 
     def doc(self):
-        return _table_doc(new_table(self.QUANT))
+        """The document of an empty two-bin table."""
+        return {"version": 2, "bins": [{"count": 0, "sum": [0.0, 0.0]}] * 2}
 
-    def test_json_round_trip(self):
+    def test_json_round_trip(self, tmp_path):
         rng = make_rng(209)
-        t = new_table(self.QUANT)
-        t.ingest_batch(SampleBatch(rng.dirichlet(np.ones(2), size=30), rng.integers(0, 2, 30)))
-        back, final, quant = _table_from_json(json.dumps(_table_doc(t)))
+        t = PostTable(self.QUANT.total_bins, 2)
+        t.ingest_batch(rng.dirichlet(np.ones(2), size=30), rng.integers(0, 2, 30))
+        _save_table(tmp_path / "table.json", t)
+        back, final, quant = _table_from_json((tmp_path / "table.json").read_text())
         assert np.array_equal(back.counts, t.counts)
         assert np.array_equal(back.sums, t.sums)
         assert quant == self.QUANT
@@ -230,9 +228,9 @@ class TestSerialization:
         text = path.read_text()
         assert len(text.splitlines()) == 2 * 65536 + 2
         quant = ZQuantizer(num_bins=65536)
-        trained = new_table(quant)
+        trained = PostTable(quant.total_bins, 2)
         for block in simulate_blocks(3, [1.0] * 3, 20000, 3, quant):
-            trained.ingest_batch(block)
+            trained.ingest_batch(block.posteriors, block.bins)
         back, _, back_quant = _table_from_json(text)
         assert back_quant == quant
         assert np.array_equal(back.counts, trained.counts)
@@ -246,8 +244,12 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"unsupported table version {version}"):
             _table_from_json(json.dumps(doc))
 
-    def test_the_document_is_its_bins(self):
-        assert self.doc() == {"version": 2, "bins": [{"count": 0, "sum": [0.0, 0.0]}] * 2}
+    def test_the_document_is_its_bins(self, tmp_path):
+        path = tmp_path / "table.json"
+        _save_table(path, PostTable(self.QUANT.total_bins, 2))
+        assert json.loads(path.read_text()) == self.doc()
+        assert path.read_text() == ('{"bins": [\n{"count": 0, "sum": [0.0, 0.0]},\n'
+                                    '{"count": 0, "sum": [0.0, 0.0]}\n], "version": 2}\n')
 
     def test_alpha_json_is_not_a_table(self):
         # an alpha table of a later format may carry the table's version number
@@ -337,19 +339,24 @@ class TestTrainParametric:
             ParametricCorrector(np.array([0.5, np.nan]))
 
 
-class TestSampleBatch:
-    def test_column_protocol(self):
-        batch = SampleBatch(np.array([[0.6, 0.4], [0.1, 0.9]]), [1, 0])
-        assert len(batch) == 2
-        assert batch.bins[0] == 1
-        assert batch.bins.dtype == np.int_ and batch.posteriors.dtype == np.float64
-        with pytest.raises(DimensionMismatch):
-            SampleBatch(batch.posteriors, [1, 0, 1])
+class TestBatchShapes:
+    """``ingest_batch`` takes (N, q) posterior rows and their N bins as plain arrays."""
+
+    def test_one_posterior_row_of_the_alphabet_per_bin(self):
+        rows = [[0.6, 0.4], [0.1, 0.9]]
+        t = PostTable(num_bins=2, alphabet_size=2)
+        t.ingest_batch(rows, [1.0, 0.0])  # lists, and integral floats as bins, convert
+        assert t.counts.tolist() == [1, 1] and np.array_equal(t.sums, [[0.1, 0.9], [0.6, 0.4]])
+        # a third bin, a row vector and a ternary row have no binary row per bin
+        for post, bins in ((rows, [1, 0, 1]), (rows[0], [1, 0]), ([[0.2, 0.3, 0.5]], [0])):
+            with pytest.raises(DimensionMismatch, match="one posterior row of 2 per bin index"):
+                t.ingest_batch(post, bins)
+        assert t.counts.tolist() == [1, 1] and np.array_equal(t.sums, [[0.1, 0.9], [0.6, 0.4]])
 
     def test_empirical_ed_on_one_row_batches(self):
         q = np.array([[0.5, 0.5], [0.8, 0.2]])
         for s in (sample([0.5, 0.5], 0), sample([0.8, 0.2], 1)):
-            assert batch_ed(s, q) == pytest.approx(0.0, abs=1e-12)
+            assert batch_ed(*s, q) == pytest.approx(0.0, abs=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty sample sequence"):
