@@ -232,16 +232,15 @@ def _baseline_cross(llrs: np.ndarray, post: np.ndarray) -> float:
     The row of LLR l has the larger entry 1 / (1 + e^-|l|) and the smaller
     e^-|l| / (1 + e^-|l|), the larger at symbol 0 where l >= 0. Bitwise
     ``float((np.log2(floor_rows(rows, DEFAULT_FLOOR)) * post).sum())`` on two
-    contiguous columns: each row's larger and smaller entry is floored,
-    divided by their sum (a 2-entry row's sum) and logged apart, then set in
-    (p0, p1) order, so the one sum over the (m, 2) block adds the same terms
-    in the same order.
+    contiguous columns: each row's smaller entry is floored (the larger lies
+    in [1/2, 1), where the floor never binds), both are divided by their sum
+    (a 2-entry row's sum) and logged apart, then set in (p0, p1) order, so
+    the one sum over the (m, 2) block adds the same terms in the same order.
     """
     lo = np.exp(-np.abs(llrs))
     hi = 1.0 + lo
     lo /= hi
     np.divide(1.0, hi, out=hi)
-    np.maximum(hi, DEFAULT_FLOOR, out=hi)
     np.maximum(lo, DEFAULT_FLOOR, out=lo)
     tot = lo + hi
     hi /= tot

@@ -102,9 +102,10 @@ def _minor_plan(n: int) -> tuple[tuple, tuple]:
 def _workspace(n: int, batch: int) -> tuple:
     """Scratch arrays and step plan of :func:`minor_permanents` for one (n, B), kept for its next call.
 
-    Returns ``(f, b, steps, reads)``: the f and b tables, then every step
-    of the DP with its views into two term buffers that each hold the
-    largest (k, C, B) level or read-out, k binomial(n, k) rows. ``steps``
+    Returns ``(f, b, steps, reads)``: the f and b tables, their empty-set
+    row 0 already 1, then every step of the DP with its views into two term
+    buffers that each hold the largest (k, C, B) level or read-out, k
+    binomial(n, k) rows. ``steps``
     holds, per level k = 1..n-1, one step for f_k and then one for
     b_{n-k}: ``(table, parents, members, terms, factors, table[lo:hi])``,
     with the plan's indices and the level's (k, C, B) term and factor
@@ -122,6 +123,7 @@ def _workspace(n: int, batch: int) -> tuple:
     size = (1 << n) - 1
     most = max(k * math.comb(n, k) for k in range(1, n + 1))
     f, b = np.empty((size, batch)), np.empty((size, batch))
+    f[0] = b[0] = 1.0  # f_0 and b_n, the empty set; no step writes row 0
     work, spare = np.empty((most, batch)), np.empty((most, batch))
     steps = []
     for lo, hi, parents, members in levels:
@@ -156,7 +158,6 @@ def minor_permanents(m) -> np.ndarray:
     # entries[i * n + j]: entry (i, j), all of B
     entries = np.ascontiguousarray(batch.transpose(1, 2, 0)).reshape(n * n, width)
     f, b, steps, reads = _workspace(n, width)
-    f[0] = b[0] = 1.0  # f_0 and b_n: the empty set
     # take writes straight into out= only in "clip" mode ("raise" buffers it);
     # every plan index is in range, so clipping changes no value
     for table, parents, added, terms, factors, dest in steps:
@@ -200,7 +201,7 @@ def head_tail_split(m, h: int) -> tuple[np.ndarray, np.ndarray]:
     tails = desc[..., h:].sum(axis=-1) / (n - h)
     cut = desc[..., h - 1, None]
     kept = a >= cut
-    tied = kept.sum(axis=-1) > h  # rows where entries equal to the cut overflow the head
+    tied = desc[..., h] == desc[..., h - 1]  # rows where entries equal to the cut overflow the head
     if tied.any():
         rows, cuts = a[tied], cut[tied]
         above, equal = rows > cuts, rows == cuts

@@ -224,21 +224,21 @@ def constraint_exact(m: np.ndarray) -> np.ndarray:
     row and, for a batch, the matrix (the constraint in BP, the trial in
     EXIT).
     """
-    perms = minor_permanents(m)
+    perms = minor_permanents(m)  # a fresh array, normalized in place
     sums = perms.sum(axis=-1)
     dead = np.argwhere(sums <= 0)
     if dead.size:
         *index, row = (int(v) for v in dead[0])
         raise DegenerateRow(row, *index)
-    return perms / sums[..., None]
+    return np.divide(perms, sums[..., None], out=perms)
 
 
 def _alpha_mix(alphas, ph: np.ndarray, pt: np.ndarray,
-               out: np.ndarray | None = None) -> tuple[np.ndarray, int]:
-    """Row-normalized alpha_i PH + (1 - alpha_i) PT, and how many zero-sum rows went uniform.
+               out: np.ndarray) -> tuple[np.ndarray, int]:
+    """Row-normalized alpha_i PH + (1 - alpha_i) PT in ``out``, and how many zero-sum rows went uniform.
 
     ``alphas`` is one weight for every row or one per row; ``pt`` holds one
-    tail-minor value per row. ``out``, if given, receives the rows.
+    tail-minor value per row. ``out`` has PH's shape and may be PH itself.
     """
     a = np.asarray(alphas, dtype=float)[..., None]
     combined = np.multiply(a, ph, out=out)
@@ -260,9 +260,11 @@ def constraint_approx(m: np.ndarray, alphas) -> tuple[np.ndarray, int]:
     head size ``HEAD_SIZE``. alpha_i weights the head-minor permanent
     against the tail-minor permanent in row i; ``alphas`` is one weight for
     every row or one per row. Rows whose weighted sum vanishes fall back to
-    uniform, and ``fallback_rows`` counts them.
+    uniform, and ``fallback_rows`` counts them. The rows are mixed into the
+    head minors the kernel has just allocated.
     """
-    return _alpha_mix(alphas, *minor_permanents_split(*head_tail_split(m, HEAD_SIZE)))
+    ph, pt = minor_permanents_split(*head_tail_split(m, HEAD_SIZE))
+    return _alpha_mix(alphas, ph, pt, ph)
 
 
 def node_function(kind: str, alphas=None):
@@ -658,7 +660,7 @@ def _alpha_divergences(matrices, exact: np.ndarray):
     corrected, terms = np.empty_like(ph), np.zeros_like(ph)
 
     def rows(alphas: np.ndarray) -> np.ndarray:
-        _alpha_mix(alphas, ph, pt, out=corrected)
+        _alpha_mix(alphas, ph, pt, corrected)
         floor_rows(corrected, DEFAULT_FLOOR, out=corrected)
         return divergence_rows(exact, corrected, _log_p=log_p, _work=terms)
 

@@ -6,6 +6,7 @@ import pytest
 from rolemodel.errors import DimensionTooLarge
 from rolemodel.permanent import head_tail_split, minor_permanents, minor_permanents_split
 from rolemodel.rng import make_rng
+from rolemodel.sudoku import constraint_approx, constraint_exact
 
 from oracles import PERMANENT_MAX_N
 from oracles import minor_permanents as brute_minors
@@ -175,6 +176,26 @@ class TestBatchedMinors:
         again = minor_permanents(rng.random(shape))
         assert kept.tobytes() == bits
         assert again.tobytes() != bits
+        assert not np.shares_memory(kept, again)
+
+    @pytest.mark.parametrize("node", ["exact", "approx"])
+    @pytest.mark.parametrize("shape", [(9, 9), (27, 9, 9)])
+    def test_node_rows_never_alias_a_later_call_or_the_inputs(self, shape, node):
+        # both nodes normalize or mix the kernel's fresh minors in place, so
+        # their rows must be that fresh array and nothing the caller holds
+        call = constraint_exact if node == "exact" else lambda m: constraint_approx(m, 0.5)[0]
+        rng = make_rng(323)
+        first, second = rng.random(shape), rng.random(shape)
+        inputs = first.tobytes(), second.tobytes()
+        kept = call(first)
+        bits = kept.tobytes()
+        again = call(second)
+        assert kept.tobytes() == bits
+        assert again.tobytes() != bits
+        assert (first.tobytes(), second.tobytes()) == inputs
+        for rows in (kept, again):
+            for other in (first, second):
+                assert not np.shares_memory(rows, other)
         assert not np.shares_memory(kept, again)
 
     def test_shape_and_size_checks(self):
