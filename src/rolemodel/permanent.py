@@ -105,12 +105,11 @@ def _workspace(n: int, batch: int) -> tuple:
     Returns ``(f, b, steps, reads)``: the f and b tables, their empty-set
     row 0 already 1, then every step of the DP with its views into two term
     buffers that each hold the largest (k, C, B) level or read-out, k
-    binomial(n, k) rows. ``steps``
-    holds, per level k = 1..n-1, one step for f_k and then one for
-    b_{n-k}: ``(table, parents, members, terms, factors, table[lo:hi])``,
-    with the plan's indices and the level's (k, C, B) term and factor
-    views. ``reads`` holds, per minor row i, ``(head, tail, starts, terms,
-    factors)``. Building these views once saves the ~50 that a call would
+    binomial(n, k) rows. ``steps`` holds, per level k = 1..n-1, one step
+    for f_k and then one for b_{n-k}: ``(table, parents, members, terms,
+    factors, table[lo:hi])``, with the plan's indices and the level's
+    (k, C, B) term and factor views. ``reads`` holds, per minor row i,
+    ``(head, tail, starts, terms, factors)``. Building these views once saves the ~50 that a call would
     otherwise build, about a quarter of a single-matrix call at n = 9.
     Only the last shape is kept. Arrays of this size (110-140 KB at n = 9,
     B = 27), freed after every call, go back to the system or not
